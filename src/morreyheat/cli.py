@@ -48,7 +48,6 @@ def default_config(kind: str) -> dict:
                          "boundary": DIRICHLET},
         "experiment": {"kind": kind},
         "output_dir": "out",
-        "seed": 0,
     }
     extras = {
         "morrey": {"q": 2.0, "lam": 2.0, "refinements": 1},
@@ -79,7 +78,12 @@ def _get(cfg: dict, path: str, typ=None, required=True, default=None):
                 raise ConfigError(path)
             return default
         node = node[key]
-    if typ is not None and not isinstance(node, typ):
+    if typ is None:
+        return node
+    # bool is a subclass of int, so `true` would otherwise pass as the number 1
+    if isinstance(node, bool) and bool not in (typ if isinstance(typ, tuple) else (typ,)):
+        raise ConfigError(f"{path}: expected {typ}, got bool")
+    if not isinstance(node, typ):
         if typ is float and isinstance(node, int):
             return float(node)
         raise ConfigError(f"{path}: expected {typ}, got {type(node).__name__}")
@@ -415,7 +419,6 @@ def run_experiment(cfg: dict, out_dir=None, jobs: int = 1) -> ArtifactBundle:
     _get(cfg, "params.p", (int, float))
     _get(cfg, "grid.r_max", (int, float))
     _get(cfg, "grid.nodes", int)
-    _get(cfg, "seed", int, required=False, default=0)
     out = Path(out_dir if out_dir is not None
                else _get(cfg, "output_dir", str, required=False, default="out"))
     bundle = ArtifactBundle(kind=kind, out_dir=out)
@@ -509,7 +512,6 @@ def main(argv=None) -> int:
             merged.update(cfg.get(block, {}))
             cfg[block] = merged
         cfg.setdefault("output_dir", base["output_dir"])
-        cfg.setdefault("seed", base["seed"])
     else:
         cfg = default_config(args.kind)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import SolverConfig, solve
+from .evolution import SolverConfig, _RadialLaplacian, _rk4_step, solve
 from .fields import FREE, RadialField, make_field
 from .morrey import MorreyLattice, MorreySpec, morrey_norm
 from .params import ModelParams
@@ -82,22 +82,16 @@ class _DiffusionSubsteps:
     """
 
     def __init__(self, grid, n, dt):
-        from .evolution import _RadialLaplacian
         self.lap = _RadialLaplacian(grid, n)
         cap = 0.8 * grid.h**2 / (2.0 * n)
         self.k = max(1, int(math.ceil(dt / cap)))
         self.dt_sub = dt / self.k
 
     def __matmul__(self, v):
-        u = np.asarray(v, dtype=float).copy()
-        out = np.empty_like(u)
-        dt = self.dt_sub
+        u = np.asarray(v, dtype=float)
+        work = [np.empty_like(u) for _ in range(4)]
         for _ in range(self.k):
-            k1 = self.lap(u, np.empty_like(u)).copy()
-            k2 = self.lap(u + 0.5 * dt * k1, out).copy()
-            k3 = self.lap(u + 0.5 * dt * k2, out).copy()
-            k4 = self.lap(u + dt * k3, out).copy()
-            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u = _rk4_step(self.lap, u, self.dt_sub, work)
         return u
 
 

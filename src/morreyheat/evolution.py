@@ -93,6 +93,16 @@ class _RadialLaplacian:
         return out
 
 
+def _rk4_step(rhs, u, dt, k):
+    """One classical RK4 step of u' = rhs(u, out); k holds four work arrays shaped like u."""
+    k1, k2, k3, k4 = k
+    rhs(u, k1)
+    rhs(u + (0.5 * dt) * k1, k2)
+    rhs(u + (0.5 * dt) * k2, k3)
+    rhs(u + dt * k3, k4)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory:
     """Integrate to cfg.t_end, stopping early on blowup or abort.
 
@@ -146,12 +156,7 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
         # land exactly on the next checkpoint / horizon
         target = cfg.t_end if next_cp >= len(checkpoint_times) else checkpoint_times[next_cp]
         dt = min(dt, target - t) if target > t else dt
-        k1, k2, k3, k4 = scratch
-        rhs(u, k1)
-        rhs(u + (0.5 * dt) * k1, k2)
-        rhs(u + (0.5 * dt) * k2, k3)
-        rhs(u + dt * k3, k4)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = _rk4_step(rhs, u, dt, scratch)
         if dirichlet:
             u[-1] = 0.0
         t += dt

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import RadialField, make_field
+from .morrey import lq_norm
 from .params import ModelParams
-from .quadrature import gauss_convolve
+from .quadrature import heat_kernel_matrix
 
 O_MARGIN = 0.1            # fitted exponent must beat the target by this much
 TREND_SLOPE = -0.05       # log-log slope that certifies a vanishing limit
@@ -71,12 +72,6 @@ def _zero_check() -> ConditionCheck:
     return ConditionCheck(True, {"zero_data": True})
 
 
-def _lq_radial(vals: np.ndarray, grid, q: float) -> float:
-    from .quadrature import sphere_area, volume_weights
-    return float((sphere_area(grid.n)
-                  * np.sum(volume_weights(grid) * np.abs(vals) ** q)) ** (1.0 / q))
-
-
 def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams,
                      t_grid=None, centers=None,
                      consistency_tol: float = 0.05) -> HypothesisReport:
@@ -115,7 +110,7 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams,
         c21 = ConditionCheck(False, {"admissible_q_interval": (2.0, q_hi)})
     else:
         qs = [2.0, math.sqrt(2.0 * q_hi), 0.999 * q_hi]
-        norms = {f"L{q:.3f}": _lq_radial(g_vals, grid, q) for q in qs}
+        norms = {f"L{q:.3f}": lq_norm(grad_f, q) for q in qs}
         if not fit_g.resolved:
             c21 = ConditionCheck(None, {"norms": norms, "tail_points": fit_g.n_points})
         else:
@@ -142,12 +137,13 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams,
     if zero_f and zero_g:
         c24 = _zero_check()
     else:
-        u2 = make_field(grid, f.values**2)
-        g2 = make_field(grid, g_vals**2)
+        u2 = f.values**2
+        g2 = g_vals**2
         qs_t = []
         for t in t_grid:
-            sup_u = max(gauss_convolve(u2, float(t), float(a)) for a in centers)
-            sup_g = max(gauss_convolve(g2, float(t), float(a)) for a in centers)
+            kernel = heat_kernel_matrix(grid, float(t), centers)
+            sup_u = float(np.max(kernel @ u2))
+            sup_g = float(np.max(kernel @ g2))
             qs_t.append(t ** ((p + 1.0) / (p - 1.0)) * sup_g + t ** k_crit * sup_u)
         qs_t = np.asarray(qs_t)
         if np.all(qs_t < 1e-290):
@@ -160,15 +156,15 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams,
 
     # energy integrability: |u0|^(p+1) + |grad u0|^2 in L^m, m in [1, n(p-1)/(2(p+1)))
     m_hi = n * (p - 1.0) / (2.0 * (p + 1.0))
-    combo = np.abs(f.values) ** (p + 1.0) + g_vals**2
-    fit_c = tail_exponent(make_field(grid, combo))
+    combo = make_field(grid, np.abs(f.values) ** (p + 1.0) + g_vals**2)
+    fit_c = tail_exponent(combo)
     if zero_f and zero_g:
         c25 = _zero_check()
     elif m_hi <= 1.0:
         c25 = ConditionCheck(False, {"admissible_m_interval": (1.0, m_hi)})
     else:
         ms = [1.0, math.sqrt(m_hi), 0.999 * m_hi]
-        norms = {f"L{m:.3f}": _lq_radial(combo, grid, m) for m in ms}
+        norms = {f"L{m:.3f}": lq_norm(combo, m) for m in ms}
         if not fit_c.resolved:
             c25 = ConditionCheck(None, {"norms": norms, "tail_points": fit_c.n_points})
         else:

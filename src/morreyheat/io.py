@@ -40,14 +40,14 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
-        return str(obj)
+    if isinstance(obj, (float, np.floating)):
+        # JSON has no NaN or infinity; write them as the strings "nan", "inf", "-inf"
+        obj = float(obj)
+        return str(obj) if math.isnan(obj) or math.isinf(obj) else obj
     return obj
 
 

@@ -7,6 +7,7 @@ The sup is approximated on a finite log-spaced lattice; refining the lattice
 """
 
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 from .fields import RadialField, RadialGrid, sup_norm
 from .params import ModelParams
 from .quadrature import (SMALL_BALL_FACTOR, cap_fraction_array, density_interpolant,
-                         fine_ball_integral, gauss_convolve, heat_apply,
+                         fine_ball_integral, heat_apply, heat_kernel_matrix,
                          origin_ball_weights, sphere_area, volume_weights)
 
 
@@ -74,47 +75,48 @@ class MorreyLattice:
         return MorreyLattice(centers=c, radii=r)
 
 
+def _lq_integral(f: RadialField, q: float) -> float:
+    """integral over R^n of |f|^q (zero extension)."""
+    grid = f.grid
+    return float(sphere_area(grid.n) * np.sum(volume_weights(grid) * np.abs(f.values) ** q))
+
+
 def lq_norm(f: RadialField, q: float) -> float:
     """Lebesgue L^q norm of the radial field over R^n (zero extension)."""
-    grid = f.grid
-    val = sphere_area(grid.n) * np.sum(volume_weights(grid) * np.abs(f.values) ** q)
-    return float(val ** (1.0 / q))
+    return _lq_integral(f, q) ** (1.0 / q)
 
 
 # Cached cap-weight tables: key -> (centers x radii x nodes) weights including
 # the volume and surface factors.  Bounded LRU; oversized tables are streamed.
+# `--jobs` threads share it, so every lookup and update holds the lock.
 _TABLE_CACHE: OrderedDict = OrderedDict()
+_TABLE_LOCK = threading.Lock()
 _TABLE_CACHE_MAX = 4
 _TABLE_MAX_BYTES = 300 * 2**20
 
 
-def _lattice_key(grid: RadialGrid, lattice: MorreyLattice):
-    return (grid.n, grid.m, grid.r_max,
-            hash(np.asarray(lattice.centers).tobytes()),
-            hash(np.asarray(lattice.radii).tobytes()))
-
-
 def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
     """Weights W[c, r, j] with ball_integral(f,q,a_c,R_r) = sum_j W[c,r,j] |f_j|^q."""
-    key = _lattice_key(grid, lattice)
-    if key in _TABLE_CACHE:
-        _TABLE_CACHE.move_to_end(key)
-        return _TABLE_CACHE[key]
+    key = (grid.n, grid.m, grid.r_max,
+           np.asarray(lattice.centers).tobytes(), np.asarray(lattice.radii).tobytes())
+    with _TABLE_LOCK:
+        table = _TABLE_CACHE.get(key)
+        if table is not None:
+            _TABLE_CACHE.move_to_end(key)
+            return table
     n = grid.n
     area = sphere_area(n)
     base = area * volume_weights(grid)
-    nc, nr, ns = len(lattice.centers), len(lattice.radii), grid.m + 1
-    table = np.empty((nc, nr, ns))
-    for ci, a in enumerate(lattice.centers):
-        for ri, r_ball in enumerate(lattice.radii):
-            if a == 0.0:
-                table[ci, ri] = area * origin_ball_weights(grid, float(r_ball))
-            else:
-                table[ci, ri] = base * cap_fraction_array(n, float(a), grid.nodes, float(r_ball))
+    centers = np.asarray(lattice.centers)
+    table = np.empty((len(centers), len(lattice.radii), grid.m + 1))
+    for ri, r_ball in enumerate(lattice.radii):
+        table[:, ri] = base * cap_fraction_array(n, centers[:, None], grid.nodes, float(r_ball))
+        table[centers == 0.0, ri] = area * origin_ball_weights(grid, float(r_ball))
     if table.nbytes <= _TABLE_MAX_BYTES:
-        _TABLE_CACHE[key] = table
-        while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
-            _TABLE_CACHE.popitem(last=False)
+        with _TABLE_LOCK:
+            _TABLE_CACHE[key] = table
+            while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
+                _TABLE_CACHE.popitem(last=False)
     return table
 
 
@@ -135,23 +137,20 @@ def morrey_evaluate(f: RadialField, spec: MorreySpec,
         raise ValueError(f"lambda = {spec.lam} exceeds the dimension n = {n}")
     if lattice is None:
         lattice = MorreyLattice.default(grid)
-    g = np.abs(f.values) ** spec.q
     if spec.lam == n:
         # M^{q,n} = L^q: the sup in R is the full integral, centers immaterial
-        val = sphere_area(n) * float(np.sum(volume_weights(grid) * g))
+        val = _lq_integral(f, spec.q)
         cells = np.full((len(lattice.centers), len(lattice.radii)), val)
         return MorreyEvaluation(norm=val ** (1.0 / spec.q), center=0.0,
                                 radius=float(lattice.radii[-1]), cells=cells)
-    table = _cell_weights(grid, lattice)
-    integrals = table @ g
+    g = np.abs(f.values) ** spec.q
+    integrals = _cell_weights(grid, lattice) @ g
     small = np.asarray(lattice.radii) <= SMALL_BALL_FACTOR * grid.h
     if np.any(small):
         g_interp = density_interpolant(grid.nodes, g)
         for ri in np.nonzero(small)[0]:
-            r_ball = float(lattice.radii[ri])
-            for ci, a in enumerate(lattice.centers):
-                integrals[ci, ri] = fine_ball_integral(g_interp, n, grid.r_max,
-                                                       float(a), r_ball)
+            integrals[:, ri] = fine_ball_integral(g_interp, n, grid.r_max, lattice.centers,
+                                                  float(lattice.radii[ri]))
     cells = integrals * np.asarray(lattice.radii)[None, :] ** (spec.lam - n)
     ci, ri = np.unravel_index(np.argmax(cells), cells.shape)
     best = float(cells[ci, ri])
@@ -188,11 +187,10 @@ def kernel_majorant(f: RadialField, spec: MorreySpec, t_grid,
         raise ValueError("t_grid must be nonempty and positive")
     if centers is None:
         centers = MorreyLattice.default(f.grid).centers
-    from .fields import make_field
-    g = make_field(f.grid, np.abs(f.values) ** spec.q)
+    g = np.abs(f.values) ** spec.q
     best = 0.0
     for t in t_grid:
-        sup_a = max(gauss_convolve(g, float(t), float(a)) for a in centers)
+        sup_a = float(np.max(heat_kernel_matrix(f.grid, float(t), centers) @ g))
         best = max(best, float(t) ** (spec.lam / 2.0) * sup_a)
     return best
 

@@ -2,17 +2,20 @@
 
 Reduces integrals over off-center balls and against off-center Gaussian heat
 kernels to one-dimensional radial quadrature on the field's own grid.  Fields
-are extended by zero beyond r_max in every kernel.
+are extended by zero beyond r_max in every kernel.  Each formula has one home:
+`heat_kernel_matrix` is the single Gaussian-kernel operator (a scalar
+convolution is its one-row case), `origin_ball_weights` the single
+volume-weight formula, and `fine_ball_integral` the single small-ball rule.
 """
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .fields import RadialField, RadialGrid
+from .fields import RadialField, RadialGrid, make_grid
 
 
 class TruncationWarning(UserWarning):
@@ -45,44 +48,26 @@ def _sin_power_integral(k: int, theta):
     return cur
 
 
-@dataclass(frozen=True)
-class CapTable:
-    """Per-dimension constants for spherical-cap measure evaluation."""
-
-    n: int
-    total: float            # integral_0^pi sin^{n-2}
-    sphere_constant: float  # |S^{n-1}| = n * omega_n
+@functools.lru_cache(maxsize=None)
+def _cap_total(n: int) -> float:
+    """integral_0^pi sin^{n-2}, the full-sphere normaliser of the cap measure."""
+    return float(_sin_power_integral(n - 2, np.array([math.pi]))[0])
 
 
-_CAP_TABLES: dict[int, CapTable] = {}
-
-
-def cap_table(n: int) -> CapTable:
-    if n not in _CAP_TABLES:
-        total = float(_sin_power_integral(n - 2, np.array([math.pi]))[0])
-        _CAP_TABLES[n] = CapTable(n=n, total=total, sphere_constant=sphere_area(n))
-    return _CAP_TABLES[n]
-
-
-def cap_fraction_array(n: int, a: float, s, r_ball: float) -> np.ndarray:
-    """Fraction of the sphere {|x| = s} inside the ball B(a e_1, r_ball), vectorized in s."""
-    s = np.asarray(s, dtype=float)
+def cap_fraction_array(n: int, a, s, r_ball: float) -> np.ndarray:
+    """Fraction of the sphere {|x| = s} inside the ball B(a e_1, r_ball); a broadcasts against s."""
+    a, s = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(s, dtype=float))
     out = np.zeros(s.shape)
-    if a == 0.0:
-        out[s <= r_ball] = 1.0
-        return out
     inside = a + s <= r_ball
     out[inside] = 1.0
-    partial = ~inside & (np.abs(a - s) < r_ball) & (s > 0)
+    partial = ~inside & (np.abs(a - s) < r_ball) & (s > 0) & (a > 0)
     if np.any(partial):
-        sp = s[partial]
-        c = np.clip((sp * sp + a * a - r_ball * r_ball) / (2.0 * a * sp), -1.0, 1.0)
-        tab = cap_table(n)
-        out[partial] = _sin_power_integral(n - 2, np.arccos(c)) / tab.total
+        ap, sp = a[partial], s[partial]
+        c = np.clip((sp * sp + ap * ap - r_ball * r_ball) / (2.0 * ap * sp), -1.0, 1.0)
+        out[partial] = _sin_power_integral(n - 2, np.arccos(c)) / _cap_total(n)
     # s == 0: the degenerate sphere is the origin, inside iff a < r_ball
     at0 = s == 0.0
-    if np.any(at0):
-        out[at0] = 1.0 if a < r_ball else 0.0
+    out[at0] = a[at0] < r_ball
     return out
 
 
@@ -100,62 +85,38 @@ def trapezoid_weights(grid: RadialGrid) -> np.ndarray:
     return w
 
 
-_VOLUME_WEIGHTS: dict[tuple, np.ndarray] = {}
+def origin_ball_weights(grid: RadialGrid, r_ball: float) -> np.ndarray:
+    """Nodal weights W with sum_j W_j g_j = integral_0^R s^(n-1) g(s) ds for piecewise-linear g.
 
-
-def volume_weights(grid: RadialGrid) -> np.ndarray:
-    """Nodal weights W with sum_j W_j g_j = integral s^(n-1) g(s) ds for piecewise-linear g.
-
-    The geometric factor s^(n-1) is integrated exactly on every interval, so
-    cells that are only one node wide (where plain trapezoid overshoots the
-    vanishing volume element near the origin) are still handled correctly.
+    The geometric factor s^(n-1) is integrated exactly against each hat
+    function on every interval, clipped at s = R.  Cells only one node wide
+    (where plain trapezoid overshoots the vanishing volume element near the
+    origin) are handled correctly, and the discontinuous radial cutoff of a
+    ball centered at the origin is clipped exactly instead of sampled at nodes
+    (which would leak up to half an interval of density past the ball).
     """
-    key = (grid.n, grid.m, grid.r_max)
-    cached = _VOLUME_WEIGHTS.get(key)
-    if cached is not None:
-        return cached
     n = grid.n
+    h = grid.h
     a = grid.nodes[:-1]
     b = grid.nodes[1:]
-    h = grid.h
-    pow_n = (b**n - a**n) / n
-    pow_n1 = (b ** (n + 1) - a ** (n + 1)) / (n + 1)
-    toward_right = (pow_n1 - a * pow_n) / h   # integral s^(n-1) (s-a)/h over [a, b]
-    toward_left = (b * pow_n - pow_n1) / h    # integral s^(n-1) (b-s)/h over [a, b]
+    hi = np.clip(r_ball, a, b)
+    pow_n = (hi**n - a**n) / n
+    pow_n1 = (hi ** (n + 1) - a ** (n + 1)) / (n + 1)
     w = np.zeros(grid.m + 1)
-    w[:-1] += toward_left
-    w[1:] += toward_right
-    w.setflags(write=False)
-    _VOLUME_WEIGHTS[key] = w
+    w[:-1] += (b * pow_n - pow_n1) / h   # integral s^(n-1) (b-s)/h over [a, hi]
+    w[1:] += (pow_n1 - a * pow_n) / h    # integral s^(n-1) (s-a)/h over [a, hi]
     return w
 
 
-def origin_ball_weights(grid: RadialGrid, r_ball: float) -> np.ndarray:
-    """Nodal weights for integral_0^R s^(n-1) g(s) ds with piecewise-linear g.
+def volume_weights(grid: RadialGrid) -> np.ndarray:
+    """Nodal weights for integral_0^r_max s^(n-1) g(s) ds: origin_ball_weights at R = r_max."""
+    return _volume_weights(grid.n, grid.m, grid.r_max)
 
-    Used for balls centered at the origin, whose radial cutoff at s = R is
-    discontinuous: the last partial interval is clipped exactly instead of
-    sampling the cutoff at nodes (which would leak up to half an interval of
-    density past the ball).
-    """
-    n = grid.n
-    r_ball = min(r_ball, grid.r_max)
-    w = np.zeros(grid.m + 1)
-    k = int(np.floor(r_ball / grid.h + 1e-12))
-    k = min(k, grid.m)
-    a = grid.nodes[:k]
-    b = grid.nodes[1:k + 1]
-    h = grid.h
-    pow_n = (b**n - a**n) / n
-    pow_n1 = (b ** (n + 1) - a ** (n + 1)) / (n + 1)
-    w[:k] += (b * pow_n - pow_n1) / h
-    w[1:k + 1] += (pow_n1 - a * pow_n) / h
-    if k < grid.m and r_ball > grid.nodes[k]:
-        lo, hi = grid.nodes[k], r_ball
-        pn = (hi**n - lo**n) / n
-        pn1 = (hi ** (n + 1) - lo ** (n + 1)) / (n + 1)
-        w[k] += (grid.nodes[k + 1] * pn - pn1) / h
-        w[k + 1] += (pn1 - lo * pn) / h
+
+@functools.lru_cache(maxsize=16)
+def _volume_weights(n: int, m: int, r_max: float) -> np.ndarray:
+    w = origin_ball_weights(make_grid(n, r_max, m), r_max)
+    w.setflags(write=False)
     return w
 
 
@@ -189,22 +150,26 @@ def density_interpolant(nodes: np.ndarray, g: np.ndarray):
     return interp
 
 
-def fine_ball_integral(g_interp, n: int, r_max: float, a: float, r_ball: float,
-                       npts: int = 257) -> float:
-    """Ball integral of an interpolated density over B(a e_1, R), on a refined subgrid.
+def fine_ball_integral(g_interp, n: int, r_max: float, a, r_ball: float,
+                       npts: int = 257) -> np.ndarray:
+    """Ball integrals of an interpolated density over B(a e_1, R), on refined subgrids.
 
+    `a` is one center or an array of centers; the result has its shape.  Each
+    center gets its own `npts`-point subgrid spanning the ball's radial range.
     `g_interp` interpolates the node samples of the density |f|^q; always
     interpolate the density, never the field, so that the power identity
     between (|f|^m, r/m) and (f, r) stays exact at lattice level.
     """
-    lo = max(0.0, a - r_ball)
-    hi = min(a + r_ball, r_max)
-    if hi <= lo:
-        return 0.0
-    s = np.linspace(lo, hi, npts)
-    g = g_interp(s)
-    vals = g * s ** (n - 1) * cap_fraction_array(n, a, s, r_ball)
-    return float(sphere_area(n) * np.trapezoid(vals, s))
+    a = np.asarray(a, dtype=float)
+    lo = np.maximum(0.0, a - r_ball)
+    hi = np.minimum(a + r_ball, r_max)
+    out = np.zeros(a.shape)
+    live = hi > lo
+    if np.any(live):
+        s = np.linspace(lo[live], hi[live], npts, axis=-1)
+        vals = g_interp(s) * s ** (n - 1) * cap_fraction_array(n, a[live][..., None], s, r_ball)
+        out[live] = sphere_area(n) * np.trapezoid(vals, s, axis=-1)
+    return out
 
 
 def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
@@ -227,8 +192,8 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
             TruncationWarning, stacklevel=2)
     g = np.abs(f.values) ** q
     if r_ball <= SMALL_BALL_FACTOR * grid.h:
-        return fine_ball_integral(density_interpolant(grid.nodes, g), n, grid.r_max,
-                                  a, r_ball)
+        return float(fine_ball_integral(density_interpolant(grid.nodes, g), n, grid.r_max,
+                                        a, r_ball))
     if a == 0.0:
         return float(sphere_area(n) * np.sum(origin_ball_weights(grid, r_ball) * g))
     frac = cap_fraction_array(n, a, grid.nodes, r_ball)
@@ -296,48 +261,23 @@ def angular_kernel_scaled(n: int, z) -> np.ndarray:
     return np.exp(spline(np.log1p(z)))
 
 
-def _kernel_row(grid: RadialGrid, n: int, t: float, a: float) -> np.ndarray:
-    """Quadrature weights so that (G_t * f)(a e_1) ~= row . f.values, mass-clipped at 1."""
-    s = grid.nodes
-    c_t = (4.0 * math.pi * t) ** (-n / 2.0) * sphere_area(n - 1)
-    lam = angular_kernel_scaled(n, a * s / (2.0 * t))
-    # plain trapezoid: superconvergent for the smooth decaying kernel integrand
-    row = c_t * trapezoid_weights(grid) * s ** (n - 1) * np.exp(-((s - a) ** 2) / (4.0 * t)) * lam
-    mass = row.sum()
-    if mass > 1.0:
-        row /= mass
-    return row
-
-
-def gauss_convolve(f: RadialField, t: float, a: float) -> float:
-    """(G_t * f)(a e_1) with f extended by zero beyond r_max; t > 0, a >= 0."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if a < 0:
-        raise ValueError("center offset a must be >= 0")
-    return float(_kernel_row(f.grid, f.grid.n, t, a) @ f.values)
-
-
-def gauss_convolve_at(f: RadialField, t: float, centers) -> np.ndarray:
-    """gauss_convolve at several center offsets."""
-    return np.array([gauss_convolve(f, t, float(a)) for a in np.asarray(centers, dtype=float)])
-
-
 def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
     """Dense quadrature matrix H with (H f)(i) ~= (G_t * f)(centers[i] e_1).
 
-    Rows default to every grid node.  Row masses are clipped at 1 so the
-    discrete operator inherits the kernel's sub-stochasticity.
+    This is the package's single Gaussian-kernel operator.  Rows default to
+    every grid node.  Row masses are clipped at 1 so the discrete operator
+    inherits the kernel's sub-stochasticity.
     """
     if not t > 0:
         raise ValueError("t must be positive")
     n = grid.n
     a = grid.nodes if centers is None else np.asarray(centers, dtype=float)
+    if np.any(a < 0):
+        raise ValueError("center offsets a must be >= 0")
     s = grid.nodes
     c_t = (4.0 * math.pi * t) ** (-n / 2.0) * sphere_area(n - 1)
-    z = np.outer(a, s) / (2.0 * t)
-    spline = _angular_spline(n, float(z.max()) if z.size else 1.0)
-    lam = np.exp(spline(np.log1p(z)))
+    lam = angular_kernel_scaled(n, np.outer(a, s) / (2.0 * t))
+    # plain trapezoid: superconvergent for the smooth decaying kernel integrand
     base = trapezoid_weights(grid) * s ** (n - 1)
     mat = c_t * lam * np.exp(-((s[None, :] - a[:, None]) ** 2) / (4.0 * t)) * base[None, :]
     mass = mat.sum(axis=1)
@@ -345,6 +285,15 @@ def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
     if np.any(over):
         mat[over] /= mass[over, None]
     return mat
+
+
+def gauss_convolve(f: RadialField, t: float, a: float) -> float:
+    """(G_t * f)(a e_1) with f extended by zero beyond r_max; t > 0, a >= 0.
+
+    The one-row case of heat_kernel_matrix, the single kernel operator; to
+    evaluate several centers, apply heat_kernel_matrix(grid, t, centers) once.
+    """
+    return float((heat_kernel_matrix(f.grid, t, [a]) @ f.values)[0])
 
 
 def heat_apply(f: RadialField, t: float) -> RadialField:

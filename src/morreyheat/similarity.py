@@ -16,7 +16,7 @@ from scipy.interpolate import PchipInterpolator
 from .evolution import Trajectory
 from .fields import RadialField
 from .params import ModelParams
-from .quadrature import TruncationWarning, gauss_convolve, sphere_area
+from .quadrature import TruncationWarning, heat_kernel_matrix, sphere_area
 
 
 @dataclass(frozen=True)
@@ -164,17 +164,21 @@ def mass_bound_constant(series: EnergySeries, params: ModelParams) -> float:
     return float(series.m.max() / e0 ** (2.0 / (params.p + 1.0)))
 
 
+def _functional_A_at(u0: RadialField, grad_u0: RadialField, T: float, centers,
+                     params: ModelParams) -> np.ndarray:
+    """functional_A at every center, from one kernel matrix applied to both densities."""
+    if not T > 0:
+        raise ValueError("T must be positive")
+    p = params.p
+    kernel = heat_kernel_matrix(u0.grid, T, centers)
+    return (T ** ((p + 1.0) / (p - 1.0)) * (kernel @ grad_u0.values**2)
+            + T ** (2.0 / (p - 1.0)) * (kernel @ u0.values**2))
+
+
 def functional_A(u0: RadialField, grad_u0: RadialField, T: float, a: float,
                  params: ModelParams) -> float:
     """T^((p+1)/(p-1)) (G_T*|grad u0|^2)(a) + T^(2/(p-1)) (G_T*|u0|^2)(a)."""
-    if not T > 0:
-        raise ValueError("T must be positive")
-    from .fields import make_field
-    p = params.p
-    g2 = make_field(u0.grid, grad_u0.values**2)
-    u2 = make_field(u0.grid, u0.values**2)
-    return (T ** ((p + 1.0) / (p - 1.0)) * gauss_convolve(g2, T, a)
-            + T ** (2.0 / (p - 1.0)) * gauss_convolve(u2, T, a))
+    return float(_functional_A_at(u0, grad_u0, T, [a], params)[0])
 
 
 def functional_N(u0: RadialField, grad_u0: RadialField, t0: float, t_grid,
@@ -188,6 +192,6 @@ def functional_N(u0: RadialField, grad_u0: RadialField, t0: float, t_grid,
         centers = MorreyLattice.default(u0.grid).centers
     best = 0.0
     for t in t_grid:
-        best = max(best, max(functional_A(u0, grad_u0, float(t), float(a), params)
-                             for a in centers))
+        best = max(best, float(np.max(_functional_A_at(u0, grad_u0, float(t), centers,
+                                                       params))))
     return best

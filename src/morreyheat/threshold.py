@@ -94,54 +94,41 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
     if float(np.max(np.abs(phi.values))) == 0.0:
         raise BracketingError("ray profile is trivial")
     trials = []
+    # verdict -> (lambda, trajectory) of its latest trial: every decaying trial
+    # raises the bracket's lower end and every blowup trial lowers its upper end
+    ends = {}
 
     def run(lam):
-        v = classify(_scaled(phi, lam), params, cfg)
+        v, traj = classify_with_trajectory(_scaled(phi, lam), params, cfg)
         trials.append({"lambda": lam, "verdict": v.kind, "T_est": v.T_est,
                        "horizon": v.horizon})
+        if v.kind != "undecided":
+            ends[v.kind] = (lam, traj)
         return v
 
-    lo = hi = None
     lam = lambda_init
     v = run(lam)
-    if v.kind == "decaying":
-        lo = lam
+    if v.kind != "undecided":
+        # scan geometrically away from the first verdict until it flips
+        factor, wanted = (2.0, "blowup") if v.kind == "decaying" else (0.5, "decaying")
         for _ in range(40):
-            lam *= 2.0
-            v = run(lam)
-            if v.kind == "blowup":
-                hi = lam
+            lam *= factor
+            if run(lam).kind == wanted:
                 break
-            if v.kind == "decaying":
-                lo = lam
-    elif v.kind == "blowup":
-        hi = lam
-        for _ in range(40):
-            lam *= 0.5
-            v = run(lam)
-            if v.kind == "decaying":
-                lo = lam
-                break
-            if v.kind == "blowup":
-                hi = lam
-    if lo is None or hi is None:
+    if len(ends) < 2:
         raise BracketingError(
             f"could not bracket a threshold from lambda_init={lambda_init}; trials: "
             + ", ".join(f"{t['lambda']:.3g}:{t['verdict']}" for t in trials))
 
     stalled = False
     it = 0
+    (lo, traj_lo), (hi, traj_hi) = ends["decaying"], ends["blowup"]
     while (hi - lo) / lo >= rel_tol and it < max_iter:
         it += 1
-        mid = 0.5 * (lo + hi)
-        v = run(mid)
-        if v.kind == "decaying":
-            lo = mid
-        elif v.kind == "blowup":
-            hi = mid
-        else:
+        if run(0.5 * (lo + hi)).kind == "undecided":
             stalled = True
             break
+        (lo, traj_lo), (hi, traj_hi) = ends["decaying"], ends["blowup"]
 
     blowup_lams = [t["lambda"] for t in trials if t["verdict"] == "blowup"]
     decay_lams = [t["lambda"] for t in trials if t["verdict"] == "decaying"]
@@ -149,8 +136,6 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
                   or max(decay_lams) < min(blowup_lams))
 
     lattice = MorreyLattice.default(phi.grid)
-    _, traj_lo = classify_with_trajectory(_scaled(phi, lo), params, cfg)
-    _, traj_hi = classify_with_trajectory(_scaled(phi, hi), params, cfg)
     return ThresholdResult(
         lambda_lo=lo, lambda_hi=hi, rel_width=(hi - lo) / lo, trials=trials,
         morrey_series_lo=_morrey_series(traj_lo, params, lattice),

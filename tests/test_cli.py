@@ -39,6 +39,16 @@ def test_bad_profile_args_name_the_block():
     assert "initial_data" in str(err.value)
 
 
+@pytest.mark.parametrize("path", ["grid.nodes", "solver.t_end", "params.p"])
+def test_bool_rejected_where_number_required(path, tmp_path):
+    cfg = cli.default_config("solve")
+    block, key = path.split(".")
+    cfg[block][key] = True
+    with pytest.raises(cli.ConfigError) as err:
+        cli.run_experiment(cfg, out_dir=tmp_path)
+    assert path in str(err.value)
+
+
 def small_solve_config(tmp_path, profile="zero", args=None):
     cfg = cli.default_config("solve")
     cfg["grid"] = {"r_max": 10.0, "nodes": 64}

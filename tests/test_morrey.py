@@ -196,3 +196,32 @@ def test_small_scale_diagnostic_reports():
     assert 0.0 <= d["small_r_fraction"] <= 1.0
     # the indicator's Morrey mass lives at scale ~1, not at small radii
     assert d["small_r_fraction"] < 0.5
+
+
+def test_small_ball_cells_match_ball_integral():
+    # the per-radius small-ball path of morrey_evaluate against the one-ball path
+    g = F.make_grid(5, 40.0, 200)
+    f = F.gaussian(g, 1.0, 2.0, F.DIRICHLET)
+    spec = M.critical_spec(P5)
+    lat = M.MorreyLattice.default(g)
+    ev = M.morrey_evaluate(f, spec, lat)
+    small = np.nonzero(lat.radii <= Q.SMALL_BALL_FACTOR * g.h)[0]
+    assert small.size == 28
+    for ri in small:
+        r_ball = float(lat.radii[ri])
+        for ci, a in enumerate(lat.centers):
+            expect = Q.ball_integral(f, spec.q, float(a), r_ball) * r_ball ** (spec.lam - 5)
+            assert ev.cells[ci, ri] == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+
+def test_kernel_majorant_matches_per_center_convolutions():
+    g = F.make_grid(5, 16.0, 400)
+    f = F.gaussian(g, 1.0, 2.0)
+    spec = M.MorreySpec(2.0, 2.0)
+    t_grid = np.geomspace(1e-2, 1e2, 6)
+    dens = F.make_field(g, np.abs(f.values) ** spec.q)
+    centers = M.MorreyLattice.default(g).centers
+    expect = max(t ** (spec.lam / 2.0) * max(Q.gauss_convolve(dens, t, float(a))
+                                              for a in centers)
+                 for t in t_grid)
+    assert M.kernel_majorant(f, spec, t_grid) == pytest.approx(expect, rel=1e-13)

@@ -208,6 +208,8 @@ def test_heat_matrix_agrees_with_scalar_path():
     for idx in (0, 100, 300, 599):
         assert mat[idx] == pytest.approx(Q.gauss_convolve(f, t, float(g.nodes[idx])),
                                          rel=1e-7, abs=1e-13)
+    with pytest.raises(ValueError):
+        Q.gauss_convolve(f, t, -1.0)
 
 
 def test_volume_weights_total():
@@ -221,3 +223,30 @@ def test_origin_ball_weights_clip_exactly():
     for r in (0.013, 0.5, 1.0, 3.21):
         w = Q.origin_ball_weights(g, r)
         assert w.sum() == pytest.approx(r**5 / 5.0, rel=1e-12)
+    # balls reaching past r_max clip there
+    assert np.array_equal(Q.origin_ball_weights(g, 20.0), Q.volume_weights(g))
+
+
+@pytest.mark.parametrize("nodes", [200, 400, 1600])
+def test_volume_weights_are_origin_ball_weights_at_r_max(nodes):
+    g = F.make_grid(5, 40.0, nodes)
+    assert np.array_equal(Q.volume_weights(g), Q.origin_ball_weights(g, g.r_max))
+
+
+def test_cap_fraction_array_broadcasts_centers():
+    s = np.linspace(0.0, 3.0, 31)
+    centers = np.array([0.0, 0.4, 1.0, 2.5])
+    table = Q.cap_fraction_array(5, centers[:, None], s, 1.2)
+    for a, row in zip(centers, table):
+        assert np.array_equal(row, Q.cap_fraction_array(5, float(a), s, 1.2))
+
+
+def test_fine_ball_integral_center_array_matches_one_center():
+    g = F.make_grid(5, 8.0, 400)
+    f = F.gaussian(g, 1.0, 2.0)
+    interp = Q.density_interpolant(g.nodes, f.values**2)
+    centers = np.array([0.0, 0.05, 1.0, 7.9, 30.0])   # the last ball misses the grid
+    got = Q.fine_ball_integral(interp, 5, g.r_max, centers, 0.3)
+    one = [float(Q.fine_ball_integral(interp, 5, g.r_max, float(a), 0.3)) for a in centers]
+    assert np.array_equal(got, one)
+    assert got[-1] == 0.0

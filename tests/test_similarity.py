@@ -203,3 +203,17 @@ def test_functional_n_zero_and_monotone_grid():
     assert val == pytest.approx(first, rel=1e-12)
     with pytest.raises(ValueError):
         S.functional_N(u0, g0, 2.0, [1.0], P5)
+
+
+def test_functional_n_matches_per_center_convolutions():
+    g = F.make_grid(5, 20.0, 400)
+    u0 = F.gaussian(g, 1.0, 2.0)
+    g0 = F.gaussian_gradient(g, 1.0, 2.0)
+    u2 = F.make_field(g, u0.values**2)
+    g2 = F.make_field(g, g0.values**2)
+    t_grid = np.geomspace(0.5, 50.0, 5)
+    p = P5.p
+    expect = max(t ** ((p + 1.0) / (p - 1.0)) * gauss_convolve(g2, t, float(a))
+                 + t ** (2.0 / (p - 1.0)) * gauss_convolve(u2, t, float(a))
+                 for t in t_grid for a in MorreyLattice.default(g).centers)
+    assert S.functional_N(u0, g0, 0.5, t_grid, P5) == pytest.approx(expect, rel=1e-13)

@@ -3,6 +3,7 @@ import pytest
 
 from morreyheat import evolution as E
 from morreyheat import fields as F
+from morreyheat import morrey as M
 from morreyheat import threshold as T
 from morreyheat.params import make_params
 
@@ -120,3 +121,26 @@ def test_borderline_probe_needs_tight_bracket():
                             ray_profile=F.gaussian(g, 1.0, 2.0, F.DIRICHLET))
     with pytest.raises(ValueError):
         T.borderline_probe(res, P5, short_cfg(), [0.1])
+
+
+def test_bisect_keeps_bracket_trajectories(monkeypatch):
+    # the Morrey series of the bracket ends come from their own trials: one
+    # solve per trial, and the same series a fresh solve at each end gives
+    g = F.make_grid(5, 40.0, 100)
+    cfg = short_cfg(t_end=40.0)
+    phi = F.gaussian(g, 1.0, 2.0, F.DIRICHLET)
+    solves = []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return E.solve(*args, **kwargs)
+
+    monkeypatch.setattr(T, "solve", counting_solve)
+    res = T.bisect_lambda(phi, P5, cfg, rel_tol=0.05)
+    assert len(solves) == len(res.trials)
+    monkeypatch.undo()
+    lattice = M.MorreyLattice.default(g)
+    for lam, series in ((res.lambda_lo, res.morrey_series_lo),
+                        (res.lambda_hi, res.morrey_series_hi)):
+        traj = E.solve(F.make_field(g, lam * phi.values, phi.boundary), P5, cfg)
+        assert series == T._morrey_series(traj, P5, lattice)
