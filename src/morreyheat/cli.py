@@ -91,20 +91,22 @@ def _get(cfg: dict, path: str, typ=None, required=True, default=None):
 
 
 def _solver_config(cfg: dict, t_end=None, checkpoint_times=None) -> evolution.SolverConfig:
-    sol = _get(cfg, "solver", dict)
+    _get(cfg, "solver", dict)   # optional keys below default silently if the block is not a dict
     t_end = t_end if t_end is not None else _get(cfg, "solver.t_end", float)
     if checkpoint_times is None:
-        cps = sol.get("checkpoints", 20)
+        cps = _get(cfg, "solver.checkpoints", (int, list), required=False, default=20)
         if isinstance(cps, int):
             checkpoint_times = evolution.log_checkpoints(t_end, cps)
         else:
             checkpoint_times = tuple(float(t) for t in cps)
     return evolution.SolverConfig(
-        dt_init=float(sol.get("dt_init", 0.1)), dt_min=float(sol.get("dt_min", 1e-14)),
-        safety=float(sol.get("safety", 0.8)),
-        blowup_threshold=float(sol.get("blowup_threshold", 1e8)),
+        dt_init=_get(cfg, "solver.dt_init", float, required=False, default=0.1),
+        dt_min=_get(cfg, "solver.dt_min", float, required=False, default=1e-14),
+        safety=_get(cfg, "solver.safety", float, required=False, default=0.8),
+        blowup_threshold=_get(cfg, "solver.blowup_threshold", float, required=False,
+                              default=1e8),
         t_end=float(t_end), checkpoint_times=tuple(checkpoint_times),
-        series_stride=int(sol.get("series_stride", 1)))
+        series_stride=_get(cfg, "solver.series_stride", int, required=False, default=1))
 
 
 @dataclass

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import SolverConfig, _RadialLaplacian, _rk4_step, solve
+from .evolution import SolverConfig, _RadialLaplacian, _rk4_step, decay_diagnostics, solve
 from .fields import FREE, RadialField, make_field
-from .morrey import MorreyLattice, MorreySpec, morrey_norm
+from .morrey import MorreyLattice, MorreySpec, critical_spec, morrey_norm
 from .params import ModelParams
 from .quadrature import heat_kernel_matrix
+from .threshold import _scaled, bisect_lambda
 
 
 def auxiliary_exponent(params: ModelParams, q: float = 2.0) -> float:
@@ -247,59 +248,23 @@ class SmallnessProbe:
     trials: tuple              # (amplitude, verdict kind) pairs
 
 
-def smallness_threshold_probe(family, params: ModelParams, cfg: SolverConfig,
-                              amp_lo: float = 1e-3, amp_hi: float = 64.0,
-                              rel_tol: float = 0.05,
+def smallness_threshold_probe(phi: RadialField, params: ModelParams, cfg: SolverConfig,
+                              rel_tol: float = 0.05, lambda_init: float = 1.0,
                               lattice: MorreyLattice | None = None) -> SmallnessProbe:
-    """Bisect the amplitude at which the direct solver's verdict flips.
+    """Read the smallness threshold off the amplitude bisection along lambda * phi.
 
-    `family` maps an amplitude to a RadialField and must be monotone in
-    amplitude.  Reports the critical-Morrey size of the largest decaying
-    datum and the measured decay-budget constant along that run.
+    Reports the critical-Morrey size of the largest decaying datum and the
+    measured decay-budget constant along its run, which the bisection keeps.
+    Raises BracketingError when no decaying/blowup bracket is found.
     """
-    from .threshold import classify
-
-    trials = []
-
-    def verdict(amp):
-        v = classify(family(amp), params, cfg)
-        trials.append((amp, v.kind))
-        return v
-
-    lo, hi = amp_lo, amp_hi
-    v_lo = verdict(lo)
-    if v_lo.kind != "decaying":
-        return SmallnessProbe(math.nan, math.nan, math.nan, True, tuple(trials))
-    v_hi = verdict(hi)
-    grow = 0
-    while v_hi.kind != "blowup" and grow < 8:
-        hi *= 4.0
-        v_hi = verdict(hi)
-        grow += 1
-    if v_hi.kind != "blowup":
-        return SmallnessProbe(math.nan, math.nan, math.nan, True, tuple(trials))
-    undecided = False
-    while (hi - lo) / lo > rel_tol:
-        mid = 0.5 * (lo + hi)
-        v = verdict(mid)
-        if v.kind == "decaying":
-            lo = mid
-        elif v.kind == "blowup":
-            hi = mid
-        else:
-            undecided = True
-            break
-
-    u0 = family(lo)
+    result = bisect_lambda(phi, params, cfg, rel_tol, lambda_init)
     if lattice is None:
-        lattice = MorreyLattice.default(u0.grid)
-    from .morrey import critical_spec
-    norm0 = morrey_norm(u0, critical_spec(params), lattice)
-    traj = solve(u0, params, cfg)
-    mask = traj.times > 0
-    c0 = float(np.max(traj.times[mask] ** params.beta * traj.sup_norms[mask])) / norm0
-    return SmallnessProbe(epsilon_star=norm0, amplitude_star=lo, C0_measured=c0,
-                          undecided=undecided, trials=tuple(trials))
+        lattice = MorreyLattice.default(phi.grid)
+    norm0 = morrey_norm(_scaled(phi, result.lambda_lo), critical_spec(params), lattice)
+    c0 = decay_diagnostics(result.trajectory_lo, params).sup_t_beta_norm / norm0
+    return SmallnessProbe(epsilon_star=norm0, amplitude_star=result.lambda_lo, C0_measured=c0,
+                          undecided=result.stalled,
+                          trials=tuple((t["lambda"], t["verdict"]) for t in result.trials))
 
 
 @dataclass

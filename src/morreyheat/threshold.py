@@ -39,13 +39,12 @@ def classify(u0: RadialField, params: ModelParams, cfg: SolverConfig,
 
 def classify_with_trajectory(u0: RadialField, params: ModelParams, cfg: SolverConfig,
                              terminal_factor: float = 1e-2):
-    sup0 = float(np.max(np.abs(u0.values)))
-    if sup0 == 0.0:
-        traj = solve(u0, params, cfg)
-        return Verdict("decaying", horizon=cfg.t_end, status_kind=traj.status.kind,
-                       terminal_ratio=0.0), traj
     traj = solve(u0, params, cfg)
     st = traj.status
+    sup0 = float(np.max(np.abs(u0.values)))
+    if sup0 == 0.0:
+        return Verdict("decaying", horizon=cfg.t_end, status_kind=st.kind,
+                       terminal_ratio=0.0), traj
     if st.kind == "blowup":
         return Verdict("blowup", T_est=st.T_est, horizon=st.t_final,
                        status_kind=st.kind), traj
@@ -71,6 +70,7 @@ class ThresholdResult:
     stalled: bool
     monotone_consistent: bool          # no decaying trial above a blowup trial
     ray_profile: RadialField = field(repr=False, default=None)
+    trajectory_lo: Trajectory = field(repr=False, default=None)   # run at lambda_lo
 
 
 def _scaled(phi: RadialField, lam: float) -> RadialField:
@@ -140,7 +140,8 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
         lambda_lo=lo, lambda_hi=hi, rel_width=(hi - lo) / lo, trials=trials,
         morrey_series_lo=_morrey_series(traj_lo, params, lattice),
         morrey_series_hi=_morrey_series(traj_hi, params, lattice),
-        stalled=stalled, monotone_consistent=consistent, ray_profile=phi)
+        stalled=stalled, monotone_consistent=consistent, ray_profile=phi,
+        trajectory_lo=traj_lo)
 
 
 def weighted_decay_start(traj: Trajectory, params: ModelParams,

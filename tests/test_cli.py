@@ -39,7 +39,10 @@ def test_bad_profile_args_name_the_block():
     assert "initial_data" in str(err.value)
 
 
-@pytest.mark.parametrize("path", ["grid.nodes", "solver.t_end", "params.p"])
+@pytest.mark.parametrize("path", ["grid.nodes", "solver.t_end", "params.p",
+                                  "solver.dt_init", "solver.dt_min", "solver.safety",
+                                  "solver.blowup_threshold", "solver.series_stride",
+                                  "solver.checkpoints"])
 def test_bool_rejected_where_number_required(path, tmp_path):
     cfg = cli.default_config("solve")
     block, key = path.split(".")

@@ -104,13 +104,16 @@ def test_smallness_probe_gaussian_family():
     g = F.make_grid(5, 40.0, 200)
     cfg = E.SolverConfig(t_end=100.0,
                          checkpoint_times=tuple(np.geomspace(1.0, 100.0, 8)))
-    probe = D.smallness_threshold_probe(lambda a: F.gaussian(g, a, 2.0, F.DIRICHLET),
-                                        P5, cfg, amp_lo=0.05, amp_hi=4.0, rel_tol=0.25)
+    phi = F.gaussian(g, 1.0, 2.0, F.DIRICHLET)
+    probe = D.smallness_threshold_probe(phi, P5, cfg, rel_tol=0.25)
     assert not probe.undecided
     assert probe.epsilon_star > 0
     assert np.isfinite(probe.C0_measured) and probe.C0_measured > 0
     kinds = {k for _, k in probe.trials}
     assert kinds == {"decaying", "blowup"}
+    # the constant is read off the kept run at amplitude_star, not a re-solve
+    fresh = E.solve(F.make_field(g, probe.amplitude_star * phi.values, F.DIRICHLET), P5, cfg)
+    assert probe.C0_measured == E.decay_diagnostics(fresh, P5).sup_t_beta_norm / probe.epsilon_star
 
 
 def test_smallness_probe_large_plateau_blows_up():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import betainc, gamma, ive
 
 from morreyheat import fields as F
@@ -131,17 +132,30 @@ def test_ball_integral_truncation_warning():
 
 
 def test_angular_kernel_matches_scaled_bessel():
-    for n in (3, 5, 8):
-        z = np.array([0.0, 1e-6, 0.5, 3.0, 40.0, 1e3, 1e5])
-        direct = Q.angular_kernel_scaled_direct(n, z)
+    z = np.array([0.0, 1e-6, 0.5, 3.0, 40.0, 1e3, 1e5, 5e8])   # 5e8 lies beyond the spline table
+    for n in (3, 4, 5, 8):
         nu = (n - 2) / 2.0
         expect = np.full_like(z, math.sqrt(math.pi) * gamma((n - 1) / 2) / gamma(n / 2))
         big = z >= 1e-12
         expect[big] = (math.sqrt(math.pi) * gamma((n - 1) / 2)
                        * (2.0 / z[big]) ** nu * ive(nu, z[big]))
-        assert np.max(np.abs(direct / expect - 1)) < 1e-9
+        # independent oracle: adaptive quadrature of the theta-integral itself
+        for zi, ei in zip(z[:-1], expect[:-1]):
+            def integrand(th):
+                return math.exp(-zi * (1.0 - math.cos(th))) * math.sin(th) ** (n - 2)
+            direct, _ = quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=500)
+            assert direct == pytest.approx(ei, rel=1e-9)
         spline = Q.angular_kernel_scaled(n, z)
         assert np.max(np.abs(spline / expect - 1)) < 1e-8
+        assert Q.angular_kernel_scaled(n, z[-1]) == spline[-1]   # scalar z beyond the table
+
+
+def test_gauss_convolve_is_independent_of_call_history():
+    g = F.make_grid(5, 20.0, 400)
+    f = F.gaussian(g, 1.0, 2.0)
+    before = Q.gauss_convolve(f, 0.5, 3.0)
+    Q.heat_kernel_matrix(F.make_grid(5, 16.0, 1600), 1e-4)
+    assert Q.gauss_convolve(f, 0.5, 3.0) == before
 
 
 def test_gauss_convolve_unit_mass():
