@@ -78,16 +78,26 @@ def _get(cfg: dict, path: str, typ=None, required=True, default=None):
                 raise ConfigError(path)
             return default
         node = node[key]
-    if typ is None:
-        return node
+    return node if typ is None else _typed(path, node, typ)
+
+
+def _typed(path: str, value, typ):
     # bool is a subclass of int, so `true` would otherwise pass as the number 1
-    if isinstance(node, bool) and bool not in (typ if isinstance(typ, tuple) else (typ,)):
+    if isinstance(value, bool) and bool not in (typ if isinstance(typ, tuple) else (typ,)):
         raise ConfigError(f"{path}: expected {typ}, got bool")
-    if not isinstance(node, typ):
-        if typ is float and isinstance(node, int):
-            return float(node)
-        raise ConfigError(f"{path}: expected {typ}, got {type(node).__name__}")
-    return node
+    if not isinstance(value, typ):
+        if typ is float and isinstance(value, int):
+            return float(value)
+        raise ConfigError(f"{path}: expected {typ}, got {type(value).__name__}")
+    return value
+
+
+def _get_floats(cfg: dict, path: str, required=True, default=None):
+    """A list of numbers, each element checked as `_get(..., float)` checks one."""
+    values = _get(cfg, path, list, required, default)
+    if values is None:
+        return None
+    return [_typed(f"{path}[{i}]", v, float) for i, v in enumerate(values)]
 
 
 def _solver_config(cfg: dict, t_end=None, checkpoint_times=None) -> evolution.SolverConfig:
@@ -98,7 +108,7 @@ def _solver_config(cfg: dict, t_end=None, checkpoint_times=None) -> evolution.So
         if isinstance(cps, int):
             checkpoint_times = evolution.log_checkpoints(t_end, cps)
         else:
-            checkpoint_times = tuple(float(t) for t in cps)
+            checkpoint_times = tuple(_get_floats(cfg, "solver.checkpoints"))
     return evolution.SolverConfig(
         dt_init=_get(cfg, "solver.dt_init", float, required=False, default=0.1),
         dt_min=_get(cfg, "solver.dt_min", float, required=False, default=1e-14),
@@ -176,11 +186,7 @@ def _run_solve(cfg, bundle, jobs):
         doc["tail_monotone"] = diag.tail_monotone
         # the weighted-decay signature is only checkable once the weighted
         # norm has peaked before the final decade of the run
-        mask = traj.times > 0
-        w = traj.times[mask] ** params.beta * traj.sup_norms[mask]
-        peaked_early = w.size > 0 and w.max() > 0 and \
-            traj.times[mask][int(np.argmax(w))] < traj.status.t_final / 10.0
-        if diag.defined and peaked_early:
+        if diag.defined and diag.peak_time < traj.status.t_final / 10.0:
             bundle.check("tail_monotone", diag.tail_monotone, diag.sup_t_beta_norm)
     if np.all(u0.values >= 0):
         floor = -1e-10 * max(float(np.max(u0.values)), 1e-300)
@@ -195,7 +201,7 @@ def _run_morrey(cfg, bundle, jobs):
     params, grid, u0 = _build_inputs(cfg)
     spec = morrey.MorreySpec(q=_get(cfg, "experiment.q", (int, float)),
                              lam=_get(cfg, "experiment.lam", (int, float)))
-    refinements = int(_get(cfg, "experiment.refinements", int, required=False, default=1))
+    refinements = _get(cfg, "experiment.refinements", int, required=False, default=1)
     lattice = morrey.MorreyLattice.default(grid)
     norms = []
     for level in range(refinements + 1):
@@ -222,9 +228,8 @@ def _run_smoothing(cfg, bundle, jobs):
     t_grid = np.geomspace(_get(cfg, "experiment.t_lo", (int, float)),
                           _get(cfg, "experiment.t_hi", (int, float)),
                           _get(cfg, "experiment.t_count", int))
-    points = morrey.smoothing_profile(u0, float(_get(cfg, "experiment.from_q", (int, float))),
-                                      to_q, float(_get(cfg, "experiment.lam", (int, float))),
-                                      t_grid)
+    points = morrey.smoothing_profile(u0, _get(cfg, "experiment.from_q", float), to_q,
+                                      _get(cfg, "experiment.lam", float), t_grid)
     rows = [(pt.t, pt.norm_to, pt.ratio, pt.norm_from_after, pt.contraction_ok)
             for pt in points]
     bundle.tables["smoothing"] = ("t,norm_to,ratio,norm_from_after,contraction_ok", rows)
@@ -237,11 +242,10 @@ def _run_smoothing(cfg, bundle, jobs):
 
 def _run_energy(cfg, bundle, jobs):
     params, grid, u0 = _build_inputs(cfg)
-    t_values = [float(T) for T in _get(cfg, "experiment.T_values", list)]
-    ds = float(_get(cfg, "experiment.ds", (int, float)))
-    frac = float(_get(cfg, "experiment.t_lo_fraction", (int, float), required=False,
-                      default=0.5))
-    t_margin = float(_get(cfg, "experiment.t_margin", (int, float)))
+    t_values = _get_floats(cfg, "experiment.T_values")
+    ds = _get(cfg, "experiment.ds", float)
+    frac = _get(cfg, "experiment.t_lo_fraction", float, required=False, default=0.5)
+    t_margin = _get(cfg, "experiment.t_margin", float)
     horizon = _get(cfg, "solver.t_end", (int, float))
     grids = {}
     all_times = []
@@ -278,10 +282,9 @@ def _run_energy(cfg, bundle, jobs):
 
 def _run_picard(cfg, bundle, jobs):
     params, grid, u0 = _build_inputs(cfg)
-    t_end = float(_get(cfg, "experiment.t_end", (int, float)))
-    run = duhamel.picard_solve(u0, params, t_end,
-                               int(_get(cfg, "experiment.iterations", int)),
-                               [float(t) for t in _get(cfg, "experiment.sample_times", list)])
+    t_end = _get(cfg, "experiment.t_end", float)
+    run = duhamel.picard_solve(u0, params, t_end, _get(cfg, "experiment.iterations", int),
+                               _get_floats(cfg, "experiment.sample_times"))
     rows = [(t, br, bi, d) for (t, br, bi), d in
             zip(run.budget, run.last_sample_diffs)]
     bundle.tables["budget"] = ("t,budget_r,budget_inf,cauchy_diff", rows)
@@ -310,12 +313,13 @@ def _run_picard(cfg, bundle, jobs):
 def _run_threshold(cfg, bundle, jobs):
     params, grid, phi = _build_inputs(cfg)
     cfg_solver = _solver_config(cfg)
+    deltas = _get_floats(cfg, "experiment.deltas", required=False, default=None)
     result = threshold.bisect_lambda(phi, params, cfg_solver,
-                                     rel_tol=float(_get(cfg, "experiment.rel_tol", (int, float))),
-                                     lambda_init=float(_get(cfg, "experiment.lambda_init",
-                                                            (int, float))))
+                                     rel_tol=_get(cfg, "experiment.rel_tol", float),
+                                     lambda_init=_get(cfg, "experiment.lambda_init", float))
     doc = {"lambda_lo": result.lambda_lo, "lambda_hi": result.lambda_hi,
            "rel_width": result.rel_width, "stalled": result.stalled,
+           "epsilon_star": result.epsilon_star, "C0_measured": result.C0_measured,
            "trials": result.trials,
            "morrey_series_lo": [[t, v] for t, v in result.morrey_series_lo],
            "morrey_series_hi": [[t, v] for t, v in result.morrey_series_hi]}
@@ -328,13 +332,11 @@ def _run_threshold(cfg, bundle, jobs):
     if len(late) >= 2:
         bundle.check("morrey_decreases_below_threshold", late[-1][1] < late[0][1],
                      late[-1][1] / late[0][1])
-    deltas = _get(cfg, "experiment.deltas", list, required=False, default=None)
     if deltas and result.rel_width > 1e-2:
         doc["probes_skipped"] = "bracket wider than 1e-2"
         deltas = None
     if deltas:
-        probes = threshold.borderline_probe(result, params, cfg_solver,
-                                            [float(d) for d in deltas])
+        probes = threshold.borderline_probe(result, params, cfg_solver, deltas)
         doc["probes"] = [{"delta": p_.delta, "lambda": p_.lam, "verdict": p_.verdict,
                           "T_est": p_.T_est, "t0": p_.t0,
                           "morrey_start": p_.morrey_start, "morrey_end": p_.morrey_end}
@@ -349,10 +351,10 @@ def _run_threshold(cfg, bundle, jobs):
 
 def _run_dependence(cfg, bundle, jobs):
     params, grid, u0 = _build_inputs(cfg)
-    t0_horizon = float(_get(cfg, "experiment.T0", (int, float)))
-    sizes = [float(s) for s in _get(cfg, "experiment.sizes", list)]
-    spec = morrey.critical_spec(params, q=float(_get(cfg, "experiment.q", (int, float),
-                                                     required=False, default=2.0)))
+    t0_horizon = _get(cfg, "experiment.T0", float)
+    sizes = _get_floats(cfg, "experiment.sizes")
+    spec = morrey.critical_spec(params, q=_get(cfg, "experiment.q", float, required=False,
+                                               default=2.0))
     from .fields import make_field
 
     def one(size):
@@ -373,8 +375,7 @@ def _run_dependence(cfg, bundle, jobs):
                      res.max_ratio)
     bundle.tables["dependence"] = ("size,t,ratio", rows)
     spread = (max(max_ratios) - min(max_ratios)) / max(max_ratios)
-    tol = float(_get(cfg, "experiment.stability_tol", (int, float), required=False,
-                     default=0.25))
+    tol = _get(cfg, "experiment.stability_tol", float, required=False, default=0.25)
     bundle.check("lipschitz_stability", spread < tol, spread)
     bundle.documents["dependence"] = {"sizes": sizes, "max_ratios": max_ratios,
                                       "spread": spread}

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import SolverConfig, _RadialLaplacian, _rk4_step, decay_diagnostics, solve
+from .evolution import SolverConfig, _RadialLaplacian, _rk4_step, solve
 from .fields import FREE, RadialField, make_field
-from .morrey import MorreyLattice, MorreySpec, critical_spec, morrey_norm
+from .morrey import MorreyLattice, MorreySpec, morrey_norm
 from .params import ModelParams
 from .quadrature import heat_kernel_matrix
-from .threshold import _scaled, bisect_lambda
 
 
 def auxiliary_exponent(params: ModelParams, q: float = 2.0) -> float:
@@ -67,7 +66,6 @@ class PicardRun:
     convergence_ratio: float | None   # geometric ratio of successive Cauchy differences
     nodes_used: int
     node_stability: float | None      # relative change of the iterate at the last node doubling
-    series: np.ndarray                # trajectory-compatible rows (t, sup, weighted_sup, dt=0)
     aux_r: float
     beta_aux: float
     morrey_q: float
@@ -209,17 +207,13 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
     beta_aux = (lam / 2.0) * (1.0 / q - 1.0 / r_aux)
     lattice = MorreyLattice.default(u0.grid)
     spec_r = MorreySpec(q=r_aux, lam=lam)
-    weight = u0.grid.nodes ** (2.0 / (params.p - 1.0))
     rows = []
-    series_rows = []
     out_fields = []
     for t, vals in zip(sample_times, samples):
         fld = make_field(u0.grid, vals, FREE)
         out_fields.append(fld)
         rows.append((t, t**beta_aux * morrey_norm(fld, spec_r, lattice),
                      t**params.beta * float(np.max(np.abs(vals)))))
-        series_rows.append((t, float(np.max(np.abs(vals))),
-                            float(np.max(weight * np.abs(vals))), 0.0))
 
     ratio = None
     if len(diffs) >= 2 and diffs[0] > 0:
@@ -230,41 +224,13 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
                      last_sample_diffs=np.asarray(per_sample, dtype=float),
                      budget=np.array(rows), converged=converged, diverged=diverged,
                      iterations=iters, convergence_ratio=ratio, nodes_used=nodes,
-                     node_stability=stability, series=np.array(series_rows),
-                     aux_r=r_aux, beta_aux=beta_aux, morrey_q=q)
+                     node_stability=stability, aux_r=r_aux, beta_aux=beta_aux,
+                     morrey_q=q)
 
 
 # ---------------------------------------------------------------------------
-# Experiments: smallness threshold and continuous dependence.
+# Experiment: continuous dependence.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmallnessProbe:
-    epsilon_star: float        # critical-Morrey norm of the largest decaying datum
-    amplitude_star: float
-    C0_measured: float         # max_t t^(1/(p-1)) ||u||_inf / ||u0||_{M^{2,mu}}
-    undecided: bool
-    trials: tuple              # (amplitude, verdict kind) pairs
-
-
-def smallness_threshold_probe(phi: RadialField, params: ModelParams, cfg: SolverConfig,
-                              rel_tol: float = 0.05, lambda_init: float = 1.0,
-                              lattice: MorreyLattice | None = None) -> SmallnessProbe:
-    """Read the smallness threshold off the amplitude bisection along lambda * phi.
-
-    Reports the critical-Morrey size of the largest decaying datum and the
-    measured decay-budget constant along its run, which the bisection keeps.
-    Raises BracketingError when no decaying/blowup bracket is found.
-    """
-    result = bisect_lambda(phi, params, cfg, rel_tol, lambda_init)
-    if lattice is None:
-        lattice = MorreyLattice.default(phi.grid)
-    norm0 = morrey_norm(_scaled(phi, result.lambda_lo), critical_spec(params), lattice)
-    c0 = decay_diagnostics(result.trajectory_lo, params).sup_t_beta_norm / norm0
-    return SmallnessProbe(epsilon_star=norm0, amplitude_star=result.lambda_lo, C0_measured=c0,
-                          undecided=result.stalled,
-                          trials=tuple((t["lambda"], t["verdict"]) for t in result.trials))
 
 
 @dataclass

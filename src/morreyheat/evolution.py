@@ -264,28 +264,42 @@ def estimate_blowup_time(traj: Trajectory, params: ModelParams) -> BlowupFit:
 @dataclass(frozen=True)
 class DecayDiagnostics:
     slope: float | None          # log-log decay rate of the sup-norm, final decade
-    sup_t_beta_norm: float       # max over the run of t^(1/(p-1)) ||u(t)||_inf
-    tail_monotone: bool          # is t^(1/(p-1)) ||u(t)||_inf nonincreasing over the final decade
+    sup_t_beta_norm: float       # max over the run of w(t) = t^(1/(p-1)) ||u(t)||_inf
+    tail_monotone: bool          # is w nonincreasing over the final decade
     defined: bool
+    peak_time: float             # recorded t > 0 where w is largest (0 if there is none)
+    decay_start: float           # earliest recorded t after which w is nonincreasing
 
 
 def decay_diagnostics(traj: Trajectory, params: ModelParams) -> DecayDiagnostics:
+    """Read a run's decay off its weighted sup-norm w(t) = t^(1/(p-1)) ||u(t)||_inf.
+
+    w is formed once over the recorded t > 0.  Its final monotone stretch starts
+    after the last rise of more than 1e-9 max w; tail_monotone tests the final
+    decade alone, at 1e-8 max w.
+    """
     if traj.status.kind != "reached_horizon":
         raise ValueError("decay diagnostics need a run that reached the horizon")
     t_arr, sup = traj.times, traj.sup_norms
     pos = t_arr > 0
-    beta_series = t_arr[pos] ** params.beta * sup[pos]
-    sup_t_beta = float(beta_series.max()) if beta_series.size else 0.0
+    t_pos = t_arr[pos]
+    w = t_pos ** params.beta * sup[pos]
+    sup_t_beta = float(w.max()) if w.size else 0.0
+    peak_time = float(t_pos[np.argmax(w)]) if w.size else 0.0
+    ups = np.nonzero(np.diff(w) > 1e-9 * sup_t_beta)[0]
+    start = ups[-1] + 1 if ups.size else 0
+    decay_start = float(t_pos[start]) if t_pos.size else 0.0
     t_hi = t_arr[-1]
-    final = pos & (t_arr >= t_hi / 10.0)
-    s_fin = sup[final]
+    in_final = t_pos >= t_hi / 10.0
+    s_fin = sup[pos][in_final]
     if s_fin.size < 4 or np.any(s_fin <= 0):
         return DecayDiagnostics(None, sup_t_beta, s_fin.size >= 2 and not np.any(s_fin > 0),
-                                defined=False)
-    slope = float(np.polyfit(np.log(t_arr[final]), np.log(s_fin), 1)[0])
-    w = t_arr[final] ** params.beta * s_fin
-    tail_monotone = bool(np.all(np.diff(w) <= 1e-8 * w.max()))
-    return DecayDiagnostics(slope, sup_t_beta, tail_monotone, defined=True)
+                                defined=False, peak_time=peak_time, decay_start=decay_start)
+    slope = float(np.polyfit(np.log(t_pos[in_final]), np.log(s_fin), 1)[0])
+    w_fin = w[in_final]
+    tail_monotone = bool(np.all(np.diff(w_fin) <= 1e-8 * w_fin.max()))
+    return DecayDiagnostics(slope, sup_t_beta, tail_monotone, defined=True,
+                            peak_time=peak_time, decay_start=decay_start)
 
 
 def linear_domination(traj: Trajectory, u0: RadialField) -> float:

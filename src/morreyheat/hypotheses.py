@@ -72,6 +72,26 @@ def _zero_check() -> ConditionCheck:
     return ConditionCheck(True, {"zero_data": True})
 
 
+def _beats(fit: TailFit, target: float) -> bool | None:
+    """|f| = o(r^-target): fitted tail exponent beats target by O_MARGIN (None: unresolved)."""
+    return fit.exponent >= target + O_MARGIN if fit.resolved else None
+
+
+def _integrability(f: RadialField, fit: TailFit, lo: float, hi: float, n: int,
+                   interval_key: str) -> ConditionCheck:
+    """f in L^s for some s in [lo, hi): norms at three exponents of the interval as
+    evidence, and a fitted tail exponent beating n / (0.999 hi) by O_MARGIN."""
+    if hi <= lo:
+        return ConditionCheck(False, {interval_key: (lo, hi)})
+    norms = {f"L{s:.3f}": lq_norm(f, s) for s in (lo, math.sqrt(lo * hi), 0.999 * hi)}
+    if not fit.resolved:
+        return ConditionCheck(None, {"norms": norms, "tail_points": fit.n_points})
+    need = n / (0.999 * hi)
+    return ConditionCheck(fit.exponent > need + O_MARGIN,
+                          {"norms": norms, "tail_exponent": fit.exponent,
+                           "required_exponent": need})
+
+
 def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams,
                      t_grid=None, centers=None,
                      consistency_tol: float = 0.05) -> HypothesisReport:
@@ -103,21 +123,11 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams,
     fit_rg = tail_exponent(rg)
 
     # gradient integrability: grad u0 in L^q for some q in [2, n(p-1)/(p+1))
-    q_hi = n * (p - 1.0) / (p + 1.0)
     if zero_g:
         c21 = _zero_check()
-    elif q_hi <= 2.0:
-        c21 = ConditionCheck(False, {"admissible_q_interval": (2.0, q_hi)})
     else:
-        qs = [2.0, math.sqrt(2.0 * q_hi), 0.999 * q_hi]
-        norms = {f"L{q:.3f}": lq_norm(grad_f, q) for q in qs}
-        if not fit_g.resolved:
-            c21 = ConditionCheck(None, {"norms": norms, "tail_points": fit_g.n_points})
-        else:
-            need = n / (0.999 * q_hi)
-            c21 = ConditionCheck(fit_g.exponent > need + O_MARGIN,
-                                 {"norms": norms, "tail_exponent": fit_g.exponent,
-                                  "required_exponent": need})
+        c21 = _integrability(grad_f, fit_g, 2.0, n * (p - 1.0) / (p + 1.0), n,
+                             "admissible_q_interval")
 
     # gradient decay: |grad u0| = o(r^(-2/(p-1)-1))
     target_g = k_crit + 1.0
@@ -126,7 +136,7 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams,
     elif not fit_g.resolved:
         c22 = ConditionCheck(None, {"tail_points": fit_g.n_points})
     else:
-        c22 = ConditionCheck(fit_g.exponent >= target_g + O_MARGIN,
+        c22 = ConditionCheck(_beats(fit_g, target_g),
                              {"tail_exponent": fit_g.exponent, "target": target_g})
 
     # kernel-weighted limit on a logarithmic horizon
@@ -155,46 +165,25 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams,
                                  {"kernel_values": qs_t.tolist(), "trend_slope": slope})
 
     # energy integrability: |u0|^(p+1) + |grad u0|^2 in L^m, m in [1, n(p-1)/(2(p+1)))
-    m_hi = n * (p - 1.0) / (2.0 * (p + 1.0))
-    combo = make_field(grid, np.abs(f.values) ** (p + 1.0) + g_vals**2)
-    fit_c = tail_exponent(combo)
     if zero_f and zero_g:
         c25 = _zero_check()
-    elif m_hi <= 1.0:
-        c25 = ConditionCheck(False, {"admissible_m_interval": (1.0, m_hi)})
     else:
-        ms = [1.0, math.sqrt(m_hi), 0.999 * m_hi]
-        norms = {f"L{m:.3f}": lq_norm(combo, m) for m in ms}
-        if not fit_c.resolved:
-            c25 = ConditionCheck(None, {"norms": norms, "tail_points": fit_c.n_points})
-        else:
-            need = n / (0.999 * m_hi)
-            c25 = ConditionCheck(fit_c.exponent > need + O_MARGIN,
-                                 {"norms": norms, "tail_exponent": fit_c.exponent,
-                                  "required_exponent": need})
+        combo = make_field(grid, np.abs(f.values) ** (p + 1.0) + g_vals**2)
+        c25 = _integrability(combo, tail_exponent(combo), 1.0,
+                             n * (p - 1.0) / (2.0 * (p + 1.0)), n, "admissible_m_interval")
 
     # pointwise decay: |u0| + r |grad u0| = o(r^(-2/(p-1)))
     if zero_f and zero_g:
         c26 = _zero_check()
     else:
-        checks, evid = [], {}
-        if not zero_f:
-            if not fit_f.resolved:
-                checks.append(None)
-            else:
-                checks.append(fit_f.exponent >= k_crit + O_MARGIN)
-                evid["u_tail_exponent"] = fit_f.exponent
-        if not zero_g:
-            if not fit_rg.resolved:
-                checks.append(None)
-            else:
-                checks.append(fit_rg.exponent >= k_crit + O_MARGIN)
-                evid["r_grad_tail_exponent"] = fit_rg.exponent
-        evid["target"] = k_crit
-        if any(c is None for c in checks):
-            c26 = ConditionCheck(None, evid)
-        else:
-            c26 = ConditionCheck(all(checks), evid)
+        checks, evid = [], {"target": k_crit}
+        for zero, fit, key in ((zero_f, fit_f, "u_tail_exponent"),
+                               (zero_g, fit_rg, "r_grad_tail_exponent")):
+            if not zero:
+                checks.append(_beats(fit, k_crit))
+                if fit.resolved:
+                    evid[key] = fit.exponent
+        c26 = ConditionCheck(None if None in checks else all(checks), evid)
 
     return HypothesisReport(gradient_integrability=c21, gradient_decay=c22,
                             kernel_limit=c24, energy_integrability=c25,

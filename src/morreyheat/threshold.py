@@ -69,8 +69,9 @@ class ThresholdResult:
     morrey_series_hi: list
     stalled: bool
     monotone_consistent: bool          # no decaying trial above a blowup trial
+    epsilon_star: float                # ||lambda_lo phi||_{M^{2,mu}}, the smallness threshold
+    C0_measured: float                 # sup_t t^(1/(p-1)) ||u(t)||_inf / epsilon_star at lambda_lo
     ray_profile: RadialField = field(repr=False, default=None)
-    trajectory_lo: Trajectory = field(repr=False, default=None)   # run at lambda_lo
 
 
 def _scaled(phi: RadialField, lam: float) -> RadialField:
@@ -89,7 +90,8 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
 
     The initial bracket is found by geometric scanning from lambda_init; the
     bisection never widens the bracket, and stalls (reported) if an undecided
-    verdict blocks the midpoint.
+    verdict blocks the midpoint.  The lower end's run, kept from its trial,
+    gives the smallness threshold epsilon_star and the decay constant C0.
     """
     if float(np.max(np.abs(phi.values))) == 0.0:
         raise BracketingError("ray profile is trivial")
@@ -136,26 +138,14 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
                   or max(decay_lams) < min(blowup_lams))
 
     lattice = MorreyLattice.default(phi.grid)
+    epsilon_star = morrey_norm(_scaled(phi, lo), critical_spec(params), lattice)
     return ThresholdResult(
         lambda_lo=lo, lambda_hi=hi, rel_width=(hi - lo) / lo, trials=trials,
         morrey_series_lo=_morrey_series(traj_lo, params, lattice),
         morrey_series_hi=_morrey_series(traj_hi, params, lattice),
-        stalled=stalled, monotone_consistent=consistent, ray_profile=phi,
-        trajectory_lo=traj_lo)
-
-
-def weighted_decay_start(traj: Trajectory, params: ModelParams,
-                         rel_tol: float = 1e-9) -> float:
-    """Earliest recorded time after which t^(1/(p-1)) ||u(t)||_inf is nonincreasing."""
-    mask = traj.times > 0
-    t_arr = traj.times[mask]
-    w = t_arr ** params.beta * traj.sup_norms[mask]
-    if w.size < 2:
-        return float(t_arr[0]) if t_arr.size else 0.0
-    ups = np.nonzero(np.diff(w) > rel_tol * w.max())[0]
-    if ups.size == 0:
-        return float(t_arr[0])
-    return float(t_arr[ups[-1] + 1])
+        stalled=stalled, monotone_consistent=consistent, epsilon_star=epsilon_star,
+        C0_measured=decay_diagnostics(traj_lo, params).sup_t_beta_norm / epsilon_star,
+        ray_profile=phi)
 
 
 @dataclass(frozen=True)
@@ -187,7 +177,7 @@ def borderline_probe(result: ThresholdResult, params: ModelParams, cfg: SolverCo
         v, traj = classify_with_trajectory(_scaled(phi, lam), params, cfg)
         t0 = m_start = m_end = None
         if v.kind == "decaying":
-            t0 = weighted_decay_start(traj, params)
+            t0 = decay_diagnostics(traj, params).decay_start
             series = _morrey_series(traj, params, lattice)
             late = [val for t, val in series if t >= 1.0]
             if late:

@@ -52,3 +52,11 @@ def threshold_run(params5):
     phi = F.gaussian(grid, 1.0, 2.0, F.DIRICHLET)
     result = T.bisect_lambda(phi, params5, cfg, rel_tol=1e-3, lambda_init=1.0)
     return {"result": result, "cfg": cfg, "grid": grid, "phi": phi}
+
+
+@pytest.fixture(scope="session")
+def borderline_probes(threshold_run, params5):
+    """Subthreshold probes at delta in {0.1, 0.01, 0.001} below the bisected bracket."""
+    from morreyheat import threshold as T
+    return T.borderline_probe(threshold_run["result"], params5, threshold_run["cfg"],
+                              [0.1, 0.01, 0.001])

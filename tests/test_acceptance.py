@@ -228,9 +228,9 @@ def test_c11_mild_classical_agreement():
            f"max rel sup diff = {worst:.4f} over t={times} (tol 1%)")
 
 
-def test_c12_threshold_bisection(threshold_run):
+def test_c12_threshold_bisection(threshold_run, borderline_probes):
     res = threshold_run["result"]
-    probes = T.borderline_probe(res, P5, threshold_run["cfg"], [0.1, 0.01, 0.001])
+    probes = borderline_probes
     late = [(t, v) for t, v in res.morrey_series_lo if t >= 1.0]
     morrey_drops = late[-1][1] < late[0][1]
     t0s = [p.t0 for p in probes]

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from morreyheat import cli
+from morreyheat import cli, evolution
+from morreyheat.fields import make_field
+from morreyheat.morrey import MorreyLattice, critical_spec, morrey_norm
 
 
 def read(path):
@@ -47,6 +49,24 @@ def test_bool_rejected_where_number_required(path, tmp_path):
     cfg = cli.default_config("solve")
     block, key = path.split(".")
     cfg[block][key] = True
+    with pytest.raises(cli.ConfigError) as err:
+        cli.run_experiment(cfg, out_dir=tmp_path)
+    assert path in str(err.value)
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    ("solve", "solver.checkpoints", [True, 2.0]),
+    ("picard", "experiment.sample_times", [True]),
+    ("energy", "experiment.T_values", ["0.8"]),
+    ("dependence", "experiment.sizes", [1e-2, False]),
+    ("threshold", "experiment.deltas", [0.1, "0.01"]),
+])
+def test_list_elements_must_be_numbers(kind, path, value, tmp_path):
+    cfg = cli.default_config(kind)
+    cfg["grid"] = {"r_max": 10.0, "nodes": 64}
+    cfg["solver"]["t_end"] = 0.5
+    block, key = path.split(".")
+    cfg[block][key] = value
     with pytest.raises(cli.ConfigError) as err:
         cli.run_experiment(cfg, out_dir=tmp_path)
     assert path in str(err.value)
@@ -218,6 +238,15 @@ def test_threshold_kind_end_to_end(tmp_path):
     assert bundle.all_passed
     doc = json.loads((tmp_path / "t" / "threshold.json").read_text())
     assert doc["lambda_lo"] < doc["lambda_hi"]
+    # epsilon_star is the critical Morrey norm of the lower end's datum and
+    # C0_measured the sup of t^beta ||u(t)||_inf over its run, divided by it
+    params, grid, phi = cli._build_inputs(cfg)
+    u0 = make_field(grid, doc["lambda_lo"] * phi.values, phi.boundary)
+    eps = morrey_norm(u0, critical_spec(params), MorreyLattice.default(grid))
+    assert doc["epsilon_star"] == eps > 0
+    run = evolution.solve(u0, params, cli._solver_config(cfg))
+    assert doc["C0_measured"] == evolution.decay_diagnostics(run, params).sup_t_beta_norm / eps
+    assert doc["C0_measured"] > 0
     assert (tmp_path / "t" / "morrey_series_lo.csv").read_text().splitlines()[0] == "t,value"
 
 

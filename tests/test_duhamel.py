@@ -100,22 +100,6 @@ def test_gronwall_domination_window():
         assert np.max(np.abs(fld.values[mask]) / dom[mask]) <= 1.0 + 1e-6
 
 
-def test_smallness_probe_gaussian_family():
-    g = F.make_grid(5, 40.0, 200)
-    cfg = E.SolverConfig(t_end=100.0,
-                         checkpoint_times=tuple(np.geomspace(1.0, 100.0, 8)))
-    phi = F.gaussian(g, 1.0, 2.0, F.DIRICHLET)
-    probe = D.smallness_threshold_probe(phi, P5, cfg, rel_tol=0.25)
-    assert not probe.undecided
-    assert probe.epsilon_star > 0
-    assert np.isfinite(probe.C0_measured) and probe.C0_measured > 0
-    kinds = {k for _, k in probe.trials}
-    assert kinds == {"decaying", "blowup"}
-    # the constant is read off the kept run at amplitude_star, not a re-solve
-    fresh = E.solve(F.make_field(g, probe.amplitude_star * phi.values, F.DIRICHLET), P5, cfg)
-    assert probe.C0_measured == E.decay_diagnostics(fresh, P5).sup_t_beta_norm / probe.epsilon_star
-
-
 def test_smallness_probe_large_plateau_blows_up():
     g = F.make_grid(5, 40.0, 200)
     traj = E.solve(F.plateau(g, 3.0, 15.0, 2.0, F.DIRICHLET), P5,
@@ -155,12 +139,3 @@ def test_dependence_stable_across_perturbation_sizes():
         v0 = F.make_field(g, (1.0 + size) * u0.values, F.DIRICHLET)
         maxima.append(D.continuous_dependence(u0, v0, 5.0, P5, spec).max_ratio)
     assert abs(maxima[0] - maxima[1]) / max(maxima) < 0.25
-
-
-def test_picard_series_is_trajectory_compatible():
-    g = F.make_grid(5, 16.0, 160)
-    run = D.picard_solve(F.gaussian(g, 0.1, 2.0), P5, 0.5, 5, [0.25, 0.5],
-                         nodes=32, max_nodes=64)
-    assert run.series.shape == (2, 4)
-    assert np.all(np.diff(run.series[:, 0]) > 0)
-    assert np.all(run.series[:, 1] > 0)

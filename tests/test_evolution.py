@@ -126,6 +126,39 @@ def test_decay_diagnostics_requires_horizon():
         E.decay_diagnostics(traj, P5)
 
 
+
+def _weighted_run(times, w):
+    """A reached-horizon trajectory whose weighted sup-norm t^beta ||u||_inf is w."""
+    t = np.asarray(times, dtype=float)
+    sup = np.concatenate(([1.0], np.asarray(w) / t[1:] ** P5.beta))
+    series = np.column_stack([t, sup, sup, np.zeros_like(t)])
+    return E.Trajectory(params=P5, checkpoints=[], series=series,
+                        status=E.TrajectoryStatus("reached_horizon", float(t[-1])))
+
+
+def test_decay_diagnostics_peak_and_decay_start():
+    # w peaks at t = 3, rises again into t = 7 and then falls; the rise of
+    # 1e-12 relative into t = 80 is below the 1e-9 tolerance
+    times = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 20, 40, 60, 80, 100]
+    w = [1.0, 2.0, 3.0, 2.0, 1.5, 1.0, 1.5, 1.4, 1.3, 1.2, 1.0, 0.8, 0.6,
+         0.6 * (1 + 1e-12), 0.5]
+    d = E.decay_diagnostics(_weighted_run(times, w), P5)
+    assert d.defined and d.tail_monotone
+    assert d.peak_time == 3.0
+    assert d.decay_start == 7.0
+    assert d.sup_t_beta_norm == pytest.approx(3.0, rel=1e-15)
+    # too few final-decade samples: undefined, but peak and start still read off w
+    d = E.decay_diagnostics(_weighted_run([0, 1, 2, 10], [1.0, 2.0, 1.5]), P5)
+    assert not d.defined
+    assert (d.peak_time, d.decay_start) == (2.0, 2.0)
+    # a tied maximum peaks at its first time, and a plateau counts as no rise
+    d = E.decay_diagnostics(_weighted_run([0, 1, 4, 9, 16, 25], [1, 3, 3, 2, 1]), P5)
+    assert (d.peak_time, d.decay_start) == (4.0, 4.0)
+    # a monotone decrease starts at the first recorded t > 0
+    d = E.decay_diagnostics(_weighted_run([0, 1, 2, 4, 8, 16], [5, 4, 3, 2, 1]), P5)
+    assert (d.peak_time, d.decay_start) == (1.0, 1.0)
+
+
 def test_small_gaussian_tail_monotone(energy_run):
     d = E.decay_diagnostics(energy_run["traj"], P5)
     assert d.defined

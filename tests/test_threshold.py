@@ -95,9 +95,8 @@ def test_monotone_verdicts_on_positive_ray():
         assert not (seen_blowup and v == "decaying")
 
 
-def test_weighted_decay_start_monotone_in_delta(threshold_run):
-    res = threshold_run["result"]
-    probes = T.borderline_probe(res, P5, threshold_run["cfg"], [0.1, 0.01, 0.001])
+def test_weighted_decay_start_monotone_in_delta(borderline_probes):
+    probes = borderline_probes
     assert all(p.verdict == "decaying" for p in probes)
     t0s = [p.t0 for p in probes]
     assert all(b >= a - 1e-9 for a, b in zip(t0s, t0s[1:]))
@@ -117,7 +116,7 @@ def test_borderline_probe_needs_tight_bracket():
     g = F.make_grid(5, 20.0, 100)
     res = T.ThresholdResult(lambda_lo=1.0, lambda_hi=1.5, rel_width=0.5, trials=[],
                             morrey_series_lo=[], morrey_series_hi=[], stalled=False,
-                            monotone_consistent=True,
+                            monotone_consistent=True, epsilon_star=1.0, C0_measured=1.0,
                             ray_profile=F.gaussian(g, 1.0, 2.0, F.DIRICHLET))
     with pytest.raises(ValueError):
         T.borderline_probe(res, P5, short_cfg(), [0.1])
@@ -144,3 +143,21 @@ def test_bisect_keeps_bracket_trajectories(monkeypatch):
                         (res.lambda_hi, res.morrey_series_hi)):
         traj = E.solve(F.make_field(g, lam * phi.values, phi.boundary), P5, cfg)
         assert series == T._morrey_series(traj, P5, lattice)
+
+
+def test_bisect_reports_smallness_threshold():
+    # epsilon_star is the critical Morrey norm of the largest decaying datum and
+    # C0 the decay constant of its run, read off the bisection's kept lower end
+    g = F.make_grid(5, 40.0, 200)
+    cfg = E.SolverConfig(t_end=100.0,
+                         checkpoint_times=tuple(np.geomspace(1.0, 100.0, 8)))
+    phi = F.gaussian(g, 1.0, 2.0, F.DIRICHLET)
+    res = T.bisect_lambda(phi, P5, cfg, rel_tol=0.25)
+    assert not res.stalled
+    assert res.epsilon_star > 0
+    assert np.isfinite(res.C0_measured) and res.C0_measured > 0
+    kinds = {t["verdict"] for t in res.trials}
+    assert kinds == {"decaying", "blowup"}
+    # the constant is read off the kept run at lambda_lo, not a re-solve
+    fresh = E.solve(F.make_field(g, res.lambda_lo * phi.values, F.DIRICHLET), P5, cfg)
+    assert res.C0_measured == E.decay_diagnostics(fresh, P5).sup_t_beta_norm / res.epsilon_star
