@@ -1,9 +1,11 @@
 """Configuration-driven experiment runner with reproducible CSV/JSON artifacts.
 
 Every experiment kind reads one JSON config, writes its data artifacts plus a
-manifest recording the config hash, wall time, and the pass/fail of each
-invariant the pipeline checks.  The process exit code is 0 only if every
-asserted invariant passed; exploratory (report-only) quantities never affect it.
+manifest recording the config hash, wall time, package versions, and the
+pass/fail of each invariant the pipeline checks.  A failed pipeline still
+writes a manifest, with `status: "failed"` and the error chain.  The process
+exit code is 0 only if every asserted invariant passed; exploratory
+(report-only) quantities never affect it.
 """
 
 import argparse
@@ -17,8 +19,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import duhamel, evolution, hypotheses, morrey, similarity, threshold
+from . import __version__, duhamel, evolution, hypotheses, morrey, similarity, threshold
 from .fields import DIRICHLET, build_profile, make_grid
 from .io import write_csv, write_json
 from .params import make_params
@@ -408,11 +411,27 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _versions() -> dict:
+    return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+            "scipy": scipy.__version__, "morreyheat": __version__}
+
+
+def _error_chain(exc: BaseException) -> list:
+    """`Type: message` of an exception and each exception it was raised from, outermost first."""
+    chain = []
+    while exc is not None:
+        chain.append(f"{type(exc).__name__}: {exc}")
+        exc = exc.__cause__ or exc.__context__
+    return chain
+
+
 def run_experiment(cfg: dict, out_dir=None, jobs: int = 1) -> ArtifactBundle:
     """Validate the config, dispatch the pipeline, and write all artifacts.
 
     The manifest is written last; its `checks` entries record every invariant
-    the pipeline asserted, with the measured value.
+    the pipeline asserted, with the measured value.  If the pipeline fails, a
+    manifest with `status: "failed"` and the error chain is written before
+    the PipelineError propagates.
     """
     kind = _get(cfg, "experiment.kind", str)
     if kind not in _PIPELINES:
@@ -431,7 +450,18 @@ def run_experiment(cfg: dict, out_dir=None, jobs: int = 1) -> ArtifactBundle:
     except (ConfigError,):
         raise
     except Exception as exc:
-        raise PipelineError(f"{kind} pipeline failed: {exc}") from exc
+        error = PipelineError(f"{kind} pipeline failed: {exc}")
+        error.__cause__ = exc
+        bundle.manifest = {
+            "kind": kind,
+            "status": "failed",
+            "error": _error_chain(error),
+            "config_hash": config_hash(cfg),
+            "wall_time_s": time.perf_counter() - started,
+            "versions": _versions(),
+        }
+        write_json(out / "manifest.json", bundle.manifest)
+        raise error from exc
     wall = time.perf_counter() - started
 
     out.mkdir(parents=True, exist_ok=True)
@@ -445,8 +475,10 @@ def run_experiment(cfg: dict, out_dir=None, jobs: int = 1) -> ArtifactBundle:
     artifacts.extend(emit_plot_data(bundle))
     bundle.manifest = {
         "kind": kind,
+        "status": "ok",
         "config_hash": config_hash(cfg),
         "wall_time_s": wall,
+        "versions": _versions(),
         "checks": bundle.checks,
         "artifacts": sorted(artifacts),
     }

@@ -212,6 +212,11 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
 # nu = (n-2)/2, and Lam(0) = _cap_total(n).  A log-log spline of this closed
 # form over a fixed table (4097 knots uniform in log1p(z) on [0, 1e8]) is
 # built once per dimension; beyond the table the closed form is used directly.
+#
+# The dense matrix is filled one block of rows at a time, and each block only
+# over the columns where some of its Gaussian factors exp(-(s-a)^2/4t) are
+# nonzero in double precision.  Outside that window the dense formula gives
+# exactly 0.0 as well, so the banded build is bitwise the all-entries one.
 # ---------------------------------------------------------------------------
 
 _ANGULAR_Z_MAX = 1e8
@@ -243,6 +248,12 @@ def angular_kernel_scaled(n: int, z) -> np.ndarray:
     return out
 
 
+_KERNEL_BLOCK_ROWS = 64
+# exp(x) is exactly 0.0 in double for x < -745.2, so no Gaussian factor with
+# (s - a)^2 / 4t beyond this cutoff is nonzero.
+_KERNEL_EXP_CUTOFF = 746.0
+
+
 def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
     """Dense quadrature matrix H with (H f)(i) ~= (G_t * f)(centers[i] e_1).
 
@@ -254,14 +265,23 @@ def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
         raise ValueError("t must be positive")
     n = grid.n
     a = grid.nodes if centers is None else np.asarray(centers, dtype=float)
-    if np.any(a < 0):
-        raise ValueError("center offsets a must be >= 0")
+    if not np.all(np.isfinite(a) & (a >= 0)):
+        raise ValueError("center offsets a must be finite and >= 0")
     s = grid.nodes
     c_t = (4.0 * math.pi * t) ** (-n / 2.0) * sphere_area(n - 1)
-    lam = angular_kernel_scaled(n, np.outer(a, s) / (2.0 * t))
     # plain trapezoid: superconvergent for the smooth decaying kernel integrand
     base = trapezoid_weights(grid) * s ** (n - 1)
-    mat = c_t * lam * np.exp(-((s[None, :] - a[:, None]) ** 2) / (4.0 * t)) * base[None, :]
+    reach = math.sqrt(4.0 * t * _KERNEL_EXP_CUTOFF)
+    mat = np.zeros((len(a), len(s)))
+    for i in range(0, len(a), _KERNEL_BLOCK_ROWS):
+        a_blk = a[i:i + _KERNEL_BLOCK_ROWS]
+        lo = np.searchsorted(s, a_blk.min() - reach)
+        hi = np.searchsorted(s, a_blk.max() + reach, side="right")
+        s_win = s[lo:hi]
+        lam = angular_kernel_scaled(n, np.outer(a_blk, s_win) / (2.0 * t))
+        mat[i:i + len(a_blk), lo:hi] = (
+            c_t * lam * np.exp(-((s_win[None, :] - a_blk[:, None]) ** 2) / (4.0 * t))
+            * base[None, lo:hi])
     mass = mat.sum(axis=1)
     over = mass > 1.0
     if np.any(over):

@@ -186,6 +186,31 @@ def test_main_exit_codes(tmp_path):
     # a bad parameter value is a config error (exit 2), named by block
     assert cli.main(["solve", "--out", str(tmp_path / "y"), "--nodes", "64",
                      "--rmax", "10", "--tend", "0.5", "--p", "0.5"]) == 2
+    manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy", "morreyheat"}
+
+
+def test_failed_pipeline_writes_manifest(tmp_path):
+    # data this large blows up long before the energy window, which the pipeline needs
+    cfg = {"experiment": {"kind": "energy", "T_values": [2.0]},
+           "grid": {"r_max": 10.0, "nodes": 64}, "solver": {"t_end": 2.0},
+           "initial_data": {"profile": "gaussian", "args": {"amplitude": 20.0, "width": 2.0}}}
+    path = tmp_path / "energy.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "failed"
+    assert cli.main(["energy", "--config", str(path), "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["kind"] == "energy"
+    merged = cli.default_config("energy")
+    for block in ("params", "grid", "solver", "experiment", "initial_data"):
+        merged[block].update(cfg.get(block, {}))
+    assert manifest["config_hash"] == cli.config_hash(merged)
+    assert manifest["error"][0].startswith("PipelineError: energy pipeline failed:")
+    assert "did not reach the horizon" in manifest["error"][-1]
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy", "morreyheat"}
+    assert "checks" not in manifest
 
 
 def test_threshold_json_schema(tmp_path, threshold_run):

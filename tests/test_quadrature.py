@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import betainc, gamma, ive
 
 from morreyheat import fields as F
+from morreyheat import morrey as M
 from morreyheat import quadrature as Q
 
 
@@ -224,6 +225,42 @@ def test_heat_matrix_agrees_with_scalar_path():
                                          rel=1e-7, abs=1e-13)
     with pytest.raises(ValueError):
         Q.gauss_convolve(f, t, -1.0)
+    with pytest.raises(ValueError):
+        Q.heat_kernel_matrix(g, t, [1.0, math.nan])
+
+
+def _dense_heat_kernel_matrix(grid, t, centers=None):
+    """The kernel formula evaluated at every entry, as one N x N expression."""
+    n = grid.n
+    a = grid.nodes if centers is None else np.asarray(centers, dtype=float)
+    s = grid.nodes
+    c_t = (4.0 * math.pi * t) ** (-n / 2.0) * Q.sphere_area(n - 1)
+    lam = Q.angular_kernel_scaled(n, np.outer(a, s) / (2.0 * t))
+    base = Q.trapezoid_weights(grid) * s ** (n - 1)
+    mat = c_t * lam * np.exp(-((s[None, :] - a[:, None]) ** 2) / (4.0 * t)) * base[None, :]
+    mass = mat.sum(axis=1)
+    over = mass > 1.0
+    if np.any(over):
+        mat[over] /= mass[over, None]
+    return mat
+
+
+@pytest.mark.parametrize("nodes,r_max", [(200, 10.0), (800, 40.0), (1600, 16.0)])
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_heat_kernel_matrix_equals_dense_formula(n, nodes, r_max):
+    # the banded build skips only entries whose Gaussian factor underflows to 0.0
+    g = F.make_grid(n, r_max, nodes)
+    lattice = M.MorreyLattice.default(g).centers
+    for t in np.geomspace(2.0 * g.h**2, 100.0, 5):
+        t = float(t)
+        beyond = r_max + math.sqrt(4.0 * t * 746.0) + 1.0
+        for centers in (None, lattice, lattice[::-1], [beyond], []):
+            got = Q.heat_kernel_matrix(g, t, centers)
+            want = _dense_heat_kernel_matrix(g, t, centers)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (t, centers)
+        assert not Q.heat_kernel_matrix(g, t, [beyond]).any()
+        assert Q.heat_kernel_matrix(g, t, []).shape == (0, nodes + 1)
 
 
 def test_volume_weights_total():
