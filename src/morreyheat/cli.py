@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__, duhamel, evolution, hypotheses, morrey, similarity, threshold
-from .fields import DIRICHLET, build_profile, make_grid
+from .fields import DIRICHLET, build_profile, make_field, make_grid
 from .io import write_csv, write_json
 from .params import make_params
 
@@ -130,6 +129,7 @@ class ArtifactBundle:
     documents: dict = field(default_factory=dict)   # filename stem -> json-able dict
     checks: list = field(default_factory=list)      # {"name", "passed", "value"}
     plot_series: dict = field(default_factory=dict)  # stem -> rows of (series, x, y)
+    profile: dict = field(default_factory=dict)      # counter name -> value, for the manifest
     manifest: dict = field(default_factory=dict)
 
     def check(self, name: str, passed: bool, value) -> None:
@@ -170,7 +170,7 @@ def _build_inputs(cfg: dict):
 # ---------------------------------------------------------------------------
 
 
-def _run_solve(cfg, bundle, jobs):
+def _run_solve(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     traj = evolution.solve(u0, params, _solver_config(cfg))
     bundle.tables["series"] = ("t,sup_norm,weighted_sup,dt",
@@ -200,7 +200,7 @@ def _run_solve(cfg, bundle, jobs):
                                    zip(traj.times, traj.sup_norms)]
 
 
-def _run_morrey(cfg, bundle, jobs):
+def _run_morrey(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     spec = morrey.MorreySpec(q=_get(cfg, "experiment.q", (int, float)),
                              lam=_get(cfg, "experiment.lam", (int, float)))
@@ -224,7 +224,7 @@ def _run_morrey(cfg, bundle, jobs):
     bundle.check("refinement_monotone", monotone, norms[-1])
 
 
-def _run_smoothing(cfg, bundle, jobs):
+def _run_smoothing(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     to_q_raw = _get(cfg, "experiment.to_q")
     to_q = math.inf if to_q_raw in ("inf", None) else float(to_q_raw)
@@ -243,7 +243,7 @@ def _run_smoothing(cfg, bundle, jobs):
     bundle.plot_series["smoothing"] = [("ratio", pt.t, pt.ratio) for pt in points]
 
 
-def _run_energy(cfg, bundle, jobs):
+def _run_energy(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     t_values = _get_floats(cfg, "experiment.T_values")
     ds = _get(cfg, "experiment.ds", float)
@@ -283,7 +283,7 @@ def _run_energy(cfg, bundle, jobs):
     bundle.plot_series["energy"] = rows_plot
 
 
-def _run_picard(cfg, bundle, jobs):
+def _run_picard(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     t_end = _get(cfg, "experiment.t_end", float)
     run = duhamel.picard_solve(u0, params, t_end, _get(cfg, "experiment.iterations", int),
@@ -297,6 +297,7 @@ def _run_picard(cfg, bundle, jobs):
         "node_stability": run.node_stability, "convergence_ratio": run.convergence_ratio,
         "aux_r": run.aux_r, "beta_aux": run.beta_aux,
         "cauchy_diffs": list(run.cauchy_diffs)}
+    bundle.profile["duhamel.picard.kernel_builds"] = run.kernel_builds
     bundle.check("picard_converged", run.converged and not run.diverged,
                  run.cauchy_diffs[-1] if run.cauchy_diffs else None)
     if _get(cfg, "experiment.compare_classical", bool, required=False, default=False):
@@ -313,7 +314,7 @@ def _run_picard(cfg, bundle, jobs):
     bundle.plot_series["budget"] = [("budget_inf", t, bi) for t, _, bi in run.budget]
 
 
-def _run_threshold(cfg, bundle, jobs):
+def _run_threshold(cfg, bundle):
     params, grid, phi = _build_inputs(cfg)
     cfg_solver = _solver_config(cfg)
     deltas = _get_floats(cfg, "experiment.deltas", required=False, default=None)
@@ -352,26 +353,17 @@ def _run_threshold(cfg, bundle, jobs):
         + [("morrey_hi", t, v) for t, v in result.morrey_series_hi])
 
 
-def _run_dependence(cfg, bundle, jobs):
+def _run_dependence(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     t0_horizon = _get(cfg, "experiment.T0", float)
     sizes = _get_floats(cfg, "experiment.sizes")
     spec = morrey.critical_spec(params, q=_get(cfg, "experiment.q", float, required=False,
                                                default=2.0))
-    from .fields import make_field
-
-    def one(size):
-        v0 = make_field(grid, u0.values * (1.0 + size), u0.boundary)
-        return size, duhamel.continuous_dependence(u0, v0, t0_horizon, params, spec)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, sizes))
-    else:
-        results = [one(s) for s in sizes]
+    v0s = [make_field(grid, u0.values * (1.0 + size), u0.boundary) for size in sizes]
+    results = duhamel.continuous_dependence(u0, v0s, t0_horizon, params, spec)
     rows = []
     max_ratios = []
-    for size, res in results:
+    for size, res in zip(sizes, results):
         rows.extend((size, t, r) for t, r in zip(res.times, res.ratios))
         max_ratios.append(res.max_ratio)
         bundle.check(f"run_completes_size{size:g}", not res.failed_before_T0,
@@ -385,7 +377,7 @@ def _run_dependence(cfg, bundle, jobs):
     bundle.plot_series["dependence"] = [(f"size_{size:g}", t, r) for size, t, r in rows]
 
 
-def _run_hypotheses(cfg, bundle, jobs):
+def _run_hypotheses(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     from .fields import radial_derivative
     grad = radial_derivative(u0)
@@ -429,9 +421,10 @@ def run_experiment(cfg: dict, out_dir=None, jobs: int = 1) -> ArtifactBundle:
     """Validate the config, dispatch the pipeline, and write all artifacts.
 
     The manifest is written last; its `checks` entries record every invariant
-    the pipeline asserted, with the measured value.  If the pipeline fails, a
-    manifest with `status: "failed"` and the error chain is written before
-    the PipelineError propagates.
+    the pipeline asserted, with the measured value, and `profile` its work
+    counters.  If the pipeline fails, a manifest with `status: "failed"` and
+    the error chain is written before the PipelineError propagates.  `jobs`
+    is accepted and ignored: every pipeline runs in one thread.
     """
     kind = _get(cfg, "experiment.kind", str)
     if kind not in _PIPELINES:
@@ -446,7 +439,7 @@ def run_experiment(cfg: dict, out_dir=None, jobs: int = 1) -> ArtifactBundle:
     bundle = ArtifactBundle(kind=kind, out_dir=out)
     started = time.perf_counter()
     try:
-        _PIPELINES[kind](cfg, bundle, jobs)
+        _PIPELINES[kind](cfg, bundle)
     except (ConfigError,):
         raise
     except Exception as exc:
@@ -481,6 +474,7 @@ def run_experiment(cfg: dict, out_dir=None, jobs: int = 1) -> ArtifactBundle:
         "versions": _versions(),
         "checks": bundle.checks,
         "artifacts": sorted(artifacts),
+        "profile": bundle.profile,
     }
     write_json(out / "manifest.json", bundle.manifest)
     return bundle

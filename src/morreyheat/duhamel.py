@@ -4,9 +4,10 @@ The variation-of-constants map u -> G_t*u0 + integral_0^t G_{t-s} (u^p)(s) ds
 is iterated on a graded master time grid.  Writing J_i for the map evaluated
 at node tau_i, the identity J_i = G_dt(J_{i-1} + w f_{i-1}) + w f_i (trapezoid
 in s, semigroup-composed kernels) evaluates one Picard sweep with O(Q) kernel
-applications.  The node count is doubled until the converged iterate is stable
-to 1e-6, exploiting that the weak endpoint singularities of the Morrey-side
-estimates are integrable.
+applications.  The grid is symmetric in time, so mirrored intervals have
+bitwise-equal widths and share one heat-kernel matrix.  The node count is
+doubled until the converged iterate is stable to 1e-6, exploiting that the
+weak endpoint singularities of the Morrey-side estimates are integrable.
 """
 
 import math
@@ -66,6 +67,7 @@ class PicardRun:
     convergence_ratio: float | None   # geometric ratio of successive Cauchy differences
     nodes_used: int
     node_stability: float | None      # relative change of the iterate at the last node doubling
+    kernel_builds: int                # dense heat kernels built, over all node counts run
     aux_r: float
     beta_aux: float
     morrey_q: float
@@ -98,25 +100,33 @@ _KERNEL_CACHE_BYTES = 400 * 2**20
 
 
 class _Propagators:
-    """Per-interval heat propagators, cached as dense matrices when they fit."""
+    """Heat propagators of the master grid's intervals, one per distinct width.
+
+    Mirrored intervals of the symmetric smoothstep grid have bitwise-equal
+    widths, and heat_kernel_matrix is a pure function of (grid, t), so they
+    share one propagator and every sweep stays bitwise unchanged.  The dense
+    matrices are kept if the distinct resolved widths fit the budget, else
+    built per access.  `builds` counts the dense matrices built.
+    """
 
     def __init__(self, grid, n, widths):
         self.grid, self.n = grid, n
         self.widths = [float(dt) for dt in widths]
-        resolved = sum(1 for dt in self.widths if dt >= 2.0 * grid.h**2)
+        self.builds = 0
+        distinct = dict.fromkeys(self.widths)
+        resolved = sum(1 for dt in distinct if dt >= 2.0 * grid.h**2)
         self.cached = resolved * (grid.m + 1) ** 2 * 8 <= _KERNEL_CACHE_BYTES
-        self._store = [self._build(dt) for dt in self.widths] if self.cached else None
+        self._store = {dt: self._build(dt) for dt in distinct} if self.cached else None
 
     def _build(self, dt):
         if dt >= 2.0 * self.grid.h**2:
+            self.builds += 1
             return heat_kernel_matrix(self.grid, dt)
         return _DiffusionSubsteps(self.grid, self.n, dt)
 
     def __getitem__(self, i):
-        return self._store[i] if self.cached else self._build(self.widths[i])
-
-    def __len__(self):
-        return len(self.widths)
+        dt = self.widths[i]
+        return self._store[dt] if self.cached else self._build(dt)
 
 
 def _sweep(u0_vals, kernels, widths, fields, p, nonlin=True):
@@ -165,7 +175,7 @@ def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol):
         if d < tol * (1.0 + sup_now):
             converged = True
             break
-    return times, fields, sample_idx, diffs, per_sample, converged, diverged, it
+    return times, fields, sample_idx, diffs, per_sample, converged, diverged, it, kernels.builds
 
 
 def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
@@ -187,19 +197,19 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
 
     prev_samples = None
     stability = None
+    kernel_builds = 0
     while True:
-        times, fields, sample_idx, diffs, per_sample, converged, diverged, iters = _run_picard(
-            u0, params, t_end, K, sample_times, nodes, tol)
+        times, fields, sample_idx, diffs, per_sample, converged, diverged, iters, builds = \
+            _run_picard(u0, params, t_end, K, sample_times, nodes, tol)
+        kernel_builds += builds
         samples = [fields[i] for i in sample_idx]
         if prev_samples is not None:
             num = max(float(np.max(np.abs(a - b))) for a, b in zip(samples, prev_samples))
             den = 1.0 + max(float(np.max(np.abs(a))) for a in samples)
             stability = num / den
-            if stability < 1e-6 or nodes >= max_nodes or diverged:
-                break
-        prev_samples = samples
-        if nodes >= max_nodes or diverged:
+        if nodes >= max_nodes or diverged or (stability is not None and stability < 1e-6):
             break
+        prev_samples = samples
         nodes *= 2
 
     r_aux = auxiliary_exponent(params, q)
@@ -224,8 +234,8 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
                      last_sample_diffs=np.asarray(per_sample, dtype=float),
                      budget=np.array(rows), converged=converged, diverged=diverged,
                      iterations=iters, convergence_ratio=ratio, nodes_used=nodes,
-                     node_stability=stability, aux_r=r_aux, beta_aux=beta_aux,
-                     morrey_q=q)
+                     node_stability=stability, kernel_builds=kernel_builds, aux_r=r_aux,
+                     beta_aux=beta_aux, morrey_q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -243,38 +253,39 @@ class DependenceResult:
     failed_before_T0: bool      # perturbed run ended before T0
 
 
-def continuous_dependence(u0: RadialField, v0: RadialField, T0: float,
-                          params: ModelParams, spec: MorreySpec,
-                          cfg: SolverConfig | None = None,
-                          n_checkpoints: int = 16,
-                          lattice: MorreyLattice | None = None) -> DependenceResult:
-    """Morrey-norm amplification of an initial perturbation along the flow."""
-    if u0.grid is not v0.grid and not np.array_equal(u0.grid.nodes, v0.grid.nodes):
-        raise ValueError("both data must live on the same grid")
-    if lattice is None:
-        lattice = MorreyLattice.default(u0.grid)
-    diff0 = make_field(u0.grid, u0.values - v0.values)
-    dist0 = morrey_norm(diff0, spec, lattice)
-    times = tuple(np.geomspace(T0 / 1000.0, T0, n_checkpoints))
-    if cfg is None:
-        cfg = SolverConfig(t_end=T0, checkpoint_times=times)
-    else:
-        cfg = SolverConfig(**{**cfg.__dict__, "t_end": T0, "checkpoint_times": times})
-    if dist0 == 0.0:
-        return DependenceResult(times=np.asarray(times), ratios=np.ones(len(times)),
-                                max_ratio=1.0, initial_distance=0.0,
-                                degenerate=True, failed_before_T0=False)
-    tu = solve(u0, params, cfg)
-    tv = solve(v0, params, cfg)
-    failed = tu.status.kind != "reached_horizon" or tv.status.kind != "reached_horizon"
-    k = min(len(tu.checkpoints), len(tv.checkpoints))
-    ts, ratios = [], []
-    for (t1, f1), (t2, f2) in zip(tu.checkpoints[:k], tv.checkpoints[:k]):
-        diff = make_field(u0.grid, f1.values - f2.values)
-        ts.append(t1)
-        ratios.append(morrey_norm(diff, spec, lattice) / dist0)
-    ts, ratios = np.asarray(ts), np.asarray(ratios)
-    return DependenceResult(times=ts, ratios=ratios,
-                            max_ratio=float(ratios.max()) if ratios.size else math.nan,
-                            initial_distance=dist0, degenerate=False,
-                            failed_before_T0=failed)
+def continuous_dependence(u0: RadialField, v0s, T0: float, params: ModelParams,
+                          spec: MorreySpec) -> list:
+    """Morrey-norm amplification of initial perturbations along the flow.
+
+    Returns one DependenceResult per perturbed datum in v0s, each measured
+    against the one solve of u0 (made only if some datum differs from u0).
+    """
+    for v0 in v0s:
+        if u0.grid is not v0.grid and not np.array_equal(u0.grid.nodes, v0.grid.nodes):
+            raise ValueError("both data must live on the same grid")
+    lattice = MorreyLattice.default(u0.grid)
+    dists = [morrey_norm(make_field(u0.grid, u0.values - v0.values), spec, lattice)
+             for v0 in v0s]
+    times = tuple(np.geomspace(T0 / 1000.0, T0, 16))
+    cfg = SolverConfig(t_end=T0, checkpoint_times=times)
+    tu = solve(u0, params, cfg) if any(dists) else None
+    results = []
+    for v0, dist0 in zip(v0s, dists):
+        if dist0 == 0.0:
+            results.append(DependenceResult(
+                times=np.asarray(times), ratios=np.ones(len(times)), max_ratio=1.0,
+                initial_distance=0.0, degenerate=True, failed_before_T0=False))
+            continue
+        tv = solve(v0, params, cfg)
+        failed = tu.status.kind != "reached_horizon" or tv.status.kind != "reached_horizon"
+        k = min(len(tu.checkpoints), len(tv.checkpoints))
+        ts, ratios = [], []
+        for (t1, f1), (t2, f2) in zip(tu.checkpoints[:k], tv.checkpoints[:k]):
+            diff = make_field(u0.grid, f1.values - f2.values)
+            ts.append(t1)
+            ratios.append(morrey_norm(diff, spec, lattice) / dist0)
+        ts, ratios = np.asarray(ts), np.asarray(ratios)
+        results.append(DependenceResult(
+            times=ts, ratios=ratios, max_ratio=float(ratios.max()) if ratios.size else math.nan,
+            initial_distance=dist0, degenerate=False, failed_before_T0=failed))
+    return results

@@ -7,7 +7,6 @@ The sup is approximated on a finite log-spaced lattice; refining the lattice
 """
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -88,9 +87,7 @@ def lq_norm(f: RadialField, q: float) -> float:
 
 # Cached cap-weight tables: key -> (centers x radii x nodes) weights including
 # the volume and surface factors.  Bounded LRU; oversized tables are streamed.
-# `--jobs` threads share it, so every lookup and update holds the lock.
 _TABLE_CACHE: OrderedDict = OrderedDict()
-_TABLE_LOCK = threading.Lock()
 _TABLE_CACHE_MAX = 4
 _TABLE_MAX_BYTES = 300 * 2**20
 
@@ -99,11 +96,10 @@ def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
     """Weights W[c, r, j] with ball_integral(f,q,a_c,R_r) = sum_j W[c,r,j] |f_j|^q."""
     key = (grid.n, grid.m, grid.r_max,
            np.asarray(lattice.centers).tobytes(), np.asarray(lattice.radii).tobytes())
-    with _TABLE_LOCK:
-        table = _TABLE_CACHE.get(key)
-        if table is not None:
-            _TABLE_CACHE.move_to_end(key)
-            return table
+    table = _TABLE_CACHE.get(key)
+    if table is not None:
+        _TABLE_CACHE.move_to_end(key)
+        return table
     n = grid.n
     area = sphere_area(n)
     base = area * volume_weights(grid)
@@ -113,10 +109,9 @@ def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
         table[:, ri] = base * cap_fraction_array(n, centers[:, None], grid.nodes, float(r_ball))
         table[centers == 0.0, ri] = area * origin_ball_weights(grid, float(r_ball))
     if table.nbytes <= _TABLE_MAX_BYTES:
-        with _TABLE_LOCK:
-            _TABLE_CACHE[key] = table
-            while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
-                _TABLE_CACHE.popitem(last=False)
+        _TABLE_CACHE[key] = table
+        while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
+            _TABLE_CACHE.popitem(last=False)
     return table
 
 

@@ -253,9 +253,9 @@ def test_c13_continuous_dependence():
     u0 = F.gaussian(grid, 0.3, 2.0, F.DIRICHLET)
     spec = M.critical_spec(P5)
     maxima = []
-    for size in (1e-2, 1e-3, 1e-4):
-        v0 = F.make_field(grid, (1.0 + size) * u0.values, F.DIRICHLET)
-        res = D.continuous_dependence(u0, v0, 5.0, P5, spec)
+    v0s = [F.make_field(grid, (1.0 + size) * u0.values, F.DIRICHLET)
+           for size in (1e-2, 1e-3, 1e-4)]
+    for res in D.continuous_dependence(u0, v0s, 5.0, P5, spec):
         assert not res.failed_before_T0
         maxima.append(res.max_ratio)
     spread = (max(maxima) - min(maxima)) / max(maxima)

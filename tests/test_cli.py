@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from morreyheat import cli, evolution
-from morreyheat.fields import make_field
+from morreyheat import cli, duhamel, evolution
+from morreyheat.fields import make_field, make_grid
 from morreyheat.morrey import MorreyLattice, critical_spec, morrey_norm
 
 
@@ -160,6 +161,18 @@ def test_picard_kind_end_to_end(tmp_path):
     assert bundle.all_passed
     budget = (tmp_path / "p" / "budget.csv").read_text().splitlines()
     assert budget[0] == "t,budget_r,budget_inf,cauchy_diff"
+    # one dense kernel per distinct resolved width, at each node count run
+    nodes_used = json.loads((tmp_path / "p" / "picard.json").read_text())["nodes_used"]
+    floor = 2.0 * make_grid(5, 16.0, 160).h ** 2
+    distinct = 0
+    nodes = 64
+    while nodes <= nodes_used:
+        widths = np.diff(duhamel._graded_times(0.5, nodes, extra=[0.25, 0.5], dt_floor=floor))
+        distinct += len({float(dt) for dt in widths if dt >= floor})
+        nodes *= 2
+    manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+    assert manifest["profile"] == {"duhamel.picard.kernel_builds": distinct}
+    assert "kernel_builds" not in json.loads((tmp_path / "p" / "picard.json").read_text())
 
 
 def test_energy_kind_header(tmp_path):

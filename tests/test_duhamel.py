@@ -7,6 +7,7 @@ from morreyheat import duhamel as D
 from morreyheat import evolution as E
 from morreyheat import fields as F
 from morreyheat import morrey as M
+from morreyheat import quadrature as Q
 from morreyheat.params import make_params
 
 P5 = make_params(5, 3.0)
@@ -39,6 +40,47 @@ def test_picard_rejects_bad_arguments():
         D.picard_solve(z, P5, 1.0, 1, [0.5])
     with pytest.raises(ValueError):
         D.picard_solve(z, P5, 1.0, 4, [2.0])
+
+
+class _PerIntervalPropagators:
+    """Reference store: one propagator built per interval, shared by none."""
+
+    def __init__(self, grid, n, widths):
+        self._store = [Q.heat_kernel_matrix(grid, float(dt)) if dt >= 2.0 * grid.h**2
+                       else D._DiffusionSubsteps(grid, n, float(dt)) for dt in widths]
+        self.builds = len(self._store)
+
+    def __getitem__(self, i):
+        return self._store[i]
+
+
+def test_picard_propagators_one_per_width(monkeypatch):
+    g = F.make_grid(5, 10.0, 100)
+    u0 = F.gaussian(g, 0.3, 2.0)
+    args = (u0, P5, 1.0, 3, np.array([0.5, 1.0]), 32, 1e-300)
+    widths = np.diff(D._graded_times(1.0, 32, extra=[0.5, 1.0], dt_floor=2.0 * g.h**2))
+    resolved = [float(dt) for dt in widths if dt >= 2.0 * g.h**2]
+    distinct = set(resolved)
+    assert len(distinct) < len(resolved) < len(widths)   # shared widths and a substep interval
+    per_matrix = (g.m + 1) ** 2 * 8
+
+    got = {}
+    for budget in (len(distinct) * per_matrix, len(distinct) * per_matrix - 1):
+        monkeypatch.setattr(D, "_KERNEL_CACHE_BYTES", budget)
+        kernels = D._Propagators(g, P5.n, widths)
+        # the set overflows one matrix per interval but fits one per width
+        assert kernels.cached == (budget >= len(distinct) * per_matrix)
+        if kernels.cached:
+            assert kernels.builds == len(distinct)
+            for i, wi in enumerate(widths):
+                for j, wj in enumerate(widths):
+                    assert (kernels[i] is kernels[j]) == (wi == wj), (i, j)
+        got[kernels.cached] = D._run_picard(*args)[1]
+    monkeypatch.setattr(D, "_Propagators", _PerIntervalPropagators)
+    want = D._run_picard(*args)[1]
+    for fields in got.values():
+        assert len(fields) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fields, want))
 
 
 def test_first_correction_scales_like_amplitude_cubed():
@@ -111,12 +153,12 @@ def test_dependence_degenerate_and_flagged():
     g = F.make_grid(5, 30.0, 300)
     u0 = F.gaussian(g, 0.3, 2.0, F.DIRICHLET)
     spec = M.critical_spec(P5)
-    res = D.continuous_dependence(u0, u0, 2.0, P5, spec)
+    res, = D.continuous_dependence(u0, [u0], 2.0, P5, spec)
     assert res.degenerate
     assert np.all(res.ratios == 1.0)
     bump = F.make_field(g, u0.values + F.plateau(g, 5.0, 10.0, 2.0, F.DIRICHLET).values,
                         F.DIRICHLET)
-    res2 = D.continuous_dependence(u0, bump, 5.0, P5, spec)
+    res2, = D.continuous_dependence(u0, [bump], 5.0, P5, spec)
     assert res2.failed_before_T0
 
 
@@ -124,7 +166,7 @@ def test_dependence_ratio_near_one_at_small_time():
     g = F.make_grid(5, 30.0, 300)
     u0 = F.gaussian(g, 0.3, 2.0, F.DIRICHLET)
     v0 = F.make_field(g, 1.001 * u0.values, F.DIRICHLET)
-    res = D.continuous_dependence(u0, v0, 5.0, P5, M.critical_spec(P5))
+    res, = D.continuous_dependence(u0, [v0], 5.0, P5, M.critical_spec(P5))
     assert not res.failed_before_T0
     assert res.ratios[0] >= 1.0 - 0.05
     assert res.max_ratio <= 2.0
@@ -134,8 +176,29 @@ def test_dependence_stable_across_perturbation_sizes():
     g = F.make_grid(5, 30.0, 300)
     u0 = F.gaussian(g, 0.3, 2.0, F.DIRICHLET)
     spec = M.critical_spec(P5)
-    maxima = []
-    for size in (1e-2, 1e-3):
-        v0 = F.make_field(g, (1.0 + size) * u0.values, F.DIRICHLET)
-        maxima.append(D.continuous_dependence(u0, v0, 5.0, P5, spec).max_ratio)
+    v0s = [F.make_field(g, (1.0 + size) * u0.values, F.DIRICHLET) for size in (1e-2, 1e-3)]
+    maxima = [res.max_ratio for res in D.continuous_dependence(u0, v0s, 5.0, P5, spec)]
     assert abs(maxima[0] - maxima[1]) / max(maxima) < 0.25
+
+
+def test_dependence_solves_u0_once(monkeypatch):
+    g = F.make_grid(5, 20.0, 100)
+    u0 = F.gaussian(g, 0.2, 2.0, F.DIRICHLET)
+    spec = M.critical_spec(P5)
+    v0s = [F.make_field(g, (1.0 + size) * u0.values, F.DIRICHLET) for size in (1e-2, 1e-3)]
+    alone = [D.continuous_dependence(u0, [v0], 1.0, P5, spec)[0] for v0 in v0s]
+    solved = []
+
+    def counting_solve(u, params, cfg):
+        solved.append(u)
+        return E.solve(u, params, cfg)
+
+    monkeypatch.setattr(D, "solve", counting_solve)
+    assert all(r.degenerate for r in D.continuous_dependence(u0, [u0, u0], 1.0, P5, spec))
+    assert solved == []
+    results = D.continuous_dependence(u0, [u0] + v0s, 1.0, P5, spec)
+    assert [u is u0 for u in solved] == [True, False, False]
+    assert results[0].degenerate
+    for got, want in zip(results[1:], alone):
+        assert got.ratios.tobytes() == want.ratios.tobytes()
+        assert got.times.tobytes() == want.times.tobytes()

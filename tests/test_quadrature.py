@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc, gamma, ive
 
@@ -261,6 +263,31 @@ def test_heat_kernel_matrix_equals_dense_formula(n, nodes, r_max):
             assert got.tobytes() == want.tobytes(), (t, centers)
         assert not Q.heat_kernel_matrix(g, t, [beyond]).any()
         assert Q.heat_kernel_matrix(g, t, []).shape == (0, nodes + 1)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A grid with n in {3, 4, 5, 8} and 101-401 nodes, and t log-uniform in [2 h^2, 50]."""
+    g = F.make_grid(draw(st.sampled_from([3, 4, 5, 8])), draw(st.floats(5.0, 40.0)),
+                    draw(st.integers(100, 400)))
+    t_min = 2.0 * g.h**2
+    return g, t_min * (50.0 / t_min) ** draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_kernel_cases())
+def test_heat_kernel_matrix_is_a_pure_function_of_grid_and_t(case):
+    # the Picard propagator store shares one matrix among intervals of equal width
+    g, t = case
+    assert Q.heat_kernel_matrix(g, t).tobytes() == Q.heat_kernel_matrix(g, t).tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(_kernel_cases())
+def test_heat_kernel_matrix_is_sub_stochastic(case):
+    mat = Q.heat_kernel_matrix(*case)
+    assert np.all(mat >= 0.0)
+    assert np.all(mat.sum(axis=1) <= 1.0 + 1e-12)
 
 
 def test_volume_weights_total():
