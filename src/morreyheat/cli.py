@@ -1,11 +1,13 @@
 """Configuration-driven experiment runner with reproducible CSV/JSON artifacts.
 
-Every experiment kind reads one JSON config, writes its data artifacts plus a
-manifest recording the config hash, wall time, package versions, and the
-pass/fail of each invariant the pipeline checks.  A failed pipeline still
-writes a manifest, with `status: "failed"` and the error chain.  The process
-exit code is 0 only if every asserted invariant passed; exploratory
-(report-only) quantities never affect it.
+Every experiment kind reads one JSON config, whose blocks `run_experiment`
+merges over `default_config(kind)`, the only place the defaults are stated.  A
+bad config is a ConfigError naming its path (exit 2).  A run writes every table
+as CSV and every document as JSON, plus a manifest recording the merged config's
+hash, wall time, package versions, and the pass/fail of each invariant checked.
+A failed pipeline still writes a manifest, with `status: "failed"` and the
+error chain (exit 3).  The exit code is 0 only if every asserted invariant
+passed; exploratory (report-only) quantities never affect it.
 """
 
 import argparse
@@ -21,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__, duhamel, evolution, hypotheses, morrey, similarity, threshold
-from .fields import DIRICHLET, build_profile, make_field, make_grid
+from .fields import DIRICHLET, build_profile, make_field, make_grid, radial_derivative
 from .io import write_csv, write_json
 from .params import make_params
 
@@ -71,14 +73,11 @@ def default_config(kind: str) -> dict:
     return cfg
 
 
-def _get(cfg: dict, path: str, typ=None, required=True, default=None):
+def _get(cfg: dict, path: str, typ=None):
     node = cfg
-    parts = path.split(".")
-    for i, key in enumerate(parts):
+    for key in path.split("."):
         if not isinstance(node, dict) or key not in node:
-            if required:
-                raise ConfigError(path)
-            return default
+            raise ConfigError(path)
         node = node[key]
     return node if typ is None else _typed(path, node, typ)
 
@@ -94,31 +93,47 @@ def _typed(path: str, value, typ):
     return value
 
 
-def _get_floats(cfg: dict, path: str, required=True, default=None):
+def _get_floats(cfg: dict, path: str):
     """A list of numbers, each element checked as `_get(..., float)` checks one."""
-    values = _get(cfg, path, list, required, default)
-    if values is None:
-        return None
-    return [_typed(f"{path}[{i}]", v, float) for i, v in enumerate(values)]
+    return [_typed(f"{path}[{i}]", v, float) for i, v in enumerate(_get(cfg, path, list))]
+
+
+def _object(path: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
+    return value
+
+
+_BLOCKS = ("params", "grid", "solver", "experiment", "initial_data")
+
+
+def _merged(cfg) -> dict:
+    """`cfg` with each block merged over the defaults of its kind, and `output_dir` defaulted."""
+    _object("config", cfg)
+    blocks = {block: _object(block, cfg.get(block, {})) for block in _BLOCKS}
+    base = default_config(_get(blocks, "experiment.kind", str))
+    merged = dict(cfg, output_dir=cfg.get("output_dir", base["output_dir"]))
+    for block in _BLOCKS:
+        merged[block] = {**base[block], **blocks[block]}
+    return merged
 
 
 def _solver_config(cfg: dict, t_end=None, checkpoint_times=None) -> evolution.SolverConfig:
-    _get(cfg, "solver", dict)   # optional keys below default silently if the block is not a dict
     t_end = t_end if t_end is not None else _get(cfg, "solver.t_end", float)
     if checkpoint_times is None:
-        cps = _get(cfg, "solver.checkpoints", (int, list), required=False, default=20)
-        if isinstance(cps, int):
-            checkpoint_times = evolution.log_checkpoints(t_end, cps)
-        else:
-            checkpoint_times = tuple(_get_floats(cfg, "solver.checkpoints"))
-    return evolution.SolverConfig(
-        dt_init=_get(cfg, "solver.dt_init", float, required=False, default=0.1),
-        dt_min=_get(cfg, "solver.dt_min", float, required=False, default=1e-14),
-        safety=_get(cfg, "solver.safety", float, required=False, default=0.8),
-        blowup_threshold=_get(cfg, "solver.blowup_threshold", float, required=False,
-                              default=1e8),
-        t_end=float(t_end), checkpoint_times=tuple(checkpoint_times),
-        series_stride=_get(cfg, "solver.series_stride", int, required=False, default=1))
+        cps = _get(cfg, "solver.checkpoints", (int, list))
+        if isinstance(cps, int) and cps < 1:
+            raise ConfigError(f"solver.checkpoints: need at least 1, got {cps}")
+        checkpoint_times = (evolution.log_checkpoints(t_end, cps) if isinstance(cps, int)
+                            else _get_floats(cfg, "solver.checkpoints"))
+    settings = {key: _get(cfg, f"solver.{key}", float)
+                for key in ("dt_init", "dt_min", "safety", "blowup_threshold")}
+    stride = _get(cfg, "solver.series_stride", int)
+    try:
+        return evolution.SolverConfig(t_end=float(t_end), checkpoint_times=tuple(checkpoint_times),
+                                      series_stride=stride, **settings)
+    except ValueError as exc:
+        raise ConfigError(f"solver: {exc}") from exc
 
 
 @dataclass
@@ -128,7 +143,6 @@ class ArtifactBundle:
     tables: dict = field(default_factory=dict)      # filename stem -> (header, rows)
     documents: dict = field(default_factory=dict)   # filename stem -> json-able dict
     checks: list = field(default_factory=list)      # {"name", "passed", "value"}
-    plot_series: dict = field(default_factory=dict)  # stem -> rows of (series, x, y)
     profile: dict = field(default_factory=dict)      # counter name -> value, for the manifest
     manifest: dict = field(default_factory=dict)
 
@@ -139,6 +153,17 @@ class ArtifactBundle:
     @property
     def all_passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
+
+    def write_data(self) -> list:
+        """Write every table as CSV and every document as JSON; return the file names."""
+        names = []
+        for stem, (header, rows) in sorted(self.tables.items()):
+            write_csv(self.out_dir / f"{stem}.csv", header, rows)
+            names.append(f"{stem}.csv")
+        for stem, doc in sorted(self.documents.items()):
+            write_json(self.out_dir / f"{stem}.json", doc)
+            names.append(f"{stem}.json")
+        return names
 
 
 def _build_inputs(cfg: dict):
@@ -153,9 +178,9 @@ def _build_inputs(cfg: dict):
                          _get(cfg, "grid.nodes", int))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    prof = _get(cfg, "initial_data.profile", str, required=False, default="gaussian")
-    args = _get(cfg, "initial_data.args", dict, required=False, default={})
-    boundary = _get(cfg, "initial_data.boundary", str, required=False, default=DIRICHLET)
+    prof = _get(cfg, "initial_data.profile", str)
+    args = _get(cfg, "initial_data.args", dict)
+    boundary = _get(cfg, "initial_data.boundary", str)
     try:
         u0 = build_profile(prof, grid, params, dict(args), boundary)
     except TypeError as exc:
@@ -196,29 +221,30 @@ def _run_solve(cfg, bundle):
         worst = min((float(f.values.min()) for _, f in traj.checkpoints), default=0.0)
         bundle.check("positivity", worst >= floor, worst)
     bundle.documents["diagnostics"] = doc
-    bundle.plot_series["decay"] = [("sup_norm", t, s) for t, s in
-                                   zip(traj.times, traj.sup_norms)]
+    bundle.tables["plot_decay"] = ("series,x,y", [("sup_norm", t, s) for t, s in
+                                                  zip(traj.times, traj.sup_norms)])
 
 
 def _run_morrey(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     spec = morrey.MorreySpec(q=_get(cfg, "experiment.q", (int, float)),
                              lam=_get(cfg, "experiment.lam", (int, float)))
-    refinements = _get(cfg, "experiment.refinements", int, required=False, default=1)
+    refinements = _get(cfg, "experiment.refinements", int)
     lattice = morrey.MorreyLattice.default(grid)
-    norms = []
+    evals = []
     for level in range(refinements + 1):
         ev = morrey.morrey_evaluate(u0, spec, lattice)
-        norms.append(ev.norm)
+        evals.append(ev)
         rows = [(a, r, ev.cells[i, j])
                 for i, a in enumerate(lattice.centers)
                 for j, r in enumerate(lattice.radii)]
         bundle.tables[f"cells_level{level}"] = ("a,R,value", rows)
         if level < refinements:
             lattice = lattice.refine()
+    norms = [e.norm for e in evals]
     doc = {"norms_by_level": norms, "argmax_center": ev.center, "argmax_radius": ev.radius,
            "q": spec.q, "lam": spec.lam,
-           "small_scale": morrey.small_scale_diagnostic(u0, spec)}
+           "small_scale": morrey.small_scale_diagnostic(evals[0])}
     bundle.documents["morrey"] = doc
     monotone = all(norms[i + 1] >= norms[i] * (1 - 1e-12) for i in range(len(norms) - 1))
     bundle.check("refinement_monotone", monotone, norms[-1])
@@ -226,12 +252,13 @@ def _run_morrey(cfg, bundle):
 
 def _run_smoothing(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    to_q_raw = _get(cfg, "experiment.to_q")
-    to_q = math.inf if to_q_raw in ("inf", None) else float(to_q_raw)
+    to_q = _get(cfg, "experiment.to_q", (int, float, str))
+    if isinstance(to_q, str) and to_q != "inf":
+        raise ConfigError(f'experiment.to_q: expected a number or "inf", got {to_q!r}')
     t_grid = np.geomspace(_get(cfg, "experiment.t_lo", (int, float)),
                           _get(cfg, "experiment.t_hi", (int, float)),
                           _get(cfg, "experiment.t_count", int))
-    points = morrey.smoothing_profile(u0, _get(cfg, "experiment.from_q", float), to_q,
+    points = morrey.smoothing_profile(u0, _get(cfg, "experiment.from_q", float), float(to_q),
                                       _get(cfg, "experiment.lam", float), t_grid)
     rows = [(pt.t, pt.norm_to, pt.ratio, pt.norm_from_after, pt.contraction_ok)
             for pt in points]
@@ -240,14 +267,14 @@ def _run_smoothing(cfg, bundle):
                  max(pt.norm_from_after for pt in points))
     bundle.check("ratio_bounded", all(math.isfinite(pt.ratio) for pt in points),
                  max(pt.ratio for pt in points))
-    bundle.plot_series["smoothing"] = [("ratio", pt.t, pt.ratio) for pt in points]
+    bundle.tables["plot_smoothing"] = ("series,x,y", [("ratio", pt.t, pt.ratio) for pt in points])
 
 
 def _run_energy(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     t_values = _get_floats(cfg, "experiment.T_values")
     ds = _get(cfg, "experiment.ds", float)
-    frac = _get(cfg, "experiment.t_lo_fraction", float, required=False, default=0.5)
+    frac = _get(cfg, "experiment.t_lo_fraction", float)
     t_margin = _get(cfg, "experiment.t_margin", float)
     horizon = _get(cfg, "solver.t_end", (int, float))
     grids = {}
@@ -280,7 +307,7 @@ def _run_energy(cfg, bundle):
         bundle.check(f"energy_identity_T{T:g}", float(np.max(rel)) < 1e-3,
                      float(np.max(rel)))
         rows_plot.extend(("E_T%g" % T, s, e) for s, e in zip(series.s, series.E))
-    bundle.plot_series["energy"] = rows_plot
+    bundle.tables["plot_energy"] = ("series,x,y", rows_plot)
 
 
 def _run_picard(cfg, bundle):
@@ -300,7 +327,7 @@ def _run_picard(cfg, bundle):
     bundle.profile["duhamel.picard.kernel_builds"] = run.kernel_builds
     bundle.check("picard_converged", run.converged and not run.diverged,
                  run.cauchy_diffs[-1] if run.cauchy_diffs else None)
-    if _get(cfg, "experiment.compare_classical", bool, required=False, default=False):
+    if _get(cfg, "experiment.compare_classical", bool):
         u0d = build_profile(_get(cfg, "initial_data.profile", str), grid, params,
                             dict(_get(cfg, "initial_data.args", dict)), DIRICHLET)
         traj = evolution.solve(u0d, params, _solver_config(
@@ -311,13 +338,14 @@ def _run_picard(cfg, bundle):
             if denom > 0:
                 worst = max(worst, float(np.max(np.abs(f.values - fc.values))) / denom)
         bundle.check("mild_classical_agreement", worst < 0.01, worst)
-    bundle.plot_series["budget"] = [("budget_inf", t, bi) for t, _, bi in run.budget]
+    bundle.tables["plot_budget"] = ("series,x,y",
+                                    [("budget_inf", t, bi) for t, _, bi in run.budget])
 
 
 def _run_threshold(cfg, bundle):
     params, grid, phi = _build_inputs(cfg)
     cfg_solver = _solver_config(cfg)
-    deltas = _get_floats(cfg, "experiment.deltas", required=False, default=None)
+    deltas = _get_floats(cfg, "experiment.deltas")
     result = threshold.bisect_lambda(phi, params, cfg_solver,
                                      rel_tol=_get(cfg, "experiment.rel_tol", float),
                                      lambda_init=_get(cfg, "experiment.lambda_init", float))
@@ -348,17 +376,16 @@ def _run_threshold(cfg, bundle):
         bundle.check("subthreshold_probes_decay",
                      all(p_.verdict == "decaying" for p_ in probes if p_.delta > 0),
                      None)
-    bundle.plot_series["morrey_threshold"] = (
+    bundle.tables["plot_morrey_threshold"] = ("series,x,y", (
         [("morrey_lo", t, v) for t, v in result.morrey_series_lo]
-        + [("morrey_hi", t, v) for t, v in result.morrey_series_hi])
+        + [("morrey_hi", t, v) for t, v in result.morrey_series_hi]))
 
 
 def _run_dependence(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     t0_horizon = _get(cfg, "experiment.T0", float)
     sizes = _get_floats(cfg, "experiment.sizes")
-    spec = morrey.critical_spec(params, q=_get(cfg, "experiment.q", float, required=False,
-                                               default=2.0))
+    spec = morrey.critical_spec(params, q=_get(cfg, "experiment.q", float))
     v0s = [make_field(grid, u0.values * (1.0 + size), u0.boundary) for size in sizes]
     results = duhamel.continuous_dependence(u0, v0s, t0_horizon, params, spec)
     rows = []
@@ -370,16 +397,16 @@ def _run_dependence(cfg, bundle):
                      res.max_ratio)
     bundle.tables["dependence"] = ("size,t,ratio", rows)
     spread = (max(max_ratios) - min(max_ratios)) / max(max_ratios)
-    tol = _get(cfg, "experiment.stability_tol", float, required=False, default=0.25)
+    tol = _get(cfg, "experiment.stability_tol", float)
     bundle.check("lipschitz_stability", spread < tol, spread)
     bundle.documents["dependence"] = {"sizes": sizes, "max_ratios": max_ratios,
                                       "spread": spread}
-    bundle.plot_series["dependence"] = [(f"size_{size:g}", t, r) for size, t, r in rows]
+    bundle.tables["plot_dependence"] = ("series,x,y",
+                                        [(f"size_{size:g}", t, r) for size, t, r in rows])
 
 
 def _run_hypotheses(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    from .fields import radial_derivative
     grad = radial_derivative(u0)
     rep = hypotheses.check_hypotheses(u0, grad, params)
     doc = {}
@@ -417,30 +444,23 @@ def _error_chain(exc: BaseException) -> list:
     return chain
 
 
-def run_experiment(cfg: dict, out_dir=None, jobs: int = 1) -> ArtifactBundle:
-    """Validate the config, dispatch the pipeline, and write all artifacts.
+def run_experiment(cfg: dict, out_dir=None) -> ArtifactBundle:
+    """Merge the config over its kind's defaults, dispatch the pipeline, write all artifacts.
 
-    The manifest is written last; its `checks` entries record every invariant
-    the pipeline asserted, with the measured value, and `profile` its work
-    counters.  If the pipeline fails, a manifest with `status: "failed"` and
-    the error chain is written before the PipelineError propagates.  `jobs`
-    is accepted and ignored: every pipeline runs in one thread.
+    The manifest is written last; it records the hash of the merged config,
+    in `checks` every invariant the pipeline asserted, with the measured
+    value, and in `profile` its work counters.  If the pipeline fails, a
+    manifest with `status: "failed"` and the error chain is written before
+    the PipelineError propagates.
     """
-    kind = _get(cfg, "experiment.kind", str)
-    if kind not in _PIPELINES:
-        raise ConfigError(f"experiment.kind: unknown kind {kind!r}")
-    # fail fast on the universally required blocks
-    _get(cfg, "params.n", int)
-    _get(cfg, "params.p", (int, float))
-    _get(cfg, "grid.r_max", (int, float))
-    _get(cfg, "grid.nodes", int)
-    out = Path(out_dir if out_dir is not None
-               else _get(cfg, "output_dir", str, required=False, default="out"))
+    cfg = _merged(cfg)
+    kind = cfg["experiment"]["kind"]
+    out = Path(out_dir if out_dir is not None else _get(cfg, "output_dir", str))
     bundle = ArtifactBundle(kind=kind, out_dir=out)
     started = time.perf_counter()
     try:
         _PIPELINES[kind](cfg, bundle)
-    except (ConfigError,):
+    except ConfigError:
         raise
     except Exception as exc:
         error = PipelineError(f"{kind} pipeline failed: {exc}")
@@ -457,15 +477,6 @@ def run_experiment(cfg: dict, out_dir=None, jobs: int = 1) -> ArtifactBundle:
         raise error from exc
     wall = time.perf_counter() - started
 
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-    for stem, (header, rows) in sorted(bundle.tables.items()):
-        write_csv(out / f"{stem}.csv", header, rows)
-        artifacts.append(f"{stem}.csv")
-    for stem, doc in sorted(bundle.documents.items()):
-        write_json(out / f"{stem}.json", doc)
-        artifacts.append(f"{stem}.json")
-    artifacts.extend(emit_plot_data(bundle))
     bundle.manifest = {
         "kind": kind,
         "status": "ok",
@@ -473,39 +484,35 @@ def run_experiment(cfg: dict, out_dir=None, jobs: int = 1) -> ArtifactBundle:
         "wall_time_s": wall,
         "versions": _versions(),
         "checks": bundle.checks,
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(bundle.write_data()),
         "profile": bundle.profile,
     }
     write_json(out / "manifest.json", bundle.manifest)
     return bundle
 
 
-def emit_plot_data(bundle: ArtifactBundle) -> list:
-    """Write the normalized long-format plot CSVs (`series,x,y`) of a bundle."""
-    written = []
-    for stem, rows in sorted(bundle.plot_series.items()):
-        name = f"plot_{stem}.csv"
-        write_csv(bundle.out_dir / name, "series,x,y", rows)
-        written.append(name)
-    return written
-
-
 # ---------------------------------------------------------------------------
 # Command line.
 # ---------------------------------------------------------------------------
 
+# (command-line option, config block, key) of the quick overrides
+_OVERRIDES = (("n", "params", "n"), ("p", "params", "p"), ("rmax", "grid", "r_max"),
+              ("nodes", "grid", "nodes"), ("tend", "solver", "t_end"))
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    if args.n is not None:
-        cfg.setdefault("params", {})["n"] = args.n
-    if args.p is not None:
-        cfg.setdefault("params", {})["p"] = args.p
-    if args.rmax is not None:
-        cfg.setdefault("grid", {})["r_max"] = args.rmax
-    if args.nodes is not None:
-        cfg.setdefault("grid", {})["nodes"] = args.nodes
-    if args.tend is not None:
-        cfg.setdefault("solver", {})["t_end"] = args.tend
+
+def _cli_config(args) -> dict:
+    """The config file (or an empty config) of a subcommand, with its overrides applied."""
+    cfg = {}
+    if args.config is not None:
+        with open(args.config) as fh:
+            cfg = _object("config", json.load(fh))
+    kind = _object("experiment", cfg.setdefault("experiment", {})).setdefault("kind", args.kind)
+    if kind != args.kind:
+        raise ConfigError(f"experiment.kind: config kind {kind!r} != subcommand {args.kind!r}")
+    for option, block, key in _OVERRIDES:
+        value = getattr(args, option)
+        if value is not None:
+            _object(block, cfg.setdefault(block, {}))[key] = value
     return cfg
 
 
@@ -519,7 +526,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(kind, help=f"run the {kind} experiment")
         sp.add_argument("--config", type=Path, help="JSON config path")
         sp.add_argument("--out", type=Path, help="output directory")
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--n", type=int)
         sp.add_argument("--p", type=float)
         sp.add_argument("--rmax", type=float)
@@ -527,26 +533,8 @@ def main(argv=None) -> int:
         sp.add_argument("--tend", type=float)
     args = parser.parse_args(argv)
 
-    if args.config is not None:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        cfg.setdefault("experiment", {}).setdefault("kind", args.kind)
-        if cfg["experiment"]["kind"] != args.kind:
-            print(f"config kind {cfg['experiment']['kind']!r} != subcommand {args.kind!r}",
-                  file=sys.stderr)
-            return 2
-        base = default_config(args.kind)
-        for block in ("params", "grid", "solver", "experiment", "initial_data"):
-            merged = dict(base.get(block, {}))
-            merged.update(cfg.get(block, {}))
-            cfg[block] = merged
-        cfg.setdefault("output_dir", base["output_dir"])
-    else:
-        cfg = default_config(args.kind)
-
-    cfg = _apply_overrides(cfg, args)
     try:
-        bundle = run_experiment(cfg, out_dir=args.out, jobs=args.jobs)
+        bundle = run_experiment(_cli_config(args), out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

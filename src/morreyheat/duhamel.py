@@ -17,7 +17,7 @@ import numpy as np
 
 from .evolution import SolverConfig, _RadialLaplacian, _rk4_step, solve
 from .fields import FREE, RadialField, make_field
-from .morrey import MorreyLattice, MorreySpec, morrey_norm
+from .morrey import MorreyLattice, MorreySpec, critical_spec, morrey_norm
 from .params import ModelParams
 from .quadrature import heat_kernel_matrix
 
@@ -29,27 +29,21 @@ def auxiliary_exponent(params: ModelParams, q: float = 2.0) -> float:
     return math.sqrt(lo * hi)
 
 
-def _graded_times(t_end: float, count: int, extra=(), dt_floor: float = 0.0) -> np.ndarray:
+def _graded_times(t_end: float, count: int, extra, dt_floor: float) -> np.ndarray:
     """Master node set on [0, t_end], clustered quadratically at both endpoints.
 
-    Intervals are floored at dt_floor (the grid's kernel-resolution limit), so
-    every interval propagator stays a resolved quadrature kernel no matter how
-    often the node count is doubled.  Requested sample times are always kept.
+    A node closer than dt_floor (the grid's kernel-resolution limit) to the
+    last kept one is dropped, unless it is a sample time in `extra` (all
+    positive) or t_end.  So the propagators stay resolved quadrature kernels
+    no matter how often the node count is doubled.
     """
     x = np.linspace(0.0, 1.0, count + 1)
     base = t_end * x * x * (3.0 - 2.0 * x)
     keep = set(float(t) for t in extra)
     times = np.unique(np.concatenate([base, np.asarray(sorted(keep), dtype=float)]))
-    if times[0] != 0.0:
-        times = np.concatenate([[0.0], times])
-    if dt_floor <= 0:
-        return times
     merged = [0.0]
     for t in times[1:]:
         if t - merged[-1] >= dt_floor or float(t) in keep or t == times[-1]:
-            if t in keep and merged[-1] not in keep and len(merged) > 1 \
-                    and t - merged[-2] < dt_floor:
-                merged.pop()  # drop a base node crowding a sample time
             merged.append(float(t))
     return np.asarray(merged)
 
@@ -70,7 +64,6 @@ class PicardRun:
     kernel_builds: int                # dense heat kernels built, over all node counts run
     aux_r: float
     beta_aux: float
-    morrey_q: float
 
 
 class _DiffusionSubsteps:
@@ -179,13 +172,14 @@ def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol):
 
 
 def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
-                 sample_times, q: float = 2.0, nodes: int = 64,
+                 sample_times, nodes: int = 64,
                  tol: float = 1e-8, max_nodes: int = 512) -> PicardRun:
     """Iterate the variation-of-constants map K times (or to tolerance).
 
     Records the Cauchy differences of the iteration at the sample times and
     the two decay-budget curves t^beta_aux |u(t)|_{M^{r,lam}} and
-    t^(1/(p-1)) ||u(t)||_inf with r the auxiliary exponent.
+    t^(1/(p-1)) ||u(t)||_inf with r the auxiliary exponent of the critical
+    pairing (q, lam) = (2, 4/(p-1)).
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -212,11 +206,11 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
         prev_samples = samples
         nodes *= 2
 
-    r_aux = auxiliary_exponent(params, q)
-    lam = 2.0 * q / (params.p - 1.0)
-    beta_aux = (lam / 2.0) * (1.0 / q - 1.0 / r_aux)
+    crit = critical_spec(params)
+    r_aux = auxiliary_exponent(params, crit.q)
+    beta_aux = (crit.lam / 2.0) * (1.0 / crit.q - 1.0 / r_aux)
     lattice = MorreyLattice.default(u0.grid)
-    spec_r = MorreySpec(q=r_aux, lam=lam)
+    spec_r = MorreySpec(q=r_aux, lam=crit.lam)
     rows = []
     out_fields = []
     for t, vals in zip(sample_times, samples):
@@ -235,7 +229,7 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
                      budget=np.array(rows), converged=converged, diverged=diverged,
                      iterations=iters, convergence_ratio=ratio, nodes_used=nodes,
                      node_stability=stability, kernel_builds=kernel_builds, aux_r=r_aux,
-                     beta_aux=beta_aux, morrey_q=q)
+                     beta_aux=beta_aux)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ from .params import ModelParams
 from .quadrature import heat_kernel_matrix
 
 
-def log_checkpoints(t_end: float, count: int = 20, t_min: float | None = None) -> tuple:
-    """Log-spaced checkpoint times in (0, t_end]."""
-    if t_min is None:
-        t_min = t_end / 1000.0
-    return tuple(np.geomspace(t_min, t_end, count))
+BOUNDARY_CONTAMINATION = 1e-6   # |u| next to r_max, over sup |u|, that aborts a free run
+
+
+def log_checkpoints(t_end: float, count: int = 20) -> tuple:
+    """Log-spaced checkpoint times in [t_end / 1000, t_end]."""
+    return tuple(np.geomspace(t_end / 1000.0, t_end, count))
 
 
 @dataclass(frozen=True)
@@ -33,12 +34,12 @@ class SolverConfig:
     checkpoint_times: tuple = ()       # exact times to snapshot (empty: log-spaced 20)
     series_stride: int = 1
     nonlinear: bool = True             # test hook: False integrates the pure heat flow
-    boundary_guard: float = 1e-6       # truncated-R^n contamination level
-    max_steps: int | None = None
 
     def __post_init__(self):
         if not self.dt_min < self.dt_init:
             raise ValueError("need dt_min < dt_init")
+        if self.series_stride < 1:
+            raise ValueError("series_stride must be >= 1")
         if self.blowup_threshold < 1e6:
             raise ValueError("blowup threshold must be >= 1e6")
         ts = np.asarray(self.checkpoint_times, dtype=float)
@@ -169,7 +170,7 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
         wsup = float(np.max(r_pow * np.abs(u)))
         if step % cfg.series_stride == 0:
             series.append((t, sup, wsup, dt))
-        if not dirichlet and sup > 0 and abs(u[-2]) > cfg.boundary_guard * sup:
+        if not dirichlet and sup > 0 and abs(u[-2]) > BOUNDARY_CONTAMINATION * sup:
             status = TrajectoryStatus("aborted", t, reason="boundary_contamination")
             break
         if next_cp < len(checkpoint_times) and t >= checkpoint_times[next_cp] * (1 - 1e-12):
@@ -177,9 +178,6 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
             next_cp += 1
         if sup >= cfg.blowup_threshold:
             status = _blowup_status(series, params, t)
-            break
-        if cfg.max_steps is not None and step >= cfg.max_steps:
-            status = TrajectoryStatus("aborted", t, reason="max_steps")
             break
 
     if status is None:

@@ -21,6 +21,7 @@ TREND_SLOPE = -0.05       # log-log slope that certifies a vanishing limit
 TAIL_FLOOR = 1e-12
 TAIL_FRACTION = 0.25
 MIN_TAIL_POINTS = 8
+GRADIENT_MISMATCH_TOL = 0.05   # grad_f against centered differences of f, relative
 
 
 @dataclass(frozen=True)
@@ -92,13 +93,11 @@ def _integrability(f: RadialField, fit: TailFit, lo: float, hi: float, n: int,
                            "required_exponent": need})
 
 
-def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams,
-                     t_grid=None, centers=None,
-                     consistency_tol: float = 0.05) -> HypothesisReport:
+def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams) -> HypothesisReport:
     """Evaluate the admissibility conditions on sampled data.
 
     grad_f must be the sampled |du0/dr|, consistent with f's centered
-    differences to within consistency_tol relative to the gradient scale.
+    differences to within GRADIENT_MISMATCH_TOL relative to the gradient scale.
     """
     grid = f.grid
     n, p = params.n, params.p
@@ -110,7 +109,7 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams,
     scale = max(float(g_vals.max()), 1e-300)
     # 95th percentile so isolated kinks in the data do not trip the guard
     mismatch = float(np.percentile(np.abs(fd[1:-1] - g_vals[1:-1]), 95)) / scale
-    if g_vals.max() > 0 and mismatch > consistency_tol:
+    if g_vals.max() > 0 and mismatch > GRADIENT_MISMATCH_TOL:
         raise ValueError(
             f"grad_f disagrees with centered differences of f ({mismatch:.3g} relative)")
 
@@ -140,10 +139,8 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams,
                              {"tail_exponent": fit_g.exponent, "target": target_g})
 
     # kernel-weighted limit on a logarithmic horizon
-    if t_grid is None:
-        t_grid = np.geomspace(1.0, 1e4, 5)
-    if centers is None:
-        centers = np.concatenate(([0.0], np.geomspace(grid.h, grid.r_max, 8)))
+    t_grid = np.geomspace(1.0, 1e4, 5)
+    centers = np.concatenate(([0.0], np.geomspace(grid.h, grid.r_max, 8)))
     if zero_f and zero_g:
         c24 = _zero_check()
     else:
@@ -159,7 +156,7 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams,
         if np.all(qs_t < 1e-290):
             c24 = ConditionCheck(True, {"kernel_values": qs_t.tolist()})
         else:
-            slope = float(np.polyfit(np.log(np.asarray(t_grid, dtype=float)),
+            slope = float(np.polyfit(np.log(t_grid),
                                      np.log(np.maximum(qs_t, 1e-300)), 1)[0])
             c24 = ConditionCheck(slope < TREND_SLOPE,
                                  {"kernel_values": qs_t.tolist(), "trend_slope": slope})

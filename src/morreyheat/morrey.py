@@ -158,14 +158,12 @@ def morrey_norm(f: RadialField, spec: MorreySpec, lattice: MorreyLattice | None 
     return morrey_evaluate(f, spec, lattice).norm
 
 
-def small_scale_diagnostic(f: RadialField, spec: MorreySpec,
-                           lattice: MorreyLattice | None = None) -> dict:
-    """Small-radius trend of the Morrey maximand (diagnostic only).
+def small_scale_diagnostic(ev: MorreyEvaluation) -> dict:
+    """Small-radius trend of an evaluation's Morrey maximand (diagnostic only).
 
     A vanishing small-R limit distinguishes fields whose Morrey mass lives at
     finite scales; reported, never asserted.
     """
-    ev = morrey_evaluate(f, spec, lattice)
     by_radius = ev.cells.max(axis=0)
     k = max(1, len(by_radius) // 8)
     small = float(by_radius[:k].max())
@@ -174,14 +172,12 @@ def small_scale_diagnostic(f: RadialField, spec: MorreySpec,
             "small_r_fraction": small / total if total > 0 else 0.0}
 
 
-def kernel_majorant(f: RadialField, spec: MorreySpec, t_grid,
-                    centers=None) -> float:
-    """max over t of t^(lambda/2) sup_a (G_t * |f|^q)(a), the heat-kernel Morrey majorant."""
+def kernel_majorant(f: RadialField, spec: MorreySpec, t_grid) -> float:
+    """max over t of t^(lambda/2) sup_a (G_t * |f|^q)(a), a on the default lattice's centers."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(t_grid <= 0):
         raise ValueError("t_grid must be nonempty and positive")
-    if centers is None:
-        centers = MorreyLattice.default(f.grid).centers
+    centers = MorreyLattice.default(f.grid).centers
     g = np.abs(f.values) ** spec.q
     best = 0.0
     for t in t_grid:
@@ -200,16 +196,15 @@ class SmoothingPoint:
 
 
 def smoothing_profile(f: RadialField, from_q: float, to_q: float, lam: float,
-                      t_grid, lattice: MorreyLattice | None = None) -> list[SmoothingPoint]:
-    """Measured smoothing ratios of the heat flow across the Morrey scale.
+                      t_grid) -> list[SmoothingPoint]:
+    """Measured smoothing ratios of the heat flow across the Morrey scale, on the default lattice.
 
     to_q = inf selects the sup-norm of the flowed field.  The reference rate is
     t^(-(lambda/2)(1/from_q - 1/to_q)).
     """
     if not (1 <= from_q <= to_q):
         raise ValueError("need 1 <= from_q <= to_q")
-    if lattice is None:
-        lattice = MorreyLattice.default(f.grid)
+    lattice = MorreyLattice.default(f.grid)
     spec_from = MorreySpec(q=from_q, lam=lam)
     norm_from = morrey_norm(f, spec_from, lattice)
     inv_to = 0.0 if math.isinf(to_q) else 1.0 / to_q

@@ -122,8 +122,10 @@ def _volume_weights(n: int, m: int, r_max: float) -> np.ndarray:
 
 
 # Balls this many grid spacings wide or narrower are integrated on a locally
-# refined subgrid; the node-sampled density is too coarse inside them.
+# refined subgrid of FINE_BALL_NODES points; the node-sampled density is too
+# coarse inside them.
 SMALL_BALL_FACTOR = 32
+FINE_BALL_NODES = 257
 
 
 def density_interpolant(nodes: np.ndarray, g: np.ndarray):
@@ -151,12 +153,11 @@ def density_interpolant(nodes: np.ndarray, g: np.ndarray):
     return interp
 
 
-def fine_ball_integral(g_interp, n: int, r_max: float, a, r_ball: float,
-                       npts: int = 257) -> np.ndarray:
+def fine_ball_integral(g_interp, n: int, r_max: float, a, r_ball: float) -> np.ndarray:
     """Ball integrals of an interpolated density over B(a e_1, R), on refined subgrids.
 
     `a` is one center or an array of centers; the result has its shape.  Each
-    center gets its own `npts`-point subgrid spanning the ball's radial range.
+    center gets its own FINE_BALL_NODES-point subgrid spanning the ball's radial range.
     `g_interp` interpolates the node samples of the density |f|^q; always
     interpolate the density, never the field, so that the power identity
     between (|f|^m, r/m) and (f, r) stays exact at lattice level.
@@ -167,7 +168,7 @@ def fine_ball_integral(g_interp, n: int, r_max: float, a, r_ball: float,
     out = np.zeros(a.shape)
     live = hi > lo
     if np.any(live):
-        s = np.linspace(lo[live], hi[live], npts, axis=-1)
+        s = np.linspace(lo[live], hi[live], FINE_BALL_NODES, axis=-1)
         vals = g_interp(s) * s ** (n - 1) * cap_fraction_array(n, a[live][..., None], s, r_ball)
         out[live] = sphere_area(n) * np.trapezoid(vals, s, axis=-1)
     return out

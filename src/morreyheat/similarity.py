@@ -182,14 +182,13 @@ def functional_A(u0: RadialField, grad_u0: RadialField, T: float, a: float,
 
 
 def functional_N(u0: RadialField, grad_u0: RadialField, t0: float, t_grid,
-                 params: ModelParams, centers=None) -> float:
-    """Finite surrogate of sup over t >= t0 and centers of the functional_A integrand."""
+                 params: ModelParams) -> float:
+    """Finite surrogate of sup over t >= t0 and the default lattice's centers of functional_A."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < t0 * (1 - 1e-12)):
         raise ValueError("t_grid must lie in [t0, infinity)")
-    if centers is None:
-        from .morrey import MorreyLattice
-        centers = MorreyLattice.default(u0.grid).centers
+    from .morrey import MorreyLattice
+    centers = MorreyLattice.default(u0.grid).centers
     best = 0.0
     for t in t_grid:
         best = max(best, float(np.max(_functional_A_at(u0, grad_u0, float(t), centers,

@@ -16,6 +16,10 @@ from .morrey import MorreyLattice, critical_spec, morrey_norm
 from .params import ModelParams
 
 
+TERMINAL_RATIO_MAX = 1e-2   # decaying needs ||u(t_end)||_inf below this times ||u0||_inf
+MAX_BISECTIONS = 80
+
+
 class BracketingError(RuntimeError):
     """The initial decaying/blowup bracket could not be established."""
 
@@ -29,16 +33,14 @@ class Verdict:
     terminal_ratio: float | None = None   # ||u(t_end)||_inf / ||u0||_inf
 
 
-def classify(u0: RadialField, params: ModelParams, cfg: SolverConfig,
-             terminal_factor: float = 1e-2) -> Verdict:
+def classify(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Verdict:
     """Decaying iff the run reaches the horizon with a monotone weighted tail and
-    the terminal sup-norm below terminal_factor times the initial one."""
-    v, _ = classify_with_trajectory(u0, params, cfg, terminal_factor)
+    the terminal sup-norm below TERMINAL_RATIO_MAX times the initial one."""
+    v, _ = classify_with_trajectory(u0, params, cfg)
     return v
 
 
-def classify_with_trajectory(u0: RadialField, params: ModelParams, cfg: SolverConfig,
-                             terminal_factor: float = 1e-2):
+def classify_with_trajectory(u0: RadialField, params: ModelParams, cfg: SolverConfig):
     traj = solve(u0, params, cfg)
     st = traj.status
     sup0 = float(np.max(np.abs(u0.values)))
@@ -52,7 +54,7 @@ def classify_with_trajectory(u0: RadialField, params: ModelParams, cfg: SolverCo
         return Verdict("undecided", horizon=st.t_final, status_kind=st.kind), traj
     diag = decay_diagnostics(traj, params)
     ratio = traj.sup_norms[-1] / sup0
-    if diag.tail_monotone and ratio < terminal_factor:
+    if diag.tail_monotone and ratio < TERMINAL_RATIO_MAX:
         return Verdict("decaying", horizon=st.t_final, status_kind=st.kind,
                        terminal_ratio=float(ratio)), traj
     return Verdict("undecided", horizon=st.t_final, status_kind=st.kind,
@@ -84,8 +86,7 @@ def _morrey_series(traj: Trajectory, params: ModelParams, lattice) -> list:
 
 
 def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
-                  rel_tol: float, lambda_init: float = 1.0,
-                  max_iter: int = 80) -> ThresholdResult:
+                  rel_tol: float, lambda_init: float = 1.0) -> ThresholdResult:
     """Bisect the amplitude threshold along the ray lambda * phi.
 
     The initial bracket is found by geometric scanning from lambda_init; the
@@ -125,7 +126,7 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
     stalled = False
     it = 0
     (lo, traj_lo), (hi, traj_hi) = ends["decaying"], ends["blowup"]
-    while (hi - lo) / lo >= rel_tol and it < max_iter:
+    while (hi - lo) / lo >= rel_tol and it < MAX_BISECTIONS:
         it += 1
         if run(0.5 * (lo + hi)).kind == "undecided":
             stalled = True

@@ -19,12 +19,53 @@ def test_default_configs_validate():
         assert cfg["experiment"]["kind"] == kind
 
 
-def test_missing_field_names_path():
-    cfg = cli.default_config("solve")
-    del cfg["params"]["p"]
-    with pytest.raises(cli.ConfigError) as err:
-        cli.run_experiment(cfg, out_dir="/tmp/unused")
-    assert "params.p" in str(err.value)
+def test_partial_config_same_through_library_and_cli(tmp_path):
+    # compare_classical is left to the picard defaults, whichever way the config runs
+    cfg = cli.default_config("picard")
+    del cfg["experiment"]["compare_classical"]
+    cfg["grid"] = {"r_max": 16.0, "nodes": 160}
+    cfg["experiment"].update({"t_end": 0.5, "sample_times": [0.25, 0.5]})
+    path = tmp_path / "picard.json"
+    path.write_text(json.dumps(cfg))
+    lib = cli.run_experiment(cfg, out_dir=tmp_path / "lib")
+    assert cli.main(["picard", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+    manifests = []
+    for out in ("lib", "cli"):
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        manifest.pop("wall_time_s")
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
+    assert [c["name"] for c in lib.checks] == ["picard_converged", "mild_classical_agreement"]
+    for name in lib.manifest["artifacts"]:
+        assert read(tmp_path / "lib" / name) == read(tmp_path / "cli" / name), name
+
+
+@pytest.mark.parametrize("config, named", [({"grid": 5}, "grid"), ([1, 2], "config")])
+def test_config_not_an_object_exits_2(config, named, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {named}: expected an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("solve", "solver.dt_min", 1.0, "solver: need dt_min < dt_init"),
+    ("solve", "solver.series_stride", 0, "solver: series_stride must be >= 1"),
+    ("solve", "solver.series_stride", -3, "solver: series_stride must be >= 1"),
+    ("solve", "solver.checkpoints", 0, "solver.checkpoints: need at least 1"),
+    ("solve", "solver.checkpoints", -2, "solver.checkpoints: need at least 1"),
+    ("smoothing", "experiment.to_q", True, "experiment.to_q: expected"),
+    ("smoothing", "experiment.to_q", "banana", 'experiment.to_q: expected a number or "inf"'),
+])
+def test_bad_config_value_exits_2(kind, path, value, message, tmp_path, capsys):
+    block, key = path.split(".")
+    cfg = {"experiment": {"kind": kind}, "grid": {"r_max": 10.0, "nodes": 64},
+           "solver": {"t_end": 0.5}}
+    cfg[block][key] = value
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main([kind, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_unknown_kind_rejected():
@@ -134,8 +175,8 @@ def test_plot_data_emitted(tmp_path):
 
 def test_empty_plot_series_header_only(tmp_path):
     bundle = cli.ArtifactBundle(kind="solve", out_dir=tmp_path)
-    bundle.plot_series["empty"] = []
-    cli.emit_plot_data(bundle)
+    bundle.tables["plot_empty"] = ("series,x,y", [])
+    assert bundle.write_data() == ["plot_empty.csv"]
     assert (tmp_path / "plot_empty.csv").read_text() == "series,x,y\n"
 
 
@@ -255,12 +296,12 @@ def test_smoothing_kind_end_to_end(tmp_path):
     assert head == "t,norm_to,ratio,norm_from_after,contraction_ok"
 
 
-def test_dependence_kind_with_jobs(tmp_path):
+def test_dependence_kind_end_to_end(tmp_path):
     cfg = cli.default_config("dependence")
     cfg["grid"] = {"r_max": 20.0, "nodes": 160}
     cfg["experiment"].update({"T0": 2.0, "sizes": [1e-2, 1e-3]})
     cfg["initial_data"]["args"] = {"amplitude": 0.2, "width": 2.0}
-    bundle = cli.run_experiment(cfg, out_dir=tmp_path / "d", jobs=2)
+    bundle = cli.run_experiment(cfg, out_dir=tmp_path / "d")
     assert bundle.all_passed
     head = (tmp_path / "d" / "dependence.csv").read_text().splitlines()[0]
     assert head == "size,t,ratio"

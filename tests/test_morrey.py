@@ -191,7 +191,8 @@ def test_cells_table_shape():
 
 def test_small_scale_diagnostic_reports():
     g = F.make_grid(5, 16.0, 800)
-    d = M.small_scale_diagnostic(F.indicator(g, 1.0), M.MorreySpec(2.0, 2.0))
+    ev = M.morrey_evaluate(F.indicator(g, 1.0), M.MorreySpec(2.0, 2.0))
+    d = M.small_scale_diagnostic(ev)
     assert set(d) == {"small_r_value", "max_value", "small_r_fraction"}
     assert 0.0 <= d["small_r_fraction"] <= 1.0
     # the indicator's Morrey mass lives at scale ~1, not at small radii
