@@ -367,8 +367,11 @@ def _run_threshold(cfg, bundle):
     if deltas and result.rel_width > 1e-2:
         doc["probes_skipped"] = "bracket wider than 1e-2"
         deltas = None
+    probes = threshold.borderline_probe(result, params, cfg_solver, deltas) if deltas else []
+    bundle.profile.update({"evolution.steps": result.steps + sum(p_.steps for p_ in probes),
+                           "threshold.solves": len(result.trials) + len(probes),
+                           "threshold.trials": len(result.trials)})
     if deltas:
-        probes = threshold.borderline_probe(result, params, cfg_solver, deltas)
         doc["probes"] = [{"delta": p_.delta, "lambda": p_.lam, "verdict": p_.verdict,
                           "T_est": p_.T_est, "t0": p_.t0,
                           "morrey_start": p_.morrey_start, "morrey_end": p_.morrey_end}

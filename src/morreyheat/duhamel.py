@@ -80,12 +80,12 @@ class _DiffusionSubsteps:
         cap = 0.8 * grid.h**2 / (2.0 * n)
         self.k = max(1, int(math.ceil(dt / cap)))
         self.dt_sub = dt / self.k
+        self.work = [np.empty(grid.m + 1) for _ in range(5)]
 
     def __matmul__(self, v):
-        u = np.asarray(v, dtype=float)
-        work = [np.empty_like(u) for _ in range(4)]
+        u = np.array(v, dtype=float)   # a copy: the steps work in place
         for _ in range(self.k):
-            u = _rk4_step(self.lap, u, self.dt_sub, work)
+            u = _rk4_step(self.lap, u, self.dt_sub, self.work)
         return u
 
 

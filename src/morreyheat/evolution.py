@@ -63,6 +63,7 @@ class Trajectory:
     series: np.ndarray         # columns t, sup_norm, weighted_sup, dt
     status: TrajectoryStatus
     boundary_mode: str = FREE
+    steps: int = 0             # RK4 steps taken, whatever the series stride
 
     @property
     def times(self) -> np.ndarray:
@@ -79,29 +80,42 @@ class _RadialLaplacian:
     def __init__(self, grid, n):
         h = grid.h
         r = grid.nodes
-        self.inv_h2 = 1.0 / h**2
+        inv_h2 = 1.0 / h**2
+        self.two_inv_h2 = 2.0 * inv_h2
         self.origin = 2.0 * n / h**2
         drift = (n - 1) / (2.0 * h * r[1:-1])
-        self.c_plus = self.inv_h2 + drift
-        self.c_minus = self.inv_h2 - drift
-        self.c_last_minus = self.inv_h2 - (n - 1) / (2.0 * h * r[-1])
+        self.c_plus = inv_h2 + drift
+        self.c_minus = inv_h2 - drift
+        self.c_last_minus = inv_h2 - (n - 1) / (2.0 * h * r[-1])
+        self.work = np.empty(grid.m - 1)
 
     def __call__(self, u, out):
         out[0] = self.origin * (u[1] - u[0])
-        out[1:-1] = self.c_plus * u[2:] + self.c_minus * u[:-2] - 2.0 * self.inv_h2 * u[1:-1]
+        mid, work = out[1:-1], self.work
+        np.multiply(self.c_plus, u[2:], out=mid)
+        mid += np.multiply(self.c_minus, u[:-2], out=work)
+        mid -= np.multiply(self.two_inv_h2, u[1:-1], out=work)
         # zero ghost value beyond r_max in both boundary modes
-        out[-1] = self.c_last_minus * u[-2] - 2.0 * self.inv_h2 * u[-1]
+        out[-1] = self.c_last_minus * u[-2] - self.two_inv_h2 * u[-1]
         return out
 
 
 def _rk4_step(rhs, u, dt, k):
-    """One classical RK4 step of u' = rhs(u, out); k holds four work arrays shaped like u."""
-    k1, k2, k3, k4 = k
+    """One classical RK4 step of u' = rhs(u, out), in place on u (returned); k holds five
+    work arrays shaped like u.  It keeps the association u + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
+    of the allocating form, so the step is bitwise the same."""
+    k1, k2, k3, k4, w = k
     rhs(u, k1)
-    rhs(u + (0.5 * dt) * k1, k2)
-    rhs(u + (0.5 * dt) * k2, k3)
-    rhs(u + dt * k3, k4)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rhs(np.add(u, np.multiply(0.5 * dt, k1, out=w), out=w), k2)
+    rhs(np.add(u, np.multiply(0.5 * dt, k2, out=w), out=w), k3)
+    rhs(np.add(u, np.multiply(dt, k3, out=w), out=w), k4)
+    np.multiply(2.0, k2, out=w)
+    w += k1
+    w += np.multiply(2.0, k3, out=k3)
+    w += k4
+    w *= dt / 6.0
+    u += w
+    return u
 
 
 def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory:
@@ -120,18 +134,20 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     r_pow = grid.nodes**wk
 
     dt_diff = cfg.safety * grid.h**2 / (2.0 * n)
-    checkpoint_times = np.asarray(
-        cfg.checkpoint_times if len(cfg.checkpoint_times) else log_checkpoints(cfg.t_end),
-        dtype=float)
-    checkpoint_times = checkpoint_times[checkpoint_times <= cfg.t_end * (1 + 1e-12)]
+    checkpoint_times = [float(t) for t in (cfg.checkpoint_times if len(cfg.checkpoint_times)
+                                           else log_checkpoints(cfg.t_end))
+                        if t <= cfg.t_end * (1 + 1e-12)]
 
     u = u0.values.astype(float).copy()
-    scratch = [np.empty_like(u) for _ in range(4)]
+    work = [np.empty_like(u) for _ in range(5)]
+    abs_u, nonlin = np.empty_like(u), np.empty_like(u)
 
     def rhs(v, out):
         lap(v, out)
         if cfg.nonlinear:
-            out += np.abs(v) ** (p - 1.0) * v
+            a = np.abs(v, out=nonlin)
+            a **= p - 1.0   # the operator keeps numpy's fast paths of `**`
+            out += np.multiply(a, v, out=a)
         if dirichlet:
             out[-1] = 0.0
         return out
@@ -143,8 +159,8 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     step = 0
     status = None
 
-    sup = float(np.max(np.abs(u)))
-    wsup = float(np.max(r_pow * np.abs(u)))
+    sup = float(np.max(np.abs(u, out=abs_u)))
+    wsup = float(np.max(np.multiply(r_pow, abs_u, out=abs_u)))
     series.append((t, sup, wsup, 0.0))
 
     while t < cfg.t_end:
@@ -157,17 +173,19 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
         # land exactly on the next checkpoint / horizon
         target = cfg.t_end if next_cp >= len(checkpoint_times) else checkpoint_times[next_cp]
         dt = min(dt, target - t) if target > t else dt
-        u = _rk4_step(rhs, u, dt, scratch)
+        u = _rk4_step(rhs, u, dt, work)
         if dirichlet:
             u[-1] = 0.0
         t += dt
         step += 1
 
-        if not np.all(np.isfinite(u)):
+        # the max propagates NaN and inf, so a finite sup means a finite state
+        sup_new = float(np.max(np.abs(u, out=abs_u)))
+        if not math.isfinite(sup_new):
             status = TrajectoryStatus("aborted", t, reason="nonfinite")
             break
-        sup = float(np.max(np.abs(u)))
-        wsup = float(np.max(r_pow * np.abs(u)))
+        sup = sup_new
+        wsup = float(np.max(np.multiply(r_pow, abs_u, out=abs_u)))
         if step % cfg.series_stride == 0:
             series.append((t, sup, wsup, dt))
         if not dirichlet and sup > 0 and abs(u[-2]) > BOUNDARY_CONTAMINATION * sup:
@@ -187,7 +205,7 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
 
     traj = Trajectory(params=params, checkpoints=checkpoints,
                       series=np.array(series), status=status,
-                      boundary_mode=DIRICHLET if dirichlet else FREE)
+                      boundary_mode=DIRICHLET if dirichlet else FREE, steps=step)
     return traj
 
 

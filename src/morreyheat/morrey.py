@@ -14,9 +14,9 @@ import numpy as np
 
 from .fields import RadialField, RadialGrid, sup_norm
 from .params import ModelParams
-from .quadrature import (SMALL_BALL_FACTOR, cap_fraction_array, density_interpolant,
-                         fine_ball_integral, heat_apply, heat_kernel_matrix,
-                         origin_ball_weights, sphere_area, volume_weights)
+from .quadrature import (SMALL_BALL_FACTOR, cap_fraction_array, fine_ball_integral,
+                         heat_apply, heat_kernel_matrix, origin_ball_weights,
+                         small_ball_plan, sphere_area, volume_weights)
 
 
 @dataclass(frozen=True)
@@ -85,21 +85,23 @@ def lq_norm(f: RadialField, q: float) -> float:
     return _lq_integral(f, q) ** (1.0 / q)
 
 
-# Cached cap-weight tables: key -> (centers x radii x nodes) weights including
-# the volume and surface factors.  Bounded LRU; oversized tables are streamed.
+# Cached lattice tables: key -> ((centers x radii x nodes) weights including the
+# volume and surface factors, {small radius index: SmallBallPlan}).  Bounded
+# LRU; tables over _TABLE_MAX_BYTES are built whole and left uncached.
 _TABLE_CACHE: OrderedDict = OrderedDict()
 _TABLE_CACHE_MAX = 4
 _TABLE_MAX_BYTES = 300 * 2**20
 
 
 def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
-    """Weights W[c, r, j] with ball_integral(f,q,a_c,R_r) = sum_j W[c,r,j] |f_j|^q."""
+    """Weights W[c, r, j] with ball_integral(f,q,a_c,R_r) = sum_j W[c,r,j] |f_j|^q, and
+    {r: small_ball_plan} for the radii <= SMALL_BALL_FACTOR h, whose columns it replaces."""
     key = (grid.n, grid.m, grid.r_max,
            np.asarray(lattice.centers).tobytes(), np.asarray(lattice.radii).tobytes())
-    table = _TABLE_CACHE.get(key)
-    if table is not None:
+    entry = _TABLE_CACHE.get(key)
+    if entry is not None:
         _TABLE_CACHE.move_to_end(key)
-        return table
+        return entry
     n = grid.n
     area = sphere_area(n)
     base = area * volume_weights(grid)
@@ -108,11 +110,13 @@ def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
     for ri, r_ball in enumerate(lattice.radii):
         table[:, ri] = base * cap_fraction_array(n, centers[:, None], grid.nodes, float(r_ball))
         table[centers == 0.0, ri] = area * origin_ball_weights(grid, float(r_ball))
-    if table.nbytes <= _TABLE_MAX_BYTES:
-        _TABLE_CACHE[key] = table
+    plans = {ri: small_ball_plan(grid, centers, float(r_ball))
+             for ri, r_ball in enumerate(lattice.radii) if r_ball <= SMALL_BALL_FACTOR * grid.h}
+    if table.nbytes + sum(x.nbytes for plan in plans.values() for x in plan) <= _TABLE_MAX_BYTES:
+        _TABLE_CACHE[key] = table, plans
         while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
             _TABLE_CACHE.popitem(last=False)
-    return table
+    return table, plans
 
 
 @dataclass(frozen=True)
@@ -139,13 +143,10 @@ def morrey_evaluate(f: RadialField, spec: MorreySpec,
         return MorreyEvaluation(norm=val ** (1.0 / spec.q), center=0.0,
                                 radius=float(lattice.radii[-1]), cells=cells)
     g = np.abs(f.values) ** spec.q
-    integrals = _cell_weights(grid, lattice) @ g
-    small = np.asarray(lattice.radii) <= SMALL_BALL_FACTOR * grid.h
-    if np.any(small):
-        g_interp = density_interpolant(grid.nodes, g)
-        for ri in np.nonzero(small)[0]:
-            integrals[:, ri] = fine_ball_integral(g_interp, n, grid.r_max, lattice.centers,
-                                                  float(lattice.radii[ri]))
+    table, plans = _cell_weights(grid, lattice)
+    integrals = table @ g
+    for ri, plan in plans.items():
+        integrals[:, ri] = fine_ball_integral(grid, g, plan)
     cells = integrals * np.asarray(lattice.radii)[None, :] ** (spec.lam - n)
     ci, ri = np.unravel_index(np.argmax(cells), cells.shape)
     best = float(cells[ci, ri])

@@ -5,12 +5,15 @@ kernels to one-dimensional radial quadrature on the field's own grid.  Fields
 are extended by zero beyond r_max in every kernel.  Each formula has one home:
 `heat_kernel_matrix` is the single Gaussian-kernel operator (a scalar
 convolution is its one-row case), `origin_ball_weights` the single
-volume-weight formula, and `fine_ball_integral` the single small-ball rule.
+volume-weight formula, and `fine_ball_integral` the single small-ball rule,
+applied to a `small_ball_plan` that holds the rule's data-free geometry (kept by
+callers that evaluate many densities on one grid and lattice).
 """
 
 import functools
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -128,49 +131,54 @@ SMALL_BALL_FACTOR = 32
 FINE_BALL_NODES = 257
 
 
-def density_interpolant(nodes: np.ndarray, g: np.ndarray):
-    """Interpolant of a nonnegative density sampled at grid nodes.
+class SmallBallPlan(NamedTuple):
+    """Data-free part of fine_ball_integral for one radius: per live center (hi > lo) its
+    subgrid span, inside [0, r_max], and per subgrid point its grid interval and cap fraction."""
 
-    Geometric (log-log) interpolation wherever both interval endpoints are
-    positive, so power-law segments are reproduced exactly; linear otherwise
-    (including the first interval, whose left endpoint is r = 0).  Zero beyond
-    the last node.
-    """
-    def interp(s):
-        s = np.asarray(s, dtype=float)
-        idx = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2)
-        s0, s1 = nodes[idx], nodes[idx + 1]
-        g0, g1 = g[idx], g[idx + 1]
-        w = (s - s0) / (s1 - s0)
-        out = g0 * (1.0 - w) + g1 * w
-        geo = (g0 > 0) & (g1 > 0) & (s0 > 0)
-        if np.any(geo):
-            lw = (np.log(s[geo]) - np.log(s0[geo])) / (np.log(s1[geo]) - np.log(s0[geo]))
-            out[geo] = np.exp(np.log(g0[geo]) * (1.0 - lw) + np.log(g1[geo]) * lw)
-        out[s > nodes[-1]] = 0.0
-        return out
-
-    return interp
+    live: np.ndarray     # bool, shaped like the centers
+    lo: np.ndarray
+    hi: np.ndarray
+    idx: np.ndarray      # int32 (live, FINE_BALL_NODES)
+    cap: np.ndarray      # float64 (live, FINE_BALL_NODES)
 
 
-def fine_ball_integral(g_interp, n: int, r_max: float, a, r_ball: float) -> np.ndarray:
-    """Ball integrals of an interpolated density over B(a e_1, R), on refined subgrids.
-
-    `a` is one center or an array of centers; the result has its shape.  Each
-    center gets its own FINE_BALL_NODES-point subgrid spanning the ball's radial range.
-    `g_interp` interpolates the node samples of the density |f|^q; always
-    interpolate the density, never the field, so that the power identity
-    between (|f|^m, r/m) and (f, r) stays exact at lattice level.
-    """
+def small_ball_plan(grid: RadialGrid, a, r_ball: float) -> SmallBallPlan:
+    """Plan for the balls B(a e_1, R): a FINE_BALL_NODES-point subgrid per center's radial range."""
     a = np.asarray(a, dtype=float)
     lo = np.maximum(0.0, a - r_ball)
-    hi = np.minimum(a + r_ball, r_max)
-    out = np.zeros(a.shape)
+    hi = np.minimum(a + r_ball, grid.r_max)
     live = hi > lo
-    if np.any(live):
-        s = np.linspace(lo[live], hi[live], FINE_BALL_NODES, axis=-1)
-        vals = g_interp(s) * s ** (n - 1) * cap_fraction_array(n, a[live][..., None], s, r_ball)
-        out[live] = sphere_area(n) * np.trapezoid(vals, s, axis=-1)
+    lo, hi = lo[live], hi[live]
+    s = np.linspace(lo, hi, FINE_BALL_NODES, axis=-1)
+    idx = np.clip(np.searchsorted(grid.nodes, s, side="right") - 1, 0, grid.m - 1)
+    cap = cap_fraction_array(grid.n, a[live][..., None], s, r_ball)
+    return SmallBallPlan(live, lo, hi, idx.astype(np.int32), cap)
+
+
+def fine_ball_integral(grid: RadialGrid, g: np.ndarray, plan: SmallBallPlan) -> np.ndarray:
+    """Ball integrals of the density g (node samples) over a plan's balls, shaped like its centers.
+
+    The density is interpolated geometrically (log-log) on intervals whose
+    endpoints are both positive, so power-law segments are reproduced
+    exactly, and linearly otherwise (including the first interval, whose left
+    endpoint is r = 0).  Always pass the density |f|^q, never the field, so
+    that the power identity between (|f|^m, r/m) and (f, r) stays exact at
+    lattice level.
+    """
+    out = np.zeros(plan.live.shape)
+    # per-node logs and per-interval spacings, gathered by each point's interval
+    nodes, i0 = grid.nodes, plan.idx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_g, log_nodes = np.log(g), np.log(nodes)
+        s = np.linspace(plan.lo, plan.hi, FINE_BALL_NODES, axis=-1)
+        s0 = nodes.take(i0)
+        w = (s - s0) / np.diff(nodes).take(i0)
+        lw = (np.log(s) - log_nodes.take(i0)) / np.diff(log_nodes).take(i0)
+        geo = np.exp(log_g.take(i0) * (1.0 - lw) + log_g[1:].take(i0) * lw)
+    positive = (g[:-1] > 0) & (g[1:] > 0) & (nodes[:-1] > 0)
+    dens = np.where(positive.take(i0), geo, g.take(i0) * (1.0 - w) + g[1:].take(i0) * w)
+    vals = dens * s ** (grid.n - 1) * plan.cap
+    out[plan.live] = sphere_area(grid.n) * np.trapezoid(vals, s, axis=-1)
     return out
 
 
@@ -194,8 +202,7 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
             TruncationWarning, stacklevel=2)
     g = np.abs(f.values) ** q
     if r_ball <= SMALL_BALL_FACTOR * grid.h:
-        return float(fine_ball_integral(density_interpolant(grid.nodes, g), n, grid.r_max,
-                                        a, r_ball))
+        return float(fine_ball_integral(grid, g, small_ball_plan(grid, a, r_ball)))
     if a == 0.0:
         return float(sphere_area(n) * np.sum(origin_ball_weights(grid, r_ball) * g))
     frac = cap_fraction_array(n, a, grid.nodes, r_ball)

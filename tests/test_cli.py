@@ -329,6 +329,27 @@ def test_threshold_kind_end_to_end(tmp_path):
     assert (tmp_path / "t" / "morrey_series_lo.csv").read_text().splitlines()[0] == "t,value"
 
 
+def test_threshold_manifest_counts_solver_work(tmp_path):
+    cfg = cli.default_config("threshold")
+    cfg["grid"] = {"r_max": 40.0, "nodes": 100}
+    cfg["solver"]["t_end"] = 20.0
+    cfg["experiment"].update({"rel_tol": 0.005, "deltas": [0.1, -0.1]})
+    cli.run_experiment(cfg, out_dir=tmp_path / "t")
+    doc = json.loads((tmp_path / "t" / "threshold.json").read_text())
+    profile = json.loads((tmp_path / "t" / "manifest.json").read_text())["profile"]
+    params, grid, phi = cli._build_inputs(cfg)
+    lams = [t["lambda"] for t in doc["trials"]] + [p["lambda"] for p in doc["probes"]]
+    steps = 0
+    for lam in lams:
+        run = evolution.solve(make_field(grid, lam * phi.values, phi.boundary), params,
+                              cli._solver_config(cfg))
+        assert run.steps == len(run.series) - 1   # series_stride 1: one row per step
+        steps += run.steps
+    assert profile == {"evolution.steps": steps, "threshold.solves": len(lams),
+                       "threshold.trials": len(doc["trials"])}
+    assert len(doc["probes"]) == 2
+
+
 def test_hypotheses_kind_end_to_end(tmp_path):
     cfg = cli.default_config("hypotheses")
     cfg["grid"] = {"r_max": 20.0, "nodes": 400}

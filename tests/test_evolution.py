@@ -215,3 +215,115 @@ def test_delayed_family_bound():
     assert np.isfinite(extended)
     assert extended >= base     # sup over a larger family never shrinks
     assert extended < 1.0       # and stays bounded for bounded data
+
+
+# --- the in-place step against the allocating form it replaced -----------------
+
+
+def _reference_rk4_step(rhs, u, dt, k):
+    """The allocating RK4 step: a fresh array for every stage and for the result."""
+    k1, k2, k3, k4 = k
+    rhs(u, k1)
+    rhs(u + (0.5 * dt) * k1, k2)
+    rhs(u + (0.5 * dt) * k2, k3)
+    rhs(u + dt * k3, k4)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_rhs(grid, n, p, dirichlet, nonlinear=True):
+    h, r = grid.h, grid.nodes
+    inv_h2 = 1.0 / h**2
+    drift = (n - 1) / (2.0 * h * r[1:-1])
+    c_plus, c_minus = inv_h2 + drift, inv_h2 - drift
+    c_last_minus = inv_h2 - (n - 1) / (2.0 * h * r[-1])
+
+    def rhs(u, out):
+        out[0] = 2.0 * n / h**2 * (u[1] - u[0])
+        out[1:-1] = c_plus * u[2:] + c_minus * u[:-2] - 2.0 * inv_h2 * u[1:-1]
+        out[-1] = c_last_minus * u[-2] - 2.0 * inv_h2 * u[-1]
+        if nonlinear:
+            out += np.abs(u) ** (p - 1.0) * u
+        if dirichlet:
+            out[-1] = 0.0
+        return out
+
+    return rhs
+
+
+def _reference_solve(u0, params, cfg):
+    """The allocating solve loop, for runs that reach the horizon; series and checkpoints."""
+    grid, p = u0.grid, params.p
+    dirichlet = u0.boundary == F.DIRICHLET
+    rhs = _reference_rhs(grid, params.n, p, dirichlet)
+    r_pow = grid.nodes ** (2.0 / (p - 1.0))
+    dt_diff = cfg.safety * grid.h**2 / (2.0 * params.n)
+    cps = np.asarray(cfg.checkpoint_times, dtype=float)
+    u = u0.values.astype(float).copy()
+    k = [np.empty_like(u) for _ in range(4)]
+    t, next_cp = 0.0, 0
+    series = [(t, float(np.max(np.abs(u))), float(np.max(r_pow * np.abs(u))), 0.0)]
+    checkpoints = []
+    while t < cfg.t_end:
+        dt = min(cfg.dt_init, dt_diff, 0.5 * series[-1][1] ** (1.0 - p))
+        target = cfg.t_end if next_cp >= len(cps) else cps[next_cp]
+        dt = min(dt, target - t) if target > t else dt
+        u = _reference_rk4_step(rhs, u, dt, k)
+        if dirichlet:
+            u[-1] = 0.0
+        t += dt
+        series.append((t, float(np.max(np.abs(u))), float(np.max(r_pow * np.abs(u))), dt))
+        if next_cp < len(cps) and t >= cps[next_cp] * (1 - 1e-12):
+            checkpoints.append((t, u.copy()))
+            next_cp += 1
+    return np.array(series), checkpoints
+
+
+def test_rk4_step_equals_allocating_step():
+    g = F.make_grid(5, 20.0, 200)
+    u = F.gaussian(g, 1.0, 2.0).values.copy()
+    ref = u.copy()
+    lap, ref_rhs = E._RadialLaplacian(g, 5), _reference_rhs(g, 5, 3.0, False, nonlinear=False)
+    work, k = [np.empty_like(u) for _ in range(5)], [np.empty_like(u) for _ in range(4)]
+    dt = 0.8 * g.h**2 / 10.0
+    for _ in range(300):
+        u = E._rk4_step(lap, u, dt, work)
+        ref = _reference_rk4_step(ref_rhs, ref, dt, k)
+    assert u.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("boundary", [F.DIRICHLET, F.FREE])
+@pytest.mark.parametrize("p", [3.0, 7.0 / 3.0])
+def test_solve_equals_allocating_loop(boundary, p):
+    params = make_params(5, p)
+    g = F.make_grid(5, 20.0, 200)
+    u0 = F.gaussian(g, 1.0, 2.0, boundary)
+    cfg = E.SolverConfig(t_end=0.25, checkpoint_times=(0.05, 0.1, 0.2))
+    traj = E.solve(u0, params, cfg)
+    series, checkpoints = _reference_solve(u0, params, cfg)
+    assert traj.status.kind == "reached_horizon"
+    assert traj.steps == len(series) - 1 >= 300
+    assert traj.series.tobytes() == series.tobytes()
+    assert len(traj.checkpoints) == len(checkpoints) == 3
+    for (t, f), (t_ref, v_ref) in zip(traj.checkpoints, checkpoints):
+        assert t == t_ref and f.values.tobytes() == v_ref.tobytes()
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+def test_nonfinite_state_aborts(monkeypatch, poison):
+    real_step = E._rk4_step
+    calls = []
+
+    def poisoned_step(*args):
+        u = real_step(*args)
+        calls.append(1)
+        if len(calls) == 5:
+            u[7] = poison
+        return u
+
+    monkeypatch.setattr(E, "_rk4_step", poisoned_step)
+    g = F.make_grid(5, 20.0, 200)
+    traj = E.solve(F.gaussian(g, 1.0, 2.0, F.DIRICHLET), P5, E.SolverConfig(t_end=1.0))
+    assert traj.status.kind == "aborted"
+    assert traj.status.reason == "nonfinite"
+    assert len(calls) == 5
+    assert np.all(np.isfinite(traj.series))

@@ -321,10 +321,75 @@ def test_cap_fraction_array_broadcasts_centers():
 
 def test_fine_ball_integral_center_array_matches_one_center():
     g = F.make_grid(5, 8.0, 400)
-    f = F.gaussian(g, 1.0, 2.0)
-    interp = Q.density_interpolant(g.nodes, f.values**2)
+    dens = F.gaussian(g, 1.0, 2.0).values**2
     centers = np.array([0.0, 0.05, 1.0, 7.9, 30.0])   # the last ball misses the grid
-    got = Q.fine_ball_integral(interp, 5, g.r_max, centers, 0.3)
-    one = [float(Q.fine_ball_integral(interp, 5, g.r_max, float(a), 0.3)) for a in centers]
+    got = Q.fine_ball_integral(g, dens, Q.small_ball_plan(g, centers, 0.3))
+    one = [float(Q.fine_ball_integral(g, dens, Q.small_ball_plan(g, float(a), 0.3)))
+           for a in centers]
     assert np.array_equal(got, one)
     assert got[-1] == 0.0
+
+
+# --- small-ball plan against the per-point rule it replaced ---------------------
+
+
+def _reference_density_interpolant(nodes, g):
+    """The per-point interpolant: a searchsorted and five logs per subgrid point."""
+    def interp(s):
+        s = np.asarray(s, dtype=float)
+        idx = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2)
+        s0, s1 = nodes[idx], nodes[idx + 1]
+        g0, g1 = g[idx], g[idx + 1]
+        w = (s - s0) / (s1 - s0)
+        out = g0 * (1.0 - w) + g1 * w
+        geo = (g0 > 0) & (g1 > 0) & (s0 > 0)
+        if np.any(geo):
+            lw = (np.log(s[geo]) - np.log(s0[geo])) / (np.log(s1[geo]) - np.log(s0[geo]))
+            out[geo] = np.exp(np.log(g0[geo]) * (1.0 - lw) + np.log(g1[geo]) * lw)
+        out[s > nodes[-1]] = 0.0
+        return out
+
+    return interp
+
+
+def _reference_fine_ball_integral(g_interp, n, r_max, a, r_ball):
+    """Per-radius small-ball rule with its geometry rebuilt on every call."""
+    a = np.asarray(a, dtype=float)
+    lo = np.maximum(0.0, a - r_ball)
+    hi = np.minimum(a + r_ball, r_max)
+    out = np.zeros(a.shape)
+    live = hi > lo
+    if np.any(live):
+        s = np.linspace(lo[live], hi[live], Q.FINE_BALL_NODES, axis=-1)
+        vals = g_interp(s) * s ** (n - 1) * Q.cap_fraction_array(n, a[live][..., None], s, r_ball)
+        out[live] = Q.sphere_area(n) * np.trapezoid(vals, s, axis=-1)
+    return out
+
+
+_SMALL_BALL_FIELDS = {
+    # exact zeros beyond r = 3, so the geometric mask switches off there
+    "compact": lambda r: np.clip(1.0 - (r / 3.0) ** 2, 0.0, None) ** 3,
+    "sign_changing": lambda r: np.cos(2.0 * r) * np.exp(-r * r / 8.0),
+}
+
+
+@pytest.mark.parametrize("nodes", [200, 400, 1600])
+def test_small_ball_cells_equal_per_point_rule(nodes):
+    grid = F.make_grid(5, 40.0, nodes)
+    lam = 2.0
+    for lattice in (M.MorreyLattice.default(grid), M.MorreyLattice.default(grid).refine()):
+        radii = np.asarray(lattice.radii)
+        small = np.nonzero(radii <= Q.SMALL_BALL_FACTOR * grid.h)[0]
+        assert small.size
+        for shape in _SMALL_BALL_FIELDS.values():
+            f = F.make_field(grid, shape(grid.nodes))
+            for q in (1.0, 2.0, 4.0 / 3.0):
+                g = np.abs(f.values) ** q
+                interp = _reference_density_interpolant(grid.nodes, g)
+                integrals = M._cell_weights(grid, lattice)[0] @ g
+                for ri in small:
+                    integrals[:, ri] = _reference_fine_ball_integral(
+                        interp, 5, grid.r_max, lattice.centers, float(radii[ri]))
+                want = integrals * radii[None, :] ** (lam - 5)
+                got = M.morrey_evaluate(f, M.MorreySpec(q, lam), lattice).cells
+                assert got.tobytes() == want.tobytes()
