@@ -17,10 +17,10 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, duhamel, evolution, hypotheses, morrey, similarity, threshold
 from .fields import DIRICHLET, build_profile, make_field, make_grid, radial_derivative
@@ -346,9 +346,11 @@ def _run_threshold(cfg, bundle):
     params, grid, phi = _build_inputs(cfg)
     cfg_solver = _solver_config(cfg)
     deltas = _get_floats(cfg, "experiment.deltas")
+    started = time.perf_counter()
     result = threshold.bisect_lambda(phi, params, cfg_solver,
                                      rel_tol=_get(cfg, "experiment.rel_tol", float),
                                      lambda_init=_get(cfg, "experiment.lambda_init", float))
+    bisect_s = time.perf_counter() - started
     doc = {"lambda_lo": result.lambda_lo, "lambda_hi": result.lambda_hi,
            "rel_width": result.rel_width, "stalled": result.stalled,
            "epsilon_star": result.epsilon_star, "C0_measured": result.C0_measured,
@@ -367,10 +369,13 @@ def _run_threshold(cfg, bundle):
     if deltas and result.rel_width > 1e-2:
         doc["probes_skipped"] = "bracket wider than 1e-2"
         deltas = None
+    started = time.perf_counter()
     probes = threshold.borderline_probe(result, params, cfg_solver, deltas) if deltas else []
     bundle.profile.update({"evolution.steps": result.steps + sum(p_.steps for p_ in probes),
                            "threshold.solves": len(result.trials) + len(probes),
-                           "threshold.trials": len(result.trials)})
+                           "threshold.trials": len(result.trials),
+                           "threshold.bisect_s": bisect_s,
+                           "threshold.probes_s": time.perf_counter() - started})
     if deltas:
         doc["probes"] = [{"delta": p_.delta, "lambda": p_.lam, "verdict": p_.verdict,
                           "T_est": p_.T_est, "t0": p_.t0,
@@ -435,7 +440,7 @@ def config_hash(cfg: dict) -> str:
 
 def _versions() -> dict:
     return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
-            "scipy": scipy.__version__, "morreyheat": __version__}
+            "scipy": metadata.version("scipy"), "morreyheat": __version__}
 
 
 def _error_chain(exc: BaseException) -> list:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import SolverConfig, _RadialLaplacian, _rk4_step, solve
+from .evolution import SolverConfig, _Stepper, solve
 from .fields import FREE, RadialField, make_field
 from .morrey import MorreyLattice, MorreySpec, critical_spec, morrey_norm
 from .params import ModelParams
@@ -76,17 +76,17 @@ class _DiffusionSubsteps:
     """
 
     def __init__(self, grid, n, dt):
-        self.lap = _RadialLaplacian(grid, n)
+        self.stepper = _Stepper(grid, n)
         cap = 0.8 * grid.h**2 / (2.0 * n)
         self.k = max(1, int(math.ceil(dt / cap)))
         self.dt_sub = dt / self.k
-        self.work = [np.empty(grid.m + 1) for _ in range(5)]
 
     def __matmul__(self, v):
-        u = np.array(v, dtype=float)   # a copy: the steps work in place
+        stepper = self.stepper
+        stepper.u[:] = v
         for _ in range(self.k):
-            u = _rk4_step(self.lap, u, self.dt_sub, self.work)
-        return u
+            stepper.step(self.dt_sub)
+        return stepper.u.copy()
 
 
 _KERNEL_CACHE_BYTES = 400 * 2**20

@@ -74,10 +74,16 @@ class Trajectory:
         return self.series[:, 1]
 
 
-class _RadialLaplacian:
-    """L u = u'' + (n-1)/r u'; at r = 0 the even-symmetry limit 2n (u_1 - u_0)/h^2."""
+class _Stepper:
+    """Classical RK4 for u' = L u + |u|^(p-1) u on one radial grid, in place on `self.u`.
 
-    def __init__(self, grid, n):
+    L u = u'' + (n-1)/r u', with the even-symmetry limit 2n (u_1 - u_0)/h^2 at
+    r = 0 and a zero ghost value beyond r_max.  p = None integrates the pure heat
+    flow u' = L u; `dirichlet` pins u(r_max) = 0.  The state, the four stages, the
+    work array and every stencil view of them are made once, at construction.
+    """
+
+    def __init__(self, grid, n, p=None, dirichlet=False):
         h = grid.h
         r = grid.nodes
         inv_h2 = 1.0 / h**2
@@ -86,36 +92,74 @@ class _RadialLaplacian:
         drift = (n - 1) / (2.0 * h * r[1:-1])
         self.c_plus = inv_h2 + drift
         self.c_minus = inv_h2 - drift
-        self.c_last_minus = inv_h2 - (n - 1) / (2.0 * h * r[-1])
-        self.work = np.empty(grid.m - 1)
+        self.c_last_minus = float(inv_h2 - (n - 1) / (2.0 * h * r[-1]))
+        self.exponent = None if p is None else p - 1.0
+        self.dirichlet = dirichlet
+        size = grid.m + 1
+        # zeroed, so the Dirichlet last entry, which the RHS only pins, is never garbage
+        self.u, self.w = np.zeros(size), np.zeros(size)
+        self.k = [np.zeros(size) for _ in range(4)]
+        self.scratch, self.power = np.empty(size - 2), np.empty(size)
+        self.u_stencil, self.w_stencil = _stencil(self.u), _stencil(self.w)
+        self.k_out = [(k, k[1:-1]) for k in self.k]
+        # a ufunc takes a 0-d array operand at array speed, a Python float through a conversion
+        self.c_center = np.array(self.two_inv_h2)
+        self.half_dt, self.full_dt, self.sixth_dt = (np.zeros(()) for _ in range(3))
 
-    def __call__(self, u, out):
-        out[0] = self.origin * (u[1] - u[0])
-        mid, work = out[1:-1], self.work
-        np.multiply(self.c_plus, u[2:], out=mid)
-        mid += np.multiply(self.c_minus, u[:-2], out=work)
-        mid -= np.multiply(self.two_inv_h2, u[1:-1], out=work)
-        # zero ghost value beyond r_max in both boundary modes
-        out[-1] = self.c_last_minus * u[-2] - self.two_inv_h2 * u[-1]
+    def rhs(self, v, out):
+        """The right-hand side at any array v shaped like the state, into out."""
+        self._rhs(_stencil(v), (out, out[1:-1]))
         return out
 
+    def _rhs(self, src, dst):
+        v, v_next, v_prev, v_mid = src
+        out, mid = dst
+        out[0] = self.origin * (v.item(1) - v.item(0))
+        scratch = self.scratch
+        np.multiply(self.c_plus, v_next, out=mid)
+        mid += np.multiply(self.c_minus, v_prev, out=scratch)
+        mid -= np.multiply(self.c_center, v_mid, out=scratch)
+        if not self.dirichlet:
+            out[-1] = self.c_last_minus * v.item(-2) - self.two_inv_h2 * v.item(-1)
+        if self.exponent is not None:
+            a = self.power
+            if self.exponent == 2.0:   # p = 3: |v|^2 is v^2 exactly, so no abs
+                np.square(v, out=a)
+            else:
+                np.power(np.abs(v, out=a), self.exponent, out=a)
+            out += np.multiply(a, v, out=a)
+        if self.dirichlet:
+            out[-1] = 0.0
 
-def _rk4_step(rhs, u, dt, k):
-    """One classical RK4 step of u' = rhs(u, out), in place on u (returned); k holds five
-    work arrays shaped like u.  It keeps the association u + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
-    of the allocating form, so the step is bitwise the same."""
-    k1, k2, k3, k4, w = k
-    rhs(u, k1)
-    rhs(np.add(u, np.multiply(0.5 * dt, k1, out=w), out=w), k2)
-    rhs(np.add(u, np.multiply(0.5 * dt, k2, out=w), out=w), k3)
-    rhs(np.add(u, np.multiply(dt, k3, out=w), out=w), k4)
-    np.multiply(2.0, k2, out=w)
-    w += k1
-    w += np.multiply(2.0, k3, out=k3)
-    w += k4
-    w *= dt / 6.0
-    u += w
-    return u
+    def step(self, dt):
+        """One RK4 step of size dt.  It keeps the association
+        u + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) of the allocating form, so the step is
+        bitwise the same (2 x is x + x exactly)."""
+        u, w, rhs = self.u, self.w, self._rhs
+        k1, k2, k3, k4 = self.k
+        out1, out2, out3, out4 = self.k_out
+        half_dt, full_dt, sixth_dt = self.half_dt, self.full_dt, self.sixth_dt
+        half_dt[()], full_dt[()], sixth_dt[()] = 0.5 * dt, dt, dt / 6.0
+        rhs(self.u_stencil, out1)
+        np.add(u, np.multiply(half_dt, k1, out=w), out=w)
+        rhs(self.w_stencil, out2)
+        np.add(u, np.multiply(half_dt, k2, out=w), out=w)
+        rhs(self.w_stencil, out3)
+        np.add(u, np.multiply(full_dt, k3, out=w), out=w)
+        rhs(self.w_stencil, out4)
+        np.add(k2, k2, out=w)
+        w += k1
+        w += np.add(k3, k3, out=k3)
+        w += k4
+        w *= sixth_dt
+        u += w
+        if self.dirichlet:
+            u[-1] = 0.0
+
+
+def _stencil(v):
+    """v with its three views in the interior Laplacian: v[i+1], v[i-1] and v[i]."""
+    return v, v[2:], v[:-2], v[1:-1]
 
 
 def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory:
@@ -123,34 +167,31 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
 
     Boundary handling follows u0's tag: dirichlet_at_Rmax pins u(r_max) = 0
     (ball problem); even_at_origin_only treats the grid as a truncated copy of
-    R^n and aborts if the solution contaminates the boundary region.
+    R^n and aborts if the solution contaminates the boundary region.  A
+    nonfinite state aborts the run; its series ends at the last finite state.
     """
     grid = u0.grid
     n = params.n
     p = params.p
-    lap = _RadialLaplacian(grid, n)
+    nonlinear = cfg.nonlinear
     dirichlet = u0.boundary == DIRICHLET
+    stepper = _Stepper(grid, n, p if nonlinear else None, dirichlet)
     wk = 2.0 / (p - 1.0)
     r_pow = grid.nodes**wk
 
-    dt_diff = cfg.safety * grid.h**2 / (2.0 * n)
+    dt_cap = min(cfg.dt_init, cfg.safety * grid.h**2 / (2.0 * n))
+    t_end, dt_min, sup_max = cfg.t_end, cfg.dt_min, cfg.blowup_threshold
+    stride = cfg.series_stride
     checkpoint_times = [float(t) for t in (cfg.checkpoint_times if len(cfg.checkpoint_times)
-                                           else log_checkpoints(cfg.t_end))
-                        if t <= cfg.t_end * (1 + 1e-12)]
+                                           else log_checkpoints(t_end))
+                        if t <= t_end * (1 + 1e-12)]
+    n_cp = len(checkpoint_times)
+    targets = checkpoint_times + [t_end]   # the time each step lands on at most
 
-    u = u0.values.astype(float).copy()
-    work = [np.empty_like(u) for _ in range(5)]
-    abs_u, nonlin = np.empty_like(u), np.empty_like(u)
-
-    def rhs(v, out):
-        lap(v, out)
-        if cfg.nonlinear:
-            a = np.abs(v, out=nonlin)
-            a **= p - 1.0   # the operator keeps numpy's fast paths of `**`
-            out += np.multiply(a, v, out=a)
-        if dirichlet:
-            out[-1] = 0.0
-        return out
+    u = stepper.u
+    u[:] = u0.values
+    step_rk4 = stepper.step
+    abs_u = np.empty_like(u)
 
     t = 0.0
     series = []
@@ -159,42 +200,40 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     step = 0
     status = None
 
-    sup = float(np.max(np.abs(u, out=abs_u)))
-    wsup = float(np.max(np.multiply(r_pow, abs_u, out=abs_u)))
+    # x.item(x.argmax()) is x.max() without the reduction's overhead; both pick a NaN
+    sup = np.abs(u, out=abs_u).item(abs_u.argmax())
+    wsup = np.multiply(r_pow, abs_u, out=abs_u).item(abs_u.argmax())
     series.append((t, sup, wsup, 0.0))
 
-    while t < cfg.t_end:
-        dt = min(cfg.dt_init, dt_diff)
-        if cfg.nonlinear and sup > 0:
+    while t < t_end:
+        dt = dt_cap
+        if nonlinear and sup > 0:
             dt = min(dt, 0.5 * sup ** (1.0 - p))
-        if dt < cfg.dt_min:
+        if dt < dt_min:
             status = _blowup_status(series, params, t)
             break
-        # land exactly on the next checkpoint / horizon
-        target = cfg.t_end if next_cp >= len(checkpoint_times) else checkpoint_times[next_cp]
+        target = targets[next_cp]
         dt = min(dt, target - t) if target > t else dt
-        u = _rk4_step(rhs, u, dt, work)
-        if dirichlet:
-            u[-1] = 0.0
-        t += dt
+        step_rk4(dt)
         step += 1
 
         # the max propagates NaN and inf, so a finite sup means a finite state
-        sup_new = float(np.max(np.abs(u, out=abs_u)))
+        sup_new = np.abs(u, out=abs_u).item(abs_u.argmax())
         if not math.isfinite(sup_new):
-            status = TrajectoryStatus("aborted", t, reason="nonfinite")
+            status = TrajectoryStatus("aborted", t + dt, reason="nonfinite")
             break
+        t += dt
         sup = sup_new
-        wsup = float(np.max(np.multiply(r_pow, abs_u, out=abs_u)))
-        if step % cfg.series_stride == 0:
+        wsup = np.multiply(r_pow, abs_u, out=abs_u).item(abs_u.argmax())
+        if step % stride == 0:
             series.append((t, sup, wsup, dt))
-        if not dirichlet and sup > 0 and abs(u[-2]) > BOUNDARY_CONTAMINATION * sup:
+        if not dirichlet and sup > 0 and abs(u.item(-2)) > BOUNDARY_CONTAMINATION * sup:
             status = TrajectoryStatus("aborted", t, reason="boundary_contamination")
             break
-        if next_cp < len(checkpoint_times) and t >= checkpoint_times[next_cp] * (1 - 1e-12):
+        if next_cp < n_cp and t >= checkpoint_times[next_cp] * (1 - 1e-12):
             checkpoints.append((t, make_field(grid, u, u0.boundary)))
             next_cp += 1
-        if sup >= cfg.blowup_threshold:
+        if sup >= sup_max:
             status = _blowup_status(series, params, t)
             break
 

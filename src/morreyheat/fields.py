@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .params import ModelParams
 
@@ -108,6 +107,8 @@ def rescale_field(f: RadialField, lam: float, params: ModelParams) -> RadialFiel
     amp = lam ** (2.0 / (params.p - 1.0))
     if lam == 1.0:
         return f
+    from scipy.interpolate import PchipInterpolator   # scipy loads on first use
+
     r_src = f.grid.nodes * lam
     # near-zero slopes make scipy's harmonic-mean weights overflow harmlessly
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -16,8 +16,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import ive
 
 from .fields import RadialField, RadialGrid, make_grid
 
@@ -232,12 +230,16 @@ _ANGULAR_Z_MAX = 1e8
 
 def _angular_closed_form(n: int, z: np.ndarray) -> np.ndarray:
     """The scaled angular kernel from its Bessel form, for z > 0."""
+    from scipy.special import ive   # scipy loads on first use
+
     nu = (n - 2) / 2.0
     return math.sqrt(math.pi) * math.gamma((n - 1) / 2.0) * (2.0 / z) ** nu * ive(nu, z)
 
 
 @functools.lru_cache(maxsize=None)
-def _angular_spline(n: int) -> CubicSpline:
+def _angular_spline(n: int):
+    from scipy.interpolate import CubicSpline   # scipy loads on first use
+
     u = np.linspace(0.0, math.log1p(_ANGULAR_Z_MAX), 4097)
     z = np.expm1(u)
     vals = np.empty_like(z)

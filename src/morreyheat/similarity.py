@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .evolution import Trajectory
 from .fields import RadialField
@@ -50,6 +49,8 @@ def to_similarity(field: RadialField, t: float, T: float, params: ModelParams,
         warnings.warn(
             f"similarity window reaches r={r[-1]:.3g} beyond r_max={field.grid.r_max:g}",
             TruncationWarning, stacklevel=2)
+    from scipy.interpolate import PchipInterpolator   # scipy loads on first use
+
     interp = PchipInterpolator(field.grid.nodes, field.values, extrapolate=False)
     vals = interp(np.minimum(r, field.grid.r_max))
     vals = np.where(np.isnan(vals), 0.0, vals)

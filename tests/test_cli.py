@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -336,7 +339,11 @@ def test_threshold_manifest_counts_solver_work(tmp_path):
     cfg["experiment"].update({"rel_tol": 0.005, "deltas": [0.1, -0.1]})
     cli.run_experiment(cfg, out_dir=tmp_path / "t")
     doc = json.loads((tmp_path / "t" / "threshold.json").read_text())
-    profile = json.loads((tmp_path / "t" / "manifest.json").read_text())["profile"]
+    manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
+    profile = manifest["profile"]
+    # the stage wall times: present, nonnegative and inside the run's wall time
+    stage_s = [profile.pop("threshold.bisect_s"), profile.pop("threshold.probes_s")]
+    assert min(stage_s) >= 0.0 and sum(stage_s) <= manifest["wall_time_s"]
     params, grid, phi = cli._build_inputs(cfg)
     lams = [t["lambda"] for t in doc["trials"]] + [p["lambda"] for p in doc["probes"]]
     steps = 0
@@ -348,6 +355,29 @@ def test_threshold_manifest_counts_solver_work(tmp_path):
     assert profile == {"evolution.steps": steps, "threshold.solves": len(lams),
                        "threshold.trials": len(doc["trials"])}
     assert len(doc["probes"]) == 2
+
+
+def test_scipy_loads_on_first_use(tmp_path):
+    # neither the CLI's import nor a threshold run needs scipy, so neither loads it
+    script = f"""
+import sys
+from morreyheat import cli
+assert "scipy" not in sys.modules, "imported by morreyheat.cli"
+cfg = cli.default_config("threshold")
+cfg["grid"] = {{"r_max": 40.0, "nodes": 100}}
+cfg["solver"]["t_end"] = 10.0
+cfg["experiment"].update({{"rel_tol": 0.005, "deltas": [0.1]}})
+cli.run_experiment(cfg, out_dir={str(tmp_path / "t")!r})
+assert "scipy" not in sys.modules, "imported by a threshold run"
+"""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
+    assert manifest["status"] == "ok" and "scipy" in manifest["versions"]
+    assert len(json.loads((tmp_path / "t" / "threshold.json").read_text())["probes"]) == 1
 
 
 def test_hypotheses_kind_end_to_end(tmp_path):

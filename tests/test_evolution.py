@@ -251,7 +251,7 @@ def _reference_rhs(grid, n, p, dirichlet, nonlinear=True):
 
 
 def _reference_solve(u0, params, cfg):
-    """The allocating solve loop, for runs that reach the horizon; series and checkpoints."""
+    """The allocating solve loop with every stop path: series, checkpoints, steps, status."""
     grid, p = u0.grid, params.p
     dirichlet = u0.boundary == F.DIRICHLET
     rhs = _reference_rhs(grid, params.n, p, dirichlet)
@@ -260,35 +260,63 @@ def _reference_solve(u0, params, cfg):
     cps = np.asarray(cfg.checkpoint_times, dtype=float)
     u = u0.values.astype(float).copy()
     k = [np.empty_like(u) for _ in range(4)]
-    t, next_cp = 0.0, 0
+    t, next_cp, steps, status = 0.0, 0, 0, None
     series = [(t, float(np.max(np.abs(u))), float(np.max(r_pow * np.abs(u))), 0.0)]
     checkpoints = []
     while t < cfg.t_end:
         dt = min(cfg.dt_init, dt_diff, 0.5 * series[-1][1] ** (1.0 - p))
+        if dt < cfg.dt_min:
+            status = E._blowup_status(series, params, t)
+            break
         target = cfg.t_end if next_cp >= len(cps) else cps[next_cp]
         dt = min(dt, target - t) if target > t else dt
         u = _reference_rk4_step(rhs, u, dt, k)
         if dirichlet:
             u[-1] = 0.0
         t += dt
-        series.append((t, float(np.max(np.abs(u))), float(np.max(r_pow * np.abs(u))), dt))
+        steps += 1
+        sup = float(np.max(np.abs(u)))
+        series.append((t, sup, float(np.max(r_pow * np.abs(u))), dt))
+        if not dirichlet and abs(u[-2]) > E.BOUNDARY_CONTAMINATION * sup:
+            status = E.TrajectoryStatus("aborted", t, reason="boundary_contamination")
+            break
         if next_cp < len(cps) and t >= cps[next_cp] * (1 - 1e-12):
             checkpoints.append((t, u.copy()))
             next_cp += 1
-    return np.array(series), checkpoints
+        if sup >= cfg.blowup_threshold:
+            status = E._blowup_status(series, params, t)
+            break
+    status = status or E.TrajectoryStatus("reached_horizon", t)
+    return np.array(series), checkpoints, steps, status
+
+
+def _assert_equals_reference(traj, u0, params, cfg):
+    series, checkpoints, steps, status = _reference_solve(u0, params, cfg)
+    assert traj.status == status
+    assert traj.steps == steps == len(series) - 1
+    assert traj.series.tobytes() == series.tobytes()
+    assert len(traj.checkpoints) == len(checkpoints)
+    for (t, f), (t_ref, v_ref) in zip(traj.checkpoints, checkpoints):
+        assert t == t_ref and f.values.tobytes() == v_ref.tobytes()
 
 
 def test_rk4_step_equals_allocating_step():
     g = F.make_grid(5, 20.0, 200)
-    u = F.gaussian(g, 1.0, 2.0).values.copy()
-    ref = u.copy()
-    lap, ref_rhs = E._RadialLaplacian(g, 5), _reference_rhs(g, 5, 3.0, False, nonlinear=False)
-    work, k = [np.empty_like(u) for _ in range(5)], [np.empty_like(u) for _ in range(4)]
+    u0 = F.gaussian(g, 1.0, 2.0, F.DIRICHLET)
+    stepper = E._Stepper(g, 5, 3.0, dirichlet=True)
+    stepper.u[:] = u0.values
+    ref, ref_rhs = u0.values.copy(), _reference_rhs(g, 5, 3.0, True)
+    k = [np.empty_like(ref) for _ in range(4)]
     dt = 0.8 * g.h**2 / 10.0
     for _ in range(300):
-        u = E._rk4_step(lap, u, dt, work)
+        stepper.step(dt)
         ref = _reference_rk4_step(ref_rhs, ref, dt, k)
-    assert u.tobytes() == ref.tobytes()
+        ref[-1] = 0.0
+    assert stepper.u.tobytes() == ref.tobytes()
+    # the public right-hand side of a pure heat stepper is the Laplacian of any array
+    v = np.random.default_rng(0).standard_normal(g.m + 1)
+    lap = _reference_rhs(g, 5, 3.0, False, nonlinear=False)(v, np.empty_like(v))
+    assert E._Stepper(g, 5).rhs(v, np.empty_like(v)).tobytes() == lap.tobytes()
 
 
 @pytest.mark.parametrize("boundary", [F.DIRICHLET, F.FREE])
@@ -299,31 +327,67 @@ def test_solve_equals_allocating_loop(boundary, p):
     u0 = F.gaussian(g, 1.0, 2.0, boundary)
     cfg = E.SolverConfig(t_end=0.25, checkpoint_times=(0.05, 0.1, 0.2))
     traj = E.solve(u0, params, cfg)
-    series, checkpoints = _reference_solve(u0, params, cfg)
     assert traj.status.kind == "reached_horizon"
-    assert traj.steps == len(series) - 1 >= 300
-    assert traj.series.tobytes() == series.tobytes()
-    assert len(traj.checkpoints) == len(checkpoints) == 3
-    for (t, f), (t_ref, v_ref) in zip(traj.checkpoints, checkpoints):
-        assert t == t_ref and f.values.tobytes() == v_ref.tobytes()
+    assert traj.steps >= 300 and len(traj.checkpoints) == 3
+    _assert_equals_reference(traj, u0, params, cfg)
+
+
+@pytest.mark.parametrize("dt_min", [1e-14, 1e-20])
+def test_blowup_stop_equals_allocating_loop(dt_min):
+    # the default dt_min stops on the collapsing step, a tiny one on the sup threshold
+    g = F.make_grid(5, 40.0, 200)
+    u0 = F.plateau(g, 2.0, 15.0, 2.0, F.DIRICHLET)
+    cfg = E.SolverConfig(t_end=1.0, dt_min=dt_min, checkpoint_times=(0.05, 0.1))
+    traj = E.solve(u0, P5, cfg)
+    assert traj.status.kind == "blowup"
+    assert (traj.sup_norms[-1] >= cfg.blowup_threshold) == (dt_min < 1e-16)
+    _assert_equals_reference(traj, u0, P5, cfg)
+
+
+def test_boundary_abort_equals_allocating_loop():
+    g = F.make_grid(5, 10.0, 100)
+    u0 = F.gaussian(g, 0.5, 2.5)      # free boundary tag; its tail reaches r_max mid-run
+    cfg = E.SolverConfig(t_end=1.0, checkpoint_times=(0.1, 1.0))
+    traj = E.solve(u0, P5, cfg)
+    assert traj.status.reason == "boundary_contamination"
+    assert traj.steps > 100 and len(traj.checkpoints) == 1
+    _assert_equals_reference(traj, u0, P5, cfg)
+
+
+def test_diffusion_substeps_equal_allocating_substeps():
+    from morreyheat import duhamel as D
+
+    g = F.make_grid(5, 20.0, 200)
+    sub = D._DiffusionSubsteps(g, 5, 2.0 * g.h**2 * 0.9)
+    assert sub.k > 1
+    ref_rhs = _reference_rhs(g, 5, 3.0, False, nonlinear=False)
+    k = [np.empty(g.m + 1) for _ in range(4)]
+    for u0 in (F.gaussian(g, 1.0, 2.0), F.power_tail(g, 0.5, 1.2, 2.0)):
+        ref = u0.values.copy()
+        for _ in range(sub.k):
+            ref = _reference_rk4_step(ref_rhs, ref, sub.dt_sub, k)
+        got = sub @ u0.values
+        assert got.tobytes() == ref.tobytes()
+        assert got is not sub.stepper.u   # a fresh array, not the stepper's state
 
 
 @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
 def test_nonfinite_state_aborts(monkeypatch, poison):
-    real_step = E._rk4_step
+    real_step = E._Stepper.step
     calls = []
 
-    def poisoned_step(*args):
-        u = real_step(*args)
+    def poisoned_step(self, dt):
+        real_step(self, dt)
         calls.append(1)
         if len(calls) == 5:
-            u[7] = poison
-        return u
+            self.u[7] = poison
 
-    monkeypatch.setattr(E, "_rk4_step", poisoned_step)
+    monkeypatch.setattr(E._Stepper, "step", poisoned_step)
     g = F.make_grid(5, 20.0, 200)
     traj = E.solve(F.gaussian(g, 1.0, 2.0, F.DIRICHLET), P5, E.SolverConfig(t_end=1.0))
     assert traj.status.kind == "aborted"
     assert traj.status.reason == "nonfinite"
     assert len(calls) == 5
     assert np.all(np.isfinite(traj.series))
+    # the series ends at the last finite state, before the abort time
+    assert traj.series[-1, 0] < traj.status.t_final
