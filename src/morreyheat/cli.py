@@ -325,6 +325,7 @@ def _run_picard(cfg, bundle):
         "aux_r": run.aux_r, "beta_aux": run.beta_aux,
         "cauchy_diffs": list(run.cauchy_diffs)}
     bundle.profile["duhamel.picard.kernel_builds"] = run.kernel_builds
+    bundle.profile["duhamel.picard.kernel_reuses"] = run.kernel_reuses
     bundle.check("picard_converged", run.converged and not run.diverged,
                  run.cauchy_diffs[-1] if run.cauchy_diffs else None)
     if _get(cfg, "experiment.compare_classical", bool):

@@ -7,7 +7,8 @@ in s, semigroup-composed kernels) evaluates one Picard sweep with O(Q) kernel
 applications.  The grid is symmetric in time, so mirrored intervals have
 bitwise-equal widths and share one heat-kernel matrix.  The node count is
 doubled until the converged iterate is stable to 1e-6, exploiting that the
-weak endpoint singularities of the Morrey-side estimates are integrable.
+weak endpoint singularities of the Morrey-side estimates are integrable; the
+propagators of widths that recur after a doubling are carried over, not rebuilt.
 """
 
 import math
@@ -62,6 +63,7 @@ class PicardRun:
     nodes_used: int
     node_stability: float | None      # relative change of the iterate at the last node doubling
     kernel_builds: int                # dense heat kernels built, over all node counts run
+    kernel_reuses: int                # dense kernels carried over from the previous node count
     aux_r: float
     beta_aux: float
 
@@ -99,17 +101,28 @@ class _Propagators:
     widths, and heat_kernel_matrix is a pure function of (grid, t), so they
     share one propagator and every sweep stays bitwise unchanged.  The dense
     matrices are kept if the distinct resolved widths fit the budget, else
-    built per access.  `builds` counts the dense matrices built.
+    built per access.  A store built after a `previous` one (the last node
+    count's) takes over its propagators of recurring widths and frees the rest
+    before building, so peak memory stays that of the larger store.  `builds`
+    counts the dense matrices built, `reuses` those taken over.
     """
 
-    def __init__(self, grid, n, widths):
+    def __init__(self, grid, n, widths, previous=None):
         self.grid, self.n = grid, n
         self.widths = [float(dt) for dt in widths]
         self.builds = 0
+        floor = 2.0 * grid.h**2
         distinct = dict.fromkeys(self.widths)
-        resolved = sum(1 for dt in distinct if dt >= 2.0 * grid.h**2)
+        resolved = sum(1 for dt in distinct if dt >= floor)
         self.cached = resolved * (grid.m + 1) ** 2 * 8 <= _KERNEL_CACHE_BYTES
-        self._store = {dt: self._build(dt) for dt in distinct} if self.cached else None
+        old = {}
+        if previous is not None:
+            old, previous._store = previous._store or {}, None
+        kept = {dt: old[dt] for dt in distinct if dt in old} if self.cached else {}
+        del old   # the widths that do not recur are freed before any build
+        self.reuses = sum(1 for dt in kept if dt >= floor)
+        self._store = {dt: kept[dt] if dt in kept else self._build(dt)
+                       for dt in distinct} if self.cached else None
 
     def _build(self, dt):
         if dt >= 2.0 * self.grid.h**2:
@@ -139,7 +152,7 @@ def _sweep(u0_vals, kernels, widths, fields, p, nonlin=True):
     return out
 
 
-def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol):
+def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol, previous=None):
     grid = u0.grid
     times = _graded_times(t_end, nodes, extra=sample_times, dt_floor=2.0 * grid.h**2)
     widths = np.diff(times)
@@ -147,7 +160,7 @@ def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol):
     sample_idx = np.searchsorted(times, sample_times)
 
     fields = [u0.values.astype(float) for _ in times]  # u^(0) before the linear sweep
-    kernels = _Propagators(grid, params.n, widths)
+    kernels = _Propagators(grid, params.n, widths, previous)
     # u^(0)(t) = G_t * u0 via composed interval propagators
     fields = _sweep(u0.values.astype(float), kernels, widths, fields, p, nonlin=False)
 
@@ -168,7 +181,7 @@ def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol):
         if d < tol * (1.0 + sup_now):
             converged = True
             break
-    return times, fields, sample_idx, diffs, per_sample, converged, diverged, it, kernels.builds
+    return times, fields, sample_idx, diffs, per_sample, converged, diverged, it, kernels
 
 
 def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
@@ -191,11 +204,13 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
 
     prev_samples = None
     stability = None
-    kernel_builds = 0
+    kernels = None
+    kernel_builds = kernel_reuses = 0
     while True:
-        times, fields, sample_idx, diffs, per_sample, converged, diverged, iters, builds = \
-            _run_picard(u0, params, t_end, K, sample_times, nodes, tol)
-        kernel_builds += builds
+        times, fields, sample_idx, diffs, per_sample, converged, diverged, iters, kernels = \
+            _run_picard(u0, params, t_end, K, sample_times, nodes, tol, kernels)
+        kernel_builds += kernels.builds
+        kernel_reuses += kernels.reuses
         samples = [fields[i] for i in sample_idx]
         if prev_samples is not None:
             num = max(float(np.max(np.abs(a - b))) for a, b in zip(samples, prev_samples))
@@ -205,6 +220,7 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
             break
         prev_samples = samples
         nodes *= 2
+    kernels = None   # the last store is freed before the budget's Morrey norms
 
     crit = critical_spec(params)
     r_aux = auxiliary_exponent(params, crit.q)
@@ -228,8 +244,8 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
                      last_sample_diffs=np.asarray(per_sample, dtype=float),
                      budget=np.array(rows), converged=converged, diverged=diverged,
                      iterations=iters, convergence_ratio=ratio, nodes_used=nodes,
-                     node_stability=stability, kernel_builds=kernel_builds, aux_r=r_aux,
-                     beta_aux=beta_aux)
+                     node_stability=stability, kernel_builds=kernel_builds,
+                     kernel_reuses=kernel_reuses, aux_r=r_aux, beta_aux=beta_aux)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import RadialField, RadialGrid, make_grid
+from .fields import FREE, RadialField, RadialGrid, make_field, make_grid
 
 
 class TruncationWarning(UserWarning):
@@ -223,6 +223,14 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
 # over the columns where some of its Gaussian factors exp(-(s-a)^2/4t) are
 # nonzero in double precision.  Outside that window the dense formula gives
 # exactly 0.0 as well, so the banded build is bitwise the all-entries one.
+# When the rows are the grid nodes, the pre-weight factor
+# S_ij = (c_t Lam(a_i s_j/2t)) exp(-(s_j-a_i)^2/4t) is bitwise symmetric, since
+# a_i s_j = s_j a_i and (x-y)^2 = (y-x)^2 exactly in IEEE arithmetic: each
+# block is evaluated from its diagonal on, and its part right of the diagonal
+# square is copied, transposed, below it.  The column weights are applied to a
+# block's rows once earlier blocks have mirrored into them, over its band only,
+# so every entry keeps the association ((c_t Lam) E) base and the pages outside
+# the band are never written.
 # ---------------------------------------------------------------------------
 
 _ANGULAR_Z_MAX = 1e8
@@ -285,13 +293,17 @@ def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
     mat = np.zeros((len(a), len(s)))
     for i in range(0, len(a), _KERNEL_BLOCK_ROWS):
         a_blk = a[i:i + _KERNEL_BLOCK_ROWS]
+        j = i + len(a_blk)
         lo = np.searchsorted(s, a_blk.min() - reach)
         hi = np.searchsorted(s, a_blk.max() + reach, side="right")
-        s_win = s[lo:hi]
+        first = i if centers is None else lo   # node rows left of i: mirrored in already
+        s_win = s[first:hi]
         lam = angular_kernel_scaled(n, np.outer(a_blk, s_win) / (2.0 * t))
-        mat[i:i + len(a_blk), lo:hi] = (
-            c_t * lam * np.exp(-((s_win[None, :] - a_blk[:, None]) ** 2) / (4.0 * t))
-            * base[None, lo:hi])
+        mat[i:j, first:hi] = c_t * lam * np.exp(-((s_win[None, :] - a_blk[:, None]) ** 2)
+                                                / (4.0 * t))
+        if centers is None:
+            mat[j:hi, i:j] = mat[i:j, j:hi].T
+        mat[i:j, lo:hi] *= base[lo:hi]   # rows i:j are complete
     mass = mat.sum(axis=1)
     over = mass > 1.0
     if np.any(over):
@@ -314,6 +326,5 @@ def heat_apply(f: RadialField, t: float) -> RadialField:
     The result lives on the whole space, so it carries the free boundary tag
     regardless of f's own tag.
     """
-    from .fields import FREE, make_field
     vals = heat_kernel_matrix(f.grid, t) @ f.values
     return make_field(f.grid, vals, FREE)

@@ -205,17 +205,25 @@ def test_picard_kind_end_to_end(tmp_path):
     assert bundle.all_passed
     budget = (tmp_path / "p" / "budget.csv").read_text().splitlines()
     assert budget[0] == "t,budget_r,budget_inf,cauchy_diff"
-    # one dense kernel per distinct resolved width, at each node count run
+    # one dense kernel per distinct resolved width, at each node count run; the
+    # widths the previous node count already had are carried over, not rebuilt
     nodes_used = json.loads((tmp_path / "p" / "picard.json").read_text())["nodes_used"]
     floor = 2.0 * make_grid(5, 16.0, 160).h ** 2
-    distinct = 0
+    per_count = builds = 0
+    previous = set()
     nodes = 64
     while nodes <= nodes_used:
         widths = np.diff(duhamel._graded_times(0.5, nodes, extra=[0.25, 0.5], dt_floor=floor))
-        distinct += len({float(dt) for dt in widths if dt >= floor})
+        distinct = {float(dt) for dt in widths if dt >= floor}
+        per_count += len(distinct)
+        builds += len(distinct - previous)
+        previous = distinct
         nodes *= 2
     manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
-    assert manifest["profile"] == {"duhamel.picard.kernel_builds": distinct}
+    profile = manifest["profile"]
+    assert profile == {"duhamel.picard.kernel_builds": builds,
+                       "duhamel.picard.kernel_reuses": per_count - builds}
+    assert 0 < builds < per_count
     assert "kernel_builds" not in json.loads((tmp_path / "p" / "picard.json").read_text())
 
 

@@ -43,12 +43,13 @@ def test_picard_rejects_bad_arguments():
 
 
 class _PerIntervalPropagators:
-    """Reference store: one propagator built per interval, shared by none."""
+    """Reference store: one propagator built per interval, shared by none, none carried over."""
 
-    def __init__(self, grid, n, widths):
+    def __init__(self, grid, n, widths, previous=None):
         self._store = [Q.heat_kernel_matrix(grid, float(dt)) if dt >= 2.0 * grid.h**2
                        else D._DiffusionSubsteps(grid, n, float(dt)) for dt in widths]
         self.builds = len(self._store)
+        self.reuses = 0
 
     def __getitem__(self, i):
         return self._store[i]
@@ -57,30 +58,57 @@ class _PerIntervalPropagators:
 def test_picard_propagators_one_per_width(monkeypatch):
     g = F.make_grid(5, 10.0, 100)
     u0 = F.gaussian(g, 0.3, 2.0)
-    args = (u0, P5, 1.0, 3, np.array([0.5, 1.0]), 32, 1e-300)
-    widths = np.diff(D._graded_times(1.0, 32, extra=[0.5, 1.0], dt_floor=2.0 * g.h**2))
-    resolved = [float(dt) for dt in widths if dt >= 2.0 * g.h**2]
-    distinct = set(resolved)
-    assert len(distinct) < len(resolved) < len(widths)   # shared widths and a substep interval
+    floor = 2.0 * g.h**2
+    widths = {nodes: np.diff(D._graded_times(1.0, nodes, extra=[0.5, 1.0], dt_floor=floor))
+              for nodes in (32, 64)}
+    resolved = {nodes: [float(dt) for dt in w if dt >= floor] for nodes, w in widths.items()}
+    distinct = {nodes: set(r) for nodes, r in resolved.items()}
+    recurring = distinct[32] & distinct[64]
+    for nodes in (32, 64):   # shared widths and a substep interval
+        assert len(distinct[nodes]) < len(resolved[nodes]) < len(widths[nodes])
+    assert recurring and len(distinct[32]) < len(distinct[64])
     per_matrix = (g.m + 1) ** 2 * 8
 
+    def run(nodes, previous=None):
+        return D._run_picard(u0, P5, 1.0, 3, np.array([0.5, 1.0]), nodes, 1e-300, previous)
+
     got = {}
-    for budget in (len(distinct) * per_matrix, len(distinct) * per_matrix - 1):
+    fits = len(distinct[64]) * per_matrix
+    for budget in (fits, fits - 1):
         monkeypatch.setattr(D, "_KERNEL_CACHE_BYTES", budget)
-        kernels = D._Propagators(g, P5.n, widths)
-        # the set overflows one matrix per interval but fits one per width
-        assert kernels.cached == (budget >= len(distinct) * per_matrix)
+        first = D._Propagators(g, P5.n, widths[32])
+        assert first.cached and (first.builds, first.reuses) == (len(distinct[32]), 0)
+        for i, wi in enumerate(widths[32]):
+            for j, wj in enumerate(widths[32]):
+                assert (first[i] is first[j]) == (wi == wj), (i, j)
+        old = {float(dt): first[i] for i, dt in enumerate(widths[32])}
+        kernels = D._Propagators(g, P5.n, widths[64], first)
+        assert first._store is None   # handed over: the widths that do not recur are freed
+        # the 64-node set overflows one matrix per interval but fits one per width
+        assert kernels.cached == (budget == fits)
         if kernels.cached:
-            assert kernels.builds == len(distinct)
-            for i, wi in enumerate(widths):
-                for j, wj in enumerate(widths):
-                    assert (kernels[i] is kernels[j]) == (wi == wj), (i, j)
-        got[kernels.cached] = D._run_picard(*args)[1]
+            assert kernels.reuses == len(recurring)
+            assert kernels.builds == len(distinct[64] - recurring)
+            for i, dt in enumerate(widths[64]):
+                assert (kernels[i] is old.get(float(dt))) == (float(dt) in old), i
+        else:
+            assert (kernels.builds, kernels.reuses) == (0, 0)
+        got[budget] = run(64, run(32)[-1])[1]
+        solved = D.picard_solve(u0, P5, 1.0, 3, [0.5, 1.0], nodes=32, max_nodes=64, tol=1e-300)
+        assert solved.nodes_used == 64
+        assert solved.kernel_reuses == (len(recurring) if kernels.cached else 0)
+        got[budget, "solve"] = solved
     monkeypatch.setattr(D, "_Propagators", _PerIntervalPropagators)
-    want = D._run_picard(*args)[1]
-    for fields in got.values():
-        assert len(fields) == len(want)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(fields, want))
+    want = run(64)[1]
+    want_solve = D.picard_solve(u0, P5, 1.0, 3, [0.5, 1.0], nodes=32, max_nodes=64,
+                                tol=1e-300)
+    for budget in (fits, fits - 1):
+        assert len(got[budget]) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got[budget], want))
+        solved = got[budget, "solve"]
+        assert all(a.values.tobytes() == b.values.tobytes()
+                   for a, b in zip(solved.fields, want_solve.fields))
+        assert solved.budget.tobytes() == want_solve.budget.tobytes()
 
 
 def test_first_correction_scales_like_amplitude_cubed():

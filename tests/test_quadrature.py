@@ -284,6 +284,14 @@ def test_heat_kernel_matrix_is_a_pure_function_of_grid_and_t(case):
 
 @settings(max_examples=10, deadline=None)
 @given(_kernel_cases())
+def test_heat_kernel_matrix_mirrored_fill_equals_dense_formula(case):
+    # node rows evaluate each block from its diagonal and mirror the rest below it
+    g, t = case
+    assert Q.heat_kernel_matrix(g, t).tobytes() == _dense_heat_kernel_matrix(g, t).tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(_kernel_cases())
 def test_heat_kernel_matrix_is_sub_stochastic(case):
     mat = Q.heat_kernel_matrix(*case)
     assert np.all(mat >= 0.0)
