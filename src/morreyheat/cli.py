@@ -68,7 +68,9 @@ def default_config(kind: str) -> dict:
     cfg["experiment"].update(extras.get(kind, {}))
     if kind == "threshold":
         cfg["initial_data"]["args"] = {"amplitude": 1.0, "width": 2.0}
-        cfg["solver"]["t_end"] = 200.0
+        # below evolution.max_safety(n) for every n >= 3; the bisection's verdicts
+        # are those of safety 0.8 in a third of the steps
+        cfg["solver"].update(t_end=200.0, safety=2.4)
         cfg["grid"] = {"r_max": 40.0, "nodes": 200}
     return cfg
 
@@ -118,7 +120,9 @@ def _merged(cfg) -> dict:
     return merged
 
 
-def _solver_config(cfg: dict, t_end=None, checkpoint_times=None) -> evolution.SolverConfig:
+def _solver_config(cfg: dict, n: int, t_end=None, checkpoint_times=None) -> evolution.SolverConfig:
+    """The solver block as a SolverConfig for dimension n; a safety beyond RK4's
+    stability bound evolution.max_safety(n) is a ConfigError."""
     t_end = t_end if t_end is not None else _get(cfg, "solver.t_end", float)
     if checkpoint_times is None:
         cps = _get(cfg, "solver.checkpoints", (int, list))
@@ -129,6 +133,9 @@ def _solver_config(cfg: dict, t_end=None, checkpoint_times=None) -> evolution.So
     settings = {key: _get(cfg, f"solver.{key}", float)
                 for key in ("dt_init", "dt_min", "safety", "blowup_threshold")}
     stride = _get(cfg, "solver.series_stride", int)
+    if settings["safety"] > evolution.max_safety(n):
+        raise ConfigError(f"solver.safety: {settings['safety']} exceeds RK4's stability bound "
+                          f"{evolution.max_safety(n):.6g} for n = {n}")
     try:
         return evolution.SolverConfig(t_end=float(t_end), checkpoint_times=tuple(checkpoint_times),
                                       series_stride=stride, **settings)
@@ -197,7 +204,7 @@ def _build_inputs(cfg: dict):
 
 def _run_solve(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    traj = evolution.solve(u0, params, _solver_config(cfg))
+    traj = evolution.solve(u0, params, _solver_config(cfg, params.n))
     bundle.tables["series"] = ("t,sup_norm,weighted_sup,dt",
                                [tuple(row) for row in traj.series])
     for i, (t, f) in enumerate(traj.checkpoints):
@@ -290,7 +297,7 @@ def _run_energy(cfg, bundle):
         grids[T] = s_grid
         all_times.extend(similarity.checkpoint_times_for_s_grid(T, s_grid))
     times = tuple(sorted(set(round(float(t), 12) for t in all_times)))
-    traj = evolution.solve(u0, params, _solver_config(cfg, checkpoint_times=times))
+    traj = evolution.solve(u0, params, _solver_config(cfg, params.n, checkpoint_times=times))
     if traj.status.kind != "reached_horizon":
         raise PipelineError(f"energy run did not reach the horizon: {traj.status}")
     rows_plot = []
@@ -332,7 +339,7 @@ def _run_picard(cfg, bundle):
         u0d = build_profile(_get(cfg, "initial_data.profile", str), grid, params,
                             dict(_get(cfg, "initial_data.args", dict)), DIRICHLET)
         traj = evolution.solve(u0d, params, _solver_config(
-            cfg, t_end=t_end, checkpoint_times=tuple(run.sample_times)))
+            cfg, params.n, t_end=t_end, checkpoint_times=tuple(run.sample_times)))
         worst = 0.0
         for (t, f), (_, fc) in zip(zip(run.sample_times, run.fields), traj.checkpoints):
             denom = float(np.max(np.abs(fc.values)))
@@ -345,7 +352,7 @@ def _run_picard(cfg, bundle):
 
 def _run_threshold(cfg, bundle):
     params, grid, phi = _build_inputs(cfg)
-    cfg_solver = _solver_config(cfg)
+    cfg_solver = _solver_config(cfg, params.n)
     deltas = _get_floats(cfg, "experiment.deltas")
     started = time.perf_counter()
     result = threshold.bisect_lambda(phi, params, cfg_solver,
@@ -372,7 +379,12 @@ def _run_threshold(cfg, bundle):
         deltas = None
     started = time.perf_counter()
     probes = threshold.borderline_probe(result, params, cfg_solver, deltas) if deltas else []
-    bundle.profile.update({"evolution.steps": result.steps + sum(p_.steps for p_ in probes),
+    work = sum((p_.work for p_ in probes), result.work)
+    bundle.profile.update({"evolution.steps": work.steps,
+                           "evolution.cap.diffusive": work.diffusive,
+                           "evolution.cap.nonlinear": work.nonlinear,
+                           "evolution.cap.landing": work.landing,
+                           "evolution.min_dt": work.min_dt,
                            "threshold.solves": len(result.trials) + len(probes),
                            "threshold.trials": len(result.trials),
                            "threshold.bisect_s": bisect_s,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import SolverConfig, _Stepper, solve
+from .evolution import SolverConfig, _Stepper, diffusive_cap, solve
 from .fields import FREE, RadialField, make_field
 from .morrey import MorreyLattice, MorreySpec, critical_spec, morrey_norm
 from .params import ModelParams
@@ -79,7 +79,7 @@ class _DiffusionSubsteps:
 
     def __init__(self, grid, n, dt):
         self.stepper = _Stepper(grid, n)
-        cap = 0.8 * grid.h**2 / (2.0 * n)
+        cap = diffusive_cap(0.8, grid.h, n)
         self.k = max(1, int(math.ceil(dt / cap)))
         self.dt_sub = dt / self.k
 

@@ -1,22 +1,37 @@
 """Direct integration of u_t = Laplace(u) + |u|^(p-1) u for radial data.
 
 Method of lines on the uniform radial grid with explicit RK4 and two step
-caps: the diffusive stability cap safety*h^2/(2n) and the nonlinear cap
+caps: the diffusive cap safety*h^2/(2n) and the nonlinear cap
 0.5*||u||_inf^(1-p).  Near blowup the nonlinear cap collapses dt, which is the
 robust blowup signal alongside the sup-norm threshold.
+
+The diffusive cap is stable up to safety = max_safety(n).  h^2 L does not
+depend on h (r_i = i h), so its spectral radius rho h^2 is a function of n
+alone: 6, 7.21, 8.45 and 12.2 for n = 3, 4, 5, 8, from the origin row's mode.
+max_safety(n) = RK4_REAL_LIMIT * 2n / (rho h^2) puts dt*rho on RK4's real-axis
+stability limit; it is 2.785, 3.09, 3.30 and 3.65 for n = 3, 4, 5, 8 and grows
+with n.  Every eigenvalue of L, complex pairs (n >= 8) included, then has
+|R(dt lambda)| <= 1 for RK4's stability polynomial R (the tests check n = 3, 4,
+5, 8, 11 at 101-801 nodes).  solve rejects a larger safety.  The default 0.8
+puts dt*rho at 0.68 for n = 5; the threshold kind runs at 2.4 (dt*rho = 2.03),
+below max_safety for every n >= 3.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DIRICHLET, FREE, RadialField, make_field
+from .fields import DIRICHLET, FREE, RadialField, make_field, make_grid
 from .params import ModelParams
 from .quadrature import heat_kernel_matrix
 
 
 BOUNDARY_CONTAMINATION = 1e-6   # |u| next to r_max, over sup |u|, that aborts a free run
+# RK4's stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has |R| = 1 on the
+# negative real axis at z = -RK4_REAL_LIMIT, the real root of z^3 + 4 z^2 + 12 z + 24.
+RK4_REAL_LIMIT = 2.785293563405289
 
 
 def log_checkpoints(t_end: float, count: int = 20) -> tuple:
@@ -28,7 +43,7 @@ def log_checkpoints(t_end: float, count: int = 20) -> tuple:
 class SolverConfig:
     dt_init: float = 0.1               # upper bound on any step
     dt_min: float = 1e-14              # collapse below this declares blowup
-    safety: float = 0.8                # fraction of the diffusive cap h^2/(2n)
+    safety: float = 0.8                # multiple of h^2/(2n), in (0, max_safety(n)]
     blowup_threshold: float = 1e8      # sup-norm blowup threshold
     t_end: float = 10.0
     checkpoint_times: tuple = ()       # exact times to snapshot (empty: log-spaced 20)
@@ -38,6 +53,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.dt_min < self.dt_init:
             raise ValueError("need dt_min < dt_init")
+        if not self.safety > 0:
+            raise ValueError("safety must be > 0")
         if self.series_stride < 1:
             raise ValueError("series_stride must be >= 1")
         if self.blowup_threshold < 1e6:
@@ -56,6 +73,28 @@ class TrajectoryStatus:
     reason: str | None = None
 
 
+@dataclass(frozen=True)
+class StepWork:
+    """The RK4 steps of one or more solves, by the cap that bound each, and the smallest.
+
+    diffusive counts the steps at min(dt_init, safety h^2/(2n)), nonlinear those
+    at 0.5 ||u||_inf^(1-p), and landing those cut short to land on a checkpoint
+    or on t_end.  Adding two combines their solves.
+    """
+    diffusive: int = 0
+    nonlinear: int = 0
+    landing: int = 0
+    min_dt: float = math.inf   # inf: no step
+
+    @property
+    def steps(self) -> int:
+        return self.diffusive + self.nonlinear + self.landing
+
+    def __add__(self, other):
+        return StepWork(self.diffusive + other.diffusive, self.nonlinear + other.nonlinear,
+                        self.landing + other.landing, min(self.min_dt, other.min_dt))
+
+
 @dataclass
 class Trajectory:
     params: ModelParams
@@ -63,7 +102,11 @@ class Trajectory:
     series: np.ndarray         # columns t, sup_norm, weighted_sup, dt
     status: TrajectoryStatus
     boundary_mode: str = FREE
-    steps: int = 0             # RK4 steps taken, whatever the series stride
+    work: StepWork = StepWork()   # every RK4 step, whatever the series stride
+
+    @property
+    def steps(self) -> int:
+        return self.work.steps
 
     @property
     def times(self) -> np.ndarray:
@@ -110,6 +153,17 @@ class _Stepper:
         """The right-hand side at any array v shaped like the state, into out."""
         self._rhs(_stencil(v), (out, out[1:-1]))
         return out
+
+    def matrix(self) -> np.ndarray:
+        """The right-hand side as a dense matrix, column j its value at the j-th unit
+        vector; the operator L itself when p is None."""
+        size = self.u.size
+        rows, unit = np.empty((size, size)), np.zeros(size)
+        for j in range(size):
+            unit[j] = 1.0
+            self.rhs(unit, rows[j])
+            unit[j] = 0.0
+        return rows.T
 
     def _rhs(self, src, dst):
         v, v_next, v_prev, v_mid = src
@@ -162,6 +216,28 @@ def _stencil(v):
     return v, v[2:], v[:-2], v[1:-1]
 
 
+def diffusive_cap(safety: float, h: float, n: int) -> float:
+    """The diffusive step cap safety * h^2 / (2n), the one place it is formed."""
+    return safety * h**2 / (2.0 * n)
+
+
+@functools.cache
+def spectral_radius_h2(n: int) -> float:
+    """rho(h^2 L) for the radial Laplacian L of the RK4 stepper in dimension n.
+
+    h^2 L depends on n alone, since r_i = i h, and its largest mode sits at the
+    origin row, so dense eigenvalues of L on 64 unit intervals give it; 100-800
+    nodes, free or Dirichlet, agree to 1e-14 relative.
+    """
+    h_one = make_grid(n, 64.0, 64)
+    return float(np.abs(np.linalg.eigvals(_Stepper(h_one, n).matrix())).max())
+
+
+def max_safety(n: int) -> float:
+    """The largest safety whose diffusive cap keeps dt*rho(L) within RK4_REAL_LIMIT."""
+    return RK4_REAL_LIMIT / (diffusive_cap(1.0, 1.0, n) * spectral_radius_h2(n))
+
+
 def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory:
     """Integrate to cfg.t_end, stopping early on blowup or abort.
 
@@ -169,17 +245,21 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     (ball problem); even_at_origin_only treats the grid as a truncated copy of
     R^n and aborts if the solution contaminates the boundary region.  A
     nonfinite state aborts the run; its series ends at the last finite state.
+    A safety above max_safety(n), where RK4 is unstable, is a ValueError.
     """
     grid = u0.grid
     n = params.n
     p = params.p
+    if cfg.safety > max_safety(n):
+        raise ValueError(f"safety {cfg.safety} exceeds RK4's stability bound "
+                         f"max_safety({n}) = {max_safety(n):.6g}")
     nonlinear = cfg.nonlinear
     dirichlet = u0.boundary == DIRICHLET
     stepper = _Stepper(grid, n, p if nonlinear else None, dirichlet)
     wk = 2.0 / (p - 1.0)
     r_pow = grid.nodes**wk
 
-    dt_cap = min(cfg.dt_init, cfg.safety * grid.h**2 / (2.0 * n))
+    dt_cap = min(cfg.dt_init, diffusive_cap(cfg.safety, grid.h, n))
     t_end, dt_min, sup_max = cfg.t_end, cfg.dt_min, cfg.blowup_threshold
     stride = cfg.series_stride
     checkpoint_times = [float(t) for t in (cfg.checkpoint_times if len(cfg.checkpoint_times)
@@ -198,6 +278,8 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     checkpoints = []
     next_cp = 0
     step = 0
+    bound_by = [0, 0, 0]   # steps whose dt the diffusive, nonlinear, landing cap set
+    min_dt = math.inf
     status = None
 
     # x.item(x.argmax()) is x.max() without the reduction's overhead; both pick a NaN
@@ -206,16 +288,22 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     series.append((t, sup, wsup, 0.0))
 
     while t < t_end:
-        dt = dt_cap
+        dt, cap = dt_cap, 0
         if nonlinear and sup > 0:
-            dt = min(dt, 0.5 * sup ** (1.0 - p))
+            dt_nonlinear = 0.5 * sup ** (1.0 - p)
+            if dt_nonlinear < dt:
+                dt, cap = dt_nonlinear, 1
         if dt < dt_min:
             status = _blowup_status(series, params, t)
             break
         target = targets[next_cp]
-        dt = min(dt, target - t) if target > t else dt
+        if target > t and target - t < dt:
+            dt, cap = target - t, 2
         step_rk4(dt)
         step += 1
+        bound_by[cap] += 1
+        if dt < min_dt:
+            min_dt = dt
 
         # the max propagates NaN and inf, so a finite sup means a finite state
         sup_new = np.abs(u, out=abs_u).item(abs_u.argmax())
@@ -244,7 +332,8 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
 
     traj = Trajectory(params=params, checkpoints=checkpoints,
                       series=np.array(series), status=status,
-                      boundary_mode=DIRICHLET if dirichlet else FREE, steps=step)
+                      boundary_mode=DIRICHLET if dirichlet else FREE,
+                      work=StepWork(*bound_by, min_dt))
     return traj
 
 

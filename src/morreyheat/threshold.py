@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import SolverConfig, Trajectory, decay_diagnostics, solve
+from .evolution import SolverConfig, StepWork, Trajectory, decay_diagnostics, solve
 from .fields import RadialField, make_field
 from .morrey import MorreyLattice, critical_spec, morrey_norm
 from .params import ModelParams
@@ -74,7 +74,7 @@ class ThresholdResult:
     epsilon_star: float                # ||lambda_lo phi||_{M^{2,mu}}, the smallness threshold
     C0_measured: float                 # sup_t t^(1/(p-1)) ||u(t)||_inf / epsilon_star at lambda_lo
     ray_profile: RadialField = field(repr=False, default=None)
-    steps: int = 0                     # RK4 steps over all trials
+    work: StepWork = StepWork()        # RK4 steps over all trials
 
 
 def _scaled(phi: RadialField, lam: float) -> RadialField:
@@ -97,7 +97,7 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
     """
     if float(np.max(np.abs(phi.values))) == 0.0:
         raise BracketingError("ray profile is trivial")
-    trials, steps = [], []
+    trials, works = [], []
     # verdict -> (lambda, trajectory) of its latest trial: every decaying trial
     # raises the bracket's lower end and every blowup trial lowers its upper end
     ends = {}
@@ -106,7 +106,7 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
         v, traj = classify_with_trajectory(_scaled(phi, lam), params, cfg)
         trials.append({"lambda": lam, "verdict": v.kind, "T_est": v.T_est,
                        "horizon": v.horizon})
-        steps.append(traj.steps)
+        works.append(traj.work)
         if v.kind != "undecided":
             ends[v.kind] = (lam, traj)
         return v
@@ -148,7 +148,7 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
         morrey_series_hi=_morrey_series(traj_hi, params, lattice),
         stalled=stalled, monotone_consistent=consistent, epsilon_star=epsilon_star,
         C0_measured=decay_diagnostics(traj_lo, params).sup_t_beta_norm / epsilon_star,
-        ray_profile=phi, steps=sum(steps))
+        ray_profile=phi, work=sum(works, StepWork()))
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ class BorderlineTrial:
     t0: float | None                  # start of the final monotone weighted decrease
     morrey_start: float | None        # ||u(t)||_{M^{2,mu}} at the first checkpoint >= 1
     morrey_end: float | None          # ... at the horizon
-    steps: int = 0                    # RK4 steps of its run
+    work: StepWork = StepWork()       # RK4 steps of its run
 
 
 def borderline_probe(result: ThresholdResult, params: ModelParams, cfg: SolverConfig,
@@ -188,5 +188,5 @@ def borderline_probe(result: ThresholdResult, params: ModelParams, cfg: SolverCo
                 m_start, m_end = late[0], late[-1]
         out.append(BorderlineTrial(delta=float(delta), lam=lam, verdict=v.kind,
                                    T_est=v.T_est, t0=t0, morrey_start=m_start,
-                                   morrey_end=m_end, steps=traj.steps))
+                                   morrey_end=m_end, work=traj.work))
     return out

@@ -57,6 +57,10 @@ def test_config_not_an_object_exits_2(config, named, tmp_path, capsys):
     ("solve", "solver.series_stride", -3, "solver: series_stride must be >= 1"),
     ("solve", "solver.checkpoints", 0, "solver.checkpoints: need at least 1"),
     ("solve", "solver.checkpoints", -2, "solver.checkpoints: need at least 1"),
+    ("solve", "solver.safety", 0.0, "solver: safety must be > 0"),
+    ("solve", "solver.safety", -1.0, "solver: safety must be > 0"),
+    ("solve", "solver.safety", evolution.max_safety(5) * 1.01,
+     "solver.safety: %r exceeds RK4's stability bound" % (evolution.max_safety(5) * 1.01)),
     ("smoothing", "experiment.to_q", True, "experiment.to_q: expected"),
     ("smoothing", "experiment.to_q", "banana", 'experiment.to_q: expected a number or "inf"'),
 ])
@@ -334,17 +338,24 @@ def test_threshold_kind_end_to_end(tmp_path):
     u0 = make_field(grid, doc["lambda_lo"] * phi.values, phi.boundary)
     eps = morrey_norm(u0, critical_spec(params), MorreyLattice.default(grid))
     assert doc["epsilon_star"] == eps > 0
-    run = evolution.solve(u0, params, cli._solver_config(cfg))
+    run = evolution.solve(u0, params, cli._solver_config(cfg, params.n))
     assert doc["C0_measured"] == evolution.decay_diagnostics(run, params).sup_t_beta_norm / eps
     assert doc["C0_measured"] > 0
     assert (tmp_path / "t" / "morrey_series_lo.csv").read_text().splitlines()[0] == "t,value"
 
 
-def test_threshold_manifest_counts_solver_work(tmp_path):
+def small_threshold_config(safety=None):
     cfg = cli.default_config("threshold")
     cfg["grid"] = {"r_max": 40.0, "nodes": 100}
     cfg["solver"]["t_end"] = 20.0
+    if safety is not None:
+        cfg["solver"]["safety"] = safety
     cfg["experiment"].update({"rel_tol": 0.005, "deltas": [0.1, -0.1]})
+    return cfg
+
+
+def test_threshold_manifest_counts_solver_work(tmp_path):
+    cfg = small_threshold_config()
     cli.run_experiment(cfg, out_dir=tmp_path / "t")
     doc = json.loads((tmp_path / "t" / "threshold.json").read_text())
     manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
@@ -354,15 +365,42 @@ def test_threshold_manifest_counts_solver_work(tmp_path):
     assert min(stage_s) >= 0.0 and sum(stage_s) <= manifest["wall_time_s"]
     params, grid, phi = cli._build_inputs(cfg)
     lams = [t["lambda"] for t in doc["trials"]] + [p["lambda"] for p in doc["probes"]]
-    steps = 0
+    work, dts = evolution.StepWork(), []
     for lam in lams:
         run = evolution.solve(make_field(grid, lam * phi.values, phi.boundary), params,
-                              cli._solver_config(cfg))
+                              cli._solver_config(cfg, params.n))
         assert run.steps == len(run.series) - 1   # series_stride 1: one row per step
-        steps += run.steps
-    assert profile == {"evolution.steps": steps, "threshold.solves": len(lams),
+        work += run.work
+        dts.extend(run.series[1:, 3])
+    assert min(work.diffusive, work.nonlinear, work.landing) > 0
+    assert work.min_dt == min(dts)
+    assert profile == {"evolution.steps": work.steps,
+                       "evolution.cap.diffusive": work.diffusive,
+                       "evolution.cap.nonlinear": work.nonlinear,
+                       "evolution.cap.landing": work.landing,
+                       "evolution.min_dt": work.min_dt,
+                       "threshold.solves": len(lams),
                        "threshold.trials": len(doc["trials"])}
     assert len(doc["probes"]) == 2
+
+
+def test_threshold_verdicts_same_at_default_and_diffusive_safety(tmp_path):
+    # the threshold default's larger RK4 step changes no trial, bracket or probe
+    docs, steps = [], []
+    for name, safety in (("default", None), ("safety08", 0.8)):
+        cli.run_experiment(small_threshold_config(safety), out_dir=tmp_path / name)
+        docs.append(json.loads((tmp_path / name / "threshold.json").read_text()))
+        steps.append(json.loads((tmp_path / name / "manifest.json").read_text())
+                     ["profile"]["evolution.steps"])
+    default, reference = docs
+    assert cli.default_config("threshold")["solver"]["safety"] == 2.4
+    assert [(t["lambda"], t["verdict"]) for t in default["trials"]] == \
+        [(t["lambda"], t["verdict"]) for t in reference["trials"]]
+    assert (default["lambda_lo"], default["lambda_hi"]) == \
+        (reference["lambda_lo"], reference["lambda_hi"])
+    assert [p["verdict"] for p in default["probes"]] == \
+        [p["verdict"] for p in reference["probes"]]
+    assert steps[0] < 0.5 * steps[1]
 
 
 def test_scipy_loads_on_first_use(tmp_path):

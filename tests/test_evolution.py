@@ -16,6 +16,54 @@ def test_config_validation():
         E.SolverConfig(blowup_threshold=1e5)
     with pytest.raises(ValueError):
         E.SolverConfig(checkpoint_times=(1.0, 0.5))
+    for safety in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="safety must be > 0"):
+            E.SolverConfig(safety=safety)
+
+
+@pytest.mark.parametrize("safety", [0.0, -1.0, E.max_safety(5) * 1.01])
+def test_solve_rejects_safety_outside_stability_bound(safety):
+    # a decaying datum that safety 0 or -1 (no step fits dt_min) and an unstable
+    # safety (RK4 amplifies the origin mode) would both have called a blowup
+    g = F.make_grid(5, 10.0, 100)
+    u0 = F.gaussian(g, 0.05, 2.0, F.DIRICHLET)
+    with pytest.raises(ValueError, match="safety"):
+        E.solve(u0, P5, E.SolverConfig(t_end=1.0, safety=safety))
+    traj = E.solve(u0, P5, E.SolverConfig(t_end=1.0, safety=E.max_safety(5)))
+    assert traj.status.kind == "reached_horizon"
+    assert traj.sup_norms[-1] < traj.sup_norms[0]
+
+
+def _rk4_amplification(z):
+    """RK4's stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+
+def test_rk4_real_limit_and_max_safety():
+    # -RK4_REAL_LIMIT is the real root of R(z) = 1, i.e. of z^3 + 4 z^2 + 12 z + 24
+    roots = np.roots([1.0, 4.0, 12.0, 24.0])
+    real = roots[np.abs(roots.imag) < 1e-12].real
+    assert real.size == 1 and abs(real[0] + E.RK4_REAL_LIMIT) < 1e-14
+    assert abs(_rk4_amplification(-E.RK4_REAL_LIMIT) - 1.0) < 1e-13
+    bounds = [E.max_safety(n) for n in range(3, 17)]
+    assert bounds[0] == pytest.approx(E.RK4_REAL_LIMIT, rel=1e-14)   # rho h^2 = 6 at n = 3
+    assert all(b < b_next for b, b_next in zip(bounds, bounds[1:]))
+    assert min(bounds) > 2.4
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 11])
+@pytest.mark.parametrize("boundary", [F.FREE, F.DIRICHLET])
+def test_diffusive_cap_is_rk4_stable(n, boundary):
+    # every eigenvalue of the stepper's operator, complex ones included, must lie
+    # in RK4's stability region at the largest allowed safety and at 2.4
+    for m in (100, 400, 800):
+        g = F.make_grid(n, 40.0, m)
+        lam = np.linalg.eigvals(E._Stepper(g, n, dirichlet=boundary == F.DIRICHLET).matrix())
+        if n >= 8:   # a complex pair, off the real axis that the limit is taken on
+            assert np.abs(lam.imag).max() * g.h**2 > 0.8
+        for safety in (E.max_safety(n), 2.4):
+            dt = E.diffusive_cap(safety, g.h, n)
+            assert np.abs(_rk4_amplification(dt * lam)).max() <= 1.0 + 1e-12, (m, safety)
 
 
 def test_zero_data():
@@ -251,7 +299,7 @@ def _reference_rhs(grid, n, p, dirichlet, nonlinear=True):
 
 
 def _reference_solve(u0, params, cfg):
-    """The allocating solve loop with every stop path: series, checkpoints, steps, status."""
+    """The allocating solve loop with every stop path: series, checkpoints, step work, status."""
     grid, p = u0.grid, params.p
     dirichlet = u0.boundary == F.DIRICHLET
     rhs = _reference_rhs(grid, params.n, p, dirichlet)
@@ -260,21 +308,26 @@ def _reference_solve(u0, params, cfg):
     cps = np.asarray(cfg.checkpoint_times, dtype=float)
     u = u0.values.astype(float).copy()
     k = [np.empty_like(u) for _ in range(4)]
-    t, next_cp, steps, status = 0.0, 0, 0, None
+    t, next_cp, status = 0.0, 0, None
+    bound_by, min_dt = {"diffusive": 0, "nonlinear": 0, "landing": 0}, np.inf
     series = [(t, float(np.max(np.abs(u))), float(np.max(r_pow * np.abs(u))), 0.0)]
     checkpoints = []
     while t < cfg.t_end:
-        dt = min(cfg.dt_init, dt_diff, 0.5 * series[-1][1] ** (1.0 - p))
+        caps = {"diffusive": min(cfg.dt_init, dt_diff),
+                "nonlinear": 0.5 * series[-1][1] ** (1.0 - p)}
+        dt = min(caps.values())
         if dt < cfg.dt_min:
             status = E._blowup_status(series, params, t)
             break
         target = cfg.t_end if next_cp >= len(cps) else cps[next_cp]
+        landing = target > t and target - t < dt
         dt = min(dt, target - t) if target > t else dt
         u = _reference_rk4_step(rhs, u, dt, k)
         if dirichlet:
             u[-1] = 0.0
         t += dt
-        steps += 1
+        bound_by["landing" if landing else min(caps, key=caps.get)] += 1
+        min_dt = min(min_dt, dt)
         sup = float(np.max(np.abs(u)))
         series.append((t, sup, float(np.max(r_pow * np.abs(u))), dt))
         if not dirichlet and abs(u[-2]) > E.BOUNDARY_CONTAMINATION * sup:
@@ -287,13 +340,14 @@ def _reference_solve(u0, params, cfg):
             status = E._blowup_status(series, params, t)
             break
     status = status or E.TrajectoryStatus("reached_horizon", t)
-    return np.array(series), checkpoints, steps, status
+    return np.array(series), checkpoints, E.StepWork(**bound_by, min_dt=min_dt), status
 
 
 def _assert_equals_reference(traj, u0, params, cfg):
-    series, checkpoints, steps, status = _reference_solve(u0, params, cfg)
+    series, checkpoints, work, status = _reference_solve(u0, params, cfg)
     assert traj.status == status
-    assert traj.steps == steps == len(series) - 1
+    assert traj.work == work
+    assert traj.steps == work.steps == len(series) - 1
     assert traj.series.tobytes() == series.tobytes()
     assert len(traj.checkpoints) == len(checkpoints)
     for (t, f), (t_ref, v_ref) in zip(traj.checkpoints, checkpoints):
@@ -317,6 +371,9 @@ def test_rk4_step_equals_allocating_step():
     v = np.random.default_rng(0).standard_normal(g.m + 1)
     lap = _reference_rhs(g, 5, 3.0, False, nonlinear=False)(v, np.empty_like(v))
     assert E._Stepper(g, 5).rhs(v, np.empty_like(v)).tobytes() == lap.tobytes()
+    # and its dense matrix applies that Laplacian too
+    mat = E._Stepper(g, 5).matrix()
+    np.testing.assert_allclose(mat @ v, lap, rtol=0, atol=1e-13 * np.abs(mat).max())
 
 
 @pytest.mark.parametrize("boundary", [F.DIRICHLET, F.FREE])
