@@ -17,7 +17,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -453,7 +452,7 @@ def config_hash(cfg: dict) -> str:
 
 def _versions() -> dict:
     return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
-            "scipy": metadata.version("scipy"), "morreyheat": __version__}
+            "morreyheat": __version__}
 
 
 def _error_chain(exc: BaseException) -> list:

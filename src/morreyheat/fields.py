@@ -96,25 +96,60 @@ def radial_derivative(f: RadialField) -> RadialField:
     return make_field(f.grid, d, f.boundary)
 
 
+def _pchip_edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, limited to keep the end interval monotone."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x: np.ndarray, y: np.ndarray, xi) -> np.ndarray:
+    """Monotone piecewise-cubic Hermite interpolant of (x, y) at xi, 0.0 outside [x_0, x_N].
+
+    Fritsch-Carlson (SIAM J. Numer. Anal. 17, 1980) with the slope rules of
+    scipy's PchipInterpolator: a node between secant slopes of equal sign gets
+    their weighted harmonic mean, any other interior node slope 0, and each
+    end the limited three-point estimate.  x is strictly increasing, with at
+    least three nodes.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros(len(x))
+    same = np.sign(m[:-1]) * np.sign(m[1:]) > 0.0
+    w1 = (2.0 * h[1:] + h[:-1])[same]
+    w2 = (h[1:] + 2.0 * h[:-1])[same]
+    # slopes near the smallest double overflow w/m to inf, whose reciprocal is the limit 0
+    with np.errstate(over="ignore"):
+        d[1:-1][same] = 1.0 / ((w1 / m[:-1][same] + w2 / m[1:][same]) / (w1 + w2))
+    d[0] = _pchip_edge_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_edge_slope(h[-1], h[-2], m[-1], m[-2])
+    # each interval's cubic in s = xi - x_k, summed from the constant term up, as scipy's PPoly does
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    quad, cubic = (m - d[:-1]) / h - t, t / h
+    xi = np.asarray(xi, dtype=float)
+    k = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(h) - 1)
+    s = xi - x.take(k)
+    s2 = s * s
+    out = y.take(k) + d.take(k) * s + quad.take(k) * s2 + cubic.take(k) * (s2 * s)
+    out[(xi < x[0]) | (xi > x[-1])] = 0.0
+    return out
+
+
 def rescale_field(f: RadialField, lam: float, params: ModelParams) -> RadialField:
     """Critical rescaling u_lam(r) = lam^(2/(p-1)) u(lam r) resampled onto f's grid.
 
     Values needed beyond r_max are taken as zero (zero-extension convention).
-    Monotone cubic interpolation keeps the resampling overshoot-free.
+    Monotone cubic interpolation (`pchip`) keeps the resampling overshoot-free.
     """
     if not lam > 0:
         raise ValueError("scaling factor must be positive")
     amp = lam ** (2.0 / (params.p - 1.0))
     if lam == 1.0:
         return f
-    from scipy.interpolate import PchipInterpolator   # scipy loads on first use
-
-    r_src = f.grid.nodes * lam
-    # near-zero slopes make scipy's harmonic-mean weights overflow harmlessly
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        interp = PchipInterpolator(f.grid.nodes, f.values, extrapolate=False)
-    vals = interp(r_src)
-    vals = np.where(np.isnan(vals), 0.0, vals) * amp
+    vals = pchip(f.grid.nodes, f.values, f.grid.nodes * lam) * amp
     if f.boundary == DIRICHLET:
         vals[-1] = 0.0
     return make_field(f.grid, vals, f.boundary)

@@ -213,11 +213,17 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
 # (G_t * f)(a e_1) = c_t * integral f(s) s^{n-1} exp(-(s-a)^2/4t) Lam(as/2t) ds
 # with c_t = (4 pi t)^{-n/2} |S^{n-2}| and the exponentially scaled angular
 # kernel Lam(z) = integral_0^pi exp(-z (1 - cos th)) sin^{n-2} th dth, which is
-# bounded and overflow-free for all z >= 0.  By Poisson's integral for I_nu
-# (DLMF 10.32.2), Lam(z) = sqrt(pi) Gamma((n-1)/2) (2/z)^nu ive(nu, z) with
-# nu = (n-2)/2, and Lam(0) = _cap_total(n).  A log-log spline of this closed
-# form over a fixed table (4097 knots uniform in log1p(z) on [0, 1e8]) is
-# built once per dimension; beyond the table the closed form is used directly.
+# bounded and overflow-free for all z >= 0: Poisson's integral for I_nu (DLMF
+# 10.32.2) gives Lam(z) = sqrt(pi) Gamma((n-1)/2) (2/z)^nu e^{-z} I_nu(z) with
+# nu = (n-2)/2, and Lam(0) = _cap_total(n).  With
+# x = 1 - cos th, Lam(z) = integral_0^2 exp(-z x) (x (2 - x))^{(n-3)/2} dx and
+# -Lam'(z) is the same integral times x.  Both are computed by a Gauss-Legendre
+# rule in x = v^2 on [0, 1], truncated where z x > 60, and in x = 2 - w^2 on
+# [1, 2]; either substitution leaves the smooth integrand
+# 2 v^{n-2} (2 - v^2)^{(n-3)/2}.  log Lam is tabulated once per dimension on
+# 4097 knots uniform in u = log1p(z) on [0, 1e8], with its exact slopes
+# d log Lam / du, and read as a cubic Hermite; beyond the table the rule is
+# applied directly.
 #
 # The dense matrix is filled one block of rows at a time, and each block only
 # over the columns where some of its Gaussian factors exp(-(s-a)^2/4t) are
@@ -234,36 +240,71 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
 # ---------------------------------------------------------------------------
 
 _ANGULAR_Z_MAX = 1e8
+_ANGULAR_KNOTS = 4097
+_ANGULAR_RULE_POINTS = 96
+_ANGULAR_EXP_CUTOFF = 60.0   # exp(-60) ~ 9e-27: the x-range past z x = 60 is dropped
 
 
-def _angular_closed_form(n: int, z: np.ndarray) -> np.ndarray:
-    """The scaled angular kernel from its Bessel form, for z > 0."""
-    from scipy.special import ive   # scipy loads on first use
+def _angular_integrand(n: int, s: np.ndarray) -> np.ndarray:
+    """2 s^{n-2} (2 - s^2)^{(n-3)/2}: (x (2 - x))^{(n-3)/2} dx/ds for x = s^2 and x = 2 - s^2."""
+    return 2.0 * s ** (n - 2) * (2.0 - s * s) ** ((n - 3) / 2.0)
 
-    nu = (n - 2) / 2.0
-    return math.sqrt(math.pi) * math.gamma((n - 1) / 2.0) * (2.0 / z) ** nu * ive(nu, z)
+
+def _angular_moments(n: int, z: np.ndarray):
+    """(Lam(z), -Lam'(z)) for a 1-D array z >= 0, by the Gauss-Legendre rule."""
+    s, wts = np.polynomial.legendre.leggauss(_ANGULAR_RULE_POINTS)
+    s = 0.5 * (s + 1.0)   # nodes and weights on [0, 1]
+    wts = 0.5 * wts
+    z = z[:, None]
+    # x = v^2 on [0, 1], with v = v_max s and v_max^2 = min(1, 60/z)
+    v_max = np.sqrt(_ANGULAR_EXP_CUTOFF / np.maximum(z, _ANGULAR_EXP_CUTOFF))
+    v = v_max * s
+    x_lo = v * v
+    lo = _angular_integrand(n, v) * (v_max * wts) * np.exp(-z * x_lo)
+    # x = 2 - w^2 on [1, 2], with w = s
+    x_hi = 2.0 - s * s
+    hi = (_angular_integrand(n, s) * wts) * np.exp(-z * x_hi)
+    return lo.sum(axis=-1) + hi.sum(axis=-1), (lo * x_lo).sum(axis=-1) + (hi * x_hi).sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
-def _angular_spline(n: int):
-    from scipy.interpolate import CubicSpline   # scipy loads on first use
-
-    u = np.linspace(0.0, math.log1p(_ANGULAR_Z_MAX), 4097)
+def _angular_table(n: int) -> tuple[float, np.ndarray]:
+    """Knot spacing du and the (4, knots) Horner coefficients, highest power first, of the
+    cubic Hermite of log Lam in t = u/du - k on interval k; the last column, read at t = 0
+    only, is the constant log Lam(1e8)."""
+    u = np.linspace(0.0, math.log1p(_ANGULAR_Z_MAX), _ANGULAR_KNOTS)
+    du = float(u[1])
     z = np.expm1(u)
-    vals = np.empty_like(z)
-    vals[0] = _cap_total(n)
-    vals[1:] = _angular_closed_form(n, z[1:])
-    return CubicSpline(u, np.log(vals))
+    lam, dlam = _angular_moments(n, z)
+    y = np.log(lam)
+    m = -dlam / lam * (1.0 + z) * du   # d log Lam / dt
+    dy = np.diff(y)
+    coef = np.stack([m[:-1] + m[1:] - 2.0 * dy, 3.0 * dy - 2.0 * m[:-1] - m[1:], m[:-1], y[:-1]])
+    coef = np.column_stack([coef, [0.0, 0.0, 0.0, y[-1]]])
+    coef.setflags(write=False)
+    return du, coef
 
 
 def angular_kernel_scaled(n: int, z) -> np.ndarray:
-    """Spline-cached scaled angular kernel (relative error ~1e-11 vs the Bessel form)."""
+    """The scaled angular kernel Lam(z), z >= 0, from the per-dimension table and,
+    beyond it, the quadrature (relative error ~3e-12 against the Bessel form)."""
     z = np.asarray(z, dtype=float)
-    out = np.asarray(np.exp(_angular_spline(n)(np.log1p(z))))   # writable for a scalar z too
-    far = z > _ANGULAR_Z_MAX
+    flat = z.reshape(-1)
+    du, coef = _angular_table(n)
+    x = np.log1p(flat)
+    x /= du
+    np.minimum(x, coef.shape[1] - 1, out=x)   # past the table: its last knot, replaced below
+    k = x.astype(np.intp)
+    x -= k
+    out = coef[0].take(k)
+    for row in coef[1:]:
+        out *= x
+        out += row.take(k)
+    np.exp(out, out=out)
+    far = flat > _ANGULAR_Z_MAX
     if np.any(far):
-        out[far] = _angular_closed_form(n, z[far])
-    return out
+        out[far] = _angular_moments(n, flat[far])[0]
+    return out.reshape(z.shape)
 
 
 _KERNEL_BLOCK_ROWS = 64

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import Trajectory
-from .fields import RadialField
+from .fields import RadialField, pchip
 from .params import ModelParams
 from .quadrature import TruncationWarning, heat_kernel_matrix, sphere_area
 
@@ -49,12 +49,7 @@ def to_similarity(field: RadialField, t: float, T: float, params: ModelParams,
         warnings.warn(
             f"similarity window reaches r={r[-1]:.3g} beyond r_max={field.grid.r_max:g}",
             TruncationWarning, stacklevel=2)
-    from scipy.interpolate import PchipInterpolator   # scipy loads on first use
-
-    interp = PchipInterpolator(field.grid.nodes, field.values, extrapolate=False)
-    vals = interp(np.minimum(r, field.grid.r_max))
-    vals = np.where(np.isnan(vals), 0.0, vals)
-    w = tau**params.beta * vals
+    w = tau**params.beta * pchip(field.grid.nodes, field.values, np.minimum(r, field.grid.r_max))
     w.setflags(write=False)
     y.setflags(write=False)
     return RescaledField(y=y, values=w, T=T, t=t, s=-math.log(tau), truncated=truncated)

@@ -257,7 +257,7 @@ def test_main_exit_codes(tmp_path):
                      "--rmax", "10", "--tend", "0.5", "--p", "0.5"]) == 2
     manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
     assert manifest["status"] == "ok"
-    assert set(manifest["versions"]) == {"python", "numpy", "scipy", "morreyheat"}
+    assert set(manifest["versions"]) == {"python", "numpy", "morreyheat"}
 
 
 def test_failed_pipeline_writes_manifest(tmp_path):
@@ -278,7 +278,7 @@ def test_failed_pipeline_writes_manifest(tmp_path):
     assert manifest["config_hash"] == cli.config_hash(merged)
     assert manifest["error"][0].startswith("PipelineError: energy pipeline failed:")
     assert "did not reach the horizon" in manifest["error"][-1]
-    assert set(manifest["versions"]) == {"python", "numpy", "scipy", "morreyheat"}
+    assert set(manifest["versions"]) == {"python", "numpy", "morreyheat"}
     assert "checks" not in manifest
 
 
@@ -403,27 +403,54 @@ def test_threshold_verdicts_same_at_default_and_diffusive_safety(tmp_path):
     assert steps[0] < 0.5 * steps[1]
 
 
-def test_scipy_loads_on_first_use(tmp_path):
-    # neither the CLI's import nor a threshold run needs scipy, so neither loads it
+# one small config per kind: grid, solver and initial-data blocks, and experiment options
+_SMALL_RUNS = {
+    "solve": ({"r_max": 10.0, "nodes": 64}, {"t_end": 0.5, "checkpoints": 4}, None, {}),
+    "energy": ({"r_max": 20.0, "nodes": 200}, {"t_end": 2.0},
+               {"amplitude": 0.1, "width": 2.0}, {"T_values": [2.0]}),
+    "morrey": ({"r_max": 8.0, "nodes": 100}, {}, None, {}),
+    "smoothing": ({"r_max": 12.0, "nodes": 120}, {}, None,
+                  {"t_lo": 0.1, "t_hi": 10.0, "t_count": 3}),
+    "picard": ({"r_max": 16.0, "nodes": 80}, {}, None,
+               {"t_end": 0.5, "sample_times": [0.25, 0.5], "compare_classical": False}),
+    "threshold": ({"r_max": 40.0, "nodes": 100}, {"t_end": 10.0}, None,
+                  {"rel_tol": 0.005, "deltas": [0.1]}),
+    "dependence": ({"r_max": 20.0, "nodes": 100}, {}, {"amplitude": 0.2, "width": 2.0},
+                   {"T0": 2.0, "sizes": [1e-2]}),
+    "hypotheses": ({"r_max": 20.0, "nodes": 100}, {}, None, {}),
+}
+
+
+def test_no_kind_loads_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing the CLI and running every kind leave scipy
+    # unloaded (scipy is the test suite's oracle only)
+    runs = {}
+    for kind, (grid, solver, args, experiment) in _SMALL_RUNS.items():
+        cfg = cli.default_config(kind)
+        cfg["grid"] = grid
+        cfg["solver"].update(solver)
+        if args is not None:
+            cfg["initial_data"]["args"] = args
+        cfg["experiment"].update(experiment)
+        runs[kind] = cfg
+    assert sorted(runs) == sorted(cli.EXPERIMENT_KINDS)
     script = f"""
-import sys
+import json, sys
 from morreyheat import cli
 assert "scipy" not in sys.modules, "imported by morreyheat.cli"
-cfg = cli.default_config("threshold")
-cfg["grid"] = {{"r_max": 40.0, "nodes": 100}}
-cfg["solver"]["t_end"] = 10.0
-cfg["experiment"].update({{"rel_tol": 0.005, "deltas": [0.1]}})
-cli.run_experiment(cfg, out_dir={str(tmp_path / "t")!r})
-assert "scipy" not in sys.modules, "imported by a threshold run"
+for kind, cfg in json.loads({json.dumps(runs)!r}).items():
+    cli.run_experiment(cfg, out_dir={str(tmp_path)!r} + "/" + kind)
+    assert "scipy" not in sys.modules, "imported by the " + kind + " run"
 """
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
-    assert manifest["status"] == "ok" and "scipy" in manifest["versions"]
-    assert len(json.loads((tmp_path / "t" / "threshold.json").read_text())["probes"]) == 1
+    for kind in runs:
+        manifest = json.loads((tmp_path / kind / "manifest.json").read_text())
+        assert manifest["status"] == "ok", kind
+        assert set(manifest["versions"]) == {"python", "numpy", "morreyheat"}
 
 
 def test_hypotheses_kind_end_to_end(tmp_path):

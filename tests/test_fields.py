@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from morreyheat import fields as F
 from morreyheat import morrey as M
@@ -57,6 +58,34 @@ def test_weighted_equals_plain_at_zero_weight():
     g = grid5()
     f = F.power_tail(g, 0.7, 1.5, 2.0)
     assert F.weighted_sup_norm(f, 0.0) == F.sup_norm(f)
+
+
+_PCHIP_DATA = {
+    "gaussian": lambda r: np.exp(-(r / 2.0) ** 2),
+    "random": lambda r: np.random.default_rng(5).normal(size=r.size),
+    "step": lambda r: (r <= 3.0).astype(float),
+    "zero": np.zeros_like,
+    # flat runs give exactly-zero secant slopes on both sides of interior nodes
+    "plateau": lambda r: np.select([r <= 2.0, r <= 5.0], [2.0, 0.5], 0.0),
+    # secant slopes that flip sign at both ends, where the end slope is limited to 3 m_0
+    "zigzag": lambda r: (-1.0) ** np.arange(r.size) * (np.arange(r.size) % 5) ** 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PCHIP_DATA))
+def test_pchip_matches_scipy(name):
+    x = grid5(r_max=8.0, m=160).nodes
+    y = _PCHIP_DATA[name](x)
+    xi = np.concatenate([np.linspace(-1.0, 9.0, 2001), x, [x[-1], x[-1] * (1 + 1e-15), -1e-300]])
+    want = PchipInterpolator(x, y, extrapolate=False)(xi)
+    want = np.where(np.isnan(want), 0.0, want)
+    got = F.pchip(x, y, xi)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # on the nodes the data, r_max included (read off the last interval's cubic), and 0 outside
+    on_nodes = np.append(got[2001:2001 + x.size], got[-3])
+    assert np.max(np.abs(on_nodes - np.append(y, y[-1]))) <= 1e-14 * np.max(np.abs(y))
+    assert got[-2] == 0.0 == got[-1]
+    assert np.all(got[(xi < 0.0) | (xi > x[-1])] == 0.0)
 
 
 def test_rescale_identity_and_rejection():

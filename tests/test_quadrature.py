@@ -134,23 +134,77 @@ def test_ball_integral_truncation_warning():
 # --- angular kernel and gaussian convolution --------------------------------
 
 
+_ANGULAR_DIMS = (3, 4, 5, 6, 8, 11)
+
+
+def _angular_bessel(n, z):
+    """Lam(z) by Poisson's integral for I_nu (DLMF 10.32.2), nu = (n-2)/2, for z > 0."""
+    nu = (n - 2) / 2.0
+    return math.sqrt(math.pi) * gamma((n - 1) / 2) * (2.0 / z) ** nu * ive(nu, z)
+
+
+def _angular_knots():
+    return np.linspace(0.0, math.log1p(Q._ANGULAR_Z_MAX), Q._ANGULAR_KNOTS)
+
+
+def _angular_theta_quad(n, z):
+    """Lam(z) by adaptive quadrature of the theta-integral itself, with th = phi / sqrt(z)
+    for z > 1 so the integrand stays of order one, over the range where
+    exp(-z (1 - cos th)) = exp(-2 z sin^2(th/2)) is not below exp(-800)."""
+    scale = math.sqrt(max(z, 1.0))
+
+    def integrand(phi):
+        th = phi / scale
+        return math.exp(-2.0 * z * math.sin(0.5 * th) ** 2) * (scale * math.sin(th)) ** (n - 2)
+    top = min(math.pi, 40.0 / math.sqrt(z)) * scale if z > 0 else math.pi
+    val = quad(integrand, 0.0, top, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return val / scale ** (n - 1)
+
+
 def test_angular_kernel_matches_scaled_bessel():
-    z = np.array([0.0, 1e-6, 0.5, 3.0, 40.0, 1e3, 1e5, 5e8])   # 5e8 lies beyond the spline table
-    for n in (3, 4, 5, 8):
-        nu = (n - 2) / 2.0
+    # on the table, then past its end at z = 1e8, where the quadrature applies directly;
+    # ive itself returns nan from about z = 1e10, where only the theta-quadrature checks
+    z = np.array([0.0, 1e-6, 0.5, 3.0, 40.0, 1e3, 1e5, 9.9e7, 1.5e8, 5e8, 1e9])
+    dense = np.geomspace(1e-6, 2e8, 20001)
+    for n in _ANGULAR_DIMS:
         expect = np.full_like(z, math.sqrt(math.pi) * gamma((n - 1) / 2) / gamma(n / 2))
-        big = z >= 1e-12
-        expect[big] = (math.sqrt(math.pi) * gamma((n - 1) / 2)
-                       * (2.0 / z[big]) ** nu * ive(nu, z[big]))
-        # independent oracle: adaptive quadrature of the theta-integral itself
-        for zi, ei in zip(z[:-1], expect[:-1]):
-            def integrand(th):
-                return math.exp(-zi * (1.0 - math.cos(th))) * math.sin(th) ** (n - 2)
-            direct, _ = quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=500)
-            assert direct == pytest.approx(ei, rel=1e-9)
-        spline = Q.angular_kernel_scaled(n, z)
-        assert np.max(np.abs(spline / expect - 1)) < 1e-8
-        assert Q.angular_kernel_scaled(n, z[-1]) == spline[-1]   # scalar z beyond the table
+        expect[1:] = _angular_bessel(n, z[1:])
+        for zi, ei in zip(z, expect):
+            assert _angular_theta_quad(n, zi) == pytest.approx(ei, rel=1e-9), (n, zi)
+        got = Q.angular_kernel_scaled(n, z)
+        assert np.max(np.abs(got / expect - 1)) < 1e-8
+        assert Q.angular_kernel_scaled(n, z[-1]) == got[-1]   # scalar z beyond the table
+        assert Q.angular_kernel_scaled(n, 1e11) == pytest.approx(_angular_theta_quad(n, 1e11),
+                                                                 rel=1e-9)
+        # the table read over its whole range, between knots too
+        dense_rel = Q.angular_kernel_scaled(n, dense) / _angular_bessel(n, dense) - 1
+        assert np.max(np.abs(dense_rel)) < 1e-8
+
+
+@pytest.mark.parametrize("n", _ANGULAR_DIMS)
+def test_angular_kernel_at_knots(n):
+    # at the knots the table holds the quadrature itself, to 1e-11 of the Bessel form
+    z = np.expm1(_angular_knots()[1:])
+    assert np.max(np.abs(Q.angular_kernel_scaled(n, z) / _angular_bessel(n, z) - 1)) < 1e-11
+
+
+@pytest.mark.parametrize("n", _ANGULAR_DIMS)
+def test_angular_kernel_at_origin_is_cap_total(n):
+    # Lam(0) is the full-sphere normaliser integral_0^pi sin^{n-2}
+    assert Q.angular_kernel_scaled(n, 0.0) == pytest.approx(Q._cap_total(n), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", _ANGULAR_DIMS)
+def test_angular_table_slopes_match_centred_difference(n):
+    # the Hermite slope d log Lam / du at each knot, from the -Lam' quadrature, against a
+    # centred difference of the log Bessel form in u = log1p(z)
+    u = _angular_knots()[1:-1]
+    du, coef = Q._angular_table(n)
+    slope = coef[2, 1:-1] / du
+    step = 1e-4
+    diff = (np.log(_angular_bessel(n, np.expm1(u + step)))
+            - np.log(_angular_bessel(n, np.expm1(u - step)))) / (2.0 * step)
+    assert np.max(np.abs(slope - diff)) < 1e-7
 
 
 def test_gauss_convolve_is_independent_of_call_history():
