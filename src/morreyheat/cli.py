@@ -386,6 +386,8 @@ def _run_threshold(cfg, bundle):
                            "evolution.min_dt": work.min_dt,
                            "threshold.solves": len(result.trials) + len(probes),
                            "threshold.trials": len(result.trials),
+                           "morrey.evaluations": result.morrey_evaluations
+                           + sum(p_.morrey_evaluations for p_ in probes),
                            "threshold.bisect_s": bisect_s,
                            "threshold.probes_s": time.perf_counter() - started})
     if deltas:

@@ -95,7 +95,8 @@ _TABLE_MAX_BYTES = 300 * 2**20
 
 def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
     """Weights W[c, r, j] with ball_integral(f,q,a_c,R_r) = sum_j W[c,r,j] |f_j|^q, and
-    {r: small_ball_plan} for the radii <= SMALL_BALL_FACTOR h, whose columns it replaces."""
+    {r: small_ball_plan} for the radii <= SMALL_BALL_FACTOR h, whose columns it replaces
+    and leaves at 0.0 (each entry of W @ g is the dot product of its own row alone)."""
     key = (grid.n, grid.m, grid.r_max,
            np.asarray(lattice.centers).tobytes(), np.asarray(lattice.radii).tobytes())
     entry = _TABLE_CACHE.get(key)
@@ -106,12 +107,13 @@ def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
     area = sphere_area(n)
     base = area * volume_weights(grid)
     centers = np.asarray(lattice.centers)
-    table = np.empty((len(centers), len(lattice.radii), grid.m + 1))
-    for ri, r_ball in enumerate(lattice.radii):
-        table[:, ri] = base * cap_fraction_array(n, centers[:, None], grid.nodes, float(r_ball))
-        table[centers == 0.0, ri] = area * origin_ball_weights(grid, float(r_ball))
     plans = {ri: small_ball_plan(grid, centers, float(r_ball))
              for ri, r_ball in enumerate(lattice.radii) if r_ball <= SMALL_BALL_FACTOR * grid.h}
+    table = np.zeros((len(centers), len(lattice.radii), grid.m + 1))
+    for ri, r_ball in enumerate(lattice.radii):
+        if ri not in plans:
+            table[:, ri] = base * cap_fraction_array(n, centers[:, None], grid.nodes, float(r_ball))
+            table[centers == 0.0, ri] = area * origin_ball_weights(grid, float(r_ball))
     if table.nbytes + sum(x.nbytes for plan in plans.values() for x in plan) <= _TABLE_MAX_BYTES:
         _TABLE_CACHE[key] = table, plans
         while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:

@@ -169,12 +169,14 @@ def fine_ball_integral(grid: RadialGrid, g: np.ndarray, plan: SmallBallPlan) -> 
     with np.errstate(divide="ignore", invalid="ignore"):
         log_g, log_nodes = np.log(g), np.log(nodes)
         s = np.linspace(plan.lo, plan.hi, FINE_BALL_NODES, axis=-1)
-        s0 = nodes.take(i0)
-        w = (s - s0) / np.diff(nodes).take(i0)
         lw = (np.log(s) - log_nodes.take(i0)) / np.diff(log_nodes).take(i0)
-        geo = np.exp(log_g.take(i0) * (1.0 - lw) + log_g[1:].take(i0) * lw)
+        dens = np.exp(log_g.take(i0) * (1.0 - lw) + log_g[1:].take(i0) * lw)
+    # the linear rule, only at the points whose interval lacks a positive pair
     positive = (g[:-1] > 0) & (g[1:] > 0) & (nodes[:-1] > 0)
-    dens = np.where(positive.take(i0), geo, g.take(i0) * (1.0 - w) + g[1:].take(i0) * w)
+    pts = np.flatnonzero(~positive.take(i0))
+    k = i0.take(pts)
+    w = (s.take(pts) - nodes.take(k)) / np.diff(nodes).take(k)
+    dens.put(pts, g.take(k) * (1.0 - w) + g[1:].take(k) * w)
     vals = dens * s ** (grid.n - 1) * plan.cap
     out[plan.live] = sphere_area(grid.n) * np.trapezoid(vals, s, axis=-1)
     return out

@@ -75,15 +75,26 @@ class ThresholdResult:
     C0_measured: float                 # sup_t t^(1/(p-1)) ||u(t)||_inf / epsilon_star at lambda_lo
     ray_profile: RadialField = field(repr=False, default=None)
     work: StepWork = StepWork()        # RK4 steps over all trials
+    morrey_evaluations: int = 0        # critical Morrey norms computed
 
 
 def _scaled(phi: RadialField, lam: float) -> RadialField:
     return make_field(phi.grid, lam * phi.values, phi.boundary)
 
 
-def _morrey_series(traj: Trajectory, params: ModelParams, lattice) -> list:
-    spec = critical_spec(params)
-    return [(t, morrey_norm(f, spec, lattice)) for t, f in traj.checkpoints]
+class _CriticalNorm:
+    """f -> ||f||_{M^{2,mu}} on one lattice, counting its evaluations."""
+
+    def __init__(self, params: ModelParams, lattice: MorreyLattice):
+        self.spec, self.lattice, self.evaluations = critical_spec(params), lattice, 0
+
+    def __call__(self, f: RadialField) -> float:
+        self.evaluations += 1
+        return morrey_norm(f, self.spec, self.lattice)
+
+
+def _morrey_series(traj: Trajectory, norm: _CriticalNorm) -> list:
+    return [(t, norm(f)) for t, f in traj.checkpoints]
 
 
 def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
@@ -140,15 +151,15 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
     consistent = (not blowup_lams or not decay_lams
                   or max(decay_lams) < min(blowup_lams))
 
-    lattice = MorreyLattice.default(phi.grid)
-    epsilon_star = morrey_norm(_scaled(phi, lo), critical_spec(params), lattice)
+    norm = _CriticalNorm(params, MorreyLattice.default(phi.grid))
+    epsilon_star = norm(_scaled(phi, lo))
     return ThresholdResult(
         lambda_lo=lo, lambda_hi=hi, rel_width=(hi - lo) / lo, trials=trials,
-        morrey_series_lo=_morrey_series(traj_lo, params, lattice),
-        morrey_series_hi=_morrey_series(traj_hi, params, lattice),
+        morrey_series_lo=_morrey_series(traj_lo, norm),
+        morrey_series_hi=_morrey_series(traj_hi, norm),
         stalled=stalled, monotone_consistent=consistent, epsilon_star=epsilon_star,
         C0_measured=decay_diagnostics(traj_lo, params).sup_t_beta_norm / epsilon_star,
-        ray_profile=phi, work=sum(works, StepWork()))
+        ray_profile=phi, work=sum(works, StepWork()), morrey_evaluations=norm.evaluations)
 
 
 @dataclass(frozen=True)
@@ -161,6 +172,7 @@ class BorderlineTrial:
     morrey_start: float | None        # ||u(t)||_{M^{2,mu}} at the first checkpoint >= 1
     morrey_end: float | None          # ... at the horizon
     work: StepWork = StepWork()       # RK4 steps of its run
+    morrey_evaluations: int = 0       # critical Morrey norms computed
 
 
 def borderline_probe(result: ThresholdResult, params: ModelParams, cfg: SolverConfig,
@@ -168,25 +180,27 @@ def borderline_probe(result: ThresholdResult, params: ModelParams, cfg: SolverCo
     """Probe the ray just below (delta > 0) or above (delta < 0) the bracket.
 
     Runs at lambda_lo (1 - delta); negative deltas probe lambda_hi (1 - delta)
-    instead, exercising the blowup side of the bracket.
+    instead, exercising the blowup side of the bracket.  A decaying probe
+    evaluates the critical Morrey norm at two checkpoints only: the first with
+    t >= 1 and the last; a blowup or undecided probe evaluates none.
     """
     if result.rel_width > 1e-2:
         raise ValueError("bracket must be tighter than 1e-2 before probing")
     phi = result.ray_profile
     lattice = MorreyLattice.default(phi.grid)
-    spec = critical_spec(params)
     out = []
     for delta in deltas:
         lam = result.lambda_lo * (1.0 - delta) if delta >= 0 else result.lambda_hi * (1.0 - delta)
         v, traj = classify_with_trajectory(_scaled(phi, lam), params, cfg)
+        norm = _CriticalNorm(params, lattice)
         t0 = m_start = m_end = None
         if v.kind == "decaying":
             t0 = decay_diagnostics(traj, params).decay_start
-            series = _morrey_series(traj, params, lattice)
-            late = [val for t, val in series if t >= 1.0]
+            late = [f for t, f in traj.checkpoints if t >= 1.0]
             if late:
-                m_start, m_end = late[0], late[-1]
+                m_start, m_end = norm(late[0]), norm(late[-1])
         out.append(BorderlineTrial(delta=float(delta), lam=lam, verdict=v.kind,
                                    T_est=v.T_est, t0=t0, morrey_start=m_start,
-                                   morrey_end=m_end, work=traj.work))
+                                   morrey_end=m_end, work=traj.work,
+                                   morrey_evaluations=norm.evaluations))
     return out

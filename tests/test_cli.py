@@ -380,7 +380,11 @@ def test_threshold_manifest_counts_solver_work(tmp_path):
                        "evolution.cap.landing": work.landing,
                        "evolution.min_dt": work.min_dt,
                        "threshold.solves": len(lams),
-                       "threshold.trials": len(doc["trials"])}
+                       "threshold.trials": len(doc["trials"]),
+                       # epsilon_star, both bracket series, and two per decaying probe
+                       "morrey.evaluations": 1 + len(doc["morrey_series_lo"])
+                       + len(doc["morrey_series_hi"])
+                       + sum(2 for p in doc["probes"] if p["morrey_start"] is not None)}
     assert len(doc["probes"]) == 2
 
 

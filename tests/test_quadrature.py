@@ -432,6 +432,11 @@ _SMALL_BALL_FIELDS = {
     # exact zeros beyond r = 3, so the geometric mask switches off there
     "compact": lambda r: np.clip(1.0 - (r / 3.0) ** 2, 0.0, None) ** 3,
     "sign_changing": lambda r: np.cos(2.0 * r) * np.exp(-r * r / 8.0),
+    # exact zeros at isolated interior nodes: linear on both intervals next to each
+    "isolated_zeros": lambda r: np.where(np.arange(r.size) % 9 == 4, 0.0, np.exp(-r * r / 16.0)),
+    "zero": np.zeros_like,
+    # linear on the last interval only, besides the one touching r = 0
+    "positive_but_last": lambda r: np.where(r < r[-1], np.exp(-r / 8.0), 0.0),
 }
 
 
@@ -455,3 +460,22 @@ def test_small_ball_cells_equal_per_point_rule(nodes):
                 want = integrals * radii[None, :] ** (lam - 5)
                 got = M.morrey_evaluate(f, M.MorreySpec(q, lam), lattice).cells
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nodes", [200, 401])
+def test_cell_table_fills_only_large_radii(nodes):
+    # the columns of radii with a small-ball plan stay zero; the others are the
+    # per-column cap-fraction build, bit for bit
+    grid = F.make_grid(5, 40.0, nodes)
+    lattice = M.MorreyLattice.default(grid)
+    table, plans = M._cell_weights(grid, lattice)
+    centers, radii = np.asarray(lattice.centers), np.asarray(lattice.radii)
+    small = np.flatnonzero(radii <= Q.SMALL_BALL_FACTOR * grid.h)
+    assert small.size and sorted(plans) == list(small)
+    assert table[:, small].tobytes() == np.zeros(table[:, small].shape).tobytes()
+    area = Q.sphere_area(5)
+    base = area * Q.volume_weights(grid)
+    for ri in np.setdiff1d(np.arange(radii.size), small):
+        col = base * Q.cap_fraction_array(5, centers[:, None], grid.nodes, float(radii[ri]))
+        col[centers == 0.0] = area * Q.origin_ball_weights(grid, float(radii[ri]))
+        assert table[:, ri].tobytes() == col.tobytes()

@@ -122,6 +122,38 @@ def test_borderline_probe_needs_tight_bracket():
         T.borderline_probe(res, P5, short_cfg(), [0.1])
 
 
+def test_borderline_probe_evaluates_two_checkpoints(monkeypatch):
+    # a decaying probe computes the Morrey norm only at its first checkpoint
+    # with t >= 1 and at its last, a blowup probe none; the two values are
+    # those of the full series
+    g = F.make_grid(5, 40.0, 100)
+    cfg = E.SolverConfig(t_end=40.0, checkpoint_times=(0.25, 0.5)
+                         + tuple(np.geomspace(1.0, 40.0, 10)))
+    phi = F.gaussian(g, 1.0, 2.0, F.DIRICHLET)
+    res = T.ThresholdResult(lambda_lo=1.0, lambda_hi=1.005, rel_width=0.005, trials=[],
+                            morrey_series_lo=[], morrey_series_hi=[], stalled=False,
+                            monotone_consistent=True, epsilon_star=1.0, C0_measured=1.0,
+                            ray_profile=phi)
+    calls = []
+
+    def counting_norm(*args):
+        calls.append(1)
+        return M.morrey_norm(*args)
+
+    monkeypatch.setattr(T, "morrey_norm", counting_norm)
+    probes = T.borderline_probe(res, P5, cfg, [0.1, -3.0])
+    assert [p.verdict for p in probes] == ["decaying", "blowup"]
+    assert len(calls) == 2
+    assert [p.morrey_evaluations for p in probes] == [2, 0]
+    assert probes[1].morrey_start is probes[1].morrey_end is None
+    monkeypatch.undo()
+    traj = E.solve(F.make_field(g, probes[0].lam * phi.values, phi.boundary), P5, cfg)
+    series = T._morrey_series(traj, T._CriticalNorm(P5, M.MorreyLattice.default(g)))
+    late = [v for t, v in series if t >= 1.0]
+    assert len(late) < len(series)
+    assert (probes[0].morrey_start, probes[0].morrey_end) == (late[0], late[-1])
+
+
 def test_bisect_keeps_bracket_trajectories(monkeypatch):
     # the Morrey series of the bracket ends come from their own trials: one
     # solve per trial, and the same series a fresh solve at each end gives
@@ -142,7 +174,7 @@ def test_bisect_keeps_bracket_trajectories(monkeypatch):
     for lam, series in ((res.lambda_lo, res.morrey_series_lo),
                         (res.lambda_hi, res.morrey_series_hi)):
         traj = E.solve(F.make_field(g, lam * phi.values, phi.boundary), P5, cfg)
-        assert series == T._morrey_series(traj, P5, lattice)
+        assert series == T._morrey_series(traj, T._CriticalNorm(P5, lattice))
 
 
 def test_bisect_reports_smallness_threshold():
