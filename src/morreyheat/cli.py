@@ -45,7 +45,8 @@ def default_config(kind: str) -> dict:
     cfg = {
         "params": {"n": 5, "p": 3.0},
         "grid": {"r_max": 40.0, "nodes": 400},
-        "solver": {"t_end": 20.0, "dt_init": 0.1, "dt_min": 1e-14, "safety": 0.8,
+        # safety 2.4 is below evolution.max_safety(n) for every n >= 3 (dt*rho = 2.03 at n = 5)
+        "solver": {"t_end": 20.0, "dt_init": 0.1, "dt_min": 1e-14, "safety": 2.4,
                    "blowup_threshold": 1e8, "checkpoints": 20, "series_stride": 1},
         "initial_data": {"profile": "gaussian", "args": {"amplitude": 0.05, "width": 2.0},
                          "boundary": DIRICHLET},
@@ -65,11 +66,12 @@ def default_config(kind: str) -> dict:
         "hypotheses": {},
     }
     cfg["experiment"].update(extras.get(kind, {}))
+    if kind == "solve":
+        # decay_slope and sup_t_beta_norm are read off the sampled series and move by 1e-5 at 2.4
+        cfg["solver"]["safety"] = 0.8
     if kind == "threshold":
         cfg["initial_data"]["args"] = {"amplitude": 1.0, "width": 2.0}
-        # below evolution.max_safety(n) for every n >= 3; the bisection's verdicts
-        # are those of safety 0.8 in a third of the steps
-        cfg["solver"].update(t_end=200.0, safety=2.4)
+        cfg["solver"]["t_end"] = 200.0
         cfg["grid"] = {"r_max": 40.0, "nodes": 200}
     return cfg
 
@@ -156,6 +158,14 @@ class ArtifactBundle:
         self.checks.append({"name": name, "passed": bool(passed),
                             "value": None if value is None else float(value)})
 
+    def record_work(self, work: evolution.StepWork) -> None:
+        """Profile the RK4 work of the kind's solves, summed over them."""
+        self.profile.update({"evolution.steps": work.steps,
+                             "evolution.cap.diffusive": work.diffusive,
+                             "evolution.cap.nonlinear": work.nonlinear,
+                             "evolution.cap.landing": work.landing,
+                             "evolution.min_dt": work.min_dt})
+
     @property
     def all_passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
@@ -204,6 +214,7 @@ def _build_inputs(cfg: dict):
 def _run_solve(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     traj = evolution.solve(u0, params, _solver_config(cfg, params.n))
+    bundle.record_work(traj.work)
     bundle.tables["series"] = ("t,sup_norm,weighted_sup,dt",
                                [tuple(row) for row in traj.series])
     for i, (t, f) in enumerate(traj.checkpoints):
@@ -296,7 +307,10 @@ def _run_energy(cfg, bundle):
         grids[T] = s_grid
         all_times.extend(similarity.checkpoint_times_for_s_grid(T, s_grid))
     times = tuple(sorted(set(round(float(t), 12) for t in all_times)))
-    traj = evolution.solve(u0, params, _solver_config(cfg, params.n, checkpoint_times=times))
+    # the solve ends at the last checkpoint a window reads, not at the horizon
+    traj = evolution.solve(u0, params, _solver_config(cfg, params.n, t_end=times[-1],
+                                                      checkpoint_times=times))
+    bundle.record_work(traj.work)
     if traj.status.kind != "reached_horizon":
         raise PipelineError(f"energy run did not reach the horizon: {traj.status}")
     rows_plot = []
@@ -339,6 +353,7 @@ def _run_picard(cfg, bundle):
                             dict(_get(cfg, "initial_data.args", dict)), DIRICHLET)
         traj = evolution.solve(u0d, params, _solver_config(
             cfg, params.n, t_end=t_end, checkpoint_times=tuple(run.sample_times)))
+        bundle.record_work(traj.work)
         worst = 0.0
         for (t, f), (_, fc) in zip(zip(run.sample_times, run.fields), traj.checkpoints):
             denom = float(np.max(np.abs(fc.values)))
@@ -378,13 +393,8 @@ def _run_threshold(cfg, bundle):
         deltas = None
     started = time.perf_counter()
     probes = threshold.borderline_probe(result, params, cfg_solver, deltas) if deltas else []
-    work = sum((p_.work for p_ in probes), result.work)
-    bundle.profile.update({"evolution.steps": work.steps,
-                           "evolution.cap.diffusive": work.diffusive,
-                           "evolution.cap.nonlinear": work.nonlinear,
-                           "evolution.cap.landing": work.landing,
-                           "evolution.min_dt": work.min_dt,
-                           "threshold.solves": len(result.trials) + len(probes),
+    bundle.record_work(sum((p_.work for p_ in probes), result.work))
+    bundle.profile.update({"threshold.solves": len(result.trials) + len(probes),
                            "threshold.trials": len(result.trials),
                            "morrey.evaluations": result.morrey_evaluations
                            + sum(p_.morrey_evaluations for p_ in probes),
@@ -406,10 +416,13 @@ def _run_threshold(cfg, bundle):
 def _run_dependence(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     t0_horizon = _get(cfg, "experiment.T0", float)
+    cfg_solver = _solver_config(cfg, params.n, t_end=t0_horizon,
+                                checkpoint_times=evolution.log_checkpoints(t0_horizon, 16))
     sizes = _get_floats(cfg, "experiment.sizes")
     spec = morrey.critical_spec(params, q=_get(cfg, "experiment.q", float))
     v0s = [make_field(grid, u0.values * (1.0 + size), u0.boundary) for size in sizes]
-    results = duhamel.continuous_dependence(u0, v0s, t0_horizon, params, spec)
+    results, work = duhamel.continuous_dependence(u0, v0s, cfg_solver, params, spec)
+    bundle.record_work(work)
     rows = []
     max_ratios = []
     for size, res in zip(sizes, results):

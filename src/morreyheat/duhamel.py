@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import SolverConfig, _Stepper, diffusive_cap, solve
+from .evolution import SolverConfig, StepWork, _Stepper, diffusive_cap, solve
 from .fields import FREE, RadialField, make_field
 from .morrey import MorreyLattice, MorreySpec, critical_spec, morrey_norm
 from .params import ModelParams
@@ -263,12 +263,13 @@ class DependenceResult:
     failed_before_T0: bool      # perturbed run ended before T0
 
 
-def continuous_dependence(u0: RadialField, v0s, T0: float, params: ModelParams,
-                          spec: MorreySpec) -> list:
-    """Morrey-norm amplification of initial perturbations along the flow.
+def continuous_dependence(u0: RadialField, v0s, cfg: SolverConfig, params: ModelParams,
+                          spec: MorreySpec) -> tuple:
+    """Morrey-norm amplification of initial perturbations along the flow to T0 = cfg.t_end.
 
-    Returns one DependenceResult per perturbed datum in v0s, each measured
-    against the one solve of u0 (made only if some datum differs from u0).
+    Returns one DependenceResult per perturbed datum in v0s, each compared
+    with the one solve of u0 (made only if some datum differs from u0) at
+    cfg.checkpoint_times, and the StepWork of all the solves made.
     """
     for v0 in v0s:
         if u0.grid is not v0.grid and not np.array_equal(u0.grid.nodes, v0.grid.nodes):
@@ -276,17 +277,17 @@ def continuous_dependence(u0: RadialField, v0s, T0: float, params: ModelParams,
     lattice = MorreyLattice.default(u0.grid)
     dists = [morrey_norm(make_field(u0.grid, u0.values - v0.values), spec, lattice)
              for v0 in v0s]
-    times = tuple(np.geomspace(T0 / 1000.0, T0, 16))
-    cfg = SolverConfig(t_end=T0, checkpoint_times=times)
     tu = solve(u0, params, cfg) if any(dists) else None
+    work = tu.work if tu is not None else StepWork()
     results = []
     for v0, dist0 in zip(v0s, dists):
         if dist0 == 0.0:
             results.append(DependenceResult(
-                times=np.asarray(times), ratios=np.ones(len(times)), max_ratio=1.0,
-                initial_distance=0.0, degenerate=True, failed_before_T0=False))
+                times=np.asarray(cfg.checkpoint_times), ratios=np.ones(len(cfg.checkpoint_times)),
+                max_ratio=1.0, initial_distance=0.0, degenerate=True, failed_before_T0=False))
             continue
         tv = solve(v0, params, cfg)
+        work += tv.work
         failed = tu.status.kind != "reached_horizon" or tv.status.kind != "reached_horizon"
         k = min(len(tu.checkpoints), len(tv.checkpoints))
         ts, ratios = [], []
@@ -298,4 +299,4 @@ def continuous_dependence(u0: RadialField, v0s, T0: float, params: ModelParams,
         results.append(DependenceResult(
             times=ts, ratios=ratios, max_ratio=float(ratios.max()) if ratios.size else math.nan,
             initial_distance=dist0, degenerate=False, failed_before_T0=failed))
-    return results
+    return results, work

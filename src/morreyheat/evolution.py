@@ -13,8 +13,8 @@ stability limit; it is 2.785, 3.09, 3.30 and 3.65 for n = 3, 4, 5, 8 and grows
 with n.  Every eigenvalue of L, complex pairs (n >= 8) included, then has
 |R(dt lambda)| <= 1 for RK4's stability polynomial R (the tests check n = 3, 4,
 5, 8, 11 at 101-801 nodes).  solve rejects a larger safety.  The default 0.8
-puts dt*rho at 0.68 for n = 5; the threshold kind runs at 2.4 (dt*rho = 2.03),
-below max_safety for every n >= 3.
+puts dt*rho at 0.68 for n = 5; every CLI kind but solve runs at 2.4
+(dt*rho = 2.03), below max_safety for every n >= 3.
 """
 
 import functools

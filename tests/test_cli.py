@@ -61,6 +61,8 @@ def test_config_not_an_object_exits_2(config, named, tmp_path, capsys):
     ("solve", "solver.safety", -1.0, "solver: safety must be > 0"),
     ("solve", "solver.safety", evolution.max_safety(5) * 1.01,
      "solver.safety: %r exceeds RK4's stability bound" % (evolution.max_safety(5) * 1.01)),
+    ("dependence", "solver.safety", evolution.max_safety(5) * 1.01,
+     "solver.safety: %r exceeds RK4's stability bound" % (evolution.max_safety(5) * 1.01)),
     ("smoothing", "experiment.to_q", True, "experiment.to_q: expected"),
     ("smoothing", "experiment.to_q", "banana", 'experiment.to_q: expected a number or "inf"'),
 ])
@@ -198,6 +200,31 @@ def test_morrey_kind_end_to_end(tmp_path):
     assert cells[0] == "a,R,value"
 
 
+_WORK_KEYS = ("evolution.steps", "evolution.cap.diffusive", "evolution.cap.nonlinear",
+              "evolution.cap.landing", "evolution.min_dt")
+
+
+def test_solve_and_dependence_record_rk4_work(tmp_path):
+    # solve: one series row per step after the initial one, at series_stride 1
+    cli.run_experiment(small_solve_config(tmp_path, "gaussian", {"amplitude": 0.1, "width": 2.0}),
+                       out_dir=tmp_path / "s")
+    profile = json.loads((tmp_path / "s" / "manifest.json").read_text())["profile"]
+    rows = (tmp_path / "s" / "series.csv").read_text().splitlines()
+    assert set(profile) == set(_WORK_KEYS)
+    assert profile["evolution.steps"] == len(rows) - 2
+    assert profile["evolution.steps"] == sum(profile[key] for key in _WORK_KEYS[1:4])
+    # dependence: the solve of u0 and one per perturbed datum, each to T0 at the diffusive
+    # and landing caps alone, so three solves of equal length
+    cfg = cli.default_config("dependence")
+    cfg["grid"] = {"r_max": 20.0, "nodes": 100}
+    cfg["experiment"].update(T0=1.0, sizes=[1e-2, 1e-3])
+    cli.run_experiment(cfg, out_dir=tmp_path / "d")
+    profile = json.loads((tmp_path / "d" / "manifest.json").read_text())["profile"]
+    assert set(profile) == set(_WORK_KEYS)
+    assert profile["evolution.cap.nonlinear"] == 0 and profile["evolution.steps"] % 3 == 0
+    assert profile["evolution.steps"] >= 3 / evolution.diffusive_cap(2.4, 0.2, 5)
+
+
 def test_picard_kind_end_to_end(tmp_path):
     cfg = cli.default_config("picard")
     cfg["grid"] = {"r_max": 16.0, "nodes": 160}
@@ -225,8 +252,13 @@ def test_picard_kind_end_to_end(tmp_path):
         nodes *= 2
     manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
     profile = manifest["profile"]
+    work = {key: profile.pop(key) for key in _WORK_KEYS}
     assert profile == {"duhamel.picard.kernel_builds": builds,
                        "duhamel.picard.kernel_reuses": per_count - builds}
+    # the classical comparison's one solve, to t_end at the default safety
+    h = make_grid(5, 16.0, 160).h
+    assert work["evolution.steps"] == sum(work[key] for key in _WORK_KEYS[1:4]) > 0
+    assert work["evolution.steps"] >= 0.5 / evolution.diffusive_cap(2.4, h, 5)
     assert 0 < builds < per_count
     assert "kernel_builds" not in json.loads((tmp_path / "p" / "picard.json").read_text())
 
@@ -397,7 +429,6 @@ def test_threshold_verdicts_same_at_default_and_diffusive_safety(tmp_path):
         steps.append(json.loads((tmp_path / name / "manifest.json").read_text())
                      ["profile"]["evolution.steps"])
     default, reference = docs
-    assert cli.default_config("threshold")["solver"]["safety"] == 2.4
     assert [(t["lambda"], t["verdict"]) for t in default["trials"]] == \
         [(t["lambda"], t["verdict"]) for t in reference["trials"]]
     assert (default["lambda_lo"], default["lambda_hi"]) == \
@@ -405,6 +436,31 @@ def test_threshold_verdicts_same_at_default_and_diffusive_safety(tmp_path):
     assert [p["verdict"] for p in default["probes"]] == \
         [p["verdict"] for p in reference["probes"]]
     assert steps[0] < 0.5 * steps[1]
+
+
+def test_default_safety_per_kind():
+    # every kind but solve takes RK4's stability headroom; solve's decay readings come off
+    # the sampled series, whose rows the step count sets, so its default stays 0.8
+    safety = {kind: cli.default_config(kind)["solver"]["safety"] for kind in cli.EXPERIMENT_KINDS}
+    assert safety == {kind: 0.8 if kind == "solve" else 2.4 for kind in cli.EXPERIMENT_KINDS}
+    assert max(safety.values()) <= min(evolution.max_safety(n) for n in range(3, 12))
+
+
+def test_energy_solve_ends_at_last_window(tmp_path):
+    # the windows of T = 2, 5, 10 end at t = 9.9, so the solve stops there at either horizon
+    steps = []
+    for t_end in (12.0, 20.0):
+        cfg = cli.default_config("energy")
+        cfg["grid"] = {"r_max": 20.0, "nodes": 100}
+        cfg["solver"]["t_end"] = t_end
+        cli.run_experiment(cfg, out_dir=tmp_path / f"t{t_end:g}")
+        manifest = json.loads((tmp_path / f"t{t_end:g}" / "manifest.json").read_text())
+        steps.append(manifest["profile"]["evolution.steps"])
+    assert steps[0] == steps[1] > 0
+    names = sorted(path.name for path in (tmp_path / "t12").glob("energy_T*.csv"))
+    assert names == ["energy_T10.csv", "energy_T2.csv", "energy_T5.csv"]
+    for name in names:
+        assert read(tmp_path / "t12" / name) == read(tmp_path / "t20" / name), name
 
 
 # one small config per kind: grid, solver and initial-data blocks, and experiment options

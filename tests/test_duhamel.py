@@ -177,16 +177,20 @@ def test_smallness_probe_large_plateau_blows_up():
     assert traj.status.kind == "blowup"
 
 
+def dependence_config(T0):
+    return E.SolverConfig(t_end=T0, checkpoint_times=E.log_checkpoints(T0, 16))
+
+
 def test_dependence_degenerate_and_flagged():
     g = F.make_grid(5, 30.0, 300)
     u0 = F.gaussian(g, 0.3, 2.0, F.DIRICHLET)
     spec = M.critical_spec(P5)
-    res, = D.continuous_dependence(u0, [u0], 2.0, P5, spec)
+    (res,), _ = D.continuous_dependence(u0, [u0], dependence_config(2.0), P5, spec)
     assert res.degenerate
     assert np.all(res.ratios == 1.0)
     bump = F.make_field(g, u0.values + F.plateau(g, 5.0, 10.0, 2.0, F.DIRICHLET).values,
                         F.DIRICHLET)
-    res2, = D.continuous_dependence(u0, [bump], 5.0, P5, spec)
+    (res2,), _ = D.continuous_dependence(u0, [bump], dependence_config(5.0), P5, spec)
     assert res2.failed_before_T0
 
 
@@ -194,7 +198,8 @@ def test_dependence_ratio_near_one_at_small_time():
     g = F.make_grid(5, 30.0, 300)
     u0 = F.gaussian(g, 0.3, 2.0, F.DIRICHLET)
     v0 = F.make_field(g, 1.001 * u0.values, F.DIRICHLET)
-    res, = D.continuous_dependence(u0, [v0], 5.0, P5, M.critical_spec(P5))
+    (res,), _ = D.continuous_dependence(u0, [v0], dependence_config(5.0), P5,
+                                        M.critical_spec(P5))
     assert not res.failed_before_T0
     assert res.ratios[0] >= 1.0 - 0.05
     assert res.max_ratio <= 2.0
@@ -205,7 +210,8 @@ def test_dependence_stable_across_perturbation_sizes():
     u0 = F.gaussian(g, 0.3, 2.0, F.DIRICHLET)
     spec = M.critical_spec(P5)
     v0s = [F.make_field(g, (1.0 + size) * u0.values, F.DIRICHLET) for size in (1e-2, 1e-3)]
-    maxima = [res.max_ratio for res in D.continuous_dependence(u0, v0s, 5.0, P5, spec)]
+    results, _ = D.continuous_dependence(u0, v0s, dependence_config(5.0), P5, spec)
+    maxima = [res.max_ratio for res in results]
     assert abs(maxima[0] - maxima[1]) / max(maxima) < 0.25
 
 
@@ -214,18 +220,24 @@ def test_dependence_solves_u0_once(monkeypatch):
     u0 = F.gaussian(g, 0.2, 2.0, F.DIRICHLET)
     spec = M.critical_spec(P5)
     v0s = [F.make_field(g, (1.0 + size) * u0.values, F.DIRICHLET) for size in (1e-2, 1e-3)]
-    alone = [D.continuous_dependence(u0, [v0], 1.0, P5, spec)[0] for v0 in v0s]
-    solved = []
+    cfg = dependence_config(1.0)
+    alone = [D.continuous_dependence(u0, [v0], cfg, P5, spec)[0][0] for v0 in v0s]
+    solved, works = [], []
 
     def counting_solve(u, params, cfg):
         solved.append(u)
-        return E.solve(u, params, cfg)
+        traj = E.solve(u, params, cfg)
+        works.append(traj.work)
+        return traj
 
     monkeypatch.setattr(D, "solve", counting_solve)
-    assert all(r.degenerate for r in D.continuous_dependence(u0, [u0, u0], 1.0, P5, spec))
+    results, work = D.continuous_dependence(u0, [u0, u0], cfg, P5, spec)
+    assert all(r.degenerate for r in results) and work == E.StepWork()
     assert solved == []
-    results = D.continuous_dependence(u0, [u0] + v0s, 1.0, P5, spec)
+    results, work = D.continuous_dependence(u0, [u0] + v0s, cfg, P5, spec)
     assert [u is u0 for u in solved] == [True, False, False]
+    # the work returned is that of the three solves made, counted once each
+    assert work == works[0] + works[1] + works[2] and work.steps > 0
     assert results[0].degenerate
     for got, want in zip(results[1:], alone):
         assert got.ratios.tobytes() == want.ratios.tobytes()
