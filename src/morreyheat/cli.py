@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, duhamel, evolution, hypotheses, morrey, similarity, threshold
+from . import __version__, counters, duhamel, evolution, hypotheses, morrey, similarity, threshold
 from .fields import DIRICHLET, build_profile, make_field, make_grid, radial_derivative
 from .io import write_csv, write_json
 from .params import make_params
@@ -151,20 +151,11 @@ class ArtifactBundle:
     tables: dict = field(default_factory=dict)      # filename stem -> (header, rows)
     documents: dict = field(default_factory=dict)   # filename stem -> json-able dict
     checks: list = field(default_factory=list)      # {"name", "passed", "value"}
-    profile: dict = field(default_factory=dict)      # counter name -> value, for the manifest
     manifest: dict = field(default_factory=dict)
 
     def check(self, name: str, passed: bool, value) -> None:
         self.checks.append({"name": name, "passed": bool(passed),
                             "value": None if value is None else float(value)})
-
-    def record_work(self, work: evolution.StepWork) -> None:
-        """Profile the RK4 work of the kind's solves, summed over them."""
-        self.profile.update({"evolution.steps": work.steps,
-                             "evolution.cap.diffusive": work.diffusive,
-                             "evolution.cap.nonlinear": work.nonlinear,
-                             "evolution.cap.landing": work.landing,
-                             "evolution.min_dt": work.min_dt})
 
     @property
     def all_passed(self) -> bool:
@@ -214,7 +205,6 @@ def _build_inputs(cfg: dict):
 def _run_solve(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     traj = evolution.solve(u0, params, _solver_config(cfg, params.n))
-    bundle.record_work(traj.work)
     bundle.tables["series"] = ("t,sup_norm,weighted_sup,dt",
                                [tuple(row) for row in traj.series])
     for i, (t, f) in enumerate(traj.checkpoints):
@@ -310,7 +300,6 @@ def _run_energy(cfg, bundle):
     # the solve ends at the last checkpoint a window reads, not at the horizon
     traj = evolution.solve(u0, params, _solver_config(cfg, params.n, t_end=times[-1],
                                                       checkpoint_times=times))
-    bundle.record_work(traj.work)
     if traj.status.kind != "reached_horizon":
         raise PipelineError(f"energy run did not reach the horizon: {traj.status}")
     rows_plot = []
@@ -344,8 +333,6 @@ def _run_picard(cfg, bundle):
         "node_stability": run.node_stability, "convergence_ratio": run.convergence_ratio,
         "aux_r": run.aux_r, "beta_aux": run.beta_aux,
         "cauchy_diffs": list(run.cauchy_diffs)}
-    bundle.profile["duhamel.picard.kernel_builds"] = run.kernel_builds
-    bundle.profile["duhamel.picard.kernel_reuses"] = run.kernel_reuses
     bundle.check("picard_converged", run.converged and not run.diverged,
                  run.cauchy_diffs[-1] if run.cauchy_diffs else None)
     if _get(cfg, "experiment.compare_classical", bool):
@@ -353,7 +340,6 @@ def _run_picard(cfg, bundle):
                             dict(_get(cfg, "initial_data.args", dict)), DIRICHLET)
         traj = evolution.solve(u0d, params, _solver_config(
             cfg, params.n, t_end=t_end, checkpoint_times=tuple(run.sample_times)))
-        bundle.record_work(traj.work)
         worst = 0.0
         for (t, f), (_, fc) in zip(zip(run.sample_times, run.fields), traj.checkpoints):
             denom = float(np.max(np.abs(fc.values)))
@@ -372,7 +358,7 @@ def _run_threshold(cfg, bundle):
     result = threshold.bisect_lambda(phi, params, cfg_solver,
                                      rel_tol=_get(cfg, "experiment.rel_tol", float),
                                      lambda_init=_get(cfg, "experiment.lambda_init", float))
-    bisect_s = time.perf_counter() - started
+    counters.add("threshold.bisect_s", time.perf_counter() - started)
     doc = {"lambda_lo": result.lambda_lo, "lambda_hi": result.lambda_hi,
            "rel_width": result.rel_width, "stalled": result.stalled,
            "epsilon_star": result.epsilon_star, "C0_measured": result.C0_measured,
@@ -393,13 +379,7 @@ def _run_threshold(cfg, bundle):
         deltas = None
     started = time.perf_counter()
     probes = threshold.borderline_probe(result, params, cfg_solver, deltas) if deltas else []
-    bundle.record_work(sum((p_.work for p_ in probes), result.work))
-    bundle.profile.update({"threshold.solves": len(result.trials) + len(probes),
-                           "threshold.trials": len(result.trials),
-                           "morrey.evaluations": result.morrey_evaluations
-                           + sum(p_.morrey_evaluations for p_ in probes),
-                           "threshold.bisect_s": bisect_s,
-                           "threshold.probes_s": time.perf_counter() - started})
+    counters.add("threshold.probes_s", time.perf_counter() - started)
     if deltas:
         doc["probes"] = [{"delta": p_.delta, "lambda": p_.lam, "verdict": p_.verdict,
                           "T_est": p_.T_est, "t0": p_.t0,
@@ -421,8 +401,7 @@ def _run_dependence(cfg, bundle):
     sizes = _get_floats(cfg, "experiment.sizes")
     spec = morrey.critical_spec(params, q=_get(cfg, "experiment.q", float))
     v0s = [make_field(grid, u0.values * (1.0 + size), u0.boundary) for size in sizes]
-    results, work = duhamel.continuous_dependence(u0, v0s, cfg_solver, params, spec)
-    bundle.record_work(work)
+    results = duhamel.continuous_dependence(u0, v0s, cfg_solver, params, spec)
     rows = []
     max_ratios = []
     for size, res in zip(sizes, results):
@@ -484,7 +463,8 @@ def run_experiment(cfg: dict, out_dir=None) -> ArtifactBundle:
 
     The manifest is written last; it records the hash of the merged config,
     in `checks` every invariant the pipeline asserted, with the measured
-    value, and in `profile` its work counters.  If the pipeline fails, a
+    value, and in `profile` the work counters the layers reported while the
+    pipeline ran (see `counters`).  If the pipeline fails, a
     manifest with `status: "failed"` and the error chain is written before
     the PipelineError propagates.
     """
@@ -494,7 +474,8 @@ def run_experiment(cfg: dict, out_dir=None) -> ArtifactBundle:
     bundle = ArtifactBundle(kind=kind, out_dir=out)
     started = time.perf_counter()
     try:
-        _PIPELINES[kind](cfg, bundle)
+        with counters.collect() as profile:
+            _PIPELINES[kind](cfg, bundle)
     except ConfigError:
         raise
     except Exception as exc:
@@ -520,7 +501,7 @@ def run_experiment(cfg: dict, out_dir=None) -> ArtifactBundle:
         "versions": _versions(),
         "checks": bundle.checks,
         "artifacts": sorted(bundle.write_data()),
-        "profile": bundle.profile,
+        "profile": profile,
     }
     write_json(out / "manifest.json", bundle.manifest)
     return bundle

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import SolverConfig, StepWork, _Stepper, diffusive_cap, solve
+from . import counters
+from .evolution import SolverConfig, _Stepper, diffusive_cap, solve
 from .fields import FREE, RadialField, make_field
 from .morrey import MorreyLattice, MorreySpec, critical_spec, morrey_norm
 from .params import ModelParams
@@ -62,8 +63,6 @@ class PicardRun:
     convergence_ratio: float | None   # geometric ratio of successive Cauchy differences
     nodes_used: int
     node_stability: float | None      # relative change of the iterate at the last node doubling
-    kernel_builds: int                # dense heat kernels built, over all node counts run
-    kernel_reuses: int                # dense kernels carried over from the previous node count
     aux_r: float
     beta_aux: float
 
@@ -103,14 +102,14 @@ class _Propagators:
     matrices are kept if the distinct resolved widths fit the budget, else
     built per access.  A store built after a `previous` one (the last node
     count's) takes over its propagators of recurring widths and frees the rest
-    before building, so peak memory stays that of the larger store.  `builds`
-    counts the dense matrices built, `reuses` those taken over.
+    before building, so peak memory stays that of the larger store.  It counts
+    the dense matrices it builds and those it takes over as the run's
+    duhamel.picard.kernel_builds and .kernel_reuses.
     """
 
     def __init__(self, grid, n, widths, previous=None):
         self.grid, self.n = grid, n
         self.widths = [float(dt) for dt in widths]
-        self.builds = 0
         floor = 2.0 * grid.h**2
         distinct = dict.fromkeys(self.widths)
         resolved = sum(1 for dt in distinct if dt >= floor)
@@ -120,13 +119,13 @@ class _Propagators:
             old, previous._store = previous._store or {}, None
         kept = {dt: old[dt] for dt in distinct if dt in old} if self.cached else {}
         del old   # the widths that do not recur are freed before any build
-        self.reuses = sum(1 for dt in kept if dt >= floor)
+        counters.add("duhamel.picard.kernel_reuses", sum(1 for dt in kept if dt >= floor))
         self._store = {dt: kept[dt] if dt in kept else self._build(dt)
                        for dt in distinct} if self.cached else None
 
     def _build(self, dt):
         if dt >= 2.0 * self.grid.h**2:
-            self.builds += 1
+            counters.add("duhamel.picard.kernel_builds")
             return heat_kernel_matrix(self.grid, dt)
         return _DiffusionSubsteps(self.grid, self.n, dt)
 
@@ -205,12 +204,9 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
     prev_samples = None
     stability = None
     kernels = None
-    kernel_builds = kernel_reuses = 0
     while True:
         times, fields, sample_idx, diffs, per_sample, converged, diverged, iters, kernels = \
             _run_picard(u0, params, t_end, K, sample_times, nodes, tol, kernels)
-        kernel_builds += kernels.builds
-        kernel_reuses += kernels.reuses
         samples = [fields[i] for i in sample_idx]
         if prev_samples is not None:
             num = max(float(np.max(np.abs(a - b))) for a, b in zip(samples, prev_samples))
@@ -244,8 +240,7 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
                      last_sample_diffs=np.asarray(per_sample, dtype=float),
                      budget=np.array(rows), converged=converged, diverged=diverged,
                      iterations=iters, convergence_ratio=ratio, nodes_used=nodes,
-                     node_stability=stability, kernel_builds=kernel_builds,
-                     kernel_reuses=kernel_reuses, aux_r=r_aux, beta_aux=beta_aux)
+                     node_stability=stability, aux_r=r_aux, beta_aux=beta_aux)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +259,12 @@ class DependenceResult:
 
 
 def continuous_dependence(u0: RadialField, v0s, cfg: SolverConfig, params: ModelParams,
-                          spec: MorreySpec) -> tuple:
+                          spec: MorreySpec) -> list:
     """Morrey-norm amplification of initial perturbations along the flow to T0 = cfg.t_end.
 
     Returns one DependenceResult per perturbed datum in v0s, each compared
     with the one solve of u0 (made only if some datum differs from u0) at
-    cfg.checkpoint_times, and the StepWork of all the solves made.
+    cfg.checkpoint_times.
     """
     for v0 in v0s:
         if u0.grid is not v0.grid and not np.array_equal(u0.grid.nodes, v0.grid.nodes):
@@ -278,7 +273,6 @@ def continuous_dependence(u0: RadialField, v0s, cfg: SolverConfig, params: Model
     dists = [morrey_norm(make_field(u0.grid, u0.values - v0.values), spec, lattice)
              for v0 in v0s]
     tu = solve(u0, params, cfg) if any(dists) else None
-    work = tu.work if tu is not None else StepWork()
     results = []
     for v0, dist0 in zip(v0s, dists):
         if dist0 == 0.0:
@@ -287,7 +281,6 @@ def continuous_dependence(u0: RadialField, v0s, cfg: SolverConfig, params: Model
                 max_ratio=1.0, initial_distance=0.0, degenerate=True, failed_before_T0=False))
             continue
         tv = solve(v0, params, cfg)
-        work += tv.work
         failed = tu.status.kind != "reached_horizon" or tv.status.kind != "reached_horizon"
         k = min(len(tu.checkpoints), len(tv.checkpoints))
         ts, ratios = [], []
@@ -299,4 +292,4 @@ def continuous_dependence(u0: RadialField, v0s, cfg: SolverConfig, params: Model
         results.append(DependenceResult(
             times=ts, ratios=ratios, max_ratio=float(ratios.max()) if ratios.size else math.nan,
             initial_distance=dist0, degenerate=False, failed_before_T0=failed))
-    return results, work
+    return results

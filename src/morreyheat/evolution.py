@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import counters
 from .fields import DIRICHLET, FREE, RadialField, make_field, make_grid
 from .params import ModelParams
 from .quadrature import heat_kernel_matrix
@@ -73,28 +74,6 @@ class TrajectoryStatus:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class StepWork:
-    """The RK4 steps of one or more solves, by the cap that bound each, and the smallest.
-
-    diffusive counts the steps at min(dt_init, safety h^2/(2n)), nonlinear those
-    at 0.5 ||u||_inf^(1-p), and landing those cut short to land on a checkpoint
-    or on t_end.  Adding two combines their solves.
-    """
-    diffusive: int = 0
-    nonlinear: int = 0
-    landing: int = 0
-    min_dt: float = math.inf   # inf: no step
-
-    @property
-    def steps(self) -> int:
-        return self.diffusive + self.nonlinear + self.landing
-
-    def __add__(self, other):
-        return StepWork(self.diffusive + other.diffusive, self.nonlinear + other.nonlinear,
-                        self.landing + other.landing, min(self.min_dt, other.min_dt))
-
-
 @dataclass
 class Trajectory:
     params: ModelParams
@@ -102,11 +81,7 @@ class Trajectory:
     series: np.ndarray         # columns t, sup_norm, weighted_sup, dt
     status: TrajectoryStatus
     boundary_mode: str = FREE
-    work: StepWork = StepWork()   # every RK4 step, whatever the series stride
-
-    @property
-    def steps(self) -> int:
-        return self.work.steps
+    steps: int = 0             # every RK4 step, whatever the series stride
 
     @property
     def times(self) -> np.ndarray:
@@ -246,6 +221,11 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     R^n and aborts if the solution contaminates the boundary region.  A
     nonfinite state aborts the run; its series ends at the last finite state.
     A safety above max_safety(n), where RK4 is unstable, is a ValueError.
+
+    Reports its steps, by the cap that bound each, and the smallest dt to the
+    run's counters: diffusive counts the steps at min(dt_init, safety h^2/(2n)),
+    nonlinear those at 0.5 ||u||_inf^(1-p), and landing those cut short to land
+    on a checkpoint or on t_end.
     """
     grid = u0.grid
     n = params.n
@@ -330,11 +310,13 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     if series[-1][0] < t:
         series.append((t, sup, wsup, 0.0))
 
-    traj = Trajectory(params=params, checkpoints=checkpoints,
+    counters.add("evolution.steps", step)
+    for cap, count in zip(("diffusive", "nonlinear", "landing"), bound_by):
+        counters.add(f"evolution.cap.{cap}", count)
+    counters.least("evolution.min_dt", min_dt)
+    return Trajectory(params=params, checkpoints=checkpoints,
                       series=np.array(series), status=status,
-                      boundary_mode=DIRICHLET if dirichlet else FREE,
-                      work=StepWork(*bound_by, min_dt))
-    return traj
+                      boundary_mode=DIRICHLET if dirichlet else FREE, steps=step)
 
 
 def _blowup_status(series, params, t):

@@ -14,7 +14,7 @@ import numpy as np
 from .fields import RadialField, make_field
 from .morrey import lq_norm
 from .params import ModelParams
-from .quadrature import heat_kernel_matrix
+from .similarity import _functional_A_at
 
 O_MARGIN = 0.1            # fitted exponent must beat the target by this much
 TREND_SLOPE = -0.05       # log-log slope that certifies a vanishing limit
@@ -138,21 +138,14 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams) -
         c22 = ConditionCheck(_beats(fit_g, target_g),
                              {"tail_exponent": fit_g.exponent, "target": target_g})
 
-    # kernel-weighted limit on a logarithmic horizon
+    # kernel-weighted limit on a logarithmic horizon: sup over centers of functional_A
     t_grid = np.geomspace(1.0, 1e4, 5)
     centers = np.concatenate(([0.0], np.geomspace(grid.h, grid.r_max, 8)))
     if zero_f and zero_g:
         c24 = _zero_check()
     else:
-        u2 = f.values**2
-        g2 = g_vals**2
-        qs_t = []
-        for t in t_grid:
-            kernel = heat_kernel_matrix(grid, float(t), centers)
-            sup_u = float(np.max(kernel @ u2))
-            sup_g = float(np.max(kernel @ g2))
-            qs_t.append(t ** ((p + 1.0) / (p - 1.0)) * sup_g + t ** k_crit * sup_u)
-        qs_t = np.asarray(qs_t)
+        qs_t = np.array([np.max(_functional_A_at(f, grad_f, float(t), centers, params))
+                         for t in t_grid])
         if np.all(qs_t < 1e-290):
             c24 = ConditionCheck(True, {"kernel_values": qs_t.tolist()})
         else:

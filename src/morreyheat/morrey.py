@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import counters
 from .fields import RadialField, RadialGrid, sup_norm
 from .params import ModelParams
 from .quadrature import (SMALL_BALL_FACTOR, cap_fraction_array, fine_ball_integral,
@@ -136,6 +137,7 @@ def morrey_evaluate(f: RadialField, spec: MorreySpec,
     n = grid.n
     if spec.lam > n:
         raise ValueError(f"lambda = {spec.lam} exceeds the dimension n = {n}")
+    counters.add("morrey.evaluations")
     if lattice is None:
         lattice = MorreyLattice.default(grid)
     if spec.lam == n:

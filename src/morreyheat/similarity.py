@@ -112,7 +112,7 @@ def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid,
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.size < 3 or not np.all(np.diff(s_grid) > 0):
         raise ValueError("s_grid must be increasing with at least 3 points")
-    wanted = T - np.exp(-s_grid)
+    wanted = checkpoint_times_for_s_grid(T, s_grid)
     have = {round(t, 12): f for t, f in traj.checkpoints}
     e_arr = np.empty_like(s_grid)
     m_arr = np.empty_like(s_grid)

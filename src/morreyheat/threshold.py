@@ -10,9 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import SolverConfig, StepWork, Trajectory, decay_diagnostics, solve
+from . import counters
+from .evolution import SolverConfig, Trajectory, decay_diagnostics, solve
 from .fields import RadialField, make_field
-from .morrey import MorreyLattice, critical_spec, morrey_norm
+from .morrey import MorreyLattice, MorreySpec, critical_spec, morrey_norm
 from .params import ModelParams
 
 
@@ -42,6 +43,7 @@ def classify(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Verdict
 
 def classify_with_trajectory(u0: RadialField, params: ModelParams, cfg: SolverConfig):
     traj = solve(u0, params, cfg)
+    counters.add("threshold.solves")
     st = traj.status
     sup0 = float(np.max(np.abs(u0.values)))
     if sup0 == 0.0:
@@ -74,27 +76,14 @@ class ThresholdResult:
     epsilon_star: float                # ||lambda_lo phi||_{M^{2,mu}}, the smallness threshold
     C0_measured: float                 # sup_t t^(1/(p-1)) ||u(t)||_inf / epsilon_star at lambda_lo
     ray_profile: RadialField = field(repr=False, default=None)
-    work: StepWork = StepWork()        # RK4 steps over all trials
-    morrey_evaluations: int = 0        # critical Morrey norms computed
 
 
 def _scaled(phi: RadialField, lam: float) -> RadialField:
     return make_field(phi.grid, lam * phi.values, phi.boundary)
 
 
-class _CriticalNorm:
-    """f -> ||f||_{M^{2,mu}} on one lattice, counting its evaluations."""
-
-    def __init__(self, params: ModelParams, lattice: MorreyLattice):
-        self.spec, self.lattice, self.evaluations = critical_spec(params), lattice, 0
-
-    def __call__(self, f: RadialField) -> float:
-        self.evaluations += 1
-        return morrey_norm(f, self.spec, self.lattice)
-
-
-def _morrey_series(traj: Trajectory, norm: _CriticalNorm) -> list:
-    return [(t, norm(f)) for t, f in traj.checkpoints]
+def _morrey_series(traj: Trajectory, spec: MorreySpec, lattice: MorreyLattice) -> list:
+    return [(t, morrey_norm(f, spec, lattice)) for t, f in traj.checkpoints]
 
 
 def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
@@ -108,7 +97,7 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
     """
     if float(np.max(np.abs(phi.values))) == 0.0:
         raise BracketingError("ray profile is trivial")
-    trials, works = [], []
+    trials = []
     # verdict -> (lambda, trajectory) of its latest trial: every decaying trial
     # raises the bracket's lower end and every blowup trial lowers its upper end
     ends = {}
@@ -117,7 +106,7 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
         v, traj = classify_with_trajectory(_scaled(phi, lam), params, cfg)
         trials.append({"lambda": lam, "verdict": v.kind, "T_est": v.T_est,
                        "horizon": v.horizon})
-        works.append(traj.work)
+        counters.add("threshold.trials")
         if v.kind != "undecided":
             ends[v.kind] = (lam, traj)
         return v
@@ -151,15 +140,15 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
     consistent = (not blowup_lams or not decay_lams
                   or max(decay_lams) < min(blowup_lams))
 
-    norm = _CriticalNorm(params, MorreyLattice.default(phi.grid))
-    epsilon_star = norm(_scaled(phi, lo))
+    spec, lattice = critical_spec(params), MorreyLattice.default(phi.grid)
+    epsilon_star = morrey_norm(_scaled(phi, lo), spec, lattice)
     return ThresholdResult(
         lambda_lo=lo, lambda_hi=hi, rel_width=(hi - lo) / lo, trials=trials,
-        morrey_series_lo=_morrey_series(traj_lo, norm),
-        morrey_series_hi=_morrey_series(traj_hi, norm),
+        morrey_series_lo=_morrey_series(traj_lo, spec, lattice),
+        morrey_series_hi=_morrey_series(traj_hi, spec, lattice),
         stalled=stalled, monotone_consistent=consistent, epsilon_star=epsilon_star,
         C0_measured=decay_diagnostics(traj_lo, params).sup_t_beta_norm / epsilon_star,
-        ray_profile=phi, work=sum(works, StepWork()), morrey_evaluations=norm.evaluations)
+        ray_profile=phi)
 
 
 @dataclass(frozen=True)
@@ -171,8 +160,6 @@ class BorderlineTrial:
     t0: float | None                  # start of the final monotone weighted decrease
     morrey_start: float | None        # ||u(t)||_{M^{2,mu}} at the first checkpoint >= 1
     morrey_end: float | None          # ... at the horizon
-    work: StepWork = StepWork()       # RK4 steps of its run
-    morrey_evaluations: int = 0       # critical Morrey norms computed
 
 
 def borderline_probe(result: ThresholdResult, params: ModelParams, cfg: SolverConfig,
@@ -187,20 +174,18 @@ def borderline_probe(result: ThresholdResult, params: ModelParams, cfg: SolverCo
     if result.rel_width > 1e-2:
         raise ValueError("bracket must be tighter than 1e-2 before probing")
     phi = result.ray_profile
-    lattice = MorreyLattice.default(phi.grid)
+    spec, lattice = critical_spec(params), MorreyLattice.default(phi.grid)
     out = []
     for delta in deltas:
         lam = result.lambda_lo * (1.0 - delta) if delta >= 0 else result.lambda_hi * (1.0 - delta)
         v, traj = classify_with_trajectory(_scaled(phi, lam), params, cfg)
-        norm = _CriticalNorm(params, lattice)
         t0 = m_start = m_end = None
         if v.kind == "decaying":
             t0 = decay_diagnostics(traj, params).decay_start
             late = [f for t, f in traj.checkpoints if t >= 1.0]
             if late:
-                m_start, m_end = norm(late[0]), norm(late[-1])
+                m_start, m_end = (morrey_norm(f, spec, lattice) for f in (late[0], late[-1]))
         out.append(BorderlineTrial(delta=float(delta), lam=lam, verdict=v.kind,
                                    T_est=v.T_est, t0=t0, morrey_start=m_start,
-                                   morrey_end=m_end, work=traj.work,
-                                   morrey_evaluations=norm.evaluations))
+                                   morrey_end=m_end))
     return out

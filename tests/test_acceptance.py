@@ -256,7 +256,7 @@ def test_c13_continuous_dependence():
     v0s = [F.make_field(grid, (1.0 + size) * u0.values, F.DIRICHLET)
            for size in (1e-2, 1e-3, 1e-4)]
     cfg = E.SolverConfig(t_end=5.0, checkpoint_times=E.log_checkpoints(5.0, 16))
-    results, _ = D.continuous_dependence(u0, v0s, cfg, P5, spec)
+    results = D.continuous_dependence(u0, v0s, cfg, P5, spec)
     for res in results:
         assert not res.failed_before_T0
         maxima.append(res.max_ratio)

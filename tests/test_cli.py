@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morreyheat import cli, duhamel, evolution
+from morreyheat import cli, counters, duhamel, evolution
 from morreyheat.fields import make_field, make_grid
 from morreyheat.morrey import MorreyLattice, critical_spec, morrey_norm
 
@@ -220,7 +220,9 @@ def test_solve_and_dependence_record_rk4_work(tmp_path):
     cfg["experiment"].update(T0=1.0, sizes=[1e-2, 1e-3])
     cli.run_experiment(cfg, out_dir=tmp_path / "d")
     profile = json.loads((tmp_path / "d" / "manifest.json").read_text())["profile"]
-    assert set(profile) == set(_WORK_KEYS)
+    assert set(profile) == set(_WORK_KEYS) | {"morrey.evaluations"}
+    # per size, its initial distance and the difference at each of the 16 checkpoints
+    assert profile["morrey.evaluations"] == 2 * (1 + 16)
     assert profile["evolution.cap.nonlinear"] == 0 and profile["evolution.steps"] % 3 == 0
     assert profile["evolution.steps"] >= 3 / evolution.diffusive_cap(2.4, 0.2, 5)
 
@@ -254,7 +256,8 @@ def test_picard_kind_end_to_end(tmp_path):
     profile = manifest["profile"]
     work = {key: profile.pop(key) for key in _WORK_KEYS}
     assert profile == {"duhamel.picard.kernel_builds": builds,
-                       "duhamel.picard.kernel_reuses": per_count - builds}
+                       "duhamel.picard.kernel_reuses": per_count - builds,
+                       "morrey.evaluations": 2}   # the budget's norm at each sample time
     # the classical comparison's one solve, to t_end at the default safety
     h = make_grid(5, 16.0, 160).h
     assert work["evolution.steps"] == sum(work[key] for key in _WORK_KEYS[1:4]) > 0
@@ -397,20 +400,17 @@ def test_threshold_manifest_counts_solver_work(tmp_path):
     assert min(stage_s) >= 0.0 and sum(stage_s) <= manifest["wall_time_s"]
     params, grid, phi = cli._build_inputs(cfg)
     lams = [t["lambda"] for t in doc["trials"]] + [p["lambda"] for p in doc["probes"]]
-    work, dts = evolution.StepWork(), []
-    for lam in lams:
-        run = evolution.solve(make_field(grid, lam * phi.values, phi.boundary), params,
-                              cli._solver_config(cfg, params.n))
-        assert run.steps == len(run.series) - 1   # series_stride 1: one row per step
-        work += run.work
-        dts.extend(run.series[1:, 3])
-    assert min(work.diffusive, work.nonlinear, work.landing) > 0
-    assert work.min_dt == min(dts)
-    assert profile == {"evolution.steps": work.steps,
-                       "evolution.cap.diffusive": work.diffusive,
-                       "evolution.cap.nonlinear": work.nonlinear,
-                       "evolution.cap.landing": work.landing,
-                       "evolution.min_dt": work.min_dt,
+    dts = []
+    with counters.collect() as work:
+        for lam in lams:
+            run = evolution.solve(make_field(grid, lam * phi.values, phi.boundary), params,
+                                  cli._solver_config(cfg, params.n))
+            assert run.steps == len(run.series) - 1   # series_stride 1: one row per step
+            dts.extend(run.series[1:, 3])
+    caps = [work[f"evolution.cap.{cap}"] for cap in ("diffusive", "nonlinear", "landing")]
+    assert min(caps) > 0 and work["evolution.steps"] == sum(caps)
+    assert work["evolution.min_dt"] == min(dts)
+    assert profile == {**work,
                        "threshold.solves": len(lams),
                        "threshold.trials": len(doc["trials"]),
                        # epsilon_star, both bracket series, and two per decaying probe
@@ -481,9 +481,8 @@ _SMALL_RUNS = {
 }
 
 
-def test_no_kind_loads_scipy(tmp_path):
-    # numpy is the only runtime dependency: importing the CLI and running every kind leave scipy
-    # unloaded (scipy is the test suite's oracle only)
+def _small_configs() -> dict:
+    """kind -> the full config of its _SMALL_RUNS entry."""
     runs = {}
     for kind, (grid, solver, args, experiment) in _SMALL_RUNS.items():
         cfg = cli.default_config(kind)
@@ -494,23 +493,98 @@ def test_no_kind_loads_scipy(tmp_path):
         cfg["experiment"].update(experiment)
         runs[kind] = cfg
     assert sorted(runs) == sorted(cli.EXPERIMENT_KINDS)
-    script = f"""
+    return runs
+
+
+def _run_python(script: str) -> str:
+    """Run a script in a fresh interpreter that imports this morreyheat; return its stdout."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_no_kind_loads_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing the CLI and running every kind leave scipy
+    # unloaded (scipy is the test suite's oracle only)
+    runs = _small_configs()
+    _run_python(f"""
 import json, sys
 from morreyheat import cli
 assert "scipy" not in sys.modules, "imported by morreyheat.cli"
 for kind, cfg in json.loads({json.dumps(runs)!r}).items():
     cli.run_experiment(cfg, out_dir={str(tmp_path)!r} + "/" + kind)
     assert "scipy" not in sys.modules, "imported by the " + kind + " run"
-"""
-    src = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+""")
     for kind in runs:
         manifest = json.loads((tmp_path / kind / "manifest.json").read_text())
         assert manifest["status"] == "ok", kind
         assert set(manifest["versions"]) == {"python", "numpy", "morreyheat"}
+
+
+TRACE_CHILD = Path(__file__).resolve().parent.parent / "bench" / "trace_child.py"
+
+
+def test_manifest_counters_equal_traced_counts(tmp_path):
+    # every kind's manifest counts the work the benchmark's tracer sees, from the run itself:
+    # RK4 steps, Morrey evaluations and Picard kernel builds, and no count of work not done
+    script = f"""
+import importlib.util, json, sys
+sys.dont_write_bytecode = True   # leave bench/ untouched
+spec = importlib.util.spec_from_file_location("trace_child", {str(TRACE_CHILD)!r})
+trace_child = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(trace_child)
+from morreyheat import cli
+tracer = trace_child.Tracer()
+trace_child.install(tracer)
+traced = {{}}
+for kind, cfg in json.loads({json.dumps(_small_configs())!r}).items():
+    counts, spans = dict(tracer.counters), len(tracer.spans)
+    cli.run_experiment(cfg, out_dir={str(tmp_path)!r} + "/" + kind)
+    traced[kind] = {{
+        "steps": tracer.counters["steps"] - counts.get("steps", 0),
+        "morrey_evaluate": sum(s[2] == "morrey_evaluate" for s in tracer.spans[spans:]),
+        "picard.kernel_builds": tracer.counters["picard.kernel_builds"]
+        - counts.get("picard.kernel_builds", 0)}}
+print(json.dumps(traced))
+"""
+    traced = json.loads(_run_python(script).splitlines()[-1])
+    assert sorted(traced) == sorted(cli.EXPERIMENT_KINDS)
+    for kind, want in traced.items():
+        profile = json.loads((tmp_path / kind / "manifest.json").read_text())["profile"]
+        for key, traced_key in (("evolution.steps", "steps"),
+                                ("morrey.evaluations", "morrey_evaluate"),
+                                ("duhamel.picard.kernel_builds", "picard.kernel_builds")):
+            assert profile.get(key) == (want[traced_key] or None), (kind, key)
+    assert all(traced[kind]["steps"] for kind in ("solve", "energy", "threshold", "dependence"))
+    assert all(traced[kind]["morrey_evaluate"] for kind in ("morrey", "smoothing", "picard"))
+    assert traced["picard"]["picard.kernel_builds"] > 0
+
+
+def test_counters_do_not_leak_between_runs(tmp_path):
+    # a second identical run starts from empty counters
+    cfg = _small_configs()["threshold"]
+    profiles = []
+    for name in ("a", "b"):
+        bundle = cli.run_experiment(cfg, out_dir=tmp_path / name)
+        profiles.append({key: value for key, value in bundle.manifest["profile"].items()
+                         if not key.endswith("_s")})
+    assert profiles[0] == profiles[1] and profiles[0]["threshold.trials"] > 0
+    # a failed pipeline leaves no collector behind
+    cfg = json.loads(json.dumps(cfg))
+    cfg["initial_data"].update(profile="zero", args={})
+    with pytest.raises(cli.PipelineError, match="ray profile is trivial"):
+        cli.run_experiment(cfg, out_dir=tmp_path / "zero")
+    assert counters._active is None
+    # a library solve outside a run records nothing, in the last run's profile or anywhere
+    profile = bundle.manifest["profile"]
+    before = dict(profile)
+    params, grid, u0 = cli._build_inputs(cfg)
+    evolution.solve(make_field(grid, 0.1 * np.exp(-grid.nodes**2), u0.boundary), params,
+                    evolution.SolverConfig(t_end=0.5))
+    assert profile == before and counters._active is None
 
 
 def test_hypotheses_kind_end_to_end(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from morreyheat import counters
 from morreyheat import duhamel as D
 from morreyheat import evolution as E
 from morreyheat import fields as F
@@ -48,11 +49,14 @@ class _PerIntervalPropagators:
     def __init__(self, grid, n, widths, previous=None):
         self._store = [Q.heat_kernel_matrix(grid, float(dt)) if dt >= 2.0 * grid.h**2
                        else D._DiffusionSubsteps(grid, n, float(dt)) for dt in widths]
-        self.builds = len(self._store)
-        self.reuses = 0
 
     def __getitem__(self, i):
         return self._store[i]
+
+
+def _kernel_counts(work):
+    """(builds, reuses) of the Picard kernels in collected counters."""
+    return tuple(work.get(f"duhamel.picard.kernel_{name}", 0) for name in ("builds", "reuses"))
 
 
 def test_picard_propagators_one_per_width(monkeypatch):
@@ -76,27 +80,30 @@ def test_picard_propagators_one_per_width(monkeypatch):
     fits = len(distinct[64]) * per_matrix
     for budget in (fits, fits - 1):
         monkeypatch.setattr(D, "_KERNEL_CACHE_BYTES", budget)
-        first = D._Propagators(g, P5.n, widths[32])
-        assert first.cached and (first.builds, first.reuses) == (len(distinct[32]), 0)
+        with counters.collect() as work:
+            first = D._Propagators(g, P5.n, widths[32])
+        assert first.cached and _kernel_counts(work) == (len(distinct[32]), 0)
         for i, wi in enumerate(widths[32]):
             for j, wj in enumerate(widths[32]):
                 assert (first[i] is first[j]) == (wi == wj), (i, j)
         old = {float(dt): first[i] for i, dt in enumerate(widths[32])}
-        kernels = D._Propagators(g, P5.n, widths[64], first)
+        with counters.collect() as work:
+            kernels = D._Propagators(g, P5.n, widths[64], first)
         assert first._store is None   # handed over: the widths that do not recur are freed
         # the 64-node set overflows one matrix per interval but fits one per width
         assert kernels.cached == (budget == fits)
         if kernels.cached:
-            assert kernels.reuses == len(recurring)
-            assert kernels.builds == len(distinct[64] - recurring)
+            assert _kernel_counts(work) == (len(distinct[64] - recurring), len(recurring))
             for i, dt in enumerate(widths[64]):
                 assert (kernels[i] is old.get(float(dt))) == (float(dt) in old), i
         else:
-            assert (kernels.builds, kernels.reuses) == (0, 0)
+            assert _kernel_counts(work) == (0, 0)
         got[budget] = run(64, run(32)[-1])[1]
-        solved = D.picard_solve(u0, P5, 1.0, 3, [0.5, 1.0], nodes=32, max_nodes=64, tol=1e-300)
+        with counters.collect() as work:
+            solved = D.picard_solve(u0, P5, 1.0, 3, [0.5, 1.0], nodes=32, max_nodes=64,
+                                    tol=1e-300)
         assert solved.nodes_used == 64
-        assert solved.kernel_reuses == (len(recurring) if kernels.cached else 0)
+        assert _kernel_counts(work)[1] == (len(recurring) if kernels.cached else 0)
         got[budget, "solve"] = solved
     monkeypatch.setattr(D, "_Propagators", _PerIntervalPropagators)
     want = run(64)[1]
@@ -185,12 +192,12 @@ def test_dependence_degenerate_and_flagged():
     g = F.make_grid(5, 30.0, 300)
     u0 = F.gaussian(g, 0.3, 2.0, F.DIRICHLET)
     spec = M.critical_spec(P5)
-    (res,), _ = D.continuous_dependence(u0, [u0], dependence_config(2.0), P5, spec)
+    (res,) = D.continuous_dependence(u0, [u0], dependence_config(2.0), P5, spec)
     assert res.degenerate
     assert np.all(res.ratios == 1.0)
     bump = F.make_field(g, u0.values + F.plateau(g, 5.0, 10.0, 2.0, F.DIRICHLET).values,
                         F.DIRICHLET)
-    (res2,), _ = D.continuous_dependence(u0, [bump], dependence_config(5.0), P5, spec)
+    (res2,) = D.continuous_dependence(u0, [bump], dependence_config(5.0), P5, spec)
     assert res2.failed_before_T0
 
 
@@ -198,8 +205,8 @@ def test_dependence_ratio_near_one_at_small_time():
     g = F.make_grid(5, 30.0, 300)
     u0 = F.gaussian(g, 0.3, 2.0, F.DIRICHLET)
     v0 = F.make_field(g, 1.001 * u0.values, F.DIRICHLET)
-    (res,), _ = D.continuous_dependence(u0, [v0], dependence_config(5.0), P5,
-                                        M.critical_spec(P5))
+    (res,) = D.continuous_dependence(u0, [v0], dependence_config(5.0), P5,
+                                     M.critical_spec(P5))
     assert not res.failed_before_T0
     assert res.ratios[0] >= 1.0 - 0.05
     assert res.max_ratio <= 2.0
@@ -210,7 +217,7 @@ def test_dependence_stable_across_perturbation_sizes():
     u0 = F.gaussian(g, 0.3, 2.0, F.DIRICHLET)
     spec = M.critical_spec(P5)
     v0s = [F.make_field(g, (1.0 + size) * u0.values, F.DIRICHLET) for size in (1e-2, 1e-3)]
-    results, _ = D.continuous_dependence(u0, v0s, dependence_config(5.0), P5, spec)
+    results = D.continuous_dependence(u0, v0s, dependence_config(5.0), P5, spec)
     maxima = [res.max_ratio for res in results]
     assert abs(maxima[0] - maxima[1]) / max(maxima) < 0.25
 
@@ -221,23 +228,26 @@ def test_dependence_solves_u0_once(monkeypatch):
     spec = M.critical_spec(P5)
     v0s = [F.make_field(g, (1.0 + size) * u0.values, F.DIRICHLET) for size in (1e-2, 1e-3)]
     cfg = dependence_config(1.0)
-    alone = [D.continuous_dependence(u0, [v0], cfg, P5, spec)[0][0] for v0 in v0s]
-    solved, works = [], []
+    alone = [D.continuous_dependence(u0, [v0], cfg, P5, spec)[0] for v0 in v0s]
+    solved, steps = [], []
 
     def counting_solve(u, params, cfg):
         solved.append(u)
         traj = E.solve(u, params, cfg)
-        works.append(traj.work)
+        steps.append(traj.steps)
         return traj
 
     monkeypatch.setattr(D, "solve", counting_solve)
-    results, work = D.continuous_dependence(u0, [u0, u0], cfg, P5, spec)
-    assert all(r.degenerate for r in results) and work == E.StepWork()
+    with counters.collect() as work:
+        results = D.continuous_dependence(u0, [u0, u0], cfg, P5, spec)
+    # no solve: the only work is the Morrey norm of each initial distance
+    assert all(r.degenerate for r in results) and work == {"morrey.evaluations": 2}
     assert solved == []
-    results, work = D.continuous_dependence(u0, [u0] + v0s, cfg, P5, spec)
+    with counters.collect() as work:
+        results = D.continuous_dependence(u0, [u0] + v0s, cfg, P5, spec)
     assert [u is u0 for u in solved] == [True, False, False]
-    # the work returned is that of the three solves made, counted once each
-    assert work == works[0] + works[1] + works[2] and work.steps > 0
+    # the steps collected are those of the three solves made, counted once each
+    assert work["evolution.steps"] == sum(steps) > 0
     assert results[0].degenerate
     for got, want in zip(results[1:], alone):
         assert got.ratios.tobytes() == want.ratios.tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from morreyheat import counters
 from morreyheat import evolution as E
 from morreyheat import fields as F
 from morreyheat import quadrature as Q
@@ -299,7 +300,8 @@ def _reference_rhs(grid, n, p, dirichlet, nonlinear=True):
 
 
 def _reference_solve(u0, params, cfg):
-    """The allocating solve loop with every stop path: series, checkpoints, step work, status."""
+    """The allocating solve loop with every stop path: series, checkpoints, status, and the
+    counters a solve reports: its steps, by the cap that bound each, and the smallest dt."""
     grid, p = u0.grid, params.p
     dirichlet = u0.boundary == F.DIRICHLET
     rhs = _reference_rhs(grid, params.n, p, dirichlet)
@@ -340,14 +342,22 @@ def _reference_solve(u0, params, cfg):
             status = E._blowup_status(series, params, t)
             break
     status = status or E.TrajectoryStatus("reached_horizon", t)
-    return np.array(series), checkpoints, E.StepWork(**bound_by, min_dt=min_dt), status
+    work = {f"evolution.cap.{cap}": count for cap, count in bound_by.items()}
+    work.update({"evolution.steps": sum(bound_by.values()), "evolution.min_dt": min_dt})
+    return np.array(series), checkpoints, work, status
 
 
-def _assert_equals_reference(traj, u0, params, cfg):
-    series, checkpoints, work, status = _reference_solve(u0, params, cfg)
+def _collected_solve(u0, params, cfg):
+    with counters.collect() as work:
+        traj = E.solve(u0, params, cfg)
+    return traj, work
+
+
+def _assert_equals_reference(traj, work, u0, params, cfg):
+    series, checkpoints, want_work, status = _reference_solve(u0, params, cfg)
     assert traj.status == status
-    assert traj.work == work
-    assert traj.steps == work.steps == len(series) - 1
+    assert work == want_work
+    assert traj.steps == work["evolution.steps"] == len(series) - 1
     assert traj.series.tobytes() == series.tobytes()
     assert len(traj.checkpoints) == len(checkpoints)
     for (t, f), (t_ref, v_ref) in zip(traj.checkpoints, checkpoints):
@@ -383,10 +393,10 @@ def test_solve_equals_allocating_loop(boundary, p):
     g = F.make_grid(5, 20.0, 200)
     u0 = F.gaussian(g, 1.0, 2.0, boundary)
     cfg = E.SolverConfig(t_end=0.25, checkpoint_times=(0.05, 0.1, 0.2))
-    traj = E.solve(u0, params, cfg)
+    traj, work = _collected_solve(u0, params, cfg)
     assert traj.status.kind == "reached_horizon"
     assert traj.steps >= 300 and len(traj.checkpoints) == 3
-    _assert_equals_reference(traj, u0, params, cfg)
+    _assert_equals_reference(traj, work, u0, params, cfg)
 
 
 @pytest.mark.parametrize("dt_min", [1e-14, 1e-20])
@@ -395,20 +405,20 @@ def test_blowup_stop_equals_allocating_loop(dt_min):
     g = F.make_grid(5, 40.0, 200)
     u0 = F.plateau(g, 2.0, 15.0, 2.0, F.DIRICHLET)
     cfg = E.SolverConfig(t_end=1.0, dt_min=dt_min, checkpoint_times=(0.05, 0.1))
-    traj = E.solve(u0, P5, cfg)
+    traj, work = _collected_solve(u0, P5, cfg)
     assert traj.status.kind == "blowup"
     assert (traj.sup_norms[-1] >= cfg.blowup_threshold) == (dt_min < 1e-16)
-    _assert_equals_reference(traj, u0, P5, cfg)
+    _assert_equals_reference(traj, work, u0, P5, cfg)
 
 
 def test_boundary_abort_equals_allocating_loop():
     g = F.make_grid(5, 10.0, 100)
     u0 = F.gaussian(g, 0.5, 2.5)      # free boundary tag; its tail reaches r_max mid-run
     cfg = E.SolverConfig(t_end=1.0, checkpoint_times=(0.1, 1.0))
-    traj = E.solve(u0, P5, cfg)
+    traj, work = _collected_solve(u0, P5, cfg)
     assert traj.status.reason == "boundary_contamination"
     assert traj.steps > 100 and len(traj.checkpoints) == 1
-    _assert_equals_reference(traj, u0, P5, cfg)
+    _assert_equals_reference(traj, work, u0, P5, cfg)
 
 
 def test_diffusion_substeps_equal_allocating_substeps():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from morreyheat import counters
 from morreyheat import evolution as E
 from morreyheat import fields as F
 from morreyheat import morrey as M
@@ -141,14 +142,15 @@ def test_borderline_probe_evaluates_two_checkpoints(monkeypatch):
         return M.morrey_norm(*args)
 
     monkeypatch.setattr(T, "morrey_norm", counting_norm)
-    probes = T.borderline_probe(res, P5, cfg, [0.1, -3.0])
+    with counters.collect() as work:
+        probes = T.borderline_probe(res, P5, cfg, [0.1, -3.0])
     assert [p.verdict for p in probes] == ["decaying", "blowup"]
     assert len(calls) == 2
-    assert [p.morrey_evaluations for p in probes] == [2, 0]
+    assert (work["threshold.solves"], work["morrey.evaluations"]) == (2, 2)
     assert probes[1].morrey_start is probes[1].morrey_end is None
     monkeypatch.undo()
     traj = E.solve(F.make_field(g, probes[0].lam * phi.values, phi.boundary), P5, cfg)
-    series = T._morrey_series(traj, T._CriticalNorm(P5, M.MorreyLattice.default(g)))
+    series = T._morrey_series(traj, M.critical_spec(P5), M.MorreyLattice.default(g))
     late = [v for t, v in series if t >= 1.0]
     assert len(late) < len(series)
     assert (probes[0].morrey_start, probes[0].morrey_end) == (late[0], late[-1])
@@ -174,7 +176,7 @@ def test_bisect_keeps_bracket_trajectories(monkeypatch):
     for lam, series in ((res.lambda_lo, res.morrey_series_lo),
                         (res.lambda_hi, res.morrey_series_hi)):
         traj = E.solve(F.make_field(g, lam * phi.values, phi.boundary), P5, cfg)
-        assert series == T._morrey_series(traj, T._CriticalNorm(P5, lattice))
+        assert series == T._morrey_series(traj, M.critical_spec(P5), lattice)
 
 
 def test_bisect_reports_smallness_threshold():
