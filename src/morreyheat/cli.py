@@ -464,9 +464,9 @@ def run_experiment(cfg: dict, out_dir=None) -> ArtifactBundle:
     The manifest is written last; it records the hash of the merged config,
     in `checks` every invariant the pipeline asserted, with the measured
     value, and in `profile` the work counters the layers reported while the
-    pipeline ran (see `counters`).  If the pipeline fails, a
-    manifest with `status: "failed"` and the error chain is written before
-    the PipelineError propagates.
+    pipeline ran (see `counters`).  If the pipeline fails, a manifest with
+    `status: "failed"`, the error chain and the counters so far is written
+    before the PipelineError propagates.
     """
     cfg = _merged(cfg)
     kind = cfg["experiment"]["kind"]
@@ -488,6 +488,7 @@ def run_experiment(cfg: dict, out_dir=None) -> ArtifactBundle:
             "config_hash": config_hash(cfg),
             "wall_time_s": time.perf_counter() - started,
             "versions": _versions(),
+            "profile": profile,
         }
         write_json(out / "manifest.json", bundle.manifest)
         raise error from exc

@@ -5,10 +5,10 @@ is iterated on a graded master time grid.  Writing J_i for the map evaluated
 at node tau_i, the identity J_i = G_dt(J_{i-1} + w f_{i-1}) + w f_i (trapezoid
 in s, semigroup-composed kernels) evaluates one Picard sweep with O(Q) kernel
 applications.  The grid is symmetric in time, so mirrored intervals have
-bitwise-equal widths and share one heat-kernel matrix.  The node count is
-doubled until the converged iterate is stable to 1e-6, exploiting that the
-weak endpoint singularities of the Morrey-side estimates are integrable; the
-propagators of widths that recur after a doubling are carried over, not rebuilt.
+bitwise-equal widths and share one banded kernel per distinct width.  The
+node count is doubled until the converged iterate is stable to 1e-6,
+exploiting that the weak endpoint singularities of the Morrey-side estimates
+are integrable; kernels of widths that recur after a doubling are carried over.
 """
 
 import math
@@ -21,7 +21,7 @@ from .evolution import SolverConfig, _Stepper, diffusive_cap, solve
 from .fields import FREE, RadialField, make_field
 from .morrey import MorreyLattice, MorreySpec, critical_spec, morrey_norm
 from .params import ModelParams
-from .quadrature import heat_kernel_matrix
+from .quadrature import BandedKernel, heat_kernel_matrix
 
 
 def auxiliary_exponent(params: ModelParams, q: float = 2.0) -> float:
@@ -83,6 +83,7 @@ class _DiffusionSubsteps:
         self.dt_sub = dt / self.k
 
     def __matmul__(self, v):
+        counters.add("duhamel.picard.substeps", self.k)
         stepper = self.stepper
         stepper.u[:] = v
         for _ in range(self.k):
@@ -94,17 +95,18 @@ _KERNEL_CACHE_BYTES = 400 * 2**20
 
 
 class _Propagators:
-    """Heat propagators of the master grid's intervals, one per distinct width.
+    """Heat propagators of the master grid's intervals: one banded kernel per distinct width.
 
     Mirrored intervals of the symmetric smoothstep grid have bitwise-equal
     widths, and heat_kernel_matrix is a pure function of (grid, t), so they
-    share one propagator and every sweep stays bitwise unchanged.  The dense
-    matrices are kept if the distinct resolved widths fit the budget, else
-    built per access.  A store built after a `previous` one (the last node
-    count's) takes over its propagators of recurring widths and frees the rest
-    before building, so peak memory stays that of the larger store.  It counts
-    the dense matrices it builds and those it takes over as the run's
-    duhamel.picard.kernel_builds and .kernel_reuses.
+    share one propagator and every sweep stays bitwise unchanged.  The
+    BandedKernels are kept if the distinct resolved widths fit the budget in
+    dense bytes (which bound their band bytes), else built per access.  A
+    store built after a `previous` one (the last node count's) takes over its
+    propagators of recurring widths and frees the rest before building, so
+    peak memory stays that of the larger store.  It counts the kernels it
+    builds, their band MB and those it takes over as the run's
+    duhamel.picard.kernel_builds, .kernel_mb and .kernel_reuses.
     """
 
     def __init__(self, grid, n, widths, previous=None):
@@ -125,8 +127,10 @@ class _Propagators:
 
     def _build(self, dt):
         if dt >= 2.0 * self.grid.h**2:
+            kernel = BandedKernel(heat_kernel_matrix(self.grid, dt))
             counters.add("duhamel.picard.kernel_builds")
-            return heat_kernel_matrix(self.grid, dt)
+            counters.add("duhamel.picard.kernel_mb", kernel.nbytes / 2**20)
+            return kernel
         return _DiffusionSubsteps(self.grid, self.n, dt)
 
     def __getitem__(self, i):

@@ -428,23 +428,6 @@ def decay_diagnostics(traj: Trajectory, params: ModelParams) -> DecayDiagnostics
                             peak_time=peak_time, decay_start=decay_start)
 
 
-def linear_domination(traj: Trajectory, u0: RadialField) -> float:
-    """max over checkpoints and nodes of |u(x,t)| / (G_t * |u0|)(x).
-
-    A finite stable value certifies that the run is dominated by a constant
-    multiple of the heat flow of |u0|.
-    """
-    abs_u0 = np.abs(u0.values)
-    worst = 0.0
-    for t, f in traj.checkpoints:
-        denom = heat_kernel_matrix(u0.grid, t) @ abs_u0
-        mask = denom >= 1e-14
-        if not np.any(mask):
-            continue
-        worst = max(worst, float(np.max(np.abs(f.values[mask]) / denom[mask])))
-    return worst
-
-
 def gradient_majorant_check(traj: Trajectory, u0: RadialField, grad_u0: RadialField,
                             t_small: float) -> tuple[bool, float]:
     """Check |du/dr(t)| <= 2 (G_t * |grad u0|) nodewise for checkpoints t <= t_small.

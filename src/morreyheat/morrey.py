@@ -16,7 +16,7 @@ from . import counters
 from .fields import RadialField, RadialGrid, sup_norm
 from .params import ModelParams
 from .quadrature import (SMALL_BALL_FACTOR, cap_fraction_array, fine_ball_integral,
-                         heat_apply, heat_kernel_matrix, origin_ball_weights,
+                         heat_apply, origin_ball_weights,
                          small_ball_plan, sphere_area, volume_weights)
 
 
@@ -175,20 +175,6 @@ def small_scale_diagnostic(ev: MorreyEvaluation) -> dict:
     total = float(ev.cells.max())
     return {"small_r_value": small, "max_value": total,
             "small_r_fraction": small / total if total > 0 else 0.0}
-
-
-def kernel_majorant(f: RadialField, spec: MorreySpec, t_grid) -> float:
-    """max over t of t^(lambda/2) sup_a (G_t * |f|^q)(a), a on the default lattice's centers."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or np.any(t_grid <= 0):
-        raise ValueError("t_grid must be nonempty and positive")
-    centers = MorreyLattice.default(f.grid).centers
-    g = np.abs(f.values) ** spec.q
-    best = 0.0
-    for t in t_grid:
-        sup_a = float(np.max(heat_kernel_matrix(f.grid, float(t), centers) @ g))
-        best = max(best, float(t) ** (spec.lam / 2.0) * sup_a)
-    return best
 
 
 @dataclass(frozen=True)

@@ -354,6 +354,32 @@ def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
     return mat
 
 
+class BandedKernel:
+    """A built heat-kernel matrix kept as its row blocks' nonzero column bands.
+
+    Each _KERNEL_BLOCK_ROWS block of rows keeps, as a C-contiguous copy, only
+    the columns from its first to its last nonzero entry, so every stored
+    entry is the matrix's own and the matrix itself can be freed.  `@`
+    applies it to a vector with one dot product per block.
+    """
+
+    def __init__(self, mat: np.ndarray):
+        self.shape = mat.shape
+        self.blocks = []   # (first row, first column, the block's band)
+        for i in range(0, mat.shape[0], _KERNEL_BLOCK_ROWS):
+            rows = mat[i:i + _KERNEL_BLOCK_ROWS]
+            cols = np.flatnonzero(rows.any(axis=0))
+            lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
+            self.blocks.append((i, lo, rows[:, lo:hi].copy()))
+        self.nbytes = sum(band.nbytes for _, _, band in self.blocks)
+
+    def __matmul__(self, v):
+        out = np.empty(self.shape[0])
+        for i, lo, band in self.blocks:
+            np.dot(band, v[lo:lo + band.shape[1]], out=out[i:i + band.shape[0]])
+        return out
+
+
 def gauss_convolve(f: RadialField, t: float, a: float) -> float:
     """(G_t * f)(a e_1) with f extended by zero beyond r_max; t > 0, a >= 0.
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from morreyheat import cli, counters, duhamel, evolution
 from morreyheat.fields import make_field, make_grid
 from morreyheat.morrey import MorreyLattice, critical_spec, morrey_norm
+from morreyheat.quadrature import BandedKernel, heat_kernel_matrix
 
 
 def read(path):
@@ -238,11 +240,15 @@ def test_picard_kind_end_to_end(tmp_path):
     assert bundle.all_passed
     budget = (tmp_path / "p" / "budget.csv").read_text().splitlines()
     assert budget[0] == "t,budget_r,budget_inf,cauchy_diff"
-    # one dense kernel per distinct resolved width, at each node count run; the
-    # widths the previous node count already had are carried over, not rebuilt
+    # one banded kernel per distinct resolved width, at each node count run; the
+    # widths the previous node count already had are carried over, not rebuilt.
+    # Each sweep of a node count, its linear one included, applies the RK4
+    # substeps of every interval narrower than the floor once.
     nodes_used = json.loads((tmp_path / "p" / "picard.json").read_text())["nodes_used"]
-    floor = 2.0 * make_grid(5, 16.0, 160).h ** 2
-    per_count = builds = 0
+    params, grid, u0 = cli._build_inputs(cli._merged(cfg))
+    floor = 2.0 * grid.h ** 2
+    cap = evolution.diffusive_cap(0.8, grid.h, 5)
+    per_count = builds = band_bytes = substeps = 0
     previous = set()
     nodes = 64
     while nodes <= nodes_used:
@@ -250,6 +256,11 @@ def test_picard_kind_end_to_end(tmp_path):
         distinct = {float(dt) for dt in widths if dt >= floor}
         per_count += len(distinct)
         builds += len(distinct - previous)
+        band_bytes += sum(BandedKernel(heat_kernel_matrix(grid, dt)).nbytes
+                          for dt in distinct - previous)
+        sweeps = 1 + duhamel._run_picard(u0, params, 0.5, 8, np.array([0.25, 0.5]), nodes,
+                                         1e-8)[7]
+        substeps += sweeps * sum(max(1, math.ceil(dt / cap)) for dt in widths if dt < floor)
         previous = distinct
         nodes *= 2
     manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
@@ -257,7 +268,10 @@ def test_picard_kind_end_to_end(tmp_path):
     work = {key: profile.pop(key) for key in _WORK_KEYS}
     assert profile == {"duhamel.picard.kernel_builds": builds,
                        "duhamel.picard.kernel_reuses": per_count - builds,
+                       "duhamel.picard.kernel_mb": band_bytes / 2**20,
+                       "duhamel.picard.substeps": substeps,
                        "morrey.evaluations": 2}   # the budget's norm at each sample time
+    assert substeps > 0 and 0 < band_bytes < builds * (grid.m + 1) ** 2 * 8
     # the classical comparison's one solve, to t_end at the default safety
     h = make_grid(5, 16.0, 160).h
     assert work["evolution.steps"] == sum(work[key] for key in _WORK_KEYS[1:4]) > 0
@@ -315,6 +329,22 @@ def test_failed_pipeline_writes_manifest(tmp_path):
     assert "did not reach the horizon" in manifest["error"][-1]
     assert set(manifest["versions"]) == {"python", "numpy", "morreyheat"}
     assert "checks" not in manifest
+
+
+def test_failed_manifest_keeps_the_counters(tmp_path, monkeypatch):
+    # a pipeline that fails late still records the work it reported before failing
+    def fails(cfg, bundle):
+        counters.add("threshold.trials", 15)
+        counters.least("evolution.min_dt", 0.25)
+        raise RuntimeError("failed after the trials")
+
+    monkeypatch.setitem(cli._PIPELINES, "threshold", fails)
+    with pytest.raises(cli.PipelineError, match="failed after the trials"):
+        cli.run_experiment({"experiment": {"kind": "threshold"}}, out_dir=tmp_path / "t")
+    manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["profile"] == {"threshold.trials": 15, "evolution.min_dt": 0.25}
+    assert counters._active is None
 
 
 def test_threshold_json_schema(tmp_path, threshold_run):

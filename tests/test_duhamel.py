@@ -47,8 +47,9 @@ class _PerIntervalPropagators:
     """Reference store: one propagator built per interval, shared by none, none carried over."""
 
     def __init__(self, grid, n, widths, previous=None):
-        self._store = [Q.heat_kernel_matrix(grid, float(dt)) if dt >= 2.0 * grid.h**2
-                       else D._DiffusionSubsteps(grid, n, float(dt)) for dt in widths]
+        self._store = [Q.BandedKernel(Q.heat_kernel_matrix(grid, float(dt)))
+                       if dt >= 2.0 * grid.h**2 else D._DiffusionSubsteps(grid, n, float(dt))
+                       for dt in widths]
 
     def __getitem__(self, i):
         return self._store[i]
@@ -57,6 +58,17 @@ class _PerIntervalPropagators:
 def _kernel_counts(work):
     """(builds, reuses) of the Picard kernels in collected counters."""
     return tuple(work.get(f"duhamel.picard.kernel_{name}", 0) for name in ("builds", "reuses"))
+
+
+def _band_mb(grid, widths):
+    """Band MB of one kernel per width."""
+    return sum(Q.BandedKernel(Q.heat_kernel_matrix(grid, dt)).nbytes for dt in widths) / 2**20
+
+
+def _substeps(grid, n, widths):
+    """RK4 substeps of one application of every interval too narrow for a kernel."""
+    cap = E.diffusive_cap(0.8, grid.h, n)
+    return sum(max(1, math.ceil(dt / cap)) for dt in widths if dt < 2.0 * grid.h**2)
 
 
 def test_picard_propagators_one_per_width(monkeypatch):
@@ -83,6 +95,8 @@ def test_picard_propagators_one_per_width(monkeypatch):
         with counters.collect() as work:
             first = D._Propagators(g, P5.n, widths[32])
         assert first.cached and _kernel_counts(work) == (len(distinct[32]), 0)
+        assert work["duhamel.picard.kernel_mb"] == _band_mb(g, distinct[32])
+        assert "duhamel.picard.substeps" not in work   # counted when applied, not when built
         for i, wi in enumerate(widths[32]):
             for j, wj in enumerate(widths[32]):
                 assert (first[i] is first[j]) == (wi == wj), (i, j)
@@ -94,11 +108,16 @@ def test_picard_propagators_one_per_width(monkeypatch):
         assert kernels.cached == (budget == fits)
         if kernels.cached:
             assert _kernel_counts(work) == (len(distinct[64] - recurring), len(recurring))
+            assert work["duhamel.picard.kernel_mb"] == _band_mb(g, distinct[64] - recurring)
             for i, dt in enumerate(widths[64]):
                 assert (kernels[i] is old.get(float(dt))) == (float(dt) in old), i
         else:
             assert _kernel_counts(work) == (0, 0)
-        got[budget] = run(64, run(32)[-1])[1]
+        with counters.collect() as work:
+            got[budget] = run(64, run(32)[-1])[1]
+        # the linear sweep and 3 Picard sweeps apply every substep interval once each
+        assert work["duhamel.picard.substeps"] == 4 * sum(
+            _substeps(g, P5.n, widths[nodes]) for nodes in (32, 64)) > 0
         with counters.collect() as work:
             solved = D.picard_solve(u0, P5, 1.0, 3, [0.5, 1.0], nodes=32, max_nodes=64,
                                     tol=1e-300)
@@ -116,6 +135,18 @@ def test_picard_propagators_one_per_width(monkeypatch):
         assert all(a.values.tobytes() == b.values.tobytes()
                    for a, b in zip(solved.fields, want_solve.fields))
         assert solved.budget.tobytes() == want_solve.budget.tobytes()
+
+
+@pytest.mark.parametrize("nodes,share", [(400, 0.5), (800, 0.4)])
+def test_picard_store_holds_bands_not_dense_matrices(nodes, share):
+    # the picard kind's default times at 128 Picard nodes: the banded store's bytes
+    # stay below the given share of one dense matrix per width
+    g = F.make_grid(5, 40.0, nodes)
+    widths = np.diff(D._graded_times(1.0, 128, extra=[0.1, 0.5, 1.0], dt_floor=2.0 * g.h**2))
+    store = D._Propagators(g, P5.n, widths)
+    kernels = [k for k in store._store.values() if isinstance(k, Q.BandedKernel)]
+    assert store.cached and kernels
+    assert sum(k.nbytes for k in kernels) <= share * len(kernels) * (g.m + 1) ** 2 * 8
 
 
 def test_first_correction_scales_like_amplitude_cubed():

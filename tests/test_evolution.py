@@ -215,26 +215,6 @@ def test_small_gaussian_tail_monotone(energy_run):
     assert d.slope < -P5.beta   # strictly faster than the critical rate
 
 
-def test_linear_domination_hook_is_one():
-    g = F.make_grid(5, 30.0, 1200)
-    u0 = F.power_tail(g, 0.5, 2.0, 1.0, F.DIRICHLET)
-    cfg = E.SolverConfig(t_end=1.0, nonlinear=False, checkpoint_times=(0.25, 0.5, 1.0))
-    traj = E.solve(u0, P5, cfg)
-    assert E.linear_domination(traj, u0) == pytest.approx(1.0, abs=1e-4)
-
-
-def test_linear_domination_small_data_stable():
-    g = F.make_grid(5, 30.0, 300)
-    u0 = F.gaussian(g, 0.05, 2.0, F.DIRICHLET)
-    cs = []
-    for t_end in (5.0, 10.0):
-        cfg = E.SolverConfig(t_end=t_end,
-                             checkpoint_times=tuple(np.geomspace(0.1, t_end, 8)))
-        cs.append(E.linear_domination(E.solve(u0, P5, cfg), u0))
-    assert all(np.isfinite(cs))
-    assert cs[1] <= cs[0] * 1.3   # stable under horizon doubling
-
-
 def test_gradient_majorant_zero_data():
     g = F.make_grid(5, 10.0, 100)
     z = F.zero_field(g, F.DIRICHLET)

@@ -129,34 +129,6 @@ def test_lam_n_is_lebesgue():
         M.lq_norm(f, 2.0), rel=1e-12)
 
 
-def test_kernel_majorant_zero_and_indicator():
-    g = F.make_grid(5, 16.0, 800)
-    assert M.kernel_majorant(F.zero_field(g), M.MorreySpec(2.0, 2.0), [1.0]) == 0.0
-    f = F.indicator(g, 1.0)
-    spec = M.MorreySpec(2.0, 5.0)
-    t_grid = np.geomspace(1.0, 200.0, 8)
-    maj = M.kernel_majorant(f, spec, t_grid)
-    asymptote = Q.ball_volume(5) * (4 * math.pi) ** (-2.5)
-    assert maj == pytest.approx(asymptote, rel=0.1)
-
-
-def test_kernel_majorant_dominates_morrey_norm():
-    g = F.make_grid(5, 16.0, 800)
-    spec = M.MorreySpec(2.0, 2.0)
-    t_grid = np.geomspace(1e-2, 1e2, 12)
-    consts = []
-    for f in (F.indicator(g, 1.0), F.gaussian(g, 1.0, 2.0),
-              F.power_tail(g, 1.0, 1.5, 1.0)):
-        consts.append(M.morrey_norm(f, spec) ** spec.q / M.kernel_majorant(f, spec, t_grid))
-    # one modest constant covers the family, stable under lattice refinement
-    assert max(consts) < 200.0
-    f = F.gaussian(g, 1.0, 2.0)
-    lat2 = M.MorreyLattice.default(g).refine()
-    c1 = M.morrey_norm(f, spec) ** spec.q / M.kernel_majorant(f, spec, t_grid)
-    c2 = M.morrey_norm(f, spec, lat2) ** spec.q / M.kernel_majorant(f, spec, t_grid)
-    assert c2 == pytest.approx(c1, rel=0.05)
-
-
 def test_smoothing_profile_linf_case():
     g = F.make_grid(5, 12.0, 600)
     f = F.gaussian(g, 1.0, 2.0)
@@ -213,16 +185,3 @@ def test_small_ball_cells_match_ball_integral():
         for ci, a in enumerate(lat.centers):
             expect = Q.ball_integral(f, spec.q, float(a), r_ball) * r_ball ** (spec.lam - 5)
             assert ev.cells[ci, ri] == pytest.approx(expect, rel=1e-13, abs=0.0)
-
-
-def test_kernel_majorant_matches_per_center_convolutions():
-    g = F.make_grid(5, 16.0, 400)
-    f = F.gaussian(g, 1.0, 2.0)
-    spec = M.MorreySpec(2.0, 2.0)
-    t_grid = np.geomspace(1e-2, 1e2, 6)
-    dens = F.make_field(g, np.abs(f.values) ** spec.q)
-    centers = M.MorreyLattice.default(g).centers
-    expect = max(t ** (spec.lam / 2.0) * max(Q.gauss_convolve(dens, t, float(a))
-                                              for a in centers)
-                 for t in t_grid)
-    assert M.kernel_majorant(f, spec, t_grid) == pytest.approx(expect, rel=1e-13)

@@ -352,6 +352,51 @@ def test_heat_kernel_matrix_is_sub_stochastic(case):
     assert np.all(mat.sum(axis=1) <= 1.0 + 1e-12)
 
 
+@settings(max_examples=10, deadline=None)
+@given(_kernel_cases())
+def test_banded_kernel_reassembles_the_matrix(case):
+    # the blocks cover every row once, and every entry outside their bands is 0.0
+    mat = Q.heat_kernel_matrix(*case)
+    bands = Q.BandedKernel(mat)
+    got = np.zeros(bands.shape)
+    rows = []
+    for i, lo, band in bands.blocks:
+        assert band.flags.c_contiguous
+        rows.extend(range(i, i + band.shape[0]))
+        got[i:i + band.shape[0], lo:lo + band.shape[1]] = band
+    assert rows == list(range(mat.shape[0]))
+    assert got.tobytes() == mat.tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(_kernel_cases(), st.integers(0, 2**32 - 1))
+def test_banded_kernel_product_matches_dense(case, seed):
+    g, t = case
+    mat = Q.heat_kernel_matrix(g, t)
+    v = np.random.default_rng(seed).standard_normal(g.m + 1)
+    got = Q.BandedKernel(mat) @ v
+    assert got.shape == (g.m + 1,)
+    bound = (g.m + 1) * np.finfo(float).eps * (np.abs(mat) @ np.abs(v))
+    assert np.all(np.abs(got - mat @ v) <= bound)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_kernel_cases())
+def test_banded_kernel_stores_only_the_bands(case):
+    # each block keeps exactly the columns from its first to its last nonzero entry
+    g, t = case
+    mat = Q.heat_kernel_matrix(g, t)
+    bands = Q.BandedKernel(mat)
+    want = 0
+    for i in range(0, mat.shape[0], Q._KERNEL_BLOCK_ROWS):
+        cols = np.flatnonzero(mat[i:i + Q._KERNEL_BLOCK_ROWS].any(axis=0))
+        want += len(mat[i:i + Q._KERNEL_BLOCK_ROWS]) * (cols[-1] + 1 - cols[0]) * 8
+    assert all(band[:, 0].any() and band[:, -1].any() for _, _, band in bands.blocks)
+    assert bands.nbytes == want <= mat.nbytes
+    if math.sqrt(4.0 * t * Q._KERNEL_EXP_CUTOFF) < g.r_max:
+        assert bands.nbytes < mat.nbytes
+
+
 def test_volume_weights_total():
     g = F.make_grid(5, 8.0, 400)
     assert Q.volume_weights(g).sum() == pytest.approx(8.0**5 / 5.0, rel=1e-12)
