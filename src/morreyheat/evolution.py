@@ -367,27 +367,6 @@ def _fit_blowup_time(series: np.ndarray, params: ModelParams):
 
 
 @dataclass(frozen=True)
-class BlowupFit:
-    T_est: float | None
-    fit_quality: float | None
-    ok: bool
-    reason: str | None = None
-
-
-def estimate_blowup_time(traj: Trajectory, params: ModelParams) -> BlowupFit:
-    """Type-I extrapolation of the blowup time from the recorded sup-norm series."""
-    sup = traj.sup_norms
-    grew = sup[-1] >= 1e3 * max(sup[0], 1e-300)
-    if traj.status.kind != "blowup" and not grew:
-        return BlowupFit(None, None, False, "run is not blowing up")
-    fit = _fit_blowup_time(traj.series, params)
-    if fit is None:
-        return BlowupFit(None, None, False, "fewer than 8 samples in the fit window")
-    t_est, r2 = fit
-    return BlowupFit(t_est, r2, True)
-
-
-@dataclass(frozen=True)
 class DecayDiagnostics:
     slope: float | None          # log-log decay rate of the sup-norm, final decade
     sup_t_beta_norm: float       # max over the run of w(t) = t^(1/(p-1)) ||u(t)||_inf
@@ -457,13 +436,3 @@ def gradient_majorant_check(traj: Trajectory, u0: RadialField, grad_u0: RadialFi
     if checked == 0:
         raise ValueError("no checkpoints inside (0, t_small]")
     return worst <= 1.0 + 1e-9, worst
-
-
-def family_sup_after(trajs: list[Trajectory], t0: float) -> float:
-    """sup over a family of runs of sup_{t >= t0} ||u(t)||_inf (delayed-bound table entry)."""
-    best = 0.0
-    for traj in trajs:
-        mask = traj.times >= t0
-        if np.any(mask):
-            best = max(best, float(traj.sup_norms[mask].max()))
-    return best

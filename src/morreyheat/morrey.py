@@ -86,18 +86,20 @@ def lq_norm(f: RadialField, q: float) -> float:
     return _lq_integral(f, q) ** (1.0 / q)
 
 
-# Cached lattice tables: key -> ((centers x radii x nodes) weights including the
-# volume and surface factors, {small radius index: SmallBallPlan}).  Bounded
-# LRU; tables over _TABLE_MAX_BYTES are built whole and left uncached.
+# Cached lattice tables: key -> (the indices of the radii above SMALL_BALL_FACTOR h,
+# (centers x those radii x nodes) weights including the volume and surface factors,
+# {small radius index: SmallBallPlan}).  Bounded LRU; tables over _TABLE_MAX_BYTES
+# are built whole and left uncached.
 _TABLE_CACHE: OrderedDict = OrderedDict()
 _TABLE_CACHE_MAX = 4
 _TABLE_MAX_BYTES = 300 * 2**20
 
 
 def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
-    """Weights W[c, r, j] with ball_integral(f,q,a_c,R_r) = sum_j W[c,r,j] |f_j|^q, and
-    {r: small_ball_plan} for the radii <= SMALL_BALL_FACTOR h, whose columns it replaces
-    and leaves at 0.0 (each entry of W @ g is the dot product of its own row alone)."""
+    """(large, W, plans): the indices `large` of the radii above SMALL_BALL_FACTOR h, the
+    weights W[c, k, j] with ball_integral(f,q,a_c,R_large[k]) = sum_j W[c,k,j] |f_j|^q for
+    those radii alone, and {r: small_ball_plan} for the others.  Each build (a cache miss)
+    adds 1 to the run's morrey.table_builds and the MB of W and the plans to .table_mb."""
     key = (grid.n, grid.m, grid.r_max,
            np.asarray(lattice.centers).tobytes(), np.asarray(lattice.radii).tobytes())
     entry = _TABLE_CACHE.get(key)
@@ -107,19 +109,23 @@ def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
     n = grid.n
     area = sphere_area(n)
     base = area * volume_weights(grid)
-    centers = np.asarray(lattice.centers)
-    plans = {ri: small_ball_plan(grid, centers, float(r_ball))
-             for ri, r_ball in enumerate(lattice.radii) if r_ball <= SMALL_BALL_FACTOR * grid.h}
-    table = np.zeros((len(centers), len(lattice.radii), grid.m + 1))
-    for ri, r_ball in enumerate(lattice.radii):
-        if ri not in plans:
-            table[:, ri] = base * cap_fraction_array(n, centers[:, None], grid.nodes, float(r_ball))
-            table[centers == 0.0, ri] = area * origin_ball_weights(grid, float(r_ball))
-    if table.nbytes + sum(x.nbytes for plan in plans.values() for x in plan) <= _TABLE_MAX_BYTES:
-        _TABLE_CACHE[key] = table, plans
+    centers, radii = np.asarray(lattice.centers), np.asarray(lattice.radii)
+    small = radii <= SMALL_BALL_FACTOR * grid.h
+    plans = {int(ri): small_ball_plan(grid, centers, float(radii[ri]))
+             for ri in np.flatnonzero(small)}
+    large = np.flatnonzero(~small)
+    table = np.empty((len(centers), len(large), grid.m + 1))
+    for k, r_ball in enumerate(radii[large]):
+        table[:, k] = base * cap_fraction_array(n, centers[:, None], grid.nodes, float(r_ball))
+        table[centers == 0.0, k] = area * origin_ball_weights(grid, float(r_ball))
+    nbytes = table.nbytes + sum(x.nbytes for plan in plans.values() for x in plan)
+    counters.add("morrey.table_builds")
+    counters.add("morrey.table_mb", nbytes / 2**20)
+    if nbytes <= _TABLE_MAX_BYTES:
+        _TABLE_CACHE[key] = large, table, plans
         while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
             _TABLE_CACHE.popitem(last=False)
-    return table, plans
+    return large, table, plans
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,9 @@ def morrey_evaluate(f: RadialField, spec: MorreySpec,
         return MorreyEvaluation(norm=val ** (1.0 / spec.q), center=0.0,
                                 radius=float(lattice.radii[-1]), cells=cells)
     g = np.abs(f.values) ** spec.q
-    table, plans = _cell_weights(grid, lattice)
-    integrals = table @ g
+    large, table, plans = _cell_weights(grid, lattice)
+    integrals = np.empty((len(lattice.centers), len(lattice.radii)))
+    integrals[:, large] = table @ g   # the plans fill every other column
     for ri, plan in plans.items():
         integrals[:, ri] = fine_ball_integral(grid, g, plan)
     cells = integrals * np.asarray(lattice.radii)[None, :] ** (spec.lam - n)

@@ -245,6 +245,7 @@ _ANGULAR_Z_MAX = 1e8
 _ANGULAR_KNOTS = 4097
 _ANGULAR_RULE_POINTS = 96
 _ANGULAR_EXP_CUTOFF = 60.0   # exp(-60) ~ 9e-27: the x-range past z x = 60 is dropped
+_ANGULAR_CHUNK = 512         # z values per pass of the rule: (512, 96) temporaries
 
 
 def _angular_integrand(n: int, s: np.ndarray) -> np.ndarray:
@@ -253,20 +254,27 @@ def _angular_integrand(n: int, s: np.ndarray) -> np.ndarray:
 
 
 def _angular_moments(n: int, z: np.ndarray):
-    """(Lam(z), -Lam'(z)) for a 1-D array z >= 0, by the Gauss-Legendre rule."""
+    """(Lam(z), -Lam'(z)) for a 1-D array z >= 0, by the Gauss-Legendre rule, applied
+    _ANGULAR_CHUNK values at a time (each value's sums are the same in any chunk)."""
     s, wts = np.polynomial.legendre.leggauss(_ANGULAR_RULE_POINTS)
     s = 0.5 * (s + 1.0)   # nodes and weights on [0, 1]
     wts = 0.5 * wts
-    z = z[:, None]
-    # x = v^2 on [0, 1], with v = v_max s and v_max^2 = min(1, 60/z)
-    v_max = np.sqrt(_ANGULAR_EXP_CUTOFF / np.maximum(z, _ANGULAR_EXP_CUTOFF))
-    v = v_max * s
-    x_lo = v * v
-    lo = _angular_integrand(n, v) * (v_max * wts) * np.exp(-z * x_lo)
     # x = 2 - w^2 on [1, 2], with w = s
     x_hi = 2.0 - s * s
-    hi = (_angular_integrand(n, s) * wts) * np.exp(-z * x_hi)
-    return lo.sum(axis=-1) + hi.sum(axis=-1), (lo * x_lo).sum(axis=-1) + (hi * x_hi).sum(axis=-1)
+    hi_wts = _angular_integrand(n, s) * wts
+    lam, dlam = np.empty(len(z)), np.empty(len(z))
+    for i in range(0, len(z), _ANGULAR_CHUNK):
+        j = i + _ANGULAR_CHUNK
+        zc = z[i:j, None]
+        # x = v^2 on [0, 1], with v = v_max s and v_max^2 = min(1, 60/z)
+        v_max = np.sqrt(_ANGULAR_EXP_CUTOFF / np.maximum(zc, _ANGULAR_EXP_CUTOFF))
+        v = v_max * s
+        x_lo = v * v
+        lo = _angular_integrand(n, v) * (v_max * wts) * np.exp(-zc * x_lo)
+        hi = hi_wts * np.exp(-zc * x_hi)
+        lam[i:j] = lo.sum(axis=-1) + hi.sum(axis=-1)
+        dlam[i:j] = (lo * x_lo).sum(axis=-1) + (hi * x_hi).sum(axis=-1)
+    return lam, dlam
 
 
 @functools.lru_cache(maxsize=None)
@@ -310,6 +318,9 @@ def angular_kernel_scaled(n: int, z) -> np.ndarray:
 
 
 _KERNEL_BLOCK_ROWS = 64
+# BandedKernel's row blocks: a block stores the union of its rows' bands, so shorter
+# blocks store fewer zeros, at one more dot product per block in every product.
+_BAND_BLOCK_ROWS = 16
 # exp(x) is exactly 0.0 in double for x < -745.2, so no Gaussian factor with
 # (s - a)^2 / 4t beyond this cutoff is nonzero.
 _KERNEL_EXP_CUTOFF = 746.0
@@ -357,7 +368,7 @@ def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
 class BandedKernel:
     """A built heat-kernel matrix kept as its row blocks' nonzero column bands.
 
-    Each _KERNEL_BLOCK_ROWS block of rows keeps, as a C-contiguous copy, only
+    Each _BAND_BLOCK_ROWS block of rows keeps, as a C-contiguous copy, only
     the columns from its first to its last nonzero entry, so every stored
     entry is the matrix's own and the matrix itself can be freed.  `@`
     applies it to a vector with one dot product per block.
@@ -366,8 +377,8 @@ class BandedKernel:
     def __init__(self, mat: np.ndarray):
         self.shape = mat.shape
         self.blocks = []   # (first row, first column, the block's band)
-        for i in range(0, mat.shape[0], _KERNEL_BLOCK_ROWS):
-            rows = mat[i:i + _KERNEL_BLOCK_ROWS]
+        for i in range(0, mat.shape[0], _BAND_BLOCK_ROWS):
+            rows = mat[i:i + _BAND_BLOCK_ROWS]
             cols = np.flatnonzero(rows.any(axis=0))
             lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
             self.blocks.append((i, lo, rows[:, lo:hi].copy()))

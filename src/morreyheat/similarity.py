@@ -154,12 +154,6 @@ def checkpoint_times_for_s_grid(T: float, s_grid) -> np.ndarray:
     return T - np.exp(-s_grid)
 
 
-def mass_bound_constant(series: EnergySeries, params: ModelParams) -> float:
-    """Fitted C in m(s) <= C E(s_0)^{2/(p+1)} along one energy series."""
-    e0 = max(series.E[0], 1e-300)
-    return float(series.m.max() / e0 ** (2.0 / (params.p + 1.0)))
-
-
 def _functional_A_at(u0: RadialField, grad_u0: RadialField, T: float, centers,
                      params: ModelParams) -> np.ndarray:
     """functional_A at every center, from one kernel matrix applied to both densities."""

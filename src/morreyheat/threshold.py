@@ -34,14 +34,10 @@ class Verdict:
     terminal_ratio: float | None = None   # ||u(t_end)||_inf / ||u0||_inf
 
 
-def classify(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Verdict:
-    """Decaying iff the run reaches the horizon with a monotone weighted tail and
-    the terminal sup-norm below TERMINAL_RATIO_MAX times the initial one."""
-    v, _ = classify_with_trajectory(u0, params, cfg)
-    return v
-
-
 def classify_with_trajectory(u0: RadialField, params: ModelParams, cfg: SolverConfig):
+    """(Verdict, trajectory) of one solve: decaying iff the run reaches the horizon with a
+    monotone weighted tail and the terminal sup-norm below TERMINAL_RATIO_MAX times the
+    initial one."""
     traj = solve(u0, params, cfg)
     counters.add("threshold.solves")
     st = traj.status

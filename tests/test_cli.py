@@ -3,15 +3,17 @@ import math
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from morreyheat import cli, counters, duhamel, evolution
+from morreyheat import cli, counters, duhamel, evolution, morrey
 from morreyheat.fields import make_field, make_grid
 from morreyheat.morrey import MorreyLattice, critical_spec, morrey_norm
-from morreyheat.quadrature import BandedKernel, heat_kernel_matrix
+from morreyheat.quadrature import (SMALL_BALL_FACTOR, BandedKernel, heat_kernel_matrix,
+                                   small_ball_plan)
 
 
 def read(path):
@@ -24,7 +26,7 @@ def test_default_configs_validate():
         assert cfg["experiment"]["kind"] == kind
 
 
-def test_partial_config_same_through_library_and_cli(tmp_path):
+def test_partial_config_same_through_library_and_cli(tmp_path, fresh_tables):
     # compare_classical is left to the picard defaults, whichever way the config runs
     cfg = cli.default_config("picard")
     del cfg["experiment"]["compare_classical"]
@@ -33,6 +35,7 @@ def test_partial_config_same_through_library_and_cli(tmp_path):
     path = tmp_path / "picard.json"
     path.write_text(json.dumps(cfg))
     lib = cli.run_experiment(cfg, out_dir=tmp_path / "lib")
+    morrey._TABLE_CACHE.clear()   # each run builds its table, as a fresh CLI process does
     assert cli.main(["picard", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
     manifests = []
     for out in ("lib", "cli"):
@@ -206,7 +209,24 @@ _WORK_KEYS = ("evolution.steps", "evolution.cap.diffusive", "evolution.cap.nonli
               "evolution.cap.landing", "evolution.min_dt")
 
 
-def test_solve_and_dependence_record_rk4_work(tmp_path):
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty Morrey table cache, so a run's table builds do not depend on earlier tests."""
+    monkeypatch.setattr(morrey, "_TABLE_CACHE", OrderedDict())
+
+
+def _table_counters(grid) -> dict:
+    """The table counters of one build for the default lattice: a table over the radii
+    above SMALL_BALL_FACTOR h and a small-ball plan for each of the others."""
+    lattice = MorreyLattice.default(grid)
+    small = lattice.radii <= SMALL_BALL_FACTOR * grid.h
+    table = lattice.centers.size * int(np.sum(~small)) * (grid.m + 1) * 8
+    plans = sum(x.nbytes for r in lattice.radii[small]
+                for x in small_ball_plan(grid, lattice.centers, float(r)))
+    return {"morrey.table_builds": 1, "morrey.table_mb": (table + plans) / 2**20}
+
+
+def test_solve_and_dependence_record_rk4_work(tmp_path, fresh_tables):
     # solve: one series row per step after the initial one, at series_stride 1
     cli.run_experiment(small_solve_config(tmp_path, "gaussian", {"amplitude": 0.1, "width": 2.0}),
                        out_dir=tmp_path / "s")
@@ -222,14 +242,17 @@ def test_solve_and_dependence_record_rk4_work(tmp_path):
     cfg["experiment"].update(T0=1.0, sizes=[1e-2, 1e-3])
     cli.run_experiment(cfg, out_dir=tmp_path / "d")
     profile = json.loads((tmp_path / "d" / "manifest.json").read_text())["profile"]
-    assert set(profile) == set(_WORK_KEYS) | {"morrey.evaluations"}
+    assert set(profile) == set(_WORK_KEYS) | {"morrey.evaluations", "morrey.table_builds",
+                                              "morrey.table_mb"}
+    table = _table_counters(cli._build_inputs(cli._merged(cfg))[1])
+    assert {key: profile[key] for key in table} == table
     # per size, its initial distance and the difference at each of the 16 checkpoints
     assert profile["morrey.evaluations"] == 2 * (1 + 16)
     assert profile["evolution.cap.nonlinear"] == 0 and profile["evolution.steps"] % 3 == 0
     assert profile["evolution.steps"] >= 3 / evolution.diffusive_cap(2.4, 0.2, 5)
 
 
-def test_picard_kind_end_to_end(tmp_path):
+def test_picard_kind_end_to_end(tmp_path, fresh_tables):
     cfg = cli.default_config("picard")
     cfg["grid"] = {"r_max": 16.0, "nodes": 160}
     cfg["initial_data"] = {"profile": "gaussian", "args": {"amplitude": 0.1, "width": 2.0},
@@ -270,7 +293,8 @@ def test_picard_kind_end_to_end(tmp_path):
                        "duhamel.picard.kernel_reuses": per_count - builds,
                        "duhamel.picard.kernel_mb": band_bytes / 2**20,
                        "duhamel.picard.substeps": substeps,
-                       "morrey.evaluations": 2}   # the budget's norm at each sample time
+                       "morrey.evaluations": 2,   # the budget's norm at each sample time
+                       **_table_counters(grid)}
     assert substeps > 0 and 0 < band_bytes < builds * (grid.m + 1) ** 2 * 8
     # the classical comparison's one solve, to t_end at the default safety
     h = make_grid(5, 16.0, 160).h
@@ -419,7 +443,7 @@ def small_threshold_config(safety=None):
     return cfg
 
 
-def test_threshold_manifest_counts_solver_work(tmp_path):
+def test_threshold_manifest_counts_solver_work(tmp_path, fresh_tables):
     cfg = small_threshold_config()
     cli.run_experiment(cfg, out_dir=tmp_path / "t")
     doc = json.loads((tmp_path / "t" / "threshold.json").read_text())
@@ -446,7 +470,8 @@ def test_threshold_manifest_counts_solver_work(tmp_path):
                        # epsilon_star, both bracket series, and two per decaying probe
                        "morrey.evaluations": 1 + len(doc["morrey_series_lo"])
                        + len(doc["morrey_series_hi"])
-                       + sum(2 for p in doc["probes"] if p["morrey_start"] is not None)}
+                       + sum(2 for p in doc["probes"] if p["morrey_start"] is not None),
+                       **_table_counters(grid)}
     assert len(doc["probes"]) == 2
 
 
@@ -593,11 +618,13 @@ print(json.dumps(traced))
     assert traced["picard"]["picard.kernel_builds"] > 0
 
 
-def test_counters_do_not_leak_between_runs(tmp_path):
-    # a second identical run starts from empty counters
+def test_counters_do_not_leak_between_runs(tmp_path, fresh_tables):
+    # a second identical run starts from empty counters (and, like the first, from an
+    # empty Morrey table cache, whose hits would skip its table build)
     cfg = _small_configs()["threshold"]
     profiles = []
     for name in ("a", "b"):
+        morrey._TABLE_CACHE.clear()
         bundle = cli.run_experiment(cfg, out_dir=tmp_path / name)
         profiles.append({key: value for key, value in bundle.manifest["profile"].items()
                          if not key.endswith("_s")})

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,45 @@ def test_angular_table_slopes_match_centred_difference(n):
     assert np.max(np.abs(slope - diff)) < 1e-7
 
 
+def _one_shot_angular_moments(n, z):
+    """The Gauss-Legendre rule over every z in one (len(z), 96) pass."""
+    s, wts = np.polynomial.legendre.leggauss(Q._ANGULAR_RULE_POINTS)
+    s = 0.5 * (s + 1.0)
+    wts = 0.5 * wts
+    z = z[:, None]
+    v_max = np.sqrt(Q._ANGULAR_EXP_CUTOFF / np.maximum(z, Q._ANGULAR_EXP_CUTOFF))
+    v = v_max * s
+    x_lo = v * v
+    lo = Q._angular_integrand(n, v) * (v_max * wts) * np.exp(-z * x_lo)
+    x_hi = 2.0 - s * s
+    hi = (Q._angular_integrand(n, s) * wts) * np.exp(-z * x_hi)
+    return lo.sum(axis=-1) + hi.sum(axis=-1), (lo * x_lo).sum(axis=-1) + (hi * x_hi).sum(axis=-1)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 8))
+def test_angular_table_equals_one_shot_rule(n, monkeypatch):
+    # the rule applied in chunks gives the one-shot rule's moments and table, bit for bit,
+    # at the knots and past the table
+    for z in (np.expm1(_angular_knots()), np.geomspace(1.01e8, 1e12, 1100)):
+        for got, want in zip(Q._angular_moments(n, z), _one_shot_angular_moments(n, z)):
+            assert got.tobytes() == want.tobytes()
+    du, coef = Q._angular_table(n)
+    monkeypatch.setattr(Q, "_angular_moments", _one_shot_angular_moments)
+    want_du, want = Q._angular_table.__wrapped__(n)
+    assert du == want_du and coef.tobytes() == want.tobytes()
+
+
+def test_angular_table_build_peak_memory():
+    # the rule's temporaries are (_ANGULAR_CHUNK, 96), not (4097, 96)
+    tracemalloc.start()
+    try:
+        Q._angular_table.__wrapped__(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
+
+
 def test_gauss_convolve_is_independent_of_call_history():
     g = F.make_grid(5, 20.0, 400)
     f = F.gaussian(g, 1.0, 2.0)
@@ -359,6 +399,7 @@ def test_banded_kernel_reassembles_the_matrix(case):
     mat = Q.heat_kernel_matrix(*case)
     bands = Q.BandedKernel(mat)
     got = np.zeros(bands.shape)
+    assert [i for i, _, _ in bands.blocks] == list(range(0, mat.shape[0], Q._BAND_BLOCK_ROWS))
     rows = []
     for i, lo, band in bands.blocks:
         assert band.flags.c_contiguous
@@ -388,9 +429,9 @@ def test_banded_kernel_stores_only_the_bands(case):
     mat = Q.heat_kernel_matrix(g, t)
     bands = Q.BandedKernel(mat)
     want = 0
-    for i in range(0, mat.shape[0], Q._KERNEL_BLOCK_ROWS):
-        cols = np.flatnonzero(mat[i:i + Q._KERNEL_BLOCK_ROWS].any(axis=0))
-        want += len(mat[i:i + Q._KERNEL_BLOCK_ROWS]) * (cols[-1] + 1 - cols[0]) * 8
+    for i in range(0, mat.shape[0], Q._BAND_BLOCK_ROWS):
+        cols = np.flatnonzero(mat[i:i + Q._BAND_BLOCK_ROWS].any(axis=0))
+        want += len(mat[i:i + Q._BAND_BLOCK_ROWS]) * (cols[-1] + 1 - cols[0]) * 8
     assert all(band[:, 0].any() and band[:, -1].any() for _, _, band in bands.blocks)
     assert bands.nbytes == want <= mat.nbytes
     if math.sqrt(4.0 * t * Q._KERNEL_EXP_CUTOFF) < g.r_max:
@@ -498,7 +539,9 @@ def test_small_ball_cells_equal_per_point_rule(nodes):
             for q in (1.0, 2.0, 4.0 / 3.0):
                 g = np.abs(f.values) ** q
                 interp = _reference_density_interpolant(grid.nodes, g)
-                integrals = M._cell_weights(grid, lattice)[0] @ g
+                large, table, _ = M._cell_weights(grid, lattice)
+                integrals = np.empty((len(lattice.centers), radii.size))
+                integrals[:, large] = table @ g
                 for ri in small:
                     integrals[:, ri] = _reference_fine_ball_integral(
                         interp, 5, grid.r_max, lattice.centers, float(radii[ri]))
@@ -509,18 +552,19 @@ def test_small_ball_cells_equal_per_point_rule(nodes):
 
 @pytest.mark.parametrize("nodes", [200, 401])
 def test_cell_table_fills_only_large_radii(nodes):
-    # the columns of radii with a small-ball plan stay zero; the others are the
-    # per-column cap-fraction build, bit for bit
+    # the table holds the radii without a small-ball plan alone, each column the
+    # per-column cap-fraction build, bit for bit; the plans cover the other radii
     grid = F.make_grid(5, 40.0, nodes)
-    lattice = M.MorreyLattice.default(grid)
-    table, plans = M._cell_weights(grid, lattice)
-    centers, radii = np.asarray(lattice.centers), np.asarray(lattice.radii)
-    small = np.flatnonzero(radii <= Q.SMALL_BALL_FACTOR * grid.h)
-    assert small.size and sorted(plans) == list(small)
-    assert table[:, small].tobytes() == np.zeros(table[:, small].shape).tobytes()
-    area = Q.sphere_area(5)
-    base = area * Q.volume_weights(grid)
-    for ri in np.setdiff1d(np.arange(radii.size), small):
-        col = base * Q.cap_fraction_array(5, centers[:, None], grid.nodes, float(radii[ri]))
-        col[centers == 0.0] = area * Q.origin_ball_weights(grid, float(radii[ri]))
-        assert table[:, ri].tobytes() == col.tobytes()
+    for lattice in (M.MorreyLattice.default(grid), M.MorreyLattice.default(grid).refine()):
+        large, table, plans = M._cell_weights(grid, lattice)
+        centers, radii = np.asarray(lattice.centers), np.asarray(lattice.radii)
+        small = np.flatnonzero(radii <= Q.SMALL_BALL_FACTOR * grid.h)
+        assert small.size and sorted(plans) == list(small)
+        assert list(large) == list(np.setdiff1d(np.arange(radii.size), small))
+        assert table.nbytes == centers.size * large.size * (grid.m + 1) * 8
+        area = Q.sphere_area(5)
+        base = area * Q.volume_weights(grid)
+        for k, ri in enumerate(large):
+            col = base * Q.cap_fraction_array(5, centers[:, None], grid.nodes, float(radii[ri]))
+            col[centers == 0.0] = area * Q.origin_ball_weights(grid, float(radii[ri]))
+            assert table[:, k].tobytes() == col.tobytes()

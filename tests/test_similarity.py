@@ -127,19 +127,6 @@ def test_energy_monotone_along_decaying_run(energy_run):
         assert es.min_energy >= -1e-6
 
 
-def test_mass_bound_constant_stable(energy_run):
-    # one fitted constant per (n, p): the max over the series of all T windows,
-    # stable under refinement of the similarity grid
-    traj = energy_run["traj"]
-    def fit(h_y):
-        return max(S.mass_bound_constant(
-            S.energy_series(traj, T, P5, s, h_y=h_y), P5)
-            for T, s in energy_run["s_grids"].items())
-    c1, c2 = fit(0.01), fit(0.005)
-    assert np.isfinite(c1) and c1 > 0
-    assert c2 == pytest.approx(c1, rel=0.02)
-
-
 def test_linear_flow_energy_decreases(energy_run):
     # the quadratic part of the energy is a Lyapunov functional of the heat flow
     g = F.make_grid(5, 30.0, 300)

@@ -18,21 +18,22 @@ def short_cfg(t_end=60.0):
 
 def test_classify_zero_data_degenerate_decaying():
     g = F.make_grid(5, 20.0, 100)
-    v = T.classify(F.zero_field(g, F.DIRICHLET), P5, E.SolverConfig(t_end=1.0))
+    v = T.classify_with_trajectory(F.zero_field(g, F.DIRICHLET), P5,
+                                   E.SolverConfig(t_end=1.0))[0]
     assert v.kind == "decaying"
     assert v.terminal_ratio == 0.0
 
 
 def test_classify_plateau_blowup():
     g = F.make_grid(5, 40.0, 200)
-    v = T.classify(F.plateau(g, 1.0, 15.0, 2.0, F.DIRICHLET), P5, short_cfg())
+    v = T.classify_with_trajectory(F.plateau(g, 1.0, 15.0, 2.0, F.DIRICHLET), P5, short_cfg())[0]
     assert v.kind == "blowup"
     assert v.T_est == pytest.approx(0.5, rel=0.02)
 
 
 def test_classify_small_gaussian_decaying():
     g = F.make_grid(5, 40.0, 200)
-    v = T.classify(F.gaussian(g, 0.01, 2.0, F.DIRICHLET), P5, short_cfg())
+    v = T.classify_with_trajectory(F.gaussian(g, 0.01, 2.0, F.DIRICHLET), P5, short_cfg())[0]
     assert v.kind == "decaying"
 
 
@@ -87,7 +88,7 @@ def test_blowup_time_decreases_with_amplitude():
 def test_monotone_verdicts_on_positive_ray():
     g = F.make_grid(5, 40.0, 100)
     cfg = short_cfg(t_end=40.0)
-    verdicts = [T.classify(F.gaussian(g, a, 2.0, F.DIRICHLET), P5, cfg).kind
+    verdicts = [T.classify_with_trajectory(F.gaussian(g, a, 2.0, F.DIRICHLET), P5, cfg)[0].kind
                 for a in (0.1, 1.0, 4.0, 8.0)]
     seen_blowup = False
     for v in verdicts:
