@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import counters
 from .fields import FREE, RadialField, RadialGrid, make_field, make_grid
 
 
@@ -227,10 +228,14 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
 # d log Lam / du, and read as a cubic Hermite; beyond the table the rule is
 # applied directly.
 #
-# The dense matrix is filled one block of rows at a time, and each block only
-# over the columns where some of its Gaussian factors exp(-(s-a)^2/4t) are
-# nonzero in double precision.  Outside that window the dense formula gives
-# exactly 0.0 as well, so the banded build is bitwise the all-entries one.
+# Every Gaussian factor exp(-x), x = (s-a)^2/4t, with x > _EXP_CUTOFF = 60 is
+# exactly 0.0.  Since |y - a e_1| >= |s - a| for |y| = s, the cut drops at
+# most Gamma(n/2, 60)/Gamma(n/2) of a row's mass (8e-26 at n = 3, 2e-20 at
+# n = 11), far below the rounding of any sum over the row.  The dense matrix
+# is filled one block of rows at a time, over the columns within sqrt(4t 60)
+# of some row (one more on each side); a per-entry mask, applied on the
+# window's edge strips where some row's reach ends, decides the cut, so the
+# matrix is a pure function of (grid, t, centers) whatever the block.
 # When the rows are the grid nodes, the pre-weight factor
 # S_ij = (c_t Lam(a_i s_j/2t)) exp(-(s_j-a_i)^2/4t) is bitwise symmetric, since
 # a_i s_j = s_j a_i and (x-y)^2 = (y-x)^2 exactly in IEEE arithmetic: each
@@ -241,10 +246,10 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
 # the band are never written.
 # ---------------------------------------------------------------------------
 
+_EXP_CUTOFF = 60.0   # exp(-60) ~ 9e-27: every exp(-x) with x past it is taken as 0.0
 _ANGULAR_Z_MAX = 1e8
 _ANGULAR_KNOTS = 4097
 _ANGULAR_RULE_POINTS = 96
-_ANGULAR_EXP_CUTOFF = 60.0   # exp(-60) ~ 9e-27: the x-range past z x = 60 is dropped
 _ANGULAR_CHUNK = 512         # z values per pass of the rule: (512, 96) temporaries
 
 
@@ -267,7 +272,7 @@ def _angular_moments(n: int, z: np.ndarray):
         j = i + _ANGULAR_CHUNK
         zc = z[i:j, None]
         # x = v^2 on [0, 1], with v = v_max s and v_max^2 = min(1, 60/z)
-        v_max = np.sqrt(_ANGULAR_EXP_CUTOFF / np.maximum(zc, _ANGULAR_EXP_CUTOFF))
+        v_max = np.sqrt(_EXP_CUTOFF / np.maximum(zc, _EXP_CUTOFF))
         v = v_max * s
         x_lo = v * v
         lo = _angular_integrand(n, v) * (v_max * wts) * np.exp(-zc * x_lo)
@@ -321,9 +326,6 @@ _KERNEL_BLOCK_ROWS = 64
 # BandedKernel's row blocks: a block stores the union of its rows' bands, so shorter
 # blocks store fewer zeros, at one more dot product per block in every product.
 _BAND_BLOCK_ROWS = 16
-# exp(x) is exactly 0.0 in double for x < -745.2, so no Gaussian factor with
-# (s - a)^2 / 4t beyond this cutoff is nonzero.
-_KERNEL_EXP_CUTOFF = 746.0
 
 
 def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
@@ -343,25 +345,32 @@ def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
     c_t = (4.0 * math.pi * t) ** (-n / 2.0) * sphere_area(n - 1)
     # plain trapezoid: superconvergent for the smooth decaying kernel integrand
     base = trapezoid_weights(grid) * s ** (n - 1)
-    reach = math.sqrt(4.0 * t * _KERNEL_EXP_CUTOFF)
+    reach = math.sqrt(4.0 * t * _EXP_CUTOFF)
     mat = np.zeros((len(a), len(s)))
+    counters.add("quadrature.kernel_builds")
     for i in range(0, len(a), _KERNEL_BLOCK_ROWS):
         a_blk = a[i:i + _KERNEL_BLOCK_ROWS]
         j = i + len(a_blk)
-        lo = np.searchsorted(s, a_blk.min() - reach)
-        hi = np.searchsorted(s, a_blk.max() + reach, side="right")
+        lo = max(np.searchsorted(s, a_blk.min() - reach) - 1, 0)
+        hi = np.searchsorted(s, a_blk.max() + reach, side="right") + 1
         first = i if centers is None else lo   # node rows left of i: mirrored in already
         s_win = s[first:hi]
+        x = (s_win[None, :] - a_blk[:, None]) ** 2 / (4.0 * t)
+        # every row is within reach of the columns strictly between the strips
+        left = np.searchsorted(s, a_blk.max() - reach) + 1 - first
+        right = np.searchsorted(s, a_blk.min() + reach, side="right") - 1 - first
+        for strip in (x[:, :max(left, 0)], x[:, max(right, 0):]):
+            strip[strip > _EXP_CUTOFF] = np.inf
         lam = angular_kernel_scaled(n, np.outer(a_blk, s_win) / (2.0 * t))
-        mat[i:j, first:hi] = c_t * lam * np.exp(-((s_win[None, :] - a_blk[:, None]) ** 2)
-                                                / (4.0 * t))
+        mat[i:j, first:hi] = c_t * lam * np.exp(-x)
         if centers is None:
             mat[j:hi, i:j] = mat[i:j, j:hi].T
         mat[i:j, lo:hi] *= base[lo:hi]   # rows i:j are complete
     mass = mat.sum(axis=1)
     over = mass > 1.0
     if np.any(over):
-        mat[over] /= mass[over, None]
+        # in place: mat[over] /= ... would copy every over-mass row first
+        np.divide(mat, mass[:, None], out=mat, where=over[:, None])
     return mat
 
 
@@ -376,18 +385,18 @@ class BandedKernel:
 
     def __init__(self, mat: np.ndarray):
         self.shape = mat.shape
-        self.blocks = []   # (first row, first column, the block's band)
+        self.blocks = []   # (the block's row slice, its band's column slice, the band)
         for i in range(0, mat.shape[0], _BAND_BLOCK_ROWS):
-            rows = mat[i:i + _BAND_BLOCK_ROWS]
-            cols = np.flatnonzero(rows.any(axis=0))
-            lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
-            self.blocks.append((i, lo, rows[:, lo:hi].copy()))
+            rows = slice(i, min(i + _BAND_BLOCK_ROWS, mat.shape[0]))
+            nonzero = np.flatnonzero(mat[rows].any(axis=0))
+            cols = slice(int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else slice(0, 0)
+            self.blocks.append((rows, cols, mat[rows, cols].copy()))
         self.nbytes = sum(band.nbytes for _, _, band in self.blocks)
 
     def __matmul__(self, v):
         out = np.empty(self.shape[0])
-        for i, lo, band in self.blocks:
-            np.dot(band, v[lo:lo + band.shape[1]], out=out[i:i + band.shape[0]])
+        for rows, cols, band in self.blocks:
+            np.dot(band, v[cols], out=out[rows])
         return out
 
 

@@ -290,6 +290,7 @@ def test_picard_kind_end_to_end(tmp_path, fresh_tables):
     profile = manifest["profile"]
     work = {key: profile.pop(key) for key in _WORK_KEYS}
     assert profile == {"duhamel.picard.kernel_builds": builds,
+                       "quadrature.kernel_builds": builds,   # the kind builds no other kernel
                        "duhamel.picard.kernel_reuses": per_count - builds,
                        "duhamel.picard.kernel_mb": band_bytes / 2**20,
                        "duhamel.picard.substeps": substeps,
@@ -584,7 +585,8 @@ TRACE_CHILD = Path(__file__).resolve().parent.parent / "bench" / "trace_child.py
 
 def test_manifest_counters_equal_traced_counts(tmp_path):
     # every kind's manifest counts the work the benchmark's tracer sees, from the run itself:
-    # RK4 steps, Morrey evaluations and Picard kernel builds, and no count of work not done
+    # RK4 steps, Morrey evaluations, heat-kernel builds and the Picard ones among them, and no
+    # count of work not done
     script = f"""
 import importlib.util, json, sys
 sys.dont_write_bytecode = True   # leave bench/ untouched
@@ -601,6 +603,7 @@ for kind, cfg in json.loads({json.dumps(_small_configs())!r}).items():
     traced[kind] = {{
         "steps": tracer.counters["steps"] - counts.get("steps", 0),
         "morrey_evaluate": sum(s[2] == "morrey_evaluate" for s in tracer.spans[spans:]),
+        "heat_kernel_matrix": sum(s[2] == "heat_kernel_matrix" for s in tracer.spans[spans:]),
         "picard.kernel_builds": tracer.counters["picard.kernel_builds"]
         - counts.get("picard.kernel_builds", 0)}}
 print(json.dumps(traced))
@@ -611,11 +614,13 @@ print(json.dumps(traced))
         profile = json.loads((tmp_path / kind / "manifest.json").read_text())["profile"]
         for key, traced_key in (("evolution.steps", "steps"),
                                 ("morrey.evaluations", "morrey_evaluate"),
+                                ("quadrature.kernel_builds", "heat_kernel_matrix"),
                                 ("duhamel.picard.kernel_builds", "picard.kernel_builds")):
             assert profile.get(key) == (want[traced_key] or None), (kind, key)
     assert all(traced[kind]["steps"] for kind in ("solve", "energy", "threshold", "dependence"))
     assert all(traced[kind]["morrey_evaluate"] for kind in ("morrey", "smoothing", "picard"))
     assert traced["picard"]["picard.kernel_builds"] > 0
+    assert all(traced[kind]["heat_kernel_matrix"] for kind in ("smoothing", "picard", "hypotheses"))
 
 
 def test_counters_do_not_leak_between_runs(tmp_path, fresh_tables):

@@ -137,7 +137,7 @@ def test_picard_propagators_one_per_width(monkeypatch):
         assert solved.budget.tobytes() == want_solve.budget.tobytes()
 
 
-@pytest.mark.parametrize("nodes,share", [(400, 0.42), (800, 0.27)])
+@pytest.mark.parametrize("nodes,share", [(400, 0.16), (800, 0.10)])
 def test_picard_store_holds_bands_not_dense_matrices(nodes, share):
     # the picard kind's default times at 128 Picard nodes: the banded store's bytes
     # stay below the given share of one dense matrix per width

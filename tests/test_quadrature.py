@@ -214,7 +214,7 @@ def _one_shot_angular_moments(n, z):
     s = 0.5 * (s + 1.0)
     wts = 0.5 * wts
     z = z[:, None]
-    v_max = np.sqrt(Q._ANGULAR_EXP_CUTOFF / np.maximum(z, Q._ANGULAR_EXP_CUTOFF))
+    v_max = np.sqrt(Q._EXP_CUTOFF / np.maximum(z, Q._EXP_CUTOFF))
     v = v_max * s
     x_lo = v * v
     lo = Q._angular_integrand(n, v) * (v_max * wts) * np.exp(-z * x_lo)
@@ -325,15 +325,20 @@ def test_heat_matrix_agrees_with_scalar_path():
         Q.heat_kernel_matrix(g, t, [1.0, math.nan])
 
 
-def _dense_heat_kernel_matrix(grid, t, centers=None):
-    """The kernel formula evaluated at every entry, as one N x N expression."""
+def _dense_heat_kernel_matrix(grid, t, centers=None, cut=True):
+    """The kernel formula evaluated at every entry, as one N x N expression; with cut=False
+    the Gaussian factors past Q._EXP_CUTOFF are kept."""
     n = grid.n
     a = grid.nodes if centers is None else np.asarray(centers, dtype=float)
     s = grid.nodes
     c_t = (4.0 * math.pi * t) ** (-n / 2.0) * Q.sphere_area(n - 1)
     lam = Q.angular_kernel_scaled(n, np.outer(a, s) / (2.0 * t))
     base = Q.trapezoid_weights(grid) * s ** (n - 1)
-    mat = c_t * lam * np.exp(-((s[None, :] - a[:, None]) ** 2) / (4.0 * t)) * base[None, :]
+    x = (s[None, :] - a[:, None]) ** 2 / (4.0 * t)
+    gauss = np.exp(-x)
+    if cut:
+        gauss[x > Q._EXP_CUTOFF] = 0.0
+    mat = c_t * lam * gauss * base[None, :]
     mass = mat.sum(axis=1)
     over = mass > 1.0
     if np.any(over):
@@ -344,12 +349,12 @@ def _dense_heat_kernel_matrix(grid, t, centers=None):
 @pytest.mark.parametrize("nodes,r_max", [(200, 10.0), (800, 40.0), (1600, 16.0)])
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_heat_kernel_matrix_equals_dense_formula(n, nodes, r_max):
-    # the banded build skips only entries whose Gaussian factor underflows to 0.0
+    # the banded build skips only entries whose Gaussian factor is cut to 0.0
     g = F.make_grid(n, r_max, nodes)
     lattice = M.MorreyLattice.default(g).centers
     for t in np.geomspace(2.0 * g.h**2, 100.0, 5):
         t = float(t)
-        beyond = r_max + math.sqrt(4.0 * t * 746.0) + 1.0
+        beyond = r_max + math.sqrt(4.0 * t * Q._EXP_CUTOFF) + 1.0
         for centers in (None, lattice, lattice[::-1], [beyond], []):
             got = Q.heat_kernel_matrix(g, t, centers)
             want = _dense_heat_kernel_matrix(g, t, centers)
@@ -357,6 +362,24 @@ def test_heat_kernel_matrix_equals_dense_formula(n, nodes, r_max):
             assert got.tobytes() == want.tobytes(), (t, centers)
         assert not Q.heat_kernel_matrix(g, t, [beyond]).any()
         assert Q.heat_kernel_matrix(g, t, []).shape == (0, nodes + 1)
+
+
+@pytest.mark.parametrize("nodes,r_max", [(200, 10.0), (800, 40.0), (1600, 16.0)])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 11])
+def test_kernel_tail_cut_is_below_rounding(n, nodes, r_max):
+    # the Gaussian factors past Q._EXP_CUTOFF weigh at most 1e-18 of their row's mass, and
+    # products with the cut matrix agree with the uncut formula's within rounding
+    g = F.make_grid(n, r_max, nodes)
+    rng = np.random.default_rng(n * nodes)
+    for t in np.geomspace(2.0 * g.h**2, 100.0, 5):
+        t = float(t)
+        uncut = _dense_heat_kernel_matrix(g, t, cut=False)
+        past = (g.nodes[None, :] - g.nodes[:, None]) ** 2 / (4.0 * t) > Q._EXP_CUTOFF
+        assert np.all(np.where(past, uncut, 0.0).sum(axis=1) <= 1e-18 * uncut.sum(axis=1)), t
+        mat = Q.heat_kernel_matrix(g, t)
+        v = rng.standard_normal((g.m + 1, 4))
+        bound = (g.m + 1) * np.finfo(float).eps * (np.abs(uncut) @ np.abs(v))
+        assert np.all(np.abs(mat @ v - uncut @ v) <= bound), t
 
 
 @st.composite
@@ -399,12 +422,14 @@ def test_banded_kernel_reassembles_the_matrix(case):
     mat = Q.heat_kernel_matrix(*case)
     bands = Q.BandedKernel(mat)
     got = np.zeros(bands.shape)
-    assert [i for i, _, _ in bands.blocks] == list(range(0, mat.shape[0], Q._BAND_BLOCK_ROWS))
+    assert ([rows.start for rows, _, _ in bands.blocks]
+            == list(range(0, mat.shape[0], Q._BAND_BLOCK_ROWS)))
     rows = []
-    for i, lo, band in bands.blocks:
+    for block_rows, cols, band in bands.blocks:
         assert band.flags.c_contiguous
-        rows.extend(range(i, i + band.shape[0]))
-        got[i:i + band.shape[0], lo:lo + band.shape[1]] = band
+        assert band.shape == (block_rows.stop - block_rows.start, cols.stop - cols.start)
+        rows.extend(range(block_rows.start, block_rows.stop))
+        got[block_rows, cols] = band
     assert rows == list(range(mat.shape[0]))
     assert got.tobytes() == mat.tobytes()
 
@@ -434,7 +459,7 @@ def test_banded_kernel_stores_only_the_bands(case):
         want += len(mat[i:i + Q._BAND_BLOCK_ROWS]) * (cols[-1] + 1 - cols[0]) * 8
     assert all(band[:, 0].any() and band[:, -1].any() for _, _, band in bands.blocks)
     assert bands.nbytes == want <= mat.nbytes
-    if math.sqrt(4.0 * t * Q._KERNEL_EXP_CUTOFF) < g.r_max:
+    if math.sqrt(4.0 * t * Q._EXP_CUTOFF) < g.r_max:
         assert bands.nbytes < mat.nbytes
 
 
