@@ -76,13 +76,16 @@ def default_config(kind: str) -> dict:
     return cfg
 
 
-def _get(cfg: dict, path: str, typ=None):
+def _get(cfg: dict, path: str, typ=None, ok=None, need=""):
     node = cfg
     for key in path.split("."):
         if not isinstance(node, dict) or key not in node:
             raise ConfigError(path)
         node = node[key]
-    return node if typ is None else _typed(path, node, typ)
+    value = node if typ is None else _typed(path, node, typ)
+    if ok is not None and not ok(value):
+        raise ConfigError(f"{path}: need {need}, got {value!r}")
+    return value
 
 
 def _typed(path: str, value, typ):
@@ -126,9 +129,8 @@ def _solver_config(cfg: dict, n: int, t_end=None, checkpoint_times=None) -> evol
     stability bound evolution.max_safety(n) is a ConfigError."""
     t_end = t_end if t_end is not None else _get(cfg, "solver.t_end", float)
     if checkpoint_times is None:
-        cps = _get(cfg, "solver.checkpoints", (int, list))
-        if isinstance(cps, int) and cps < 1:
-            raise ConfigError(f"solver.checkpoints: need at least 1, got {cps}")
+        cps = _get(cfg, "solver.checkpoints", (int, list),
+                   lambda v: not isinstance(v, int) or v >= 1, "at least 1")
         checkpoint_times = (evolution.log_checkpoints(t_end, cps) if isinstance(cps, int)
                             else _get_floats(cfg, "solver.checkpoints"))
     settings = {key: _get(cfg, f"solver.{key}", float)
@@ -262,9 +264,10 @@ def _run_smoothing(cfg, bundle):
     to_q = _get(cfg, "experiment.to_q", (int, float, str))
     if isinstance(to_q, str) and to_q != "inf":
         raise ConfigError(f'experiment.to_q: expected a number or "inf", got {to_q!r}')
-    t_grid = np.geomspace(_get(cfg, "experiment.t_lo", (int, float)),
-                          _get(cfg, "experiment.t_hi", (int, float)),
-                          _get(cfg, "experiment.t_count", int))
+    t_lo = _get(cfg, "experiment.t_lo", float, lambda v: 0 < v < math.inf, "0 < t_lo < inf")
+    t_hi = _get(cfg, "experiment.t_hi", float, lambda v: t_lo <= v < math.inf, "t_lo <= t_hi < inf")
+    t_count = _get(cfg, "experiment.t_count", int, lambda v: v >= 1, "t_count >= 1")
+    t_grid = np.geomspace(t_lo, t_hi, t_count)
     points = morrey.smoothing_profile(u0, _get(cfg, "experiment.from_q", float), float(to_q),
                                       _get(cfg, "experiment.lam", float), t_grid)
     rows = [(pt.t, pt.norm_to, pt.ratio, pt.norm_from_after, pt.contraction_ok)

@@ -11,6 +11,7 @@ exploiting that the weak endpoint singularities of the Morrey-side estimates
 are integrable; kernels of widths that recur after a doubling are carried over.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .evolution import SolverConfig, _Stepper, diffusive_cap, solve
 from .fields import FREE, RadialField, make_field
 from .morrey import MorreyLattice, MorreySpec, critical_spec, morrey_norm
 from .params import ModelParams
-from .quadrature import BandedKernel, heat_kernel_matrix
+from .quadrature import BandedKernel, _kernel_rows
 
 
 def auxiliary_exponent(params: ModelParams, q: float = 2.0) -> float:
@@ -98,15 +99,14 @@ class _Propagators:
     """Heat propagators of the master grid's intervals: one banded kernel per distinct width.
 
     Mirrored intervals of the symmetric smoothstep grid have bitwise-equal
-    widths, and heat_kernel_matrix is a pure function of (grid, t), so they
-    share one propagator and every sweep stays bitwise unchanged.  The
-    BandedKernels are kept if the distinct resolved widths fit the budget in
-    dense bytes (which bound their band bytes), else built per access.  A
-    store built after a `previous` one (the last node count's) takes over its
-    propagators of recurring widths and frees the rest before building, so
-    peak memory stays that of the larger store.  It counts the kernels it
-    builds, their band MB and those it takes over as the run's
-    duhamel.picard.kernel_builds, .kernel_mb and .kernel_reuses.
+    widths, and a kernel is a pure function of (grid, t), so they share one
+    propagator and every sweep stays bitwise unchanged.  Each BandedKernel is
+    built from the kernel's row blocks, never a dense matrix, and all are kept
+    if the distinct resolved widths fit the budget in dense bytes (a bound on
+    their band bytes), else built per access.  A store built after a `previous`
+    one takes over its propagators of recurring widths and frees the rest before
+    building, so peak memory stays that of the larger store.  It counts builds,
+    band MB and takeovers as duhamel.picard.kernel_builds, .kernel_mb, .kernel_reuses.
     """
 
     def __init__(self, grid, n, widths, previous=None):
@@ -127,7 +127,7 @@ class _Propagators:
 
     def _build(self, dt):
         if dt >= 2.0 * self.grid.h**2:
-            kernel = BandedKernel(heat_kernel_matrix(self.grid, dt))
+            kernel = BandedKernel(_kernel_rows(self.grid, dt), (self.grid.m + 1,) * 2)
             counters.add("duhamel.picard.kernel_builds")
             counters.add("duhamel.picard.kernel_mb", kernel.nbytes / 2**20)
             return kernel
@@ -162,10 +162,9 @@ def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol, previous
     p = params.p
     sample_idx = np.searchsorted(times, sample_times)
 
-    fields = [u0.values.astype(float) for _ in times]  # u^(0) before the linear sweep
     kernels = _Propagators(grid, params.n, widths, previous)
-    # u^(0)(t) = G_t * u0 via composed interval propagators
-    fields = _sweep(u0.values.astype(float), kernels, widths, fields, p, nonlin=False)
+    # u^(0)(t) = G_t * u0 via composed interval propagators (the linear sweep reads no iterate)
+    fields = _sweep(u0.values.astype(float), kernels, widths, None, p, nonlin=False)
 
     diffs = []
     per_sample = None
@@ -220,7 +219,11 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
             break
         prev_samples = samples
         nodes *= 2
-    kernels = None   # the last store is freed before the budget's Morrey norms
+    kernels = None   # the last store is freed before the budget's Morrey norms; its pages are
+    trim = getattr(ctypes.pythonapi, "malloc_trim", None)   # too scattered to hold their table,
+    if trim is not None:   # so where the C library can (glibc), they are handed back to the OS
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
 
     crit = critical_spec(params)
     r_aux = auxiliary_exponent(params, crit.q)

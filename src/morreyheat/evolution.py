@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counters
-from .fields import DIRICHLET, FREE, RadialField, make_field, make_grid
+from .fields import DIRICHLET, RadialField, make_field, make_grid
 from .params import ModelParams
 from .quadrature import heat_kernel_matrix
 
@@ -80,7 +80,6 @@ class Trajectory:
     checkpoints: list          # [(t, RadialField), ...]
     series: np.ndarray         # columns t, sup_norm, weighted_sup, dt
     status: TrajectoryStatus
-    boundary_mode: str = FREE
     steps: int = 0             # every RK4 step, whatever the series stride
 
     @property
@@ -315,8 +314,7 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
         counters.add(f"evolution.cap.{cap}", count)
     counters.least("evolution.min_dt", min_dt)
     return Trajectory(params=params, checkpoints=checkpoints,
-                      series=np.array(series), status=status,
-                      boundary_mode=DIRICHLET if dirichlet else FREE, steps=step)
+                      series=np.array(series), status=status, steps=step)
 
 
 def _blowup_status(series, params, t):

@@ -233,17 +233,13 @@ def singular_steady_state(grid: RadialGrid, params: ModelParams, boundary: str =
     return make_field(grid, vals, boundary)
 
 
-def _zero_profile(grid: RadialGrid, boundary: str = FREE) -> RadialField:
-    return zero_field(grid, boundary)
-
-
 PROFILES = {
     "gaussian": gaussian,
     "plateau": plateau,
     "power_tail": power_tail,
     "indicator": indicator,
     "singular_steady_state": singular_steady_state,
-    "zero": _zero_profile,
+    "zero": zero_field,
 }
 
 

@@ -55,10 +55,6 @@ class ConditionCheck:
     satisfied: bool | None      # None when undecidable at this resolution
     evidence: dict
 
-    @property
-    def undecidable(self) -> bool:
-        return self.satisfied is None
-
 
 @dataclass(frozen=True)
 class HypothesisReport:

@@ -3,8 +3,8 @@
 Reduces integrals over off-center balls and against off-center Gaussian heat
 kernels to one-dimensional radial quadrature on the field's own grid.  Fields
 are extended by zero beyond r_max in every kernel.  Each formula has one home:
-`heat_kernel_matrix` is the single Gaussian-kernel operator (a scalar
-convolution is its one-row case), `origin_ball_weights` the single
+`_kernel_factors` is the single Gaussian-kernel evaluator (behind `heat_apply`,
+`BandedKernel` and `heat_kernel_matrix`), `origin_ball_weights` the single
 volume-weight formula, and `fine_ball_integral` the single small-ball rule,
 applied to a `small_ball_plan` that holds the rule's data-free geometry (kept by
 callers that evaluate many densities on one grid and lattice).
@@ -231,19 +231,14 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
 # Every Gaussian factor exp(-x), x = (s-a)^2/4t, with x > _EXP_CUTOFF = 60 is
 # exactly 0.0.  Since |y - a e_1| >= |s - a| for |y| = s, the cut drops at
 # most Gamma(n/2, 60)/Gamma(n/2) of a row's mass (8e-26 at n = 3, 2e-20 at
-# n = 11), far below the rounding of any sum over the row.  The dense matrix
-# is filled one block of rows at a time, over the columns within sqrt(4t 60)
-# of some row (one more on each side); a per-entry mask, applied on the
-# window's edge strips where some row's reach ends, decides the cut, so the
-# matrix is a pure function of (grid, t, centers) whatever the block.
-# When the rows are the grid nodes, the pre-weight factor
-# S_ij = (c_t Lam(a_i s_j/2t)) exp(-(s_j-a_i)^2/4t) is bitwise symmetric, since
-# a_i s_j = s_j a_i and (x-y)^2 = (y-x)^2 exactly in IEEE arithmetic: each
-# block is evaluated from its diagonal on, and its part right of the diagonal
-# square is copied, transposed, below it.  The column weights are applied to a
-# block's rows once earlier blocks have mirrored into them, over its band only,
-# so every entry keeps the association ((c_t Lam) E) base and the pages outside
-# the band are never written.
+# n = 11), far below the rounding of any sum over the row.  The one block
+# evaluator, _kernel_factors, evaluates Lam and exp only inside each row's reach,
+# so every entry is a pure function of (grid, t, a_i, s_j) whatever the block.
+# For node rows the factor S_ij = (c_t Lam(a_i s_j/2t)) exp(-x) is bitwise
+# symmetric (a_i s_j = s_j a_i and (x-y)^2 = (y-x)^2 exactly in IEEE arithmetic):
+# each block is evaluated from its diagonal on, and its part right of the
+# diagonal square stands, transposed, for the rows below it.  heat_apply streams
+# the blocks; _kernel_rows finishes rows for BandedKernel and heat_kernel_matrix.
 # ---------------------------------------------------------------------------
 
 _EXP_CUTOFF = 60.0   # exp(-60) ~ 9e-27: every exp(-x) with x past it is taken as 0.0
@@ -251,6 +246,7 @@ _ANGULAR_Z_MAX = 1e8
 _ANGULAR_KNOTS = 4097
 _ANGULAR_RULE_POINTS = 96
 _ANGULAR_CHUNK = 512         # z values per pass of the rule: (512, 96) temporaries
+_LOOKUP_CHUNK = 2**14        # z values per pass of the table lookup
 
 
 def _angular_integrand(n: int, s: np.ndarray) -> np.ndarray:
@@ -306,16 +302,18 @@ def angular_kernel_scaled(n: int, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     flat = z.reshape(-1)
     du, coef = _angular_table(n)
-    x = np.log1p(flat)
-    x /= du
-    np.minimum(x, coef.shape[1] - 1, out=x)   # past the table: its last knot, replaced below
-    k = x.astype(np.intp)
-    x -= k
-    out = coef[0].take(k)
-    for row in coef[1:]:
-        out *= x
-        out += row.take(k)
-    np.exp(out, out=out)
+    out = np.empty(flat.shape)
+    for i in range(0, len(flat), _LOOKUP_CHUNK):   # chunks bound the lookup's temporaries
+        x = np.log1p(flat[i:i + _LOOKUP_CHUNK])
+        x /= du
+        np.minimum(x, coef.shape[1] - 1, out=x)   # past the table: its last knot, replaced below
+        k = x.astype(np.intp)
+        x -= k
+        chunk = coef[0].take(k, out=out[i:i + _LOOKUP_CHUNK])
+        for row in coef[1:]:
+            chunk *= x
+            chunk += row.take(k)
+        np.exp(chunk, out=chunk)
     far = flat > _ANGULAR_Z_MAX
     if np.any(far):
         out[far] = _angular_moments(n, flat[far])[0]
@@ -328,69 +326,75 @@ _KERNEL_BLOCK_ROWS = 64
 _BAND_BLOCK_ROWS = 16
 
 
-def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
-    """Dense quadrature matrix H with (H f)(i) ~= (G_t * f)(centers[i] e_1).
-
-    This is the package's single Gaussian-kernel operator.  Rows default to
-    every grid node.  Row masses are clipped at 1 so the discrete operator
-    inherits the kernel's sub-stochasticity.
-    """
+def _kernel_factors(grid: RadialGrid, t: float, centers=None):
+    """Per _KERNEL_BLOCK_ROWS rows i:j, (i, j, lo, hi, S): S over the columns lo:hi within reach
+    of a row (+1 each side), from column i on for node rows; counts quadrature.kernel_builds."""
     if not t > 0:
         raise ValueError("t must be positive")
-    n = grid.n
     a = grid.nodes if centers is None else np.asarray(centers, dtype=float)
     if not np.all(np.isfinite(a) & (a >= 0)):
         raise ValueError("center offsets a must be finite and >= 0")
     s = grid.nodes
-    c_t = (4.0 * math.pi * t) ** (-n / 2.0) * sphere_area(n - 1)
-    # plain trapezoid: superconvergent for the smooth decaying kernel integrand
-    base = trapezoid_weights(grid) * s ** (n - 1)
+    c_t = (4.0 * math.pi * t) ** (-grid.n / 2.0) * sphere_area(grid.n - 1)
     reach = math.sqrt(4.0 * t * _EXP_CUTOFF)
-    mat = np.zeros((len(a), len(s)))
     counters.add("quadrature.kernel_builds")
     for i in range(0, len(a), _KERNEL_BLOCK_ROWS):
         a_blk = a[i:i + _KERNEL_BLOCK_ROWS]
-        j = i + len(a_blk)
-        lo = max(np.searchsorted(s, a_blk.min() - reach) - 1, 0)
-        hi = np.searchsorted(s, a_blk.max() + reach, side="right") + 1
-        first = i if centers is None else lo   # node rows left of i: mirrored in already
-        s_win = s[first:hi]
-        x = (s_win[None, :] - a_blk[:, None]) ** 2 / (4.0 * t)
-        # every row is within reach of the columns strictly between the strips
-        left = np.searchsorted(s, a_blk.max() - reach) + 1 - first
-        right = np.searchsorted(s, a_blk.min() + reach, side="right") - 1 - first
-        for strip in (x[:, :max(left, 0)], x[:, max(right, 0):]):
-            strip[strip > _EXP_CUTOFF] = np.inf
-        lam = angular_kernel_scaled(n, np.outer(a_blk, s_win) / (2.0 * t))
-        mat[i:j, first:hi] = c_t * lam * np.exp(-x)
+        lo = int(max(np.searchsorted(s, a_blk.min() - reach) - 1, 0))
+        hi = int(min(np.searchsorted(s, a_blk.max() + reach, side="right") + 1, len(s)))
+        first = i if centers is None else lo
+        x = (s[first:hi] - a_blk[:, None]) ** 2 / (4.0 * t)
+        inside = x <= _EXP_CUTOFF
+        x = np.negative(x[inside])
+        lam = c_t * angular_kernel_scaled(grid.n, (a_blk[:, None] * s[first:hi])[inside] / (2 * t))
+        lam *= np.exp(x, out=x)
+        factor = np.zeros((len(a_blk), hi - lo))
+        factor[:, first - lo:][inside] = lam
+        del x, lam, inside   # no block's temporaries outlive it
+        yield i, i + len(a_blk), lo, hi, factor
+
+
+def _kernel_rows(grid: RadialGrid, t: float, centers=None):
+    """The finished matrix rows, _BAND_BLOCK_ROWS at a time: (i, lo, rows i.. over columns lo..)."""
+    base = trapezoid_weights(grid) * grid.nodes ** (grid.n - 1)   # trapezoid: superconvergent here
+    pending = []   # (k, kj, khi, S over kj:khi) of the node blocks still to be mirrored
+    for i, j, lo, hi, rows in _kernel_factors(grid, t, centers):
+        for k, kj, khi, right in pending:
+            c = max(k, lo)
+            rows[:min(j, khi) - i, c - lo:kj - lo] = right[c - k:, i - kj:min(j, khi) - kj].T
         if centers is None:
-            mat[j:hi, i:j] = mat[i:j, j:hi].T
-        mat[i:j, lo:hi] *= base[lo:hi]   # rows i:j are complete
-    mass = mat.sum(axis=1)
-    over = mass > 1.0
-    if np.any(over):
-        # in place: mat[over] /= ... would copy every over-mass row first
-        np.divide(mat, mass[:, None], out=mat, where=over[:, None])
+            pending = [p for p in pending + [(i, j, hi, rows[:, j - lo:].copy())] if p[2] > j]
+        rows *= base[lo:hi]   # rows i:j are complete
+        for r in range(0, j - i, _BAND_BLOCK_ROWS):
+            blk = rows[r:r + _BAND_BLOCK_ROWS]
+            full = np.zeros((len(blk), grid.m + 1))   # the mass is summed as a dense row's is
+            full[:, lo:hi] = blk
+            mass = full.sum(axis=1)
+            np.divide(blk, mass[:, None], out=blk, where=(mass > 1.0)[:, None])
+            yield i + r, lo, blk
+
+
+def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
+    """Dense H with (H f)(i) ~= (G_t * f)(centers[i] e_1), rows defaulting to every node and
+    row masses clipped at 1 (so H is sub-stochastic), for applying one kernel to many fields."""
+    mat = np.zeros((grid.m + 1 if centers is None else len(centers), grid.m + 1))
+    for i, lo, rows in _kernel_rows(grid, t, centers):
+        mat[i:i + len(rows), lo:lo + rows.shape[1]] = rows
     return mat
 
 
 class BandedKernel:
-    """A built heat-kernel matrix kept as its row blocks' nonzero column bands.
+    """A heat-kernel matrix as the nonzero column bands of its (i, lo, rows) row blocks from
+    _kernel_rows, each a C-contiguous copy; `@` makes one dot product per block."""
 
-    Each _BAND_BLOCK_ROWS block of rows keeps, as a C-contiguous copy, only
-    the columns from its first to its last nonzero entry, so every stored
-    entry is the matrix's own and the matrix itself can be freed.  `@`
-    applies it to a vector with one dot product per block.
-    """
-
-    def __init__(self, mat: np.ndarray):
-        self.shape = mat.shape
+    def __init__(self, row_blocks, shape):
+        self.shape = shape
         self.blocks = []   # (the block's row slice, its band's column slice, the band)
-        for i in range(0, mat.shape[0], _BAND_BLOCK_ROWS):
-            rows = slice(i, min(i + _BAND_BLOCK_ROWS, mat.shape[0]))
-            nonzero = np.flatnonzero(mat[rows].any(axis=0))
-            cols = slice(int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else slice(0, 0)
-            self.blocks.append((rows, cols, mat[rows, cols].copy()))
+        for i, lo, rows in row_blocks:
+            nonzero = np.flatnonzero(rows.any(axis=0)) + lo
+            cols = slice(int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else slice(lo, lo)
+            self.blocks.append((slice(i, i + len(rows)), cols,
+                                rows[:, cols.start - lo:cols.stop - lo].copy()))
         self.nbytes = sum(band.nbytes for _, _, band in self.blocks)
 
     def __matmul__(self, v):
@@ -401,19 +405,19 @@ class BandedKernel:
 
 
 def gauss_convolve(f: RadialField, t: float, a: float) -> float:
-    """(G_t * f)(a e_1) with f extended by zero beyond r_max; t > 0, a >= 0.
-
-    The one-row case of heat_kernel_matrix, the single kernel operator; to
-    evaluate several centers, apply heat_kernel_matrix(grid, t, centers) once.
-    """
+    """(G_t * f)(a e_1) with f extended by zero beyond r_max; t > 0, a >= 0: the one-row
+    heat_kernel_matrix (for several centers, apply heat_kernel_matrix(grid, t, centers) once)."""
     return float((heat_kernel_matrix(f.grid, t, [a]) @ f.values)[0])
 
 
 def heat_apply(f: RadialField, t: float) -> RadialField:
-    """The heat flow of the zero extension of f, sampled back onto f's grid.
-
-    The result lives on the whole space, so it carries the free boundary tag
-    regardless of f's own tag.
-    """
-    vals = heat_kernel_matrix(f.grid, t) @ f.values
-    return make_field(f.grid, vals, FREE)
+    """The heat flow of the zero extension of f, sampled back onto f's grid, streamed block
+    by block.  The result lives on the whole space, so it carries the free boundary tag."""
+    base = trapezoid_weights(f.grid) * f.grid.nodes ** (f.grid.n - 1)
+    cols = np.column_stack([base * f.values, base])
+    acc = np.zeros_like(cols)   # per row: the weighted sum and the mass
+    for i, j, lo, hi, factor in _kernel_factors(f.grid, t):
+        acc[i:j] += factor[:, i - lo:] @ cols[i:hi]
+        acc[j:hi] += factor[:, j - lo:].T @ cols[i:j]
+    num, mass = acc.T
+    return make_field(f.grid, np.divide(num, mass, out=num.copy(), where=mass > 1.0), FREE)

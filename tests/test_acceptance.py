@@ -47,7 +47,7 @@ def test_c02_kernel_contraction():
             for f in fields]
     worst = -np.inf
     for t in t_grid:
-        # one kernel per t, applied to both fields exactly as heat_apply applies it
+        # one dense kernel per t, applied to both fields (heat_apply's operator, unstreamed)
         kernel = Q.heat_kernel_matrix(grid, float(t))
         for f, norms in zip(fields, base):
             flowed = F.make_field(grid, kernel @ f.values, F.FREE)

@@ -12,8 +12,8 @@ import pytest
 from morreyheat import cli, counters, duhamel, evolution, morrey
 from morreyheat.fields import make_field, make_grid
 from morreyheat.morrey import MorreyLattice, critical_spec, morrey_norm
-from morreyheat.quadrature import (SMALL_BALL_FACTOR, BandedKernel, heat_kernel_matrix,
-                                   small_ball_plan)
+from morreyheat.quadrature import SMALL_BALL_FACTOR, heat_kernel_matrix, small_ball_plan
+from test_quadrature import _banded
 
 
 def read(path):
@@ -80,6 +80,21 @@ def test_bad_config_value_exits_2(kind, path, value, message, tmp_path, capsys):
     config.write_text(json.dumps(cfg))
     assert cli.main([kind, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_lo", 0.0), ("t_lo", -1.0), ("t_lo", math.nan), ("t_lo", math.inf),
+    ("t_hi", math.inf), ("t_hi", math.nan), ("t_hi", 0.005),
+    ("t_count", 0), ("t_count", -3),
+])
+def test_smoothing_times_outside_their_domain_exit_2(key, value, tmp_path, capsys):
+    # the smoothing times are finite and positive with t_lo <= t_hi, and t_count >= 1
+    cfg = {"experiment": {"kind": "smoothing", key: value}, "grid": {"r_max": 10.0, "nodes": 64}}
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["smoothing", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: experiment.{key}: need " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_kind_rejected():
@@ -279,7 +294,7 @@ def test_picard_kind_end_to_end(tmp_path, fresh_tables):
         distinct = {float(dt) for dt in widths if dt >= floor}
         per_count += len(distinct)
         builds += len(distinct - previous)
-        band_bytes += sum(BandedKernel(heat_kernel_matrix(grid, dt)).nbytes
+        band_bytes += sum(_banded(heat_kernel_matrix(grid, dt)).nbytes
                           for dt in distinct - previous)
         sweeps = 1 + duhamel._run_picard(u0, params, 0.5, 8, np.array([0.25, 0.5]), nodes,
                                          1e-8)[7]
@@ -604,23 +619,25 @@ for kind, cfg in json.loads({json.dumps(_small_configs())!r}).items():
         "steps": tracer.counters["steps"] - counts.get("steps", 0),
         "morrey_evaluate": sum(s[2] == "morrey_evaluate" for s in tracer.spans[spans:]),
         "heat_kernel_matrix": sum(s[2] == "heat_kernel_matrix" for s in tracer.spans[spans:]),
-        "picard.kernel_builds": tracer.counters["picard.kernel_builds"]
-        - counts.get("picard.kernel_builds", 0)}}
+        "heat_apply": sum(s[2] == "heat_apply" for s in tracer.spans[spans:])}}
 print(json.dumps(traced))
 """
     traced = json.loads(_run_python(script).splitlines()[-1])
     assert sorted(traced) == sorted(cli.EXPERIMENT_KINDS)
+    builds = {}
     for kind, want in traced.items():
         profile = json.loads((tmp_path / kind / "manifest.json").read_text())["profile"]
         for key, traced_key in (("evolution.steps", "steps"),
-                                ("morrey.evaluations", "morrey_evaluate"),
-                                ("quadrature.kernel_builds", "heat_kernel_matrix"),
-                                ("duhamel.picard.kernel_builds", "picard.kernel_builds")):
+                                ("morrey.evaluations", "morrey_evaluate")):
             assert profile.get(key) == (want[traced_key] or None), (kind, key)
+        # every pass of the block evaluator: a dense matrix, a streamed apply or a Picard band
+        builds[kind] = (want["heat_kernel_matrix"], want["heat_apply"],
+                        profile.get("duhamel.picard.kernel_builds", 0))
+        assert profile.get("quadrature.kernel_builds", 0) == sum(builds[kind]), kind
     assert all(traced[kind]["steps"] for kind in ("solve", "energy", "threshold", "dependence"))
     assert all(traced[kind]["morrey_evaluate"] for kind in ("morrey", "smoothing", "picard"))
-    assert traced["picard"]["picard.kernel_builds"] > 0
-    assert all(traced[kind]["heat_kernel_matrix"] for kind in ("smoothing", "picard", "hypotheses"))
+    # smoothing streams its kernels, picard bands them, hypotheses builds dense rows
+    assert builds["smoothing"][1] > 0 and builds["picard"][2] > 0 and builds["hypotheses"][0] > 0
 
 
 def test_counters_do_not_leak_between_runs(tmp_path, fresh_tables):

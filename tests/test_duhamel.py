@@ -10,6 +10,7 @@ from morreyheat import fields as F
 from morreyheat import morrey as M
 from morreyheat import quadrature as Q
 from morreyheat.params import make_params
+from test_quadrature import _banded, _dense_heat_kernel_matrix
 
 P5 = make_params(5, 3.0)
 
@@ -44,10 +45,11 @@ def test_picard_rejects_bad_arguments():
 
 
 class _PerIntervalPropagators:
-    """Reference store: one propagator built per interval, shared by none, none carried over."""
+    """Reference store: one propagator built per interval, shared by none, none carried over,
+    each banded from the dense matrix."""
 
     def __init__(self, grid, n, widths, previous=None):
-        self._store = [Q.BandedKernel(Q.heat_kernel_matrix(grid, float(dt)))
+        self._store = [_banded(Q.heat_kernel_matrix(grid, float(dt)))
                        if dt >= 2.0 * grid.h**2 else D._DiffusionSubsteps(grid, n, float(dt))
                        for dt in widths]
 
@@ -62,7 +64,7 @@ def _kernel_counts(work):
 
 def _band_mb(grid, widths):
     """Band MB of one kernel per width."""
-    return sum(Q.BandedKernel(Q.heat_kernel_matrix(grid, dt)).nbytes for dt in widths) / 2**20
+    return sum(_banded(Q.heat_kernel_matrix(grid, dt)).nbytes for dt in widths) / 2**20
 
 
 def _substeps(grid, n, widths):
@@ -147,6 +149,24 @@ def test_picard_store_holds_bands_not_dense_matrices(nodes, share):
     kernels = [k for k in store._store.values() if isinstance(k, Q.BandedKernel)]
     assert store.cached and kernels
     assert sum(k.nbytes for k in kernels) <= share * len(kernels) * (g.m + 1) ** 2 * 8
+
+
+@pytest.mark.parametrize("nodes", [400, 800])
+def test_picard_bands_equal_the_banded_dense_formula(nodes):
+    # the Picard propagators the picard kind builds at 64 and 128 Picard nodes on its 401- and
+    # 801-node grids (every third width) are built from the kernel's blocks with no dense
+    # matrix, and are bitwise the dense formula's matrix cut into bands
+    g = F.make_grid(5, 40.0, nodes)
+    floor = 2.0 * g.h**2
+    widths = sorted({float(dt) for count in (64, 128) for dt in np.diff(
+        D._graded_times(1.0, count, extra=[0.1, 0.5, 1.0], dt_floor=floor)) if dt >= floor})
+    for dt in widths[::3]:
+        got, want = D._Propagators(g, P5.n, [dt])[0], _banded(_dense_heat_kernel_matrix(g, dt))
+        assert got.shape == want.shape and got.nbytes == want.nbytes
+        for (rows, cols, band), (rows_w, cols_w, band_w) in zip(got.blocks, want.blocks,
+                                                               strict=True):
+            assert (rows, cols) == (rows_w, cols_w)
+            assert band.tobytes() == band_w.tobytes(), (dt, rows)
 
 
 def test_first_correction_scales_like_amplitude_cubed():

@@ -346,6 +346,12 @@ def _dense_heat_kernel_matrix(grid, t, centers=None, cut=True):
     return mat
 
 
+def _banded(mat):
+    """A dense kernel matrix as a BandedKernel, cut into its _BAND_BLOCK_ROWS row blocks."""
+    rows = Q._BAND_BLOCK_ROWS
+    return Q.BandedKernel(((i, 0, mat[i:i + rows]) for i in range(0, len(mat), rows)), mat.shape)
+
+
 @pytest.mark.parametrize("nodes,r_max", [(200, 10.0), (800, 40.0), (1600, 16.0)])
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_heat_kernel_matrix_equals_dense_formula(n, nodes, r_max):
@@ -415,12 +421,17 @@ def test_heat_kernel_matrix_is_sub_stochastic(case):
     assert np.all(mat.sum(axis=1) <= 1.0 + 1e-12)
 
 
+def _bands(g, t):
+    """The BandedKernel of (g, t) as the Picard store builds it, from the kernel's rows."""
+    return Q.BandedKernel(Q._kernel_rows(g, t), (g.m + 1, g.m + 1))
+
+
 @settings(max_examples=10, deadline=None)
 @given(_kernel_cases())
 def test_banded_kernel_reassembles_the_matrix(case):
     # the blocks cover every row once, and every entry outside their bands is 0.0
     mat = Q.heat_kernel_matrix(*case)
-    bands = Q.BandedKernel(mat)
+    bands = _bands(*case)
     got = np.zeros(bands.shape)
     assert ([rows.start for rows, _, _ in bands.blocks]
             == list(range(0, mat.shape[0], Q._BAND_BLOCK_ROWS)))
@@ -440,7 +451,7 @@ def test_banded_kernel_product_matches_dense(case, seed):
     g, t = case
     mat = Q.heat_kernel_matrix(g, t)
     v = np.random.default_rng(seed).standard_normal(g.m + 1)
-    got = Q.BandedKernel(mat) @ v
+    got = _bands(g, t) @ v
     assert got.shape == (g.m + 1,)
     bound = (g.m + 1) * np.finfo(float).eps * (np.abs(mat) @ np.abs(v))
     assert np.all(np.abs(got - mat @ v) <= bound)
@@ -452,7 +463,7 @@ def test_banded_kernel_stores_only_the_bands(case):
     # each block keeps exactly the columns from its first to its last nonzero entry
     g, t = case
     mat = Q.heat_kernel_matrix(g, t)
-    bands = Q.BandedKernel(mat)
+    bands = _bands(g, t)
     want = 0
     for i in range(0, mat.shape[0], Q._BAND_BLOCK_ROWS):
         cols = np.flatnonzero(mat[i:i + Q._BAND_BLOCK_ROWS].any(axis=0))
@@ -461,6 +472,47 @@ def test_banded_kernel_stores_only_the_bands(case):
     assert bands.nbytes == want <= mat.nbytes
     if math.sqrt(4.0 * t * Q._EXP_CUTOFF) < g.r_max:
         assert bands.nbytes < mat.nbytes
+
+
+@pytest.mark.parametrize("nodes,r_max", [(200, 10.0), (800, 40.0), (1600, 16.0)])
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_streamed_heat_apply_matches_dense_formula(n, nodes, r_max):
+    # heat_apply never forms the matrix: it adds each block's rows and, transposed, the rows
+    # below it, then divides by the masses above 1; it agrees with the dense formula's product
+    # within the rounding of a sum over the row
+    g = F.make_grid(n, r_max, nodes)
+    rng = np.random.default_rng(n + nodes)
+    for t in np.geomspace(2.0 * g.h**2, 100.0, 5):
+        t = float(t)
+        mat = _dense_heat_kernel_matrix(g, t)
+        v = rng.standard_normal(g.m + 1)
+        got = Q.heat_apply(F.make_field(g, v), t)
+        assert got.boundary == F.FREE
+        bound = (g.m + 1) * np.finfo(float).eps * (np.abs(mat) @ np.abs(v))
+        assert np.all(np.abs(got.values - mat @ v) <= bound), t
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_consumers_hold_no_dense_matrix():
+    # a 1601-node heat_apply, up to the widest reach (every row reaches every column), and an
+    # 801-node Picard propagator build each allocate under a quarter of one N x N matrix
+    from morreyheat import duhamel as D
+    g = F.make_grid(5, 16.0, 1600)
+    f = F.gaussian(g, 1.0, 2.0)
+    Q.heat_apply(f, 1.0)   # the angular table is built outside the traced calls
+    for t in (0.01, 1.0, 100.0):
+        assert _traced_peak(lambda: Q.heat_apply(f, t)) < (g.m + 1) ** 2 * 8 / 4, t
+    g = F.make_grid(5, 40.0, 800)
+    for dt in (0.0053, 0.0098, 0.0234):   # the fine_grid Picard widths: least, median, largest
+        assert _traced_peak(lambda: D._Propagators(g, 5, [dt])) < (g.m + 1) ** 2 * 8 / 4, dt
 
 
 def test_volume_weights_total():
