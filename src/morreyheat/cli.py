@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -236,24 +236,25 @@ def _run_solve(cfg, bundle):
 
 def _run_morrey(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    spec = morrey.MorreySpec(q=_get(cfg, "experiment.q", (int, float)),
-                             lam=_get(cfg, "experiment.lam", (int, float)))
-    refinements = _get(cfg, "experiment.refinements", int)
-    lattice = morrey.MorreyLattice.default(grid)
-    evals = []
-    for level in range(refinements + 1):
-        ev = morrey.morrey_evaluate(u0, spec, lattice)
-        evals.append(ev)
-        rows = [(a, r, ev.cells[i, j])
+    spec = morrey.MorreySpec(
+        q=_get(cfg, "experiment.q", (int, float), lambda v: 1 <= v < math.inf, "1 <= q < inf"),
+        lam=_get(cfg, "experiment.lam", (int, float), lambda v: 0 <= v <= params.n,
+                 f"0 <= lam <= n = {params.n}"))
+    refinements = _get(cfg, "experiment.refinements", int, lambda v: v >= 0, "refinements >= 0")
+    lattices = [morrey.MorreyLattice.default(grid)]
+    for _ in range(refinements):
+        lattices.append(lattices[-1].refine())
+    # only the finest lattice is evaluated; each coarser level is its sub-lattice
+    ev = morrey.morrey_evaluate(u0, spec, lattices[-1])
+    levels = [morrey.sub_cells(ev, lattices[-1], lattice) for lattice in lattices]
+    for level, (lattice, cells) in enumerate(zip(lattices, levels)):
+        rows = [(a, r, cells[i, j])
                 for i, a in enumerate(lattice.centers)
                 for j, r in enumerate(lattice.radii)]
         bundle.tables[f"cells_level{level}"] = ("a,R,value", rows)
-        if level < refinements:
-            lattice = lattice.refine()
-    norms = [e.norm for e in evals]
+    norms = [float(cells.max()) ** (1.0 / spec.q) for cells in levels]
     doc = {"norms_by_level": norms, "argmax_center": ev.center, "argmax_radius": ev.radius,
-           "q": spec.q, "lam": spec.lam,
-           "small_scale": morrey.small_scale_diagnostic(evals[0])}
+           "q": spec.q, "lam": spec.lam, "small_scale": morrey.small_scale_diagnostic(levels[0])}
     bundle.documents["morrey"] = doc
     monotone = all(norms[i + 1] >= norms[i] * (1 - 1e-12) for i in range(len(norms) - 1))
     bundle.check("refinement_monotone", monotone, norms[-1])
@@ -425,13 +426,8 @@ def _run_dependence(cfg, bundle):
 def _run_hypotheses(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     grad = radial_derivative(u0)
-    rep = hypotheses.check_hypotheses(u0, grad, params)
-    doc = {}
-    for name in ("gradient_integrability", "gradient_decay", "kernel_limit",
-                 "energy_integrability", "pointwise_decay"):
-        c = getattr(rep, name)
-        doc[name] = {"satisfied": c.satisfied, "evidence": c.evidence}
-    bundle.documents["hypotheses"] = doc
+    # {condition: {"satisfied", "evidence"}} for each of the report's five conditions
+    bundle.documents["hypotheses"] = asdict(hypotheses.check_hypotheses(u0, grad, params))
     # report-only: admissibility is data-dependent, not an invariant
 
 
@@ -484,40 +480,30 @@ def run_experiment(cfg: dict, out_dir=None) -> ArtifactBundle:
     except Exception as exc:
         error = PipelineError(f"{kind} pipeline failed: {exc}")
         error.__cause__ = exc
-        bundle.manifest = {
-            "kind": kind,
-            "status": "failed",
-            "error": _error_chain(error),
-            "config_hash": config_hash(cfg),
-            "wall_time_s": time.perf_counter() - started,
-            "versions": _versions(),
-            "profile": profile,
-        }
+        bundle.manifest = _manifest(kind, "failed", cfg, time.perf_counter() - started, profile,
+                                    error=_error_chain(error))
         write_json(out / "manifest.json", bundle.manifest)
         raise error from exc
     wall = time.perf_counter() - started
-
-    bundle.manifest = {
-        "kind": kind,
-        "status": "ok",
-        "config_hash": config_hash(cfg),
-        "wall_time_s": wall,
-        "versions": _versions(),
-        "checks": bundle.checks,
-        "artifacts": sorted(bundle.write_data()),
-        "profile": profile,
-    }
+    bundle.manifest = _manifest(kind, "ok", cfg, wall, profile, checks=bundle.checks,
+                                artifacts=sorted(bundle.write_data()))
     write_json(out / "manifest.json", bundle.manifest)
     return bundle
+
+
+def _manifest(kind: str, status: str, cfg: dict, wall: float, profile: dict, **extra) -> dict:
+    return {"kind": kind, "status": status, "config_hash": config_hash(cfg),
+            "wall_time_s": wall, "versions": _versions(), "profile": profile, **extra}
 
 
 # ---------------------------------------------------------------------------
 # Command line.
 # ---------------------------------------------------------------------------
 
-# (command-line option, config block, key) of the quick overrides
-_OVERRIDES = (("n", "params", "n"), ("p", "params", "p"), ("rmax", "grid", "r_max"),
-              ("nodes", "grid", "nodes"), ("tend", "solver", "t_end"))
+# (command-line option, its type, config block, key) of the quick overrides
+_OVERRIDES = (("n", int, "params", "n"), ("p", float, "params", "p"),
+              ("rmax", float, "grid", "r_max"), ("nodes", int, "grid", "nodes"),
+              ("tend", float, "solver", "t_end"))
 
 
 def _cli_config(args) -> dict:
@@ -529,7 +515,7 @@ def _cli_config(args) -> dict:
     kind = _object("experiment", cfg.setdefault("experiment", {})).setdefault("kind", args.kind)
     if kind != args.kind:
         raise ConfigError(f"experiment.kind: config kind {kind!r} != subcommand {args.kind!r}")
-    for option, block, key in _OVERRIDES:
+    for option, _, block, key in _OVERRIDES:
         value = getattr(args, option)
         if value is not None:
             _object(block, cfg.setdefault(block, {}))[key] = value
@@ -546,11 +532,8 @@ def main(argv=None) -> int:
         sp = sub.add_parser(kind, help=f"run the {kind} experiment")
         sp.add_argument("--config", type=Path, help="JSON config path")
         sp.add_argument("--out", type=Path, help="output directory")
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--rmax", type=float)
-        sp.add_argument("--nodes", type=int)
-        sp.add_argument("--tend", type=float)
+        for option, typ, _, _ in _OVERRIDES:
+            sp.add_argument(f"--{option}", type=typ)
     args = parser.parse_args(argv)
 
     try:

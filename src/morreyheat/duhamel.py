@@ -238,10 +238,8 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
         rows.append((t, t**beta_aux * morrey_norm(fld, spec_r, lattice),
                      t**params.beta * float(np.max(np.abs(vals)))))
 
-    ratio = None
-    if len(diffs) >= 2 and diffs[0] > 0:
-        ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
-        ratio = float(np.median(ratios)) if ratios else None
+    ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
+    ratio = float(np.median(ratios)) if ratios and diffs[0] > 0 else None
 
     return PicardRun(sample_times=sample_times, fields=out_fields, cauchy_diffs=diffs,
                      last_sample_diffs=np.asarray(per_sample, dtype=float),
@@ -260,7 +258,6 @@ class DependenceResult:
     times: np.ndarray
     ratios: np.ndarray          # ||u(t)-v(t)||_M / ||u0-v0||_M
     max_ratio: float
-    initial_distance: float
     degenerate: bool            # v0 == u0, ratios fixed at 1 by convention
     failed_before_T0: bool      # perturbed run ended before T0
 
@@ -285,7 +282,7 @@ def continuous_dependence(u0: RadialField, v0s, cfg: SolverConfig, params: Model
         if dist0 == 0.0:
             results.append(DependenceResult(
                 times=np.asarray(cfg.checkpoint_times), ratios=np.ones(len(cfg.checkpoint_times)),
-                max_ratio=1.0, initial_distance=0.0, degenerate=True, failed_before_T0=False))
+                max_ratio=1.0, degenerate=True, failed_before_T0=False))
             continue
         tv = solve(v0, params, cfg)
         failed = tu.status.kind != "reached_horizon" or tv.status.kind != "reached_horizon"
@@ -298,5 +295,5 @@ def continuous_dependence(u0: RadialField, v0s, cfg: SolverConfig, params: Model
         ts, ratios = np.asarray(ts), np.asarray(ratios)
         results.append(DependenceResult(
             times=ts, ratios=ratios, max_ratio=float(ratios.max()) if ratios.size else math.nan,
-            initial_distance=dist0, degenerate=False, failed_before_T0=failed))
+            degenerate=False, failed_before_T0=failed))
     return results

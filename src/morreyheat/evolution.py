@@ -319,14 +319,8 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
 
 def _blowup_status(series, params, t):
     arr = np.array(series)
-    fit = _fit_blowup_time(arr, params)
-    if fit is None:
-        # ODE-tail fallback: T - t ~ sup^(1-p)/(p-1)
-        sup = arr[-1, 1]
-        t_est = t + sup ** (1.0 - params.p) / (params.p - 1.0)
-        return TrajectoryStatus("blowup", t, T_est=t_est, fit_quality=None)
-    t_est, r2 = fit
-    if t_est <= t:
+    t_est, r2 = _fit_blowup_time(arr, params) or (t, None)
+    if t_est <= t:   # no fit, or one behind t: the ODE tail T - t ~ sup^(1-p)/(p-1)
         t_est = t + arr[-1, 1] ** (1.0 - params.p) / (params.p - 1.0)
     return TrajectoryStatus("blowup", t, T_est=t_est, fit_quality=r2)
 

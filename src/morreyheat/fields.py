@@ -68,6 +68,13 @@ def make_field(grid: RadialGrid, values, boundary: str = FREE) -> RadialField:
     return RadialField(grid=grid, values=out, boundary=boundary)
 
 
+def _tagged(grid: RadialGrid, vals: np.ndarray, boundary: str) -> RadialField:
+    """Samples as a field with the boundary tag, pinning u(r_max) = 0 (in vals) for Dirichlet."""
+    if boundary == DIRICHLET:
+        vals[-1] = 0.0
+    return make_field(grid, vals, boundary)
+
+
 def zero_field(grid: RadialGrid, boundary: str = FREE) -> RadialField:
     return make_field(grid, np.zeros(grid.m + 1), boundary)
 
@@ -81,19 +88,14 @@ def weighted_sup_norm(f: RadialField, k: float) -> float:
     """max_i r_i^k |u_i|, the radial form of ess sup |x|^k |f|; k >= 0."""
     if k < 0:
         raise ValueError("weight exponent k must be >= 0")
-    if k == 0:
-        return sup_norm(f)
-    return float(np.max(f.grid.nodes**k * np.abs(f.values)))
+    return float(np.max(f.grid.nodes**k * np.abs(f.values)))   # r^0 = 1, 0^0 included
 
 
 def radial_derivative(f: RadialField) -> RadialField:
     """Centered-difference du/dr; zero at the origin by even symmetry."""
     d = np.gradient(f.values, f.grid.h)
     d[0] = 0.0
-    if f.boundary == DIRICHLET:
-        # keep the tag legal; the one-sided end value is diagnostic only
-        return make_field(f.grid, np.where(np.arange(d.size) == d.size - 1, 0.0, d), DIRICHLET)
-    return make_field(f.grid, d, f.boundary)
+    return _tagged(f.grid, d, f.boundary)   # a Dirichlet tag drops the one-sided end value
 
 
 def _pchip_edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -149,10 +151,7 @@ def rescale_field(f: RadialField, lam: float, params: ModelParams) -> RadialFiel
     amp = lam ** (2.0 / (params.p - 1.0))
     if lam == 1.0:
         return f
-    vals = pchip(f.grid.nodes, f.values, f.grid.nodes * lam) * amp
-    if f.boundary == DIRICHLET:
-        vals[-1] = 0.0
-    return make_field(f.grid, vals, f.boundary)
+    return _tagged(f.grid, pchip(f.grid.nodes, f.values, f.grid.nodes * lam) * amp, f.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +162,7 @@ def rescale_field(f: RadialField, lam: float, params: ModelParams) -> RadialFiel
 def gaussian(grid: RadialGrid, amplitude: float, width: float, boundary: str = FREE) -> RadialField:
     """amplitude * exp(-(r/width)^2)."""
     vals = amplitude * np.exp(-((grid.nodes / width) ** 2))
-    if boundary == DIRICHLET:
-        vals[-1] = 0.0
-    return make_field(grid, vals, boundary)
+    return _tagged(grid, vals, boundary)
 
 
 def gaussian_gradient(grid: RadialGrid, amplitude: float, width: float) -> RadialField:
@@ -183,18 +180,14 @@ def plateau(grid: RadialGrid, amplitude: float, radius: float, ramp: float,
     vals[r <= radius] = amplitude
     on_ramp = (r > radius) & (r < radius + ramp)
     vals[on_ramp] = amplitude * 0.5 * (1.0 + np.cos(np.pi * (r[on_ramp] - radius) / ramp))
-    if boundary == DIRICHLET:
-        vals[-1] = 0.0
-    return make_field(grid, vals, boundary)
+    return _tagged(grid, vals, boundary)
 
 
 def power_tail(grid: RadialGrid, amplitude: float, exponent: float, core_radius: float,
                boundary: str = FREE) -> RadialField:
     """amplitude * (1 + (r/core_radius)^2)^(-exponent/2); tail ~ r^(-exponent)."""
     vals = amplitude * (1.0 + (grid.nodes / core_radius) ** 2) ** (-exponent / 2.0)
-    if boundary == DIRICHLET:
-        vals[-1] = 0.0
-    return make_field(grid, vals, boundary)
+    return _tagged(grid, vals, boundary)
 
 
 def power_tail_gradient(grid: RadialGrid, amplitude: float, exponent: float,
@@ -207,30 +200,19 @@ def power_tail_gradient(grid: RadialGrid, amplitude: float, exponent: float,
 
 def indicator(grid: RadialGrid, radius: float, boundary: str = FREE) -> RadialField:
     vals = (grid.nodes <= radius).astype(float)
-    if boundary == DIRICHLET:
-        vals[-1] = 0.0
-    return make_field(grid, vals, boundary)
-
-
-def singular_steady_state_amplitude(params: ModelParams) -> float:
-    """L with L^(p-1) = (2/(p-1)) (n - 2 - 2/(p-1)), the exact scale-invariant profile height."""
-    p, n = params.p, params.n
-    k = 2.0 / (p - 1.0)
-    val = k * (n - 2.0 - k)
-    if val <= 0:
-        raise ValueError("no positive singular steady state for these (n, p)")
-    return val ** (1.0 / (p - 1.0))
+    return _tagged(grid, vals, boundary)
 
 
 def singular_steady_state(grid: RadialGrid, params: ModelParams, boundary: str = FREE) -> RadialField:
-    """L r^(-2/(p-1)), capped at the first node value to regularize the origin."""
-    big_l = singular_steady_state_amplitude(params)
+    """L r^(-2/(p-1)), capped at the first node value to regularize the origin, with L the
+    exact scale-invariant profile height: L^(p-1) = (2/(p-1)) (n - 2 - 2/(p-1))."""
     k = 2.0 / (params.p - 1.0)
+    val = k * (params.n - 2.0 - k)
+    if val <= 0:
+        raise ValueError("no positive singular steady state for these (n, p)")
+    big_l = val ** (1.0 / (params.p - 1.0))
     r = np.maximum(grid.nodes, grid.nodes[1])
-    vals = big_l * r ** (-k)
-    if boundary == DIRICHLET:
-        vals[-1] = 0.0
-    return make_field(grid, vals, boundary)
+    return _tagged(grid, big_l * r ** (-k), boundary)
 
 
 PROFILES = {

@@ -111,6 +111,8 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams) -
 
     zero_f = float(np.abs(f.values).max()) == 0.0
     zero_g = float(g_vals.max()) == 0.0
+    if zero_f and zero_g:
+        return HypothesisReport(*(_zero_check() for _ in range(5)))
 
     fit_g = tail_exponent(grad_f)
     fit_f = tail_exponent(f)
@@ -137,39 +139,29 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams) -
     # kernel-weighted limit on a logarithmic horizon: sup over centers of functional_A
     t_grid = np.geomspace(1.0, 1e4, 5)
     centers = np.concatenate(([0.0], np.geomspace(grid.h, grid.r_max, 8)))
-    if zero_f and zero_g:
-        c24 = _zero_check()
+    qs_t = np.array([np.max(_functional_A_at(f, grad_f, float(t), centers, params))
+                     for t in t_grid])
+    if np.all(qs_t < 1e-290):
+        c24 = ConditionCheck(True, {"kernel_values": qs_t.tolist()})
     else:
-        qs_t = np.array([np.max(_functional_A_at(f, grad_f, float(t), centers, params))
-                         for t in t_grid])
-        if np.all(qs_t < 1e-290):
-            c24 = ConditionCheck(True, {"kernel_values": qs_t.tolist()})
-        else:
-            slope = float(np.polyfit(np.log(t_grid),
-                                     np.log(np.maximum(qs_t, 1e-300)), 1)[0])
-            c24 = ConditionCheck(slope < TREND_SLOPE,
-                                 {"kernel_values": qs_t.tolist(), "trend_slope": slope})
+        slope = float(np.polyfit(np.log(t_grid), np.log(np.maximum(qs_t, 1e-300)), 1)[0])
+        c24 = ConditionCheck(slope < TREND_SLOPE,
+                             {"kernel_values": qs_t.tolist(), "trend_slope": slope})
 
     # energy integrability: |u0|^(p+1) + |grad u0|^2 in L^m, m in [1, n(p-1)/(2(p+1)))
-    if zero_f and zero_g:
-        c25 = _zero_check()
-    else:
-        combo = make_field(grid, np.abs(f.values) ** (p + 1.0) + g_vals**2)
-        c25 = _integrability(combo, tail_exponent(combo), 1.0,
-                             n * (p - 1.0) / (2.0 * (p + 1.0)), n, "admissible_m_interval")
+    combo = make_field(grid, np.abs(f.values) ** (p + 1.0) + g_vals**2)
+    c25 = _integrability(combo, tail_exponent(combo), 1.0,
+                         n * (p - 1.0) / (2.0 * (p + 1.0)), n, "admissible_m_interval")
 
     # pointwise decay: |u0| + r |grad u0| = o(r^(-2/(p-1)))
-    if zero_f and zero_g:
-        c26 = _zero_check()
-    else:
-        checks, evid = [], {"target": k_crit}
-        for zero, fit, key in ((zero_f, fit_f, "u_tail_exponent"),
-                               (zero_g, fit_rg, "r_grad_tail_exponent")):
-            if not zero:
-                checks.append(_beats(fit, k_crit))
-                if fit.resolved:
-                    evid[key] = fit.exponent
-        c26 = ConditionCheck(None if None in checks else all(checks), evid)
+    checks, evid = [], {"target": k_crit}
+    for zero, fit, key in ((zero_f, fit_f, "u_tail_exponent"),
+                           (zero_g, fit_rg, "r_grad_tail_exponent")):
+        if not zero:
+            checks.append(_beats(fit, k_crit))
+            if fit.resolved:
+                evid[key] = fit.exponent
+    c26 = ConditionCheck(None if None in checks else all(checks), evid)
 
     return HypothesisReport(gradient_integrability=c21, gradient_decay=c22,
                             kernel_limit=c24, energy_integrability=c25,

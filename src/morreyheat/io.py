@@ -10,18 +10,14 @@ def format_value(x) -> str:
         return x
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int,)) and not isinstance(x, bool):
+    if isinstance(x, int):
         return str(x)
     if x is None:
         return ""
     xf = float(x)
-    if math.isnan(xf):
-        return "nan"
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
     if xf == 0.0:
-        return "0"
-    return format(xf, ".17g")
+        return "0"   # not "-0"
+    return format(xf, ".17g")   # "nan", "inf" and "-inf" included
 
 
 def write_csv(path: Path, header: str, rows) -> None:

@@ -16,8 +16,8 @@ from . import counters
 from .fields import RadialField, RadialGrid, sup_norm
 from .params import ModelParams
 from .quadrature import (SMALL_BALL_FACTOR, cap_fraction_array, fine_ball_integral,
-                         heat_apply, origin_ball_weights,
-                         small_ball_plan, sphere_area, volume_weights)
+                         heat_apply, origin_ball_weights, small_ball_plan,
+                         small_ball_work, sphere_area, volume_weights)
 
 
 @dataclass(frozen=True)
@@ -86,46 +86,75 @@ def lq_norm(f: RadialField, q: float) -> float:
     return _lq_integral(f, q) ** (1.0 / q)
 
 
-# Cached lattice tables: key -> (the indices of the radii above SMALL_BALL_FACTOR h,
-# (centers x those radii x nodes) weights including the volume and surface factors,
-# {small radius index: SmallBallPlan}).  Bounded LRU; tables over _TABLE_MAX_BYTES
-# are built whole and left uncached.
+# Cached lattice geometry: key -> ({large radius index: its _radius_cells},
+# {small radius index: SmallBallPlan}).  Bounded LRU; geometry over _TABLE_MAX_BYTES
+# is built whole and left uncached.
 _TABLE_CACHE: OrderedDict = OrderedDict()
 _TABLE_CACHE_MAX = 4
 _TABLE_MAX_BYTES = 300 * 2**20
 
 
+def _radius_cells(grid: RadialGrid, base: np.ndarray, centers: np.ndarray, r_ball: float):
+    """The weights W[c, j] of one radius above SMALL_BALL_FACTOR h, with ball_integral(f, q,
+    a_c, R) = sum_j W[c, j] |f_j|^q, kept as (inside, owner, cols, vals): center c's nodes
+    j < inside[c] lie wholly in the ball (W[c, j] = base[j], the whole-sphere weight), and
+    its band is the entries k with owner[k] = c, at the nodes cols[k] (from inside[c] on)
+    with the weights vals[k]; all other weights are 0.  inside and cols take the plans'
+    index dtype, owner the narrowest dtype that holds a center index."""
+    col = base * cap_fraction_array(grid.n, centers[:, None], grid.nodes, r_ball)
+    col[centers == 0.0] = sphere_area(grid.n) * origin_ball_weights(grid, r_ball)
+    partial, nonzero = col != base, col != 0.0
+    inside = np.where(partial.any(axis=1), partial.argmax(axis=1), grid.m + 1)
+    end = np.where(nonzero.any(axis=1), grid.m + 1 - nonzero[:, ::-1].argmax(axis=1), 0)
+    lengths = np.maximum(end - inside, 0)
+    owner = np.repeat(np.arange(len(centers)), lengths)
+    cols = np.arange(owner.size) + np.repeat(inside - (np.cumsum(lengths) - lengths), lengths)
+    dtype = np.min_scalar_type(grid.m + 1)
+    return (inside.astype(dtype), owner.astype(np.min_scalar_type(len(centers))),
+            cols.astype(dtype), col[owner, cols])
+
+
 def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
-    """(large, W, plans): the indices `large` of the radii above SMALL_BALL_FACTOR h, the
-    weights W[c, k, j] with ball_integral(f,q,a_c,R_large[k]) = sum_j W[c,k,j] |f_j|^q for
-    those radii alone, and {r: small_ball_plan} for the others.  Each build (a cache miss)
-    adds 1 to the run's morrey.table_builds and the MB of W and the plans to .table_mb."""
+    """(cells, plans): {r: _radius_cells} for the radii above SMALL_BALL_FACTOR h and
+    {r: small_ball_plan} for the others, r indexing lattice.radii.  Each build (a cache
+    miss) adds 1 to the run's morrey.table_builds and the MB of both to .table_mb."""
     key = (grid.n, grid.m, grid.r_max,
            np.asarray(lattice.centers).tobytes(), np.asarray(lattice.radii).tobytes())
     entry = _TABLE_CACHE.get(key)
     if entry is not None:
         _TABLE_CACHE.move_to_end(key)
         return entry
-    n = grid.n
-    area = sphere_area(n)
-    base = area * volume_weights(grid)
+    base = sphere_area(grid.n) * volume_weights(grid)
     centers, radii = np.asarray(lattice.centers), np.asarray(lattice.radii)
     small = radii <= SMALL_BALL_FACTOR * grid.h
     plans = {int(ri): small_ball_plan(grid, centers, float(radii[ri]))
              for ri in np.flatnonzero(small)}
-    large = np.flatnonzero(~small)
-    table = np.empty((len(centers), len(large), grid.m + 1))
-    for k, r_ball in enumerate(radii[large]):
-        table[:, k] = base * cap_fraction_array(n, centers[:, None], grid.nodes, float(r_ball))
-        table[centers == 0.0, k] = area * origin_ball_weights(grid, float(r_ball))
-    nbytes = table.nbytes + sum(x.nbytes for plan in plans.values() for x in plan)
+    cells = {int(ri): _radius_cells(grid, base, centers, float(radii[ri]))
+             for ri in np.flatnonzero(~small)}
+    nbytes = sum(x.nbytes for part in (cells, plans) for arrays in part.values() for x in arrays)
     counters.add("morrey.table_builds")
     counters.add("morrey.table_mb", nbytes / 2**20)
     if nbytes <= _TABLE_MAX_BYTES:
-        _TABLE_CACHE[key] = large, table, plans
+        _TABLE_CACHE[key] = cells, plans
         while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
             _TABLE_CACHE.popitem(last=False)
-    return large, table, plans
+    return cells, plans
+
+
+def _ball_integrals(grid: RadialGrid, lattice: MorreyLattice, g: np.ndarray) -> np.ndarray:
+    """The integral of the density g over each lattice ball, per (center, radius)."""
+    cells, plans = _cell_weights(grid, lattice)
+    integrals = np.empty((len(lattice.centers), len(lattice.radii)))
+    # large radii: the prefix sum over the nodes wholly inside plus the band, each band
+    # summed alone in order (bincount), so every cell is a function of its own ball
+    inside_sums = np.concatenate(([0.0], np.cumsum(sphere_area(grid.n) * volume_weights(grid) * g)))
+    for ri, (inside, owner, cols, vals) in cells.items():
+        integrals[:, ri] = inside_sums.take(inside) + np.bincount(
+            owner, vals * g.take(cols), len(lattice.centers))
+    work = small_ball_work(max((plan.idx.shape[0] for plan in plans.values()), default=0))
+    for ri, plan in plans.items():
+        integrals[:, ri] = fine_ball_integral(grid, g, plan, work)
+    return integrals
 
 
 @dataclass(frozen=True)
@@ -138,7 +167,10 @@ class MorreyEvaluation:
 
 def morrey_evaluate(f: RadialField, spec: MorreySpec,
                     lattice: MorreyLattice | None = None) -> MorreyEvaluation:
-    """Norm plus the maximizing cell and the full per-cell maximand table."""
+    """Norm plus the maximizing cell and the full per-cell maximand table.
+
+    Each cell is a function of (grid, a, R, f) alone, whatever else the lattice holds,
+    so the cells of a sub-lattice can be read off a finer evaluation (`sub_cells`)."""
     grid = f.grid
     n = grid.n
     if spec.lam > n:
@@ -152,12 +184,7 @@ def morrey_evaluate(f: RadialField, spec: MorreySpec,
         cells = np.full((len(lattice.centers), len(lattice.radii)), val)
         return MorreyEvaluation(norm=val ** (1.0 / spec.q), center=0.0,
                                 radius=float(lattice.radii[-1]), cells=cells)
-    g = np.abs(f.values) ** spec.q
-    large, table, plans = _cell_weights(grid, lattice)
-    integrals = np.empty((len(lattice.centers), len(lattice.radii)))
-    integrals[:, large] = table @ g   # the plans fill every other column
-    for ri, plan in plans.items():
-        integrals[:, ri] = fine_ball_integral(grid, g, plan)
+    integrals = _ball_integrals(grid, lattice, np.abs(f.values) ** spec.q)
     cells = integrals * np.asarray(lattice.radii)[None, :] ** (spec.lam - n)
     ci, ri = np.unravel_index(np.argmax(cells), cells.shape)
     best = float(cells[ci, ri])
@@ -166,20 +193,33 @@ def morrey_evaluate(f: RadialField, spec: MorreySpec,
                             radius=float(lattice.radii[ri]), cells=cells)
 
 
+def sub_cells(ev: MorreyEvaluation, lattice: MorreyLattice, sub: MorreyLattice) -> np.ndarray:
+    """The cells of `ev`, an evaluation on `lattice`, at the centers and radii of `sub`,
+    whose points are all among `lattice`'s ascending ones (as for a coarser level of
+    `refine`): bitwise the cells of evaluating on `sub` itself."""
+    picks = []
+    for fine, coarse in ((lattice.centers, sub.centers), (lattice.radii, sub.radii)):
+        idx = np.minimum(np.searchsorted(fine, coarse), len(fine) - 1)
+        if not np.array_equal(np.asarray(fine)[idx], coarse):
+            raise ValueError("sub is not a sub-lattice of lattice")
+        picks.append(idx)
+    return ev.cells[np.ix_(*picks)]
+
+
 def morrey_norm(f: RadialField, spec: MorreySpec, lattice: MorreyLattice | None = None) -> float:
     return morrey_evaluate(f, spec, lattice).norm
 
 
-def small_scale_diagnostic(ev: MorreyEvaluation) -> dict:
-    """Small-radius trend of an evaluation's Morrey maximand (diagnostic only).
+def small_scale_diagnostic(cells: np.ndarray) -> dict:
+    """Small-radius trend of an evaluation's Morrey maximand cells (diagnostic only).
 
     A vanishing small-R limit distinguishes fields whose Morrey mass lives at
     finite scales; reported, never asserted.
     """
-    by_radius = ev.cells.max(axis=0)
+    by_radius = cells.max(axis=0)
     k = max(1, len(by_radius) // 8)
     small = float(by_radius[:k].max())
-    total = float(ev.cells.max())
+    total = float(cells.max())
     return {"small_r_value": small, "max_value": total,
             "small_r_fraction": small / total if total > 0 else 0.0}
 

@@ -137,7 +137,7 @@ class SmallBallPlan(NamedTuple):
     live: np.ndarray     # bool, shaped like the centers
     lo: np.ndarray
     hi: np.ndarray
-    idx: np.ndarray      # int32 (live, FINE_BALL_NODES)
+    idx: np.ndarray      # (live, FINE_BALL_NODES), the index dtype: np.min_scalar_type(m + 1)
     cap: np.ndarray      # float64 (live, FINE_BALL_NODES)
 
 
@@ -151,10 +151,17 @@ def small_ball_plan(grid: RadialGrid, a, r_ball: float) -> SmallBallPlan:
     s = np.linspace(lo, hi, FINE_BALL_NODES, axis=-1)
     idx = np.clip(np.searchsorted(grid.nodes, s, side="right") - 1, 0, grid.m - 1)
     cap = cap_fraction_array(grid.n, a[live][..., None], s, r_ball)
-    return SmallBallPlan(live, lo, hi, idx.astype(np.int32), cap)
+    return SmallBallPlan(live, lo, hi, idx.astype(np.min_scalar_type(grid.m + 1)), cap)
 
 
-def fine_ball_integral(grid: RadialGrid, g: np.ndarray, plan: SmallBallPlan) -> np.ndarray:
+def small_ball_work(rows: int) -> list:
+    """Work buffers for fine_ball_integral on plans of up to `rows` live centers: interval
+    indices and three float arrays, each (rows, FINE_BALL_NODES)."""
+    return [np.empty((rows, FINE_BALL_NODES), np.intp), *np.empty((3, rows, FINE_BALL_NODES))]
+
+
+def fine_ball_integral(grid: RadialGrid, g: np.ndarray, plan: SmallBallPlan,
+                       work=None) -> np.ndarray:
     """Ball integrals of the density g (node samples) over a plan's balls, shaped like its centers.
 
     The density is interpolated geometrically (log-log) on intervals whose
@@ -162,24 +169,40 @@ def fine_ball_integral(grid: RadialGrid, g: np.ndarray, plan: SmallBallPlan) -> 
     exactly, and linearly otherwise (including the first interval, whose left
     endpoint is r = 0).  Always pass the density |f|^q, never the field, so
     that the power identity between (|f|^m, r/m) and (f, r) stays exact at
-    lattice level.
+    lattice level.  The per-point intermediates go into `work` (small_ball_work,
+    reusable across calls), allocated here when it is None.
     """
     out = np.zeros(plan.live.shape)
+    rows = plan.idx.shape[0]
+    i0, lw, tmp, dens = (buf[:rows] for buf in (work or small_ball_work(rows)))
+    np.copyto(i0, plan.idx)
     # per-node logs and per-interval spacings, gathered by each point's interval
-    nodes, i0 = grid.nodes, plan.idx
+    nodes = grid.nodes
     with np.errstate(divide="ignore", invalid="ignore"):
         log_g, log_nodes = np.log(g), np.log(nodes)
         s = np.linspace(plan.lo, plan.hi, FINE_BALL_NODES, axis=-1)
-        lw = (np.log(s) - log_nodes.take(i0)) / np.diff(log_nodes).take(i0)
-        dens = np.exp(log_g.take(i0) * (1.0 - lw) + log_g[1:].take(i0) * lw)
+        np.log(s, out=lw)
+        lw -= log_nodes.take(i0, out=tmp, mode="clip")
+        lw /= np.diff(log_nodes).take(i0, out=tmp, mode="clip")
+        np.subtract(1.0, lw, out=tmp)
+        np.multiply(log_g.take(i0, out=dens, mode="clip"), tmp, out=dens)
+        dens += np.multiply(log_g[1:].take(i0, out=tmp, mode="clip"), lw, out=tmp)
+        np.exp(dens, out=dens)
     # the linear rule, only at the points whose interval lacks a positive pair
     positive = (g[:-1] > 0) & (g[1:] > 0) & (nodes[:-1] > 0)
     pts = np.flatnonzero(~positive.take(i0))
     k = i0.take(pts)
     w = (s.take(pts) - nodes.take(k)) / np.diff(nodes).take(k)
     dens.put(pts, g.take(k) * (1.0 - w) + g[1:].take(k) * w)
-    vals = dens * s ** (grid.n - 1) * plan.cap
-    out[plan.live] = sphere_area(grid.n) * np.trapezoid(vals, s, axis=-1)
+    np.positive(s, out=tmp)
+    tmp **= grid.n - 1   # as s ** (n - 1) computes it
+    dens *= tmp
+    dens *= plan.cap
+    # np.trapezoid(dens, s, axis=-1), (diff(s) * (y[1:] + y[:-1]) / 2).sum(-1), in the buffers
+    y = np.add(dens[:, 1:], dens[:, :-1], out=lw[:, 1:])
+    y *= np.subtract(s[:, 1:], s[:, :-1], out=tmp[:, 1:])
+    y /= 2.0
+    out[plan.live] = sphere_area(grid.n) * y.sum(axis=-1)
     return out
 
 

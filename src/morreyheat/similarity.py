@@ -86,12 +86,10 @@ def stationary_energy(params: ModelParams) -> float:
 @dataclass
 class EnergySeries:
     T: float
-    a: float
     s: np.ndarray
     E: np.ndarray
     m: np.ndarray
-    nonlinear_mass: np.ndarray      # integral |w|^{p+1} rho
-    identity_residual: np.ndarray   # |dm/ds /2 - (-2E + (p-1)/(p+1) * nonlinear_mass)|, nan at ends
+    identity_residual: np.ndarray   # |dm/ds/2 + 2E - (p-1)/(p+1) int |w|^{p+1} rho|, nan at ends
     identity_relative: np.ndarray
     monotone_violation: float       # worst E(s_{j+1}) - E(s_j) - tol_E, <= 0 when monotone
     min_energy: float
@@ -114,12 +112,8 @@ def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid,
         raise ValueError("s_grid must be increasing with at least 3 points")
     wanted = checkpoint_times_for_s_grid(T, s_grid)
     have = {round(t, 12): f for t, f in traj.checkpoints}
-    e_arr = np.empty_like(s_grid)
-    m_arr = np.empty_like(s_grid)
-    p_arr = np.empty_like(s_grid)
-    g_arr = np.empty_like(s_grid)
-    truncated = False
-    for i, (s, t) in enumerate(zip(s_grid, wanted)):
+    rows, truncated = [], False
+    for s, t in zip(s_grid, wanted):
         key = round(float(t), 12)
         if key not in have:
             raise ValueError(f"trajectory lacks a checkpoint at t={t!r} (s={s:g})")
@@ -127,7 +121,8 @@ def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid,
             warnings.simplefilter("ignore", TruncationWarning)
             w = to_similarity(have[key], float(t), T, params, y_max, h_y)
         truncated |= w.truncated
-        e_arr[i], m_arr[i], p_arr[i], g_arr[i] = _weighted_integrals(w, params)
+        rows.append(_weighted_integrals(w, params))
+    e_arr, m_arr, p_arr, g_arr = np.array(rows).T
 
     dm = np.full_like(s_grid, np.nan)
     dm[1:-1] = (m_arr[2:] - m_arr[:-2]) / (s_grid[2:] - s_grid[:-2])
@@ -142,8 +137,8 @@ def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid,
 
     tol = 1e-6 * (1.0 + np.abs(e_arr[:-1]))
     monotone_violation = float(np.max(np.diff(e_arr) - tol)) if e_arr.size > 1 else -math.inf
-    return EnergySeries(T=T, a=0.0, s=s_grid, E=e_arr, m=m_arr, nonlinear_mass=p_arr,
-                        identity_residual=residual, identity_relative=relative,
+    return EnergySeries(T=T, s=s_grid, E=e_arr, m=m_arr, identity_residual=residual,
+                        identity_relative=relative,
                         monotone_violation=monotone_violation,
                         min_energy=float(e_arr.min()), truncated=truncated)
 

@@ -30,7 +30,6 @@ class Verdict:
     kind: str                  # "decaying" | "blowup" | "undecided"
     T_est: float | None = None
     horizon: float = 0.0
-    status_kind: str = ""
     terminal_ratio: float | None = None   # ||u(t_end)||_inf / ||u0||_inf
 
 
@@ -43,20 +42,16 @@ def classify_with_trajectory(u0: RadialField, params: ModelParams, cfg: SolverCo
     st = traj.status
     sup0 = float(np.max(np.abs(u0.values)))
     if sup0 == 0.0:
-        return Verdict("decaying", horizon=cfg.t_end, status_kind=st.kind,
-                       terminal_ratio=0.0), traj
+        return Verdict("decaying", horizon=cfg.t_end, terminal_ratio=0.0), traj
     if st.kind == "blowup":
-        return Verdict("blowup", T_est=st.T_est, horizon=st.t_final,
-                       status_kind=st.kind), traj
+        return Verdict("blowup", T_est=st.T_est, horizon=st.t_final), traj
     if st.kind != "reached_horizon":
-        return Verdict("undecided", horizon=st.t_final, status_kind=st.kind), traj
+        return Verdict("undecided", horizon=st.t_final), traj
     diag = decay_diagnostics(traj, params)
-    ratio = traj.sup_norms[-1] / sup0
+    ratio = float(traj.sup_norms[-1] / sup0)
     if diag.tail_monotone and ratio < TERMINAL_RATIO_MAX:
-        return Verdict("decaying", horizon=st.t_final, status_kind=st.kind,
-                       terminal_ratio=float(ratio)), traj
-    return Verdict("undecided", horizon=st.t_final, status_kind=st.kind,
-                   terminal_ratio=float(ratio)), traj
+        return Verdict("decaying", horizon=st.t_final, terminal_ratio=ratio), traj
+    return Verdict("undecided", horizon=st.t_final, terminal_ratio=ratio), traj
 
 
 @dataclass
@@ -131,10 +126,9 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
             break
         (lo, traj_lo), (hi, traj_hi) = ends["decaying"], ends["blowup"]
 
-    blowup_lams = [t["lambda"] for t in trials if t["verdict"] == "blowup"]
-    decay_lams = [t["lambda"] for t in trials if t["verdict"] == "decaying"]
-    consistent = (not blowup_lams or not decay_lams
-                  or max(decay_lams) < min(blowup_lams))
+    # the bracket exists, so both verdicts occur among the trials
+    consistent = (max(t["lambda"] for t in trials if t["verdict"] == "decaying")
+                  < min(t["lambda"] for t in trials if t["verdict"] == "blowup"))
 
     spec, lattice = critical_spec(params), MorreyLattice.default(phi.grid)
     epsilon_star = morrey_norm(_scaled(phi, lo), spec, lattice)

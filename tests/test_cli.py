@@ -12,8 +12,9 @@ import pytest
 from morreyheat import cli, counters, duhamel, evolution, morrey
 from morreyheat.fields import make_field, make_grid
 from morreyheat.morrey import MorreyLattice, critical_spec, morrey_norm
-from morreyheat.quadrature import SMALL_BALL_FACTOR, heat_kernel_matrix, small_ball_plan
-from test_quadrature import _banded
+from morreyheat.quadrature import (SMALL_BALL_FACTOR, heat_kernel_matrix, small_ball_plan,
+                                   sphere_area, volume_weights)
+from test_quadrature import _banded, _dense_cell_weights
 
 
 def read(path):
@@ -93,6 +94,20 @@ def test_smoothing_times_outside_their_domain_exit_2(key, value, tmp_path, capsy
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(cfg))
     assert cli.main(["smoothing", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: experiment.{key}: need " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("refinements", -1), ("q", 0.5), ("q", math.nan), ("q", math.inf),
+    ("lam", -1.0), ("lam", 5.5), ("lam", math.nan),
+])
+def test_morrey_options_outside_their_domain_exit_2(key, value, tmp_path, capsys):
+    # refinements >= 0, 1 <= q < inf and 0 <= lam <= n, checked before any evaluation
+    cfg = {"experiment": {"kind": "morrey", key: value}, "grid": {"r_max": 10.0, "nodes": 64}}
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["morrey", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: experiment.{key}: need " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -231,11 +246,22 @@ def fresh_tables(monkeypatch):
 
 
 def _table_counters(grid) -> dict:
-    """The table counters of one build for the default lattice: a table over the radii
-    above SMALL_BALL_FACTOR h and a small-ball plan for each of the others."""
+    """The table counters of one build for the default lattice: per radius above
+    SMALL_BALL_FACTOR h, per center the count of leading whole-sphere weights (one node
+    index each), and per entry of a center's partial band its weight (8 bytes), node
+    index and center index; a small-ball plan for each of the other radii."""
     lattice = MorreyLattice.default(grid)
     small = lattice.radii <= SMALL_BALL_FACTOR * grid.h
-    table = lattice.centers.size * int(np.sum(~small)) * (grid.m + 1) * 8
+    index_bytes = 1 if grid.m + 1 < 2**8 else 2
+    owner_bytes = 1 if lattice.centers.size < 2**8 else 2
+    base = sphere_area(grid.n) * volume_weights(grid)
+    table = 0
+    for ri in np.flatnonzero(~small):
+        table += lattice.centers.size * index_bytes
+        for row in _dense_cell_weights(grid, lattice, ri):
+            partial, nonzero = np.flatnonzero(row != base), np.flatnonzero(row)
+            band = nonzero[-1] + 1 - partial[0] if partial.size and nonzero.size else 0
+            table += max(band, 0) * (8 + index_bytes + owner_bytes)
     plans = sum(x.nbytes for r in lattice.radii[small]
                 for x in small_ball_plan(grid, lattice.centers, float(r)))
     return {"morrey.table_builds": 1, "morrey.table_mb": (table + plans) / 2**20}

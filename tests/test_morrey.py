@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morreyheat import fields as F
 from morreyheat import morrey as M
@@ -63,6 +65,33 @@ def test_lattice_refinement_monotone():
         vals.append(M.morrey_norm(f, spec, lat))
         lat = lat.refine()
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.01, 2.0), st.floats(0.5, 6.0), st.floats(0.0, 3.0), st.floats(1.0, 4.0),
+       st.floats(0.0, 4.5))
+def test_refined_cells_restrict_to_the_default_evaluation(amplitude, width, freq, q, lam):
+    # every cell is a function of (grid, a, R, f) alone: the refined lattice's cells at the
+    # default lattice's points are the default evaluation's, bit for bit, so the norm
+    # cannot fall under refinement
+    g = F.make_grid(5, 40.0, 401)
+    f = F.make_field(g, amplitude * np.cos(freq * g.nodes) * np.exp(-(g.nodes / width) ** 2))
+    spec = M.MorreySpec(q, lam)
+    coarse = M.MorreyLattice.default(g)
+    fine = coarse.refine()
+    ev_coarse, ev_fine = M.morrey_evaluate(f, spec, coarse), M.morrey_evaluate(f, spec, fine)
+    keep = np.ix_(np.isin(fine.centers, coarse.centers), np.isin(fine.radii, coarse.radii))
+    assert ev_fine.cells[keep].tobytes() == ev_coarse.cells.tobytes()
+    assert M.sub_cells(ev_fine, fine, coarse).tobytes() == ev_coarse.cells.tobytes()
+    assert ev_fine.norm >= ev_coarse.norm
+
+
+def test_sub_cells_rejects_a_lattice_it_does_not_contain():
+    g = F.make_grid(5, 8.0, 200)
+    lat = M.MorreyLattice.default(g)
+    ev = M.morrey_evaluate(F.indicator(g, 1.0), M.MorreySpec(2.0, 1.0), lat)
+    with pytest.raises(ValueError):
+        M.sub_cells(ev, lat, lat.refine())
 
 
 def test_refine_is_superset():
@@ -164,7 +193,7 @@ def test_cells_table_shape():
 def test_small_scale_diagnostic_reports():
     g = F.make_grid(5, 16.0, 800)
     ev = M.morrey_evaluate(F.indicator(g, 1.0), M.MorreySpec(2.0, 2.0))
-    d = M.small_scale_diagnostic(ev)
+    d = M.small_scale_diagnostic(ev.cells)
     assert set(d) == {"small_r_value", "max_value", "small_r_fraction"}
     assert 0.0 <= d["small_r_fraction"] <= 1.0
     # the indicator's Morrey mass lives at scale ~1, not at small radii

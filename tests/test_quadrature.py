@@ -616,9 +616,7 @@ def test_small_ball_cells_equal_per_point_rule(nodes):
             for q in (1.0, 2.0, 4.0 / 3.0):
                 g = np.abs(f.values) ** q
                 interp = _reference_density_interpolant(grid.nodes, g)
-                large, table, _ = M._cell_weights(grid, lattice)
-                integrals = np.empty((len(lattice.centers), radii.size))
-                integrals[:, large] = table @ g
+                integrals = M._ball_integrals(grid, lattice, g)   # the large radii's cells
                 for ri in small:
                     integrals[:, ri] = _reference_fine_ball_integral(
                         interp, 5, grid.r_max, lattice.centers, float(radii[ri]))
@@ -627,21 +625,52 @@ def test_small_ball_cells_equal_per_point_rule(nodes):
                 assert got.tobytes() == want.tobytes()
 
 
+def _dense_cell_weights(grid, lattice, ri):
+    """The (centers x nodes) weights of lattice radius ri, by the per-column cap-fraction build."""
+    centers, r_ball = np.asarray(lattice.centers), float(lattice.radii[ri])
+    area = Q.sphere_area(grid.n)
+    col = area * Q.volume_weights(grid) * Q.cap_fraction_array(grid.n, centers[:, None],
+                                                               grid.nodes, r_ball)
+    col[centers == 0.0] = area * Q.origin_ball_weights(grid, r_ball)
+    return col
+
+
 @pytest.mark.parametrize("nodes", [200, 401])
 def test_cell_table_fills_only_large_radii(nodes):
-    # the table holds the radii without a small-ball plan alone, each column the
+    # the compact geometry holds the radii without a small-ball plan alone; each radius,
+    # reassembled per center as [whole-sphere weights | partial band | zeros], is the
     # per-column cap-fraction build, bit for bit; the plans cover the other radii
     grid = F.make_grid(5, 40.0, nodes)
+    base = Q.sphere_area(5) * Q.volume_weights(grid)
     for lattice in (M.MorreyLattice.default(grid), M.MorreyLattice.default(grid).refine()):
-        large, table, plans = M._cell_weights(grid, lattice)
-        centers, radii = np.asarray(lattice.centers), np.asarray(lattice.radii)
+        cells, plans = M._cell_weights(grid, lattice)
+        radii = np.asarray(lattice.radii)
         small = np.flatnonzero(radii <= Q.SMALL_BALL_FACTOR * grid.h)
         assert small.size and sorted(plans) == list(small)
-        assert list(large) == list(np.setdiff1d(np.arange(radii.size), small))
-        assert table.nbytes == centers.size * large.size * (grid.m + 1) * 8
-        area = Q.sphere_area(5)
-        base = area * Q.volume_weights(grid)
-        for k, ri in enumerate(large):
-            col = base * Q.cap_fraction_array(5, centers[:, None], grid.nodes, float(radii[ri]))
-            col[centers == 0.0] = area * Q.origin_ball_weights(grid, float(radii[ri]))
-            assert table[:, k].tobytes() == col.tobytes()
+        assert sorted(cells) == list(np.setdiff1d(np.arange(radii.size), small))
+        for ri, (inside, owner, cols, vals) in cells.items():
+            assert inside.dtype == cols.dtype == (np.uint8 if nodes < 255 else np.uint16)
+            rebuilt = np.zeros((len(lattice.centers), grid.m + 1))
+            for c, start in enumerate(inside):
+                rebuilt[c, :start] = base[:start]
+                band = cols[owner == c]
+                assert np.array_equal(band, np.arange(start, start + band.size))
+                rebuilt[c, band] = vals[owner == c]
+            assert rebuilt.tobytes() == _dense_cell_weights(grid, lattice, ri).tobytes()
+
+
+@pytest.mark.parametrize("nodes", [200, 401, 1600])
+def test_large_cells_within_rounding_of_dense_product(nodes):
+    # prefix sum plus band against the dense product W g: the two sums differ by no more
+    # than (m+1) eps (|W| g) (each is within (m+1) u of the exact sum)
+    grid = F.make_grid(5, 40.0, nodes)
+    eps = np.finfo(float).eps
+    for lattice in (M.MorreyLattice.default(grid), M.MorreyLattice.default(grid).refine()):
+        cells, _ = M._cell_weights(grid, lattice)
+        for shape in _SMALL_BALL_FIELDS.values():
+            g = np.abs(shape(grid.nodes)) ** 1.5
+            got = M._ball_integrals(grid, lattice, g)
+            for ri in cells:
+                w = _dense_cell_weights(grid, lattice, ri)
+                bound = (grid.m + 1) * eps * (np.abs(w) @ g)
+                assert np.all(np.abs(got[:, ri] - w @ g) <= bound)
