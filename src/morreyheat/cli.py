@@ -77,6 +77,7 @@ def default_config(kind: str) -> dict:
 
 
 def _get(cfg: dict, path: str, typ=None, ok=None, need=""):
+    """The value at path, of type typ ([float]: a list of floats), within ok's domain `need`."""
     node = cfg
     for key in path.split("."):
         if not isinstance(node, dict) or key not in node:
@@ -89,6 +90,8 @@ def _get(cfg: dict, path: str, typ=None, ok=None, need=""):
 
 
 def _typed(path: str, value, typ):
+    if isinstance(typ, list):
+        return [_typed(f"{path}[{i}]", v, typ[0]) for i, v in enumerate(_typed(path, value, list))]
     # bool is a subclass of int, so `true` would otherwise pass as the number 1
     if isinstance(value, bool) and bool not in (typ if isinstance(typ, tuple) else (typ,)):
         raise ConfigError(f"{path}: expected {typ}, got bool")
@@ -97,11 +100,6 @@ def _typed(path: str, value, typ):
             return float(value)
         raise ConfigError(f"{path}: expected {typ}, got {type(value).__name__}")
     return value
-
-
-def _get_floats(cfg: dict, path: str):
-    """A list of numbers, each element checked as `_get(..., float)` checks one."""
-    return [_typed(f"{path}[{i}]", v, float) for i, v in enumerate(_get(cfg, path, list))]
 
 
 def _object(path: str, value) -> dict:
@@ -132,7 +130,7 @@ def _solver_config(cfg: dict, n: int, t_end=None, checkpoint_times=None) -> evol
         cps = _get(cfg, "solver.checkpoints", (int, list),
                    lambda v: not isinstance(v, int) or v >= 1, "at least 1")
         checkpoint_times = (evolution.log_checkpoints(t_end, cps) if isinstance(cps, int)
-                            else _get_floats(cfg, "solver.checkpoints"))
+                            else _get(cfg, "solver.checkpoints", [float]))
     settings = {key: _get(cfg, f"solver.{key}", float)
                 for key in ("dt_init", "dt_min", "safety", "blowup_threshold")}
     stride = _get(cfg, "solver.series_stride", int)
@@ -283,7 +281,7 @@ def _run_smoothing(cfg, bundle):
 
 def _run_energy(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    t_values = _get_floats(cfg, "experiment.T_values")
+    t_values = _get(cfg, "experiment.T_values", [float])
     ds = _get(cfg, "experiment.ds", float)
     frac = _get(cfg, "experiment.t_lo_fraction", float)
     t_margin = _get(cfg, "experiment.t_margin", float)
@@ -325,9 +323,11 @@ def _run_energy(cfg, bundle):
 
 def _run_picard(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    t_end = _get(cfg, "experiment.t_end", float)
-    run = duhamel.picard_solve(u0, params, t_end, _get(cfg, "experiment.iterations", int),
-                               _get_floats(cfg, "experiment.sample_times"))
+    t_end = _get(cfg, "experiment.t_end", float, lambda v: 0 < v < math.inf, "0 < t_end < inf")
+    iterations = _get(cfg, "experiment.iterations", int, lambda v: v >= 2, "iterations >= 2")
+    sample_times = _get(cfg, "experiment.sample_times", [float], lambda v: v and all(
+        0 < t <= t_end for t in v), "a nonempty list in (0, t_end]")
+    run = duhamel.picard_solve(u0, params, t_end, iterations, sample_times)
     rows = [(t, br, bi, d) for (t, br, bi), d in
             zip(run.budget, run.last_sample_diffs)]
     bundle.tables["budget"] = ("t,budget_r,budget_inf,cauchy_diff", rows)
@@ -357,7 +357,7 @@ def _run_picard(cfg, bundle):
 def _run_threshold(cfg, bundle):
     params, grid, phi = _build_inputs(cfg)
     cfg_solver = _solver_config(cfg, params.n)
-    deltas = _get_floats(cfg, "experiment.deltas")
+    deltas = _get(cfg, "experiment.deltas", [float])
     started = time.perf_counter()
     result = threshold.bisect_lambda(phi, params, cfg_solver,
                                      rel_tol=_get(cfg, "experiment.rel_tol", float),
@@ -402,7 +402,7 @@ def _run_dependence(cfg, bundle):
     t0_horizon = _get(cfg, "experiment.T0", float)
     cfg_solver = _solver_config(cfg, params.n, t_end=t0_horizon,
                                 checkpoint_times=evolution.log_checkpoints(t0_horizon, 16))
-    sizes = _get_floats(cfg, "experiment.sizes")
+    sizes = _get(cfg, "experiment.sizes", [float])
     spec = morrey.critical_spec(params, q=_get(cfg, "experiment.q", float))
     v0s = [make_field(grid, u0.values * (1.0 + size), u0.boundary) for size in sizes]
     results = duhamel.continuous_dependence(u0, v0s, cfg_solver, params, spec)

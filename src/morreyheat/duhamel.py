@@ -5,7 +5,8 @@ is iterated on a graded master time grid.  Writing J_i for the map evaluated
 at node tau_i, the identity J_i = G_dt(J_{i-1} + w f_{i-1}) + w f_i (trapezoid
 in s, semigroup-composed kernels) evaluates one Picard sweep with O(Q) kernel
 applications.  The grid is symmetric in time, so mirrored intervals have
-bitwise-equal widths and share one banded kernel per distinct width.  The
+bitwise-equal widths and share one kernel per distinct width, kept as the upper
+diagonals of its symmetric factor (quadrature.SymmetricBandKernel).  The
 node count is doubled until the converged iterate is stable to 1e-6,
 exploiting that the weak endpoint singularities of the Morrey-side estimates
 are integrable; kernels of widths that recur after a doubling are carried over.
@@ -22,7 +23,7 @@ from .evolution import SolverConfig, _Stepper, diffusive_cap, solve
 from .fields import FREE, RadialField, make_field
 from .morrey import MorreyLattice, MorreySpec, critical_spec, morrey_norm
 from .params import ModelParams
-from .quadrature import BandedKernel, _kernel_rows
+from .quadrature import SymmetricBandKernel, kernel_bytes_bound
 
 
 def auxiliary_exponent(params: ModelParams, q: float = 2.0) -> float:
@@ -100,13 +101,13 @@ class _Propagators:
 
     Mirrored intervals of the symmetric smoothstep grid have bitwise-equal
     widths, and a kernel is a pure function of (grid, t), so they share one
-    propagator and every sweep stays bitwise unchanged.  Each BandedKernel is
-    built from the kernel's row blocks, never a dense matrix, and all are kept
-    if the distinct resolved widths fit the budget in dense bytes (a bound on
-    their band bytes), else built per access.  A store built after a `previous`
-    one takes over its propagators of recurring widths and frees the rest before
-    building, so peak memory stays that of the larger store.  It counts builds,
-    band MB and takeovers as duhamel.picard.kernel_builds, .kernel_mb, .kernel_reuses.
+    propagator and every sweep stays bitwise unchanged.  Each kernel is a
+    SymmetricBandKernel, the upper diagonals of its symmetric factor, and all are
+    kept if the distinct resolved widths fit the budget by the bound on their bytes
+    that each width's reach gives, else built per access.  A store built after a
+    `previous` one takes over its propagators of recurring widths and frees the rest
+    before building, so peak memory stays that of the larger store.  It counts builds,
+    diagonal MB and takeovers as duhamel.picard.kernel_builds, .kernel_mb, .kernel_reuses.
     """
 
     def __init__(self, grid, n, widths, previous=None):
@@ -114,8 +115,8 @@ class _Propagators:
         self.widths = [float(dt) for dt in widths]
         floor = 2.0 * grid.h**2
         distinct = dict.fromkeys(self.widths)
-        resolved = sum(1 for dt in distinct if dt >= floor)
-        self.cached = resolved * (grid.m + 1) ** 2 * 8 <= _KERNEL_CACHE_BYTES
+        self.cached = sum(kernel_bytes_bound(grid, dt) for dt in distinct
+                          if dt >= floor) <= _KERNEL_CACHE_BYTES
         old = {}
         if previous is not None:
             old, previous._store = previous._store or {}, None
@@ -127,7 +128,7 @@ class _Propagators:
 
     def _build(self, dt):
         if dt >= 2.0 * self.grid.h**2:
-            kernel = BandedKernel(_kernel_rows(self.grid, dt), (self.grid.m + 1,) * 2)
+            kernel = SymmetricBandKernel(self.grid, dt)
             counters.add("duhamel.picard.kernel_builds")
             counters.add("duhamel.picard.kernel_mb", kernel.nbytes / 2**20)
             return kernel
@@ -138,20 +139,18 @@ class _Propagators:
         return self._store[dt] if self.cached else self._build(dt)
 
 
-def _sweep(u0_vals, kernels, widths, fields, p, nonlin=True):
-    """One Picard sweep over the master grid; fields is the previous iterate."""
+def _sweep(u0_vals, kernels, widths, fields, p):
+    """One Picard sweep over the master grid; fields is the previous iterate, or None for the
+    linear sweep u(t) = G_t * u0."""
     out = [u0_vals.copy()]
-    cur = u0_vals.copy()
-    f_prev = np.abs(fields[0]) ** (p - 1.0) * fields[0] if nonlin else None
+    f_prev = None if fields is None else np.abs(fields[0]) ** (p - 1.0) * fields[0]
     for i, dt in enumerate(widths):
-        ker = kernels[i]
-        if nonlin:
-            f_here = np.abs(fields[i + 1]) ** (p - 1.0) * fields[i + 1]
-            cur = ker @ (cur + (0.5 * dt) * f_prev) + (0.5 * dt) * f_here
-            f_prev = f_here
-        else:
-            cur = ker @ cur
-        out.append(cur)
+        if fields is None:
+            out.append(kernels[i] @ out[-1])
+            continue
+        f_here = np.abs(fields[i + 1]) ** (p - 1.0) * fields[i + 1]
+        out.append(kernels[i] @ (out[-1] + (0.5 * dt) * f_prev) + (0.5 * dt) * f_here)
+        f_prev = f_here
     return out
 
 
@@ -163,8 +162,8 @@ def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol, previous
     sample_idx = np.searchsorted(times, sample_times)
 
     kernels = _Propagators(grid, params.n, widths, previous)
-    # u^(0)(t) = G_t * u0 via composed interval propagators (the linear sweep reads no iterate)
-    fields = _sweep(u0.values.astype(float), kernels, widths, None, p, nonlin=False)
+    # u^(0)(t) = G_t * u0 via composed interval propagators
+    fields = _sweep(u0.values.astype(float), kernels, widths, None, p)
 
     diffs = []
     per_sample = None

@@ -190,14 +190,6 @@ def power_tail(grid: RadialGrid, amplitude: float, exponent: float, core_radius:
     return _tagged(grid, vals, boundary)
 
 
-def power_tail_gradient(grid: RadialGrid, amplitude: float, exponent: float,
-                        core_radius: float) -> RadialField:
-    r = grid.nodes
-    base = 1.0 + (r / core_radius) ** 2
-    vals = np.abs(amplitude * (-exponent) * (r / core_radius**2) * base ** (-exponent / 2.0 - 1.0))
-    return make_field(grid, vals, FREE)
-
-
 def indicator(grid: RadialGrid, radius: float, boundary: str = FREE) -> RadialField:
     vals = (grid.nodes <= radius).astype(float)
     return _tagged(grid, vals, boundary)

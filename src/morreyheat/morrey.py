@@ -15,9 +15,9 @@ import numpy as np
 from . import counters
 from .fields import RadialField, RadialGrid, sup_norm
 from .params import ModelParams
-from .quadrature import (SMALL_BALL_FACTOR, cap_fraction_array, fine_ball_integral,
-                         heat_apply, origin_ball_weights, small_ball_plan,
-                         small_ball_work, sphere_area, volume_weights)
+from .quadrature import (SMALL_BALL_FACTOR, fine_ball_integral, heat_apply, large_ball_cells,
+                         large_ball_integrals, small_ball_plan, small_ball_work, sphere_area,
+                         volume_weights)
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def lq_norm(f: RadialField, q: float) -> float:
     return _lq_integral(f, q) ** (1.0 / q)
 
 
-# Cached lattice geometry: key -> ({large radius index: its _radius_cells},
+# Cached lattice geometry: key -> ({large radius index: its large_ball_cells},
 # {small radius index: SmallBallPlan}).  Bounded LRU; geometry over _TABLE_MAX_BYTES
 # is built whole and left uncached.
 _TABLE_CACHE: OrderedDict = OrderedDict()
@@ -94,28 +94,8 @@ _TABLE_CACHE_MAX = 4
 _TABLE_MAX_BYTES = 300 * 2**20
 
 
-def _radius_cells(grid: RadialGrid, base: np.ndarray, centers: np.ndarray, r_ball: float):
-    """The weights W[c, j] of one radius above SMALL_BALL_FACTOR h, with ball_integral(f, q,
-    a_c, R) = sum_j W[c, j] |f_j|^q, kept as (inside, owner, cols, vals): center c's nodes
-    j < inside[c] lie wholly in the ball (W[c, j] = base[j], the whole-sphere weight), and
-    its band is the entries k with owner[k] = c, at the nodes cols[k] (from inside[c] on)
-    with the weights vals[k]; all other weights are 0.  inside and cols take the plans'
-    index dtype, owner the narrowest dtype that holds a center index."""
-    col = base * cap_fraction_array(grid.n, centers[:, None], grid.nodes, r_ball)
-    col[centers == 0.0] = sphere_area(grid.n) * origin_ball_weights(grid, r_ball)
-    partial, nonzero = col != base, col != 0.0
-    inside = np.where(partial.any(axis=1), partial.argmax(axis=1), grid.m + 1)
-    end = np.where(nonzero.any(axis=1), grid.m + 1 - nonzero[:, ::-1].argmax(axis=1), 0)
-    lengths = np.maximum(end - inside, 0)
-    owner = np.repeat(np.arange(len(centers)), lengths)
-    cols = np.arange(owner.size) + np.repeat(inside - (np.cumsum(lengths) - lengths), lengths)
-    dtype = np.min_scalar_type(grid.m + 1)
-    return (inside.astype(dtype), owner.astype(np.min_scalar_type(len(centers))),
-            cols.astype(dtype), col[owner, cols])
-
-
 def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
-    """(cells, plans): {r: _radius_cells} for the radii above SMALL_BALL_FACTOR h and
+    """(cells, plans): {r: large_ball_cells} for the radii above SMALL_BALL_FACTOR h and
     {r: small_ball_plan} for the others, r indexing lattice.radii.  Each build (a cache
     miss) adds 1 to the run's morrey.table_builds and the MB of both to .table_mb."""
     key = (grid.n, grid.m, grid.r_max,
@@ -124,12 +104,11 @@ def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
     if entry is not None:
         _TABLE_CACHE.move_to_end(key)
         return entry
-    base = sphere_area(grid.n) * volume_weights(grid)
     centers, radii = np.asarray(lattice.centers), np.asarray(lattice.radii)
     small = radii <= SMALL_BALL_FACTOR * grid.h
     plans = {int(ri): small_ball_plan(grid, centers, float(radii[ri]))
              for ri in np.flatnonzero(small)}
-    cells = {int(ri): _radius_cells(grid, base, centers, float(radii[ri]))
+    cells = {int(ri): large_ball_cells(grid, centers, float(radii[ri]))
              for ri in np.flatnonzero(~small)}
     nbytes = sum(x.nbytes for part in (cells, plans) for arrays in part.values() for x in arrays)
     counters.add("morrey.table_builds")
@@ -145,12 +124,8 @@ def _ball_integrals(grid: RadialGrid, lattice: MorreyLattice, g: np.ndarray) -> 
     """The integral of the density g over each lattice ball, per (center, radius)."""
     cells, plans = _cell_weights(grid, lattice)
     integrals = np.empty((len(lattice.centers), len(lattice.radii)))
-    # large radii: the prefix sum over the nodes wholly inside plus the band, each band
-    # summed alone in order (bincount), so every cell is a function of its own ball
-    inside_sums = np.concatenate(([0.0], np.cumsum(sphere_area(grid.n) * volume_weights(grid) * g)))
-    for ri, (inside, owner, cols, vals) in cells.items():
-        integrals[:, ri] = inside_sums.take(inside) + np.bincount(
-            owner, vals * g.take(cols), len(lattice.centers))
+    for ri, column in zip(cells, large_ball_integrals(grid, g, cells.values())):
+        integrals[:, ri] = column
     work = small_ball_work(max((plan.idx.shape[0] for plan in plans.values()), default=0))
     for ri, plan in plans.items():
         integrals[:, ri] = fine_ball_integral(grid, g, plan, work)

@@ -4,10 +4,11 @@ Reduces integrals over off-center balls and against off-center Gaussian heat
 kernels to one-dimensional radial quadrature on the field's own grid.  Fields
 are extended by zero beyond r_max in every kernel.  Each formula has one home:
 `_kernel_factors` is the single Gaussian-kernel evaluator (behind `heat_apply`,
-`BandedKernel` and `heat_kernel_matrix`), `origin_ball_weights` the single
-volume-weight formula, and `fine_ball_integral` the single small-ball rule,
-applied to a `small_ball_plan` that holds the rule's data-free geometry (kept by
-callers that evaluate many densities on one grid and lattice).
+`SymmetricBandKernel` and `heat_kernel_matrix`), `origin_ball_weights` the single
+volume-weight formula, `large_ball_cells` the single large-ball rule, and
+`fine_ball_integral` the single small-ball rule, applied to a `small_ball_plan`
+that holds the rule's data-free geometry (kept by callers that evaluate many
+densities on one grid and lattice).
 """
 
 import functools
@@ -16,6 +17,7 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import counters
 from .fields import FREE, RadialField, RadialGrid, make_field, make_grid
@@ -206,20 +208,43 @@ def fine_ball_integral(grid: RadialGrid, g: np.ndarray, plan: SmallBallPlan,
     return out
 
 
-def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
-    """integral over B(a e_1, R) of |f(|x|)|^q dx, by radial cap-weighted quadrature.
+def large_ball_cells(grid: RadialGrid, centers: np.ndarray, r_ball: float):
+    """The weights W[c, j] of the balls B(a_c e_1, R), R above SMALL_BALL_FACTOR h, kept as
+    (inside, owner, cols, vals): center c's nodes j < inside[c] lie wholly in its ball (W is the
+    whole-sphere weight); its band is the k with owner[k] = c, at nodes cols[k] with weights
+    vals[k]; all other W are 0.  Concentric balls clip s = R exactly, others sample the cap
+    fraction at nodes.  inside and cols take the plans' index dtype, owner the narrowest."""
+    base = sphere_area(grid.n) * volume_weights(grid)
+    col = base * cap_fraction_array(grid.n, centers[:, None], grid.nodes, r_ball)
+    col[centers == 0.0] = sphere_area(grid.n) * origin_ball_weights(grid, r_ball)
+    partial, nonzero = col != base, col != 0.0
+    inside = np.where(partial.any(axis=1), partial.argmax(axis=1), grid.m + 1)
+    end = np.where(nonzero.any(axis=1), grid.m + 1 - nonzero[:, ::-1].argmax(axis=1), 0)
+    lengths = np.maximum(end - inside, 0)
+    owner = np.repeat(np.arange(len(centers)), lengths)
+    cols = np.arange(owner.size) + np.repeat(inside - (np.cumsum(lengths) - lengths), lengths)
+    dtype = np.min_scalar_type(grid.m + 1)
+    return (inside.astype(dtype), owner.astype(np.min_scalar_type(len(centers))),
+            cols.astype(dtype), col[owner, cols])
 
-    Concentric balls (a = 0) clip the integration at s = R exactly; off-center
-    balls sample the spherical-cap fraction at nodes, where it vanishes
-    C^1-smoothly at the ball boundary.  Balls narrower than SMALL_BALL_FACTOR
-    grid spacings are integrated on a locally refined subgrid instead.
-    """
+
+def large_ball_integrals(grid: RadialGrid, g: np.ndarray, radius_cells):
+    """Per large_ball_cells in radius_cells, the integrals of g over its balls: the prefix sum
+    over the nodes wholly inside plus the band, summed alone in order (bincount), so each is a
+    function of its own ball alone."""
+    sums = np.concatenate(([0.0], np.cumsum(sphere_area(grid.n) * volume_weights(grid) * g)))
+    for inside, owner, cols, vals in radius_cells:
+        yield sums.take(inside) + np.bincount(owner, vals * g.take(cols), len(inside))
+
+
+def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
+    """integral over B(a e_1, R) of |f(|x|)|^q dx by the small- or large-ball rule; above
+    SMALL_BALL_FACTOR h bitwise the Morrey lattice's ball integral at (a, R)."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if a < 0 or r_ball <= 0:
         raise ValueError("need a >= 0, R > 0")
     grid = f.grid
-    n = grid.n
     if a + r_ball > grid.r_max and f.values[-1] != 0.0:
         warnings.warn(
             f"ball B({a:g}, {r_ball:g}) exceeds r_max={grid.r_max:g} with nonzero tail",
@@ -227,10 +252,8 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
     g = np.abs(f.values) ** q
     if r_ball <= SMALL_BALL_FACTOR * grid.h:
         return float(fine_ball_integral(grid, g, small_ball_plan(grid, a, r_ball)))
-    if a == 0.0:
-        return float(sphere_area(n) * np.sum(origin_ball_weights(grid, r_ball) * g))
-    frac = cap_fraction_array(n, a, grid.nodes, r_ball)
-    return float(sphere_area(n) * np.sum(volume_weights(grid) * g * frac))
+    cells = large_ball_cells(grid, np.array([a]), r_ball)
+    return float(next(large_ball_integrals(grid, g, [cells]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +284,9 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
 # symmetric (a_i s_j = s_j a_i and (x-y)^2 = (y-x)^2 exactly in IEEE arithmetic):
 # each block is evaluated from its diagonal on, and its part right of the
 # diagonal square stands, transposed, for the rows below it.  heat_apply streams
-# the blocks; _kernel_rows finishes rows for BandedKernel and heat_kernel_matrix.
+# the blocks; heat_kernel_matrix fills dense rows from them; SymmetricBandKernel
+# keeps only the upper diagonals of S, up to the last nonzero one, and applies
+# them and their transposes by strided sums.
 # ---------------------------------------------------------------------------
 
 _EXP_CUTOFF = 60.0   # exp(-60) ~ 9e-27: every exp(-x) with x past it is taken as 0.0
@@ -344,9 +369,6 @@ def angular_kernel_scaled(n: int, z) -> np.ndarray:
 
 
 _KERNEL_BLOCK_ROWS = 64
-# BandedKernel's row blocks: a block stores the union of its rows' bands, so shorter
-# blocks store fewer zeros, at one more dot product per block in every product.
-_BAND_BLOCK_ROWS = 16
 
 
 def _kernel_factors(grid: RadialGrid, t: float, centers=None):
@@ -377,54 +399,66 @@ def _kernel_factors(grid: RadialGrid, t: float, centers=None):
         yield i, i + len(a_blk), lo, hi, factor
 
 
-def _kernel_rows(grid: RadialGrid, t: float, centers=None):
-    """The finished matrix rows, _BAND_BLOCK_ROWS at a time: (i, lo, rows i.. over columns lo..)."""
-    base = trapezoid_weights(grid) * grid.nodes ** (grid.n - 1)   # trapezoid: superconvergent here
-    pending = []   # (k, kj, khi, S over kj:khi) of the node blocks still to be mirrored
-    for i, j, lo, hi, rows in _kernel_factors(grid, t, centers):
-        for k, kj, khi, right in pending:
-            c = max(k, lo)
-            rows[:min(j, khi) - i, c - lo:kj - lo] = right[c - k:, i - kj:min(j, khi) - kj].T
-        if centers is None:
-            pending = [p for p in pending + [(i, j, hi, rows[:, j - lo:].copy())] if p[2] > j]
-        rows *= base[lo:hi]   # rows i:j are complete
-        for r in range(0, j - i, _BAND_BLOCK_ROWS):
-            blk = rows[r:r + _BAND_BLOCK_ROWS]
-            full = np.zeros((len(blk), grid.m + 1))   # the mass is summed as a dense row's is
-            full[:, lo:hi] = blk
-            mass = full.sum(axis=1)
-            np.divide(blk, mass[:, None], out=blk, where=(mass > 1.0)[:, None])
-            yield i + r, lo, blk
-
-
 def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
     """Dense H with (H f)(i) ~= (G_t * f)(centers[i] e_1), rows defaulting to every node and
     row masses clipped at 1 (so H is sub-stochastic), for applying one kernel to many fields."""
     mat = np.zeros((grid.m + 1 if centers is None else len(centers), grid.m + 1))
-    for i, lo, rows in _kernel_rows(grid, t, centers):
-        mat[i:i + len(rows), lo:lo + rows.shape[1]] = rows
-    return mat
+    for i, j, lo, hi, factor in _kernel_factors(grid, t, centers):
+        first = i if centers is None else lo
+        mat[i:j, first:hi] = factor[:, first - lo:]
+        if centers is None:   # the part right of the diagonal square, mirrored below it
+            mat[j:hi, i:j] = factor[:, j - lo:].T
+    mat *= trapezoid_weights(grid) * grid.nodes ** (grid.n - 1)   # as ((c_t Lam) E) w
+    mass = mat.sum(axis=1)   # every row is complete: bitwise the all-entries formula's sums
+    return np.divide(mat, mass[:, None], out=mat, where=(mass > 1.0)[:, None])
 
 
-class BandedKernel:
-    """A heat-kernel matrix as the nonzero column bands of its (i, lo, rows) row blocks from
-    _kernel_rows, each a C-contiguous copy; `@` makes one dot product per block."""
+def kernel_bytes_bound(grid: RadialGrid, t: float) -> int:
+    """An upper bound on SymmetricBandKernel(grid, t).nbytes from the reach alone, known before
+    the build: every diagonal past it lies a whole node beyond its rows' reach."""
+    s = grid.nodes
+    past = np.searchsorted(s, s + math.sqrt(4.0 * t * _EXP_CUTOFF), side="right")
+    return (int(min((past - np.arange(len(s))).max(), grid.m)) + 1) * len(s) * 8
 
-    def __init__(self, row_blocks, shape):
-        self.shape = shape
-        self.blocks = []   # (the block's row slice, its band's column slice, the band)
-        for i, lo, rows in row_blocks:
-            nonzero = np.flatnonzero(rows.any(axis=0)) + lo
-            cols = slice(int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else slice(lo, lo)
-            self.blocks.append((slice(i, i + len(rows)), cols,
-                                rows[:, cols.start - lo:cols.stop - lo].copy()))
-        self.nbytes = sum(band.nbytes for _, _, band in self.blocks)
+
+class SymmetricBandKernel:
+    """The node-row heat-kernel matrix diag(1/mass where mass > 1) S diag(w), kept as the upper
+    diagonals of the symmetric factor S, diagonals[d, i] = S[i, i + d] (0.0 past the last
+    column) up to the last nonzero one, and the row masses S w."""
+
+    def __init__(self, grid: RadialGrid, t: float):
+        size = grid.m + 1
+        diagonals = np.zeros((kernel_bytes_bound(grid, t) // (8 * size), size))
+        for i, j, lo, hi, factor in _kernel_factors(grid, t):
+            # rows i:j from their diagonals on, zero-padded so that every row holds
+            # len(diagonals) entries, read off along the diagonals by a stride one past a row
+            upper = np.zeros((j - i, max(hi - i, j - i + len(diagonals) - 1)))
+            upper[:, :hi - i] = factor[:, i - lo:]
+            diagonals[:, i:j] = as_strided(upper, (len(diagonals), j - i),
+                                           (8, (upper.shape[1] + 1) * 8))
+        last = int(np.flatnonzero(diagonals.any(axis=1))[-1]) + 1
+        self.diagonals = diagonals[:last].copy() if last < len(diagonals) else diagonals
+        self.weights = trapezoid_weights(grid) * grid.nodes ** (grid.n - 1)
+        self.mass = self._product(self.weights)
+        self.nbytes = self.diagonals.nbytes
+
+    def _product(self, w: np.ndarray) -> np.ndarray:
+        """S w: each diagonal d against w shifted ahead by d and, for d >= 1, transposed against
+        w shifted back by d, summed over d in order (einsum), w read zero-padded."""
+        diagonals = self.diagonals
+        k, size = diagonals.shape[0] - 1, diagonals.shape[1]
+        padded = np.zeros(size + 2 * k)
+        padded[k:k + size] = w
+        ahead = as_strided(padded[k:], (k + 1, size), (8, 8))       # [d, i]: w[i + d]
+        behind = as_strided(padded[k - 1:], (k, size), (-8, 8))     # [d - 1, i]: w[i - d]
+        # [d - 1, i]: S[i - d, i] = diagonals[d, i - d]; where i < d this reads an entry of
+        # diagonal d - 1, finite, against behind's zero padding
+        below = as_strided(diagonals.reshape(-1)[size - 1:], (k, size), ((size - 1) * 8, 8))
+        return np.einsum("di,di->i", diagonals, ahead) + np.einsum("di,di->i", below, behind)
 
     def __matmul__(self, v):
-        out = np.empty(self.shape[0])
-        for rows, cols, band in self.blocks:
-            np.dot(band, v[cols], out=out[rows])
-        return out
+        out = self._product(self.weights * v)
+        return np.divide(out, self.mass, out=out, where=self.mass > 1.0)
 
 
 def gauss_convolve(f: RadialField, t: float, a: float) -> float:
@@ -436,7 +470,7 @@ def gauss_convolve(f: RadialField, t: float, a: float) -> float:
 def heat_apply(f: RadialField, t: float) -> RadialField:
     """The heat flow of the zero extension of f, sampled back onto f's grid, streamed block
     by block.  The result lives on the whole space, so it carries the free boundary tag."""
-    base = trapezoid_weights(f.grid) * f.grid.nodes ** (f.grid.n - 1)
+    base = trapezoid_weights(f.grid) * f.grid.nodes ** (f.grid.n - 1)   # superconvergent here
     cols = np.column_stack([base * f.values, base])
     acc = np.zeros_like(cols)   # per row: the weighted sum and the mass
     for i, j, lo, hi, factor in _kernel_factors(f.grid, t):

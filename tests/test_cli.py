@@ -12,9 +12,8 @@ import pytest
 from morreyheat import cli, counters, duhamel, evolution, morrey
 from morreyheat.fields import make_field, make_grid
 from morreyheat.morrey import MorreyLattice, critical_spec, morrey_norm
-from morreyheat.quadrature import (SMALL_BALL_FACTOR, heat_kernel_matrix, small_ball_plan,
-                                   sphere_area, volume_weights)
-from test_quadrature import _banded, _dense_cell_weights
+from morreyheat.quadrature import SMALL_BALL_FACTOR, small_ball_plan, sphere_area, volume_weights
+from test_quadrature import _dense_cell_weights, _diagonal_bytes
 
 
 def read(path):
@@ -108,6 +107,22 @@ def test_morrey_options_outside_their_domain_exit_2(key, value, tmp_path, capsys
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(cfg))
     assert cli.main(["morrey", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: experiment.{key}: need " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("iterations", 0), ("iterations", 1), ("t_end", -1.0), ("t_end", math.nan),
+    ("sample_times", []), ("sample_times", [0.1, 2.0]),
+])
+def test_picard_options_outside_their_domain_exit_2(key, value, tmp_path, capsys):
+    # iterations >= 2, 0 < t_end < inf and a nonempty sample_times inside (0, t_end],
+    # checked before the run
+    cfg = {"experiment": {"kind": "picard", "t_end": 1.0, key: value},
+           "grid": {"r_max": 10.0, "nodes": 64}}
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["picard", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: experiment.{key}: need " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -320,8 +335,7 @@ def test_picard_kind_end_to_end(tmp_path, fresh_tables):
         distinct = {float(dt) for dt in widths if dt >= floor}
         per_count += len(distinct)
         builds += len(distinct - previous)
-        band_bytes += sum(_banded(heat_kernel_matrix(grid, dt)).nbytes
-                          for dt in distinct - previous)
+        band_bytes += sum(_diagonal_bytes(grid, dt) for dt in distinct - previous)
         sweeps = 1 + duhamel._run_picard(u0, params, 0.5, 8, np.array([0.25, 0.5]), nodes,
                                          1e-8)[7]
         substeps += sweeps * sum(max(1, math.ceil(dt / cap)) for dt in widths if dt < floor)

@@ -10,7 +10,7 @@ from morreyheat import fields as F
 from morreyheat import morrey as M
 from morreyheat import quadrature as Q
 from morreyheat.params import make_params
-from test_quadrature import _banded, _dense_heat_kernel_matrix
+from test_quadrature import _assert_kernel_equals_dense_formula, _diagonal_bytes
 
 P5 = make_params(5, 3.0)
 
@@ -45,11 +45,10 @@ def test_picard_rejects_bad_arguments():
 
 
 class _PerIntervalPropagators:
-    """Reference store: one propagator built per interval, shared by none, none carried over,
-    each banded from the dense matrix."""
+    """Reference store: one propagator built per interval, shared by none, none carried over."""
 
     def __init__(self, grid, n, widths, previous=None):
-        self._store = [_banded(Q.heat_kernel_matrix(grid, float(dt)))
+        self._store = [Q.SymmetricBandKernel(grid, float(dt))
                        if dt >= 2.0 * grid.h**2 else D._DiffusionSubsteps(grid, n, float(dt))
                        for dt in widths]
 
@@ -63,8 +62,8 @@ def _kernel_counts(work):
 
 
 def _band_mb(grid, widths):
-    """Band MB of one kernel per width."""
-    return sum(_banded(Q.heat_kernel_matrix(grid, dt)).nbytes for dt in widths) / 2**20
+    """Band MB of one kernel per width, counted on the dense factor."""
+    return sum(_diagonal_bytes(grid, dt) for dt in widths) / 2**20
 
 
 def _substeps(grid, n, widths):
@@ -85,13 +84,12 @@ def test_picard_propagators_one_per_width(monkeypatch):
     for nodes in (32, 64):   # shared widths and a substep interval
         assert len(distinct[nodes]) < len(resolved[nodes]) < len(widths[nodes])
     assert recurring and len(distinct[32]) < len(distinct[64])
-    per_matrix = (g.m + 1) ** 2 * 8
 
     def run(nodes, previous=None):
         return D._run_picard(u0, P5, 1.0, 3, np.array([0.5, 1.0]), nodes, 1e-300, previous)
 
     got = {}
-    fits = len(distinct[64]) * per_matrix
+    fits = sum(Q.kernel_bytes_bound(g, dt) for dt in distinct[64])
     for budget in (fits, fits - 1):
         monkeypatch.setattr(D, "_KERNEL_CACHE_BYTES", budget)
         with counters.collect() as work:
@@ -106,7 +104,7 @@ def test_picard_propagators_one_per_width(monkeypatch):
         with counters.collect() as work:
             kernels = D._Propagators(g, P5.n, widths[64], first)
         assert first._store is None   # handed over: the widths that do not recur are freed
-        # the 64-node set overflows one matrix per interval but fits one per width
+        # the budget holds the 64-node set's bound exactly, or one byte less
         assert kernels.cached == (budget == fits)
         if kernels.cached:
             assert _kernel_counts(work) == (len(distinct[64] - recurring), len(recurring))
@@ -139,34 +137,44 @@ def test_picard_propagators_one_per_width(monkeypatch):
         assert solved.budget.tobytes() == want_solve.budget.tobytes()
 
 
+def _picard_widths(grid, counts=(64, 128)):
+    """The distinct resolved widths of the picard kind's default times at these Picard nodes."""
+    floor = 2.0 * grid.h**2
+    return sorted({float(dt) for count in counts for dt in np.diff(
+        D._graded_times(1.0, count, extra=[0.1, 0.5, 1.0], dt_floor=floor)) if dt >= floor})
+
+
 @pytest.mark.parametrize("nodes,share", [(400, 0.16), (800, 0.10)])
 def test_picard_store_holds_bands_not_dense_matrices(nodes, share):
-    # the picard kind's default times at 128 Picard nodes: the banded store's bytes
-    # stay below the given share of one dense matrix per width
+    # the picard kind's default times at 128 Picard nodes: the store's bytes stay below
+    # the given share of one dense matrix per width
     g = F.make_grid(5, 40.0, nodes)
     widths = np.diff(D._graded_times(1.0, 128, extra=[0.1, 0.5, 1.0], dt_floor=2.0 * g.h**2))
     store = D._Propagators(g, P5.n, widths)
-    kernels = [k for k in store._store.values() if isinstance(k, Q.BandedKernel)]
+    kernels = [k for k in store._store.values() if isinstance(k, Q.SymmetricBandKernel)]
     assert store.cached and kernels
     assert sum(k.nbytes for k in kernels) <= share * len(kernels) * (g.m + 1) ** 2 * 8
 
 
 @pytest.mark.parametrize("nodes", [400, 800])
+def test_kernel_bytes_bound_holds_for_every_picard_width(nodes):
+    # the store decides whether to cache on each width's bound before building; every kernel
+    # the picard kind builds at 64 and 128 Picard nodes on its 401- and 801-node grids fits it
+    g = F.make_grid(5, 40.0, nodes)
+    for dt in _picard_widths(g):
+        assert D._Propagators(g, P5.n, [dt])[0].nbytes <= Q.kernel_bytes_bound(g, dt), dt
+
+
+@pytest.mark.parametrize("nodes", [400, 800])
 def test_picard_bands_equal_the_banded_dense_formula(nodes):
     # the Picard propagators the picard kind builds at 64 and 128 Picard nodes on its 401- and
-    # 801-node grids (every third width) are built from the kernel's blocks with no dense
-    # matrix, and are bitwise the dense formula's matrix cut into bands
+    # 801-node grids (every third width) keep the dense factor's upper diagonals bitwise, and
+    # their masses and products agree with the dense formula's within rounding
     g = F.make_grid(5, 40.0, nodes)
-    floor = 2.0 * g.h**2
-    widths = sorted({float(dt) for count in (64, 128) for dt in np.diff(
-        D._graded_times(1.0, count, extra=[0.1, 0.5, 1.0], dt_floor=floor)) if dt >= floor})
-    for dt in widths[::3]:
-        got, want = D._Propagators(g, P5.n, [dt])[0], _banded(_dense_heat_kernel_matrix(g, dt))
-        assert got.shape == want.shape and got.nbytes == want.nbytes
-        for (rows, cols, band), (rows_w, cols_w, band_w) in zip(got.blocks, want.blocks,
-                                                               strict=True):
-            assert (rows, cols) == (rows_w, cols_w)
-            assert band.tobytes() == band_w.tobytes(), (dt, rows)
+    rng = np.random.default_rng(nodes)
+    for dt in _picard_widths(g)[::3]:
+        _assert_kernel_equals_dense_formula(D._Propagators(g, P5.n, [dt])[0], g, dt,
+                                            rng.standard_normal(g.m + 1))
 
 
 def test_first_correction_scales_like_amplitude_cubed():

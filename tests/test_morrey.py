@@ -214,3 +214,21 @@ def test_small_ball_cells_match_ball_integral():
         for ci, a in enumerate(lat.centers):
             expect = Q.ball_integral(f, spec.q, float(a), r_ball) * r_ball ** (spec.lam - 5)
             assert ev.cells[ci, ri] == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::morreyheat.quadrature.TruncationWarning")
+def test_large_cells_equal_ball_integral_bitwise():
+    # one large-ball rule: every lattice cell above SMALL_BALL_FACTOR h, the concentric ones
+    # included, is bitwise the one-ball integral times the lattice's own R^(lambda - n)
+    g = F.make_grid(5, 40.0, 400)
+    f = F.gaussian(g, 0.05, 2.0)
+    spec = M.critical_spec(P5)
+    lat = M.MorreyLattice.default(g)
+    ev = M.morrey_evaluate(f, spec, lat)
+    scale = np.asarray(lat.radii) ** (spec.lam - 5)
+    large = np.flatnonzero(lat.radii > Q.SMALL_BALL_FACTOR * g.h)
+    assert large.size and lat.centers[0] == 0.0
+    for ri in large:
+        for ci, a in enumerate(lat.centers):
+            got = Q.ball_integral(f, spec.q, float(a), float(lat.radii[ri])) * scale[ri]
+            assert got == ev.cells[ci, ri], (a, lat.radii[ri])

@@ -325,20 +325,26 @@ def test_heat_matrix_agrees_with_scalar_path():
         Q.heat_kernel_matrix(g, t, [1.0, math.nan])
 
 
-def _dense_heat_kernel_matrix(grid, t, centers=None, cut=True):
-    """The kernel formula evaluated at every entry, as one N x N expression; with cut=False
-    the Gaussian factors past Q._EXP_CUTOFF are kept."""
+def _dense_factor(grid, t, centers=None, cut=True):
+    """The pre-weight factor c_t Lam exp(-x) at every entry, as one N x N expression; with
+    cut=False the Gaussian factors past Q._EXP_CUTOFF are kept."""
     n = grid.n
     a = grid.nodes if centers is None else np.asarray(centers, dtype=float)
     s = grid.nodes
     c_t = (4.0 * math.pi * t) ** (-n / 2.0) * Q.sphere_area(n - 1)
     lam = Q.angular_kernel_scaled(n, np.outer(a, s) / (2.0 * t))
-    base = Q.trapezoid_weights(grid) * s ** (n - 1)
     x = (s[None, :] - a[:, None]) ** 2 / (4.0 * t)
     gauss = np.exp(-x)
     if cut:
         gauss[x > Q._EXP_CUTOFF] = 0.0
-    mat = c_t * lam * gauss * base[None, :]
+    return c_t * lam * gauss
+
+
+def _dense_heat_kernel_matrix(grid, t, centers=None, cut=True):
+    """The kernel formula evaluated at every entry: the factor times the column weights, its
+    rows divided by their masses above 1."""
+    base = Q.trapezoid_weights(grid) * grid.nodes ** (grid.n - 1)
+    mat = _dense_factor(grid, t, centers, cut) * base[None, :]
     mass = mat.sum(axis=1)
     over = mass > 1.0
     if np.any(over):
@@ -346,10 +352,34 @@ def _dense_heat_kernel_matrix(grid, t, centers=None, cut=True):
     return mat
 
 
-def _banded(mat):
-    """A dense kernel matrix as a BandedKernel, cut into its _BAND_BLOCK_ROWS row blocks."""
-    rows = Q._BAND_BLOCK_ROWS
-    return Q.BandedKernel(((i, 0, mat[i:i + rows]) for i in range(0, len(mat), rows)), mat.shape)
+def _diagonal_bytes(grid, t):
+    """The bytes of the upper diagonals of the dense factor, up to its last nonzero one."""
+    rows, cols = np.nonzero(np.triu(_dense_factor(grid, t)))
+    return (int((cols - rows).max()) + 1) * (grid.m + 1) * 8
+
+
+def _assert_kernel_equals_dense_formula(kernel, grid, t, v):
+    """Every stored diagonal is bitwise the dense factor's, zero past the last column, and
+    every later one is 0.0; the masses and a product agree with the dense formula's within
+    the rounding of a sum over the row; the bytes are the dense factor's diagonal count."""
+    factor = _dense_factor(grid, t)
+    size = grid.m + 1
+    assert kernel.diagonals.shape[1] == size
+    for d, diagonal in enumerate(kernel.diagonals):
+        want = np.zeros(size)
+        want[:size - d] = np.diagonal(factor, d)
+        assert diagonal.tobytes() == want.tobytes(), (t, d)
+    assert kernel.diagonals[-1].any()
+    assert not np.triu(factor, len(kernel.diagonals)).any()
+    assert kernel.nbytes == _diagonal_bytes(grid, t) <= Q.kernel_bytes_bound(grid, t)
+    eps = np.finfo(float).eps
+    base = Q.trapezoid_weights(grid) * grid.nodes ** (grid.n - 1)
+    mass = (factor * base[None, :]).sum(axis=1)
+    assert np.all(np.abs(kernel.mass - mass) <= size * eps * mass), t
+    mat = _dense_heat_kernel_matrix(grid, t)
+    got = kernel @ v
+    assert got.shape == (size,)
+    assert np.all(np.abs(got - mat @ v) <= size * eps * (np.abs(mat) @ np.abs(v))), t
 
 
 @pytest.mark.parametrize("nodes,r_max", [(200, 10.0), (800, 40.0), (1600, 16.0)])
@@ -421,28 +451,14 @@ def test_heat_kernel_matrix_is_sub_stochastic(case):
     assert np.all(mat.sum(axis=1) <= 1.0 + 1e-12)
 
 
-def _bands(g, t):
-    """The BandedKernel of (g, t) as the Picard store builds it, from the kernel's rows."""
-    return Q.BandedKernel(Q._kernel_rows(g, t), (g.m + 1, g.m + 1))
-
-
 @settings(max_examples=10, deadline=None)
 @given(_kernel_cases())
 def test_banded_kernel_reassembles_the_matrix(case):
-    # the blocks cover every row once, and every entry outside their bands is 0.0
-    mat = Q.heat_kernel_matrix(*case)
-    bands = _bands(*case)
-    got = np.zeros(bands.shape)
-    assert ([rows.start for rows, _, _ in bands.blocks]
-            == list(range(0, mat.shape[0], Q._BAND_BLOCK_ROWS)))
-    rows = []
-    for block_rows, cols, band in bands.blocks:
-        assert band.flags.c_contiguous
-        assert band.shape == (block_rows.stop - block_rows.start, cols.stop - cols.start)
-        rows.extend(range(block_rows.start, block_rows.stop))
-        got[block_rows, cols] = band
-    assert rows == list(range(mat.shape[0]))
-    assert got.tobytes() == mat.tobytes()
+    # the symmetric band kernel keeps the dense factor's upper diagonals bitwise, and its
+    # masses and products agree with the dense formula within rounding
+    g, t = case
+    _assert_kernel_equals_dense_formula(Q.SymmetricBandKernel(g, t), g, t,
+                                        np.random.default_rng(g.m).standard_normal(g.m + 1))
 
 
 @settings(max_examples=10, deadline=None)
@@ -451,7 +467,7 @@ def test_banded_kernel_product_matches_dense(case, seed):
     g, t = case
     mat = Q.heat_kernel_matrix(g, t)
     v = np.random.default_rng(seed).standard_normal(g.m + 1)
-    got = _bands(g, t) @ v
+    got = Q.SymmetricBandKernel(g, t) @ v
     assert got.shape == (g.m + 1,)
     bound = (g.m + 1) * np.finfo(float).eps * (np.abs(mat) @ np.abs(v))
     assert np.all(np.abs(got - mat @ v) <= bound)
@@ -460,18 +476,34 @@ def test_banded_kernel_product_matches_dense(case, seed):
 @settings(max_examples=10, deadline=None)
 @given(_kernel_cases())
 def test_banded_kernel_stores_only_the_bands(case):
-    # each block keeps exactly the columns from its first to its last nonzero entry
+    # the kernel keeps the diagonals up to the dense factor's last nonzero one, within the
+    # bound its reach gives before the build, and under one dense matrix while the reach
+    # is shorter than the grid
     g, t = case
-    mat = Q.heat_kernel_matrix(g, t)
-    bands = _bands(g, t)
-    want = 0
-    for i in range(0, mat.shape[0], Q._BAND_BLOCK_ROWS):
-        cols = np.flatnonzero(mat[i:i + Q._BAND_BLOCK_ROWS].any(axis=0))
-        want += len(mat[i:i + Q._BAND_BLOCK_ROWS]) * (cols[-1] + 1 - cols[0]) * 8
-    assert all(band[:, 0].any() and band[:, -1].any() for _, _, band in bands.blocks)
-    assert bands.nbytes == want <= mat.nbytes
+    kernel = Q.SymmetricBandKernel(g, t)
+    dense = (g.m + 1) ** 2 * 8
+    assert kernel.nbytes == _diagonal_bytes(g, t) <= Q.kernel_bytes_bound(g, t) <= dense
     if math.sqrt(4.0 * t * Q._EXP_CUTOFF) < g.r_max:
-        assert bands.nbytes < mat.nbytes
+        assert kernel.nbytes < dense
+
+
+@settings(max_examples=10, deadline=None)
+@given(_kernel_cases(), st.integers(0, 2**32 - 1))
+def test_banded_kernel_product_is_independent_of_alignment(case, seed):
+    # a product reads its operands through strided views; it is bitwise the same whatever
+    # the addresses of the vector and of the stored diagonals
+    g, t = case
+    kernel = Q.SymmetricBandKernel(g, t)
+    v = np.random.default_rng(seed).standard_normal(g.m + 1)
+    want = (kernel @ v).tobytes()
+    for shift in (1, 3):
+        moved = np.empty(g.m + 1 + shift)[shift:]
+        moved[:] = v
+        assert (kernel @ moved).tobytes() == want
+        diagonals = np.empty(kernel.diagonals.size + shift)[shift:]
+        diagonals[:] = kernel.diagonals.reshape(-1)
+        kernel.diagonals = diagonals.reshape(kernel.diagonals.shape)
+        assert (kernel @ v).tobytes() == want
 
 
 @pytest.mark.parametrize("nodes,r_max", [(200, 10.0), (800, 40.0), (1600, 16.0)])
