@@ -47,7 +47,7 @@ def default_config(kind: str) -> dict:
         "grid": {"r_max": 40.0, "nodes": 400},
         # safety 2.4 is below evolution.max_safety(n) for every n >= 3 (dt*rho = 2.03 at n = 5)
         "solver": {"t_end": 20.0, "dt_init": 0.1, "dt_min": 1e-14, "safety": 2.4,
-                   "blowup_threshold": 1e8, "checkpoints": 20, "series_stride": 1},
+                   "blowup_threshold": 1e8, "checkpoints": 20},
         "initial_data": {"profile": "gaussian", "args": {"amplitude": 0.05, "width": 2.0},
                          "boundary": DIRICHLET},
         "experiment": {"kind": kind},
@@ -112,10 +112,14 @@ _BLOCKS = ("params", "grid", "solver", "experiment", "initial_data")
 
 
 def _merged(cfg) -> dict:
-    """`cfg` with each block merged over the defaults of its kind, and `output_dir` defaulted."""
+    """`cfg` with each block merged over its kind's defaults; a key they lack is a ConfigError."""
     _object("config", cfg)
     blocks = {block: _object(block, cfg.get(block, {})) for block in _BLOCKS}
     base = default_config(_get(blocks, "experiment.kind", str))
+    unknown = [key for key in cfg if key not in base] + [
+        f"{block}.{key}" for block in _BLOCKS for key in blocks[block] if key not in base[block]]
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown key")
     merged = dict(cfg, output_dir=cfg.get("output_dir", base["output_dir"]))
     for block in _BLOCKS:
         merged[block] = {**base[block], **blocks[block]}
@@ -125,7 +129,8 @@ def _merged(cfg) -> dict:
 def _solver_config(cfg: dict, n: int, t_end=None, checkpoint_times=None) -> evolution.SolverConfig:
     """The solver block as a SolverConfig for dimension n; a safety beyond RK4's
     stability bound evolution.max_safety(n) is a ConfigError."""
-    t_end = t_end if t_end is not None else _get(cfg, "solver.t_end", float)
+    if t_end is None:
+        t_end = _get(cfg, "solver.t_end", float, lambda v: 0 < v < math.inf, "0 < t_end < inf")
     if checkpoint_times is None:
         cps = _get(cfg, "solver.checkpoints", (int, list),
                    lambda v: not isinstance(v, int) or v >= 1, "at least 1")
@@ -133,13 +138,12 @@ def _solver_config(cfg: dict, n: int, t_end=None, checkpoint_times=None) -> evol
                             else _get(cfg, "solver.checkpoints", [float]))
     settings = {key: _get(cfg, f"solver.{key}", float)
                 for key in ("dt_init", "dt_min", "safety", "blowup_threshold")}
-    stride = _get(cfg, "solver.series_stride", int)
     if settings["safety"] > evolution.max_safety(n):
         raise ConfigError(f"solver.safety: {settings['safety']} exceeds RK4's stability bound "
                           f"{evolution.max_safety(n):.6g} for n = {n}")
     try:
         return evolution.SolverConfig(t_end=float(t_end), checkpoint_times=tuple(checkpoint_times),
-                                      series_stride=stride, **settings)
+                                      **settings)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
@@ -285,9 +289,8 @@ def _run_energy(cfg, bundle):
     ds = _get(cfg, "experiment.ds", float)
     frac = _get(cfg, "experiment.t_lo_fraction", float)
     t_margin = _get(cfg, "experiment.t_margin", float)
-    horizon = _get(cfg, "solver.t_end", (int, float))
+    horizon = _get(cfg, "solver.t_end", float, lambda v: 0 < v < math.inf, "0 < t_end < inf")
     grids = {}
-    all_times = []
     for T in t_values:
         # start each window at a fixed fraction of T so the s-compression of
         # the t-dynamics stays bounded and dm/ds is resolved at this ds
@@ -295,11 +298,10 @@ def _run_energy(cfg, bundle):
         t_hi = min(horizon, T - t_margin)
         if t_hi <= t_lo:
             raise ConfigError(f"experiment.T_values: window empty for T={T}")
-        s_grid = np.arange(-math.log(T - t_lo), -math.log(T - t_hi), ds)
-        grids[T] = s_grid
-        all_times.extend(similarity.checkpoint_times_for_s_grid(T, s_grid))
-    times = tuple(sorted(set(round(float(t), 12) for t in all_times)))
-    # the solve ends at the last checkpoint a window reads, not at the horizon
+        grids[T] = np.arange(-math.log(T - t_lo), -math.log(T - t_hi), ds)
+    # the windows' checkpoints at exactly these floats; the solve ends at the last, not at horizon
+    times = sorted({t for T, s_grid in grids.items()
+                    for t in similarity.checkpoint_times_for_s_grid(T, s_grid).tolist()})
     traj = evolution.solve(u0, params, _solver_config(cfg, params.n, t_end=times[-1],
                                                       checkpoint_times=times))
     if traj.status.kind != "reached_horizon":
@@ -399,7 +401,7 @@ def _run_threshold(cfg, bundle):
 
 def _run_dependence(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    t0_horizon = _get(cfg, "experiment.T0", float)
+    t0_horizon = _get(cfg, "experiment.T0", float, lambda v: 0 < v < math.inf, "0 < T0 < inf")
     cfg_solver = _solver_config(cfg, params.n, t_end=t0_horizon,
                                 checkpoint_times=evolution.log_checkpoints(t0_horizon, 16))
     sizes = _get(cfg, "experiment.sizes", [float])

@@ -285,9 +285,8 @@ def continuous_dependence(u0: RadialField, v0s, cfg: SolverConfig, params: Model
             continue
         tv = solve(v0, params, cfg)
         failed = tu.status.kind != "reached_horizon" or tv.status.kind != "reached_horizon"
-        k = min(len(tu.checkpoints), len(tv.checkpoints))
         ts, ratios = [], []
-        for (t1, f1), (t2, f2) in zip(tu.checkpoints[:k], tv.checkpoints[:k]):
+        for (t1, f1), (t2, f2) in zip(tu.checkpoints, tv.checkpoints):
             diff = make_field(u0.grid, f1.values - f2.values)
             ts.append(t1)
             ratios.append(morrey_norm(diff, spec, lattice) / dist0)

@@ -26,7 +26,7 @@ import numpy as np
 from . import counters
 from .fields import DIRICHLET, RadialField, make_field, make_grid
 from .params import ModelParams
-from .quadrature import heat_kernel_matrix
+from .quadrature import heat_apply
 
 
 BOUNDARY_CONTAMINATION = 1e-6   # |u| next to r_max, over sup |u|, that aborts a free run
@@ -47,8 +47,7 @@ class SolverConfig:
     safety: float = 0.8                # multiple of h^2/(2n), in (0, max_safety(n)]
     blowup_threshold: float = 1e8      # sup-norm blowup threshold
     t_end: float = 10.0
-    checkpoint_times: tuple = ()       # exact times to snapshot (empty: log-spaced 20)
-    series_stride: int = 1
+    checkpoint_times: tuple = ()       # exact snapshot times, in (0, t_end] (empty: 20 log-spaced)
     nonlinear: bool = True             # test hook: False integrates the pure heat flow
 
     def __post_init__(self):
@@ -56,13 +55,13 @@ class SolverConfig:
             raise ValueError("need dt_min < dt_init")
         if not self.safety > 0:
             raise ValueError("safety must be > 0")
-        if self.series_stride < 1:
-            raise ValueError("series_stride must be >= 1")
         if self.blowup_threshold < 1e6:
             raise ValueError("blowup threshold must be >= 1e6")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"need 0 < t_end < inf, got {self.t_end!r}")
         ts = np.asarray(self.checkpoint_times, dtype=float)
-        if ts.size and not np.all(np.diff(ts) > 0):
-            raise ValueError("checkpoint times must be strictly increasing")
+        if ts.size and not (0 < ts[0] and ts[-1] <= self.t_end and np.all(np.diff(ts) > 0)):
+            raise ValueError("checkpoint times must increase strictly within (0, t_end]")
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class Trajectory:
     checkpoints: list          # [(t, RadialField), ...]
     series: np.ndarray         # columns t, sup_norm, weighted_sup, dt
     status: TrajectoryStatus
-    steps: int = 0             # every RK4 step, whatever the series stride
 
     @property
     def times(self) -> np.ndarray:
@@ -220,6 +218,8 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     R^n and aborts if the solution contaminates the boundary region.  A
     nonfinite state aborts the run; its series ends at the last finite state.
     A safety above max_safety(n), where RK4 is unstable, is a ValueError.
+    Every step appends one series row.  A step that would reach or pass the next
+    checkpoint or t_end lands on it: t is set to that time itself, not t + dt.
 
     Reports its steps, by the cap that bound each, and the smallest dt to the
     run's counters: diffusive counts the steps at min(dt_init, safety h^2/(2n)),
@@ -240,12 +240,9 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
 
     dt_cap = min(cfg.dt_init, diffusive_cap(cfg.safety, grid.h, n))
     t_end, dt_min, sup_max = cfg.t_end, cfg.dt_min, cfg.blowup_threshold
-    stride = cfg.series_stride
-    checkpoint_times = [float(t) for t in (cfg.checkpoint_times if len(cfg.checkpoint_times)
-                                           else log_checkpoints(t_end))
-                        if t <= t_end * (1 + 1e-12)]
-    n_cp = len(checkpoint_times)
-    targets = checkpoint_times + [t_end]   # the time each step lands on at most
+    targets = [float(t) for t in (cfg.checkpoint_times if len(cfg.checkpoint_times)
+                                  else log_checkpoints(t_end))] + [t_end]
+    n_cp = len(targets) - 1   # the checkpoint times, then t_end: the times steps land on
 
     u = stepper.u
     u[:] = u0.values
@@ -276,7 +273,8 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
             status = _blowup_status(series, params, t)
             break
         target = targets[next_cp]
-        if target > t and target - t < dt:
+        landing = target - t <= dt
+        if landing:
             dt, cap = target - t, 2
         step_rk4(dt)
         step += 1
@@ -289,15 +287,14 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
         if not math.isfinite(sup_new):
             status = TrajectoryStatus("aborted", t + dt, reason="nonfinite")
             break
-        t += dt
+        t = target if landing else t + dt
         sup = sup_new
         wsup = np.multiply(r_pow, abs_u, out=abs_u).item(abs_u.argmax())
-        if step % stride == 0:
-            series.append((t, sup, wsup, dt))
+        series.append((t, sup, wsup, dt))
         if not dirichlet and sup > 0 and abs(u.item(-2)) > BOUNDARY_CONTAMINATION * sup:
             status = TrajectoryStatus("aborted", t, reason="boundary_contamination")
             break
-        if next_cp < n_cp and t >= checkpoint_times[next_cp] * (1 - 1e-12):
+        if next_cp < n_cp and t == targets[next_cp]:
             checkpoints.append((t, make_field(grid, u, u0.boundary)))
             next_cp += 1
         if sup >= sup_max:
@@ -306,15 +303,13 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
 
     if status is None:
         status = TrajectoryStatus("reached_horizon", t)
-    if series[-1][0] < t:
-        series.append((t, sup, wsup, 0.0))
 
     counters.add("evolution.steps", step)
     for cap, count in zip(("diffusive", "nonlinear", "landing"), bound_by):
         counters.add(f"evolution.cap.{cap}", count)
     counters.least("evolution.min_dt", min_dt)
     return Trajectory(params=params, checkpoints=checkpoints,
-                      series=np.array(series), status=status, steps=step)
+                      series=np.array(series), status=status)
 
 
 def _blowup_status(series, params, t):
@@ -406,17 +401,16 @@ def gradient_majorant_check(traj: Trajectory, u0: RadialField, grad_u0: RadialFi
     Returns (holds, worst_ratio) where worst_ratio is the max of the left side
     over twice the smoothed gradient; t_small must be in the first 5% of the run.
     """
-    horizon = traj.series[-1, 0]
-    if t_small > 0.05 * horizon * (1 + 1e-12):
+    if t_small > 0.05 * traj.series[-1, 0]:
         raise ValueError("t_small must lie in the first 5% of the run")
-    abs_g0 = np.abs(grad_u0.values)
+    abs_g0 = make_field(u0.grid, np.abs(grad_u0.values))
     worst = 0.0
     checked = 0
     for t, f in traj.checkpoints:
         if t > t_small:
             continue
         checked += 1
-        majorant = 2.0 * (heat_kernel_matrix(u0.grid, t) @ abs_g0)
+        majorant = 2.0 * heat_apply(abs_g0, t).values
         du = np.abs(np.gradient(f.values, u0.grid.h))
         du[0] = 0.0
         mask = majorant >= 1e-14

@@ -4,11 +4,12 @@ Reduces integrals over off-center balls and against off-center Gaussian heat
 kernels to one-dimensional radial quadrature on the field's own grid.  Fields
 are extended by zero beyond r_max in every kernel.  Each formula has one home:
 `_kernel_factors` is the single Gaussian-kernel evaluator (behind `heat_apply`,
-`SymmetricBandKernel` and `heat_kernel_matrix`), `origin_ball_weights` the single
-volume-weight formula, `large_ball_cells` the single large-ball rule, and
-`fine_ball_integral` the single small-ball rule, applied to a `small_ball_plan`
-that holds the rule's data-free geometry (kept by callers that evaluate many
-densities on one grid and lattice).
+`SymmetricBandKernel` and `heat_kernel_matrix`), `kernel_weights` their one
+column-weight array per grid, `origin_ball_weights` the single volume-weight
+formula, `large_ball_cells` the single large-ball rule, and `fine_ball_integral`
+the single small-ball rule, applied to a `small_ball_plan` that holds the rule's
+data-free geometry (kept by callers that evaluate many densities on one grid and
+lattice).
 """
 
 import functools
@@ -83,10 +84,18 @@ def cap_fraction(n: int, a: float, s: float, r_ball: float) -> float:
     return float(cap_fraction_array(n, a, np.array([s]), r_ball)[0])
 
 
-def trapezoid_weights(grid: RadialGrid) -> np.ndarray:
-    w = np.full(grid.m + 1, grid.h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+def kernel_weights(grid: RadialGrid) -> np.ndarray:
+    """The heat kernels' column weights, the trapezoid rule's (h, halved at both ends) times
+    s^(n-1): one read-only array per grid."""
+    return _kernel_weights(grid.n, grid.m, grid.r_max)
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_weights(n: int, m: int, r_max: float) -> np.ndarray:
+    grid = make_grid(n, r_max, m)
+    w = grid.h * grid.nodes ** (n - 1)
+    w[[0, -1]] *= 0.5
+    w.setflags(write=False)
     return w
 
 
@@ -284,9 +293,9 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
 # symmetric (a_i s_j = s_j a_i and (x-y)^2 = (y-x)^2 exactly in IEEE arithmetic):
 # each block is evaluated from its diagonal on, and its part right of the
 # diagonal square stands, transposed, for the rows below it.  heat_apply streams
-# the blocks; heat_kernel_matrix fills dense rows from them; SymmetricBandKernel
-# keeps only the upper diagonals of S, up to the last nonzero one, and applies
-# them and their transposes by strided sums.
+# the blocks, and SymmetricBandKernel keeps only the upper diagonals of S, up to
+# the last nonzero one, and applies them and their transposes by strided sums.
+# heat_kernel_matrix fills dense rows at explicit centers from whole blocks.
 # ---------------------------------------------------------------------------
 
 _EXP_CUTOFF = 60.0   # exp(-60) ~ 9e-27: every exp(-x) with x past it is taken as 0.0
@@ -399,16 +408,13 @@ def _kernel_factors(grid: RadialGrid, t: float, centers=None):
         yield i, i + len(a_blk), lo, hi, factor
 
 
-def heat_kernel_matrix(grid: RadialGrid, t: float, centers=None) -> np.ndarray:
-    """Dense H with (H f)(i) ~= (G_t * f)(centers[i] e_1), rows defaulting to every node and
-    row masses clipped at 1 (so H is sub-stochastic), for applying one kernel to many fields."""
-    mat = np.zeros((grid.m + 1 if centers is None else len(centers), grid.m + 1))
+def heat_kernel_matrix(grid: RadialGrid, t: float, centers) -> np.ndarray:
+    """Dense H with (H f)(i) ~= (G_t * f)(centers[i] e_1) and row masses clipped at 1 (so H is
+    sub-stochastic), for applying one kernel to many fields at a few centers."""
+    mat = np.zeros((len(centers), grid.m + 1))
     for i, j, lo, hi, factor in _kernel_factors(grid, t, centers):
-        first = i if centers is None else lo
-        mat[i:j, first:hi] = factor[:, first - lo:]
-        if centers is None:   # the part right of the diagonal square, mirrored below it
-            mat[j:hi, i:j] = factor[:, j - lo:].T
-    mat *= trapezoid_weights(grid) * grid.nodes ** (grid.n - 1)   # as ((c_t Lam) E) w
+        mat[i:j, lo:hi] = factor
+    mat *= kernel_weights(grid)   # as ((c_t Lam) E) w
     mass = mat.sum(axis=1)   # every row is complete: bitwise the all-entries formula's sums
     return np.divide(mat, mass[:, None], out=mat, where=(mass > 1.0)[:, None])
 
@@ -438,7 +444,7 @@ class SymmetricBandKernel:
                                            (8, (upper.shape[1] + 1) * 8))
         last = int(np.flatnonzero(diagonals.any(axis=1))[-1]) + 1
         self.diagonals = diagonals[:last].copy() if last < len(diagonals) else diagonals
-        self.weights = trapezoid_weights(grid) * grid.nodes ** (grid.n - 1)
+        self.weights = kernel_weights(grid)
         self.mass = self._product(self.weights)
         self.nbytes = self.diagonals.nbytes
 
@@ -470,7 +476,7 @@ def gauss_convolve(f: RadialField, t: float, a: float) -> float:
 def heat_apply(f: RadialField, t: float) -> RadialField:
     """The heat flow of the zero extension of f, sampled back onto f's grid, streamed block
     by block.  The result lives on the whole space, so it carries the free boundary tag."""
-    base = trapezoid_weights(f.grid) * f.grid.nodes ** (f.grid.n - 1)   # superconvergent here
+    base = kernel_weights(f.grid)   # superconvergent here
     cols = np.column_stack([base * f.values, base])
     acc = np.zeros_like(cols)   # per row: the weighted sum and the mass
     for i, j, lo, hi, factor in _kernel_factors(f.grid, t):

@@ -110,16 +110,14 @@ def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid,
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.size < 3 or not np.all(np.diff(s_grid) > 0):
         raise ValueError("s_grid must be increasing with at least 3 points")
-    wanted = checkpoint_times_for_s_grid(T, s_grid)
-    have = {round(t, 12): f for t, f in traj.checkpoints}
+    have = dict(traj.checkpoints)
     rows, truncated = [], False
-    for s, t in zip(s_grid, wanted):
-        key = round(float(t), 12)
-        if key not in have:
+    for s, t in zip(s_grid, checkpoint_times_for_s_grid(T, s_grid).tolist()):
+        if t not in have:
             raise ValueError(f"trajectory lacks a checkpoint at t={t!r} (s={s:g})")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            w = to_similarity(have[key], float(t), T, params, y_max, h_y)
+            w = to_similarity(have[t], t, T, params, y_max, h_y)
         truncated |= w.truncated
         rows.append(_weighted_integrals(w, params))
     e_arr, m_arr, p_arr, g_arr = np.array(rows).T
@@ -170,7 +168,7 @@ def functional_N(u0: RadialField, grad_u0: RadialField, t0: float, t_grid,
                  params: ModelParams) -> float:
     """Finite surrogate of sup over t >= t0 and the default lattice's centers of functional_A."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < t0 * (1 - 1e-12)):
+    if np.any(t_grid < t0):
         raise ValueError("t_grid must lie in [t0, infinity)")
     from .morrey import MorreyLattice
     centers = MorreyLattice.default(u0.grid).centers

@@ -56,10 +56,26 @@ def test_config_not_an_object_exits_2(config, named, tmp_path, capsys):
     assert f"config error: {named}: expected an object" in capsys.readouterr().err
 
 
+_CHECKPOINT_DOMAIN = "solver: checkpoint times must increase strictly within (0, t_end]"
+
+
 @pytest.mark.parametrize("kind, path, value, message", [
     ("solve", "solver.dt_min", 1.0, "solver: need dt_min < dt_init"),
-    ("solve", "solver.series_stride", 0, "solver: series_stride must be >= 1"),
-    ("solve", "solver.series_stride", -3, "solver: series_stride must be >= 1"),
+    # 0 < t_end < inf, and checkpoint times strictly increasing within (0, t_end]
+    ("solve", "solver.t_end", 0.0, "solver.t_end: need 0 < t_end < inf"),
+    ("solve", "solver.t_end", -1.0, "solver.t_end: need 0 < t_end < inf"),
+    ("solve", "solver.t_end", math.nan, "solver.t_end: need 0 < t_end < inf"),
+    ("solve", "solver.t_end", 1e400, "solver.t_end: need 0 < t_end < inf"),
+    ("threshold", "solver.t_end", 0.0, "solver.t_end: need 0 < t_end < inf"),
+    ("energy", "solver.t_end", 0.0, "solver.t_end: need 0 < t_end < inf"),
+    ("energy", "solver.t_end", math.nan, "solver.t_end: need 0 < t_end < inf"),
+    ("solve", "solver.checkpoints", [0.0, 0.25], _CHECKPOINT_DOMAIN),
+    ("solve", "solver.checkpoints", [0.25, 5.0], _CHECKPOINT_DOMAIN),
+    ("solve", "solver.checkpoints", [math.nan], _CHECKPOINT_DOMAIN),
+    ("solve", "solver.checkpoints", [0.3, 0.2], _CHECKPOINT_DOMAIN),
+    ("dependence", "experiment.T0", 0.0, "experiment.T0: need 0 < T0 < inf"),
+    ("dependence", "experiment.T0", -1.0, "experiment.T0: need 0 < T0 < inf"),
+    ("dependence", "experiment.T0", math.inf, "experiment.T0: need 0 < T0 < inf"),
     ("solve", "solver.checkpoints", 0, "solver.checkpoints: need at least 1"),
     ("solve", "solver.checkpoints", -2, "solver.checkpoints: need at least 1"),
     ("solve", "solver.safety", 0.0, "solver: safety must be > 0"),
@@ -127,6 +143,36 @@ def test_picard_options_outside_their_domain_exit_2(key, value, tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("blocks, path", [
+    ({"solver": {"series_stride": 1}}, "solver.series_stride"),
+    ({"experiment": {"q": 2.0}}, "experiment.q"),
+    ({"initial_data": {"amplitude": 0.1}}, "initial_data.amplitude"),
+    ({"grids": {"nodes": 64}}, "grids"),
+])
+def test_unknown_config_key_exits_2(blocks, path, tmp_path, capsys):
+    # a key that no default states is rejected, not silently ignored
+    cfg = {"experiment": {"kind": "solve"}, "grid": {"r_max": 10.0, "nodes": 64},
+           "solver": {"t_end": 0.5}}
+    for block, keys in blocks.items():
+        cfg.setdefault(block, {}).update(keys)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {path}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_checkpoints_recorded_at_their_requested_times():
+    # the default solve config: each checkpoint is recorded at exactly its requested time,
+    # and the run ends at exactly t_end
+    cfg = cli._merged(cli.default_config("solve"))
+    params, _, u0 = cli._build_inputs(cfg)
+    solver = cli._solver_config(cfg, params.n)
+    traj = evolution.solve(u0, params, solver)
+    assert [t for t, _ in traj.checkpoints] == list(solver.checkpoint_times)
+    assert traj.series[-1, 0] == traj.status.t_final == solver.t_end
+
+
 def test_unknown_kind_rejected():
     cfg = cli.default_config("solve")
     cfg["experiment"]["kind"] = "banana"
@@ -144,8 +190,7 @@ def test_bad_profile_args_name_the_block():
 
 @pytest.mark.parametrize("path", ["grid.nodes", "solver.t_end", "params.p",
                                   "solver.dt_init", "solver.dt_min", "solver.safety",
-                                  "solver.blowup_threshold", "solver.series_stride",
-                                  "solver.checkpoints"])
+                                  "solver.blowup_threshold", "solver.checkpoints"])
 def test_bool_rejected_where_number_required(path, tmp_path):
     cfg = cli.default_config("solve")
     block, key = path.split(".")
@@ -283,7 +328,7 @@ def _table_counters(grid) -> dict:
 
 
 def test_solve_and_dependence_record_rk4_work(tmp_path, fresh_tables):
-    # solve: one series row per step after the initial one, at series_stride 1
+    # solve: one series row per step after the initial one
     cli.run_experiment(small_solve_config(tmp_path, "gaussian", {"amplitude": 0.1, "width": 2.0}),
                        out_dir=tmp_path / "s")
     profile = json.loads((tmp_path / "s" / "manifest.json").read_text())["profile"]
@@ -515,10 +560,10 @@ def test_threshold_manifest_counts_solver_work(tmp_path, fresh_tables):
         for lam in lams:
             run = evolution.solve(make_field(grid, lam * phi.values, phi.boundary), params,
                                   cli._solver_config(cfg, params.n))
-            assert run.steps == len(run.series) - 1   # series_stride 1: one row per step
             dts.extend(run.series[1:, 3])
     caps = [work[f"evolution.cap.{cap}"] for cap in ("diffusive", "nonlinear", "landing")]
-    assert min(caps) > 0 and work["evolution.steps"] == sum(caps)
+    # one series row per step
+    assert min(caps) > 0 and work["evolution.steps"] == sum(caps) == len(dts)
     assert work["evolution.min_dt"] == min(dts)
     assert profile == {**work,
                        "threshold.solves": len(lams),

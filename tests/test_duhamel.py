@@ -231,7 +231,7 @@ def test_gronwall_domination_window():
     for t, fld in traj.checkpoints:
         if t > 0.25:
             continue
-        dom = math.exp(m_win * t) * (heat_kernel_matrix(g, t) @ np.abs(u0.values))
+        dom = math.exp(m_win * t) * (heat_kernel_matrix(g, t, g.nodes) @ np.abs(u0.values))
         mask = dom > 1e-10 * dom.max()
         assert np.max(np.abs(fld.values[mask]) / dom[mask]) <= 1.0 + 1e-6
 
@@ -293,7 +293,7 @@ def test_dependence_solves_u0_once(monkeypatch):
     def counting_solve(u, params, cfg):
         solved.append(u)
         traj = E.solve(u, params, cfg)
-        steps.append(traj.steps)
+        steps.append(len(traj.series) - 1)
         return traj
 
     monkeypatch.setattr(D, "solve", counting_solve)

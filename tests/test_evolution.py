@@ -20,6 +20,13 @@ def test_config_validation():
     for safety in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="safety must be > 0"):
             E.SolverConfig(safety=safety)
+    for t_end in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t_end"):
+            E.SolverConfig(t_end=t_end)
+    # a time at 0 or past t_end could never be landed on
+    for times in ((0.0, 0.5), (0.5, 10.5), (float("nan"),), (-1.0, 1.0), (1.0, 0.5)):
+        with pytest.raises(ValueError, match=r"increase strictly within \(0, t_end\]"):
+            E.SolverConfig(t_end=10.0, checkpoint_times=times)
 
 
 @pytest.mark.parametrize("safety", [0.0, -1.0, E.max_safety(5) * 1.01])
@@ -80,7 +87,7 @@ def test_linear_hook_matches_kernel():
     cfg = E.SolverConfig(t_end=1.0, nonlinear=False, checkpoint_times=(1.0,))
     traj = E.solve(u0, P5, cfg)
     t, f = traj.checkpoints[-1]
-    exact = Q.heat_kernel_matrix(g, t) @ u0.values
+    exact = Q.heat_kernel_matrix(g, t, g.nodes) @ u0.values
     rel = np.max(np.abs(f.values - exact)) / np.max(np.abs(exact))
     assert rel < 1e-4
 
@@ -206,6 +213,20 @@ def test_small_gaussian_tail_monotone(energy_run):
     assert d.slope < -P5.beta   # strictly faster than the critical rate
 
 
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_checkpoints_land_on_their_requested_times(nonlinear):
+    # each checkpoint is recorded at its requested float, not at the sum that t += dt
+    # accumulates: 25 diffusive steps of 0.0008 add up to 0.019999999999999997, not 0.02
+    g = F.make_grid(5, 10.0, 100)
+    u0 = F.gaussian(g, 0.3, 2.0, F.DIRICHLET)
+    for times in ((0.02, 0.5, 1.0), E.log_checkpoints(1.0, 20),
+                  tuple((2.0 - np.exp(-np.arange(-np.log(1.5), -np.log(0.5), 0.05))).tolist())):
+        traj = E.solve(u0, P5, E.SolverConfig(t_end=times[-1], checkpoint_times=times,
+                                              nonlinear=nonlinear))
+        assert [t for t, _ in traj.checkpoints] == list(times)
+        assert traj.series[-1, 0] == traj.status.t_final == times[-1]
+
+
 def test_gradient_majorant_zero_data():
     g = F.make_grid(5, 10.0, 100)
     z = F.zero_field(g, F.DIRICHLET)
@@ -281,13 +302,16 @@ def _reference_solve(u0, params, cfg):
         if dt < cfg.dt_min:
             status = E._blowup_status(series, params, t)
             break
-        target = cfg.t_end if next_cp >= len(cps) else cps[next_cp]
-        landing = target > t and target - t < dt
-        dt = min(dt, target - t) if target > t else dt
+        # a step that would reach or pass the next target is cut to land on it, and
+        # t is then that target itself, not t + dt
+        target = cfg.t_end if next_cp >= len(cps) else float(cps[next_cp])
+        landing = target - t <= dt
+        if landing:
+            dt = target - t
         u = _reference_rk4_step(rhs, u, dt, k)
         if dirichlet:
             u[-1] = 0.0
-        t += dt
+        t = target if landing else t + dt
         bound_by["landing" if landing else min(caps, key=caps.get)] += 1
         min_dt = min(min_dt, dt)
         sup = float(np.max(np.abs(u)))
@@ -295,7 +319,7 @@ def _reference_solve(u0, params, cfg):
         if not dirichlet and abs(u[-2]) > E.BOUNDARY_CONTAMINATION * sup:
             status = E.TrajectoryStatus("aborted", t, reason="boundary_contamination")
             break
-        if next_cp < len(cps) and t >= cps[next_cp] * (1 - 1e-12):
+        if next_cp < len(cps) and t == cps[next_cp]:
             checkpoints.append((t, u.copy()))
             next_cp += 1
         if sup >= cfg.blowup_threshold:
@@ -317,7 +341,7 @@ def _assert_equals_reference(traj, work, u0, params, cfg):
     series, checkpoints, want_work, status = _reference_solve(u0, params, cfg)
     assert traj.status == status
     assert work == want_work
-    assert traj.steps == work["evolution.steps"] == len(series) - 1
+    assert len(traj.series) - 1 == work["evolution.steps"] == len(series) - 1
     assert traj.series.tobytes() == series.tobytes()
     assert len(traj.checkpoints) == len(checkpoints)
     for (t, f), (t_ref, v_ref) in zip(traj.checkpoints, checkpoints):
@@ -355,7 +379,7 @@ def test_solve_equals_allocating_loop(boundary, p):
     cfg = E.SolverConfig(t_end=0.25, checkpoint_times=(0.05, 0.1, 0.2))
     traj, work = _collected_solve(u0, params, cfg)
     assert traj.status.kind == "reached_horizon"
-    assert traj.steps >= 300 and len(traj.checkpoints) == 3
+    assert len(traj.series) > 300 and len(traj.checkpoints) == 3
     _assert_equals_reference(traj, work, u0, params, cfg)
 
 
@@ -377,7 +401,7 @@ def test_boundary_abort_equals_allocating_loop():
     cfg = E.SolverConfig(t_end=1.0, checkpoint_times=(0.1, 1.0))
     traj, work = _collected_solve(u0, P5, cfg)
     assert traj.status.reason == "boundary_contamination"
-    assert traj.steps > 100 and len(traj.checkpoints) == 1
+    assert len(traj.series) > 101 and len(traj.checkpoints) == 1
     _assert_equals_reference(traj, work, u0, P5, cfg)
 
 

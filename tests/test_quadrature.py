@@ -251,7 +251,8 @@ def test_gauss_convolve_is_independent_of_call_history():
     g = F.make_grid(5, 20.0, 400)
     f = F.gaussian(g, 1.0, 2.0)
     before = Q.gauss_convolve(f, 0.5, 3.0)
-    Q.heat_kernel_matrix(F.make_grid(5, 16.0, 1600), 1e-4)
+    fine = F.make_grid(5, 16.0, 1600)
+    Q.heat_kernel_matrix(fine, 1e-4, fine.nodes)
     assert Q.gauss_convolve(f, 0.5, 3.0) == before
 
 
@@ -278,7 +279,7 @@ def test_gauss_convolve_flat_kernel_asymptote():
     ind = F.indicator(g, 1.0)
     got = t ** (n / 2) * Q.gauss_convolve(ind, t, 0.0)
     # discrete mass of the sampled profile under the same trapezoid rule
-    w = Q.trapezoid_weights(g) * g.nodes ** (n - 1)
+    w = _column_weights(g)
     mass = Q.sphere_area(n) * float(np.sum(w * ind.values))
     assert got == pytest.approx((4 * math.pi) ** (-n / 2) * mass, rel=2e-3)
 
@@ -315,7 +316,7 @@ def test_heat_matrix_agrees_with_scalar_path():
     g = F.make_grid(5, 12.0, 600)
     f = F.gaussian(g, 0.8, 1.5)
     t = 0.8
-    mat = Q.heat_kernel_matrix(g, t) @ f.values
+    mat = Q.heat_kernel_matrix(g, t, g.nodes) @ f.values
     for idx in (0, 100, 300, 599):
         assert mat[idx] == pytest.approx(Q.gauss_convolve(f, t, float(g.nodes[idx])),
                                          rel=1e-7, abs=1e-13)
@@ -340,10 +341,18 @@ def _dense_factor(grid, t, centers=None, cut=True):
     return c_t * lam * gauss
 
 
+def _column_weights(grid):
+    """The trapezoid rule's weights on the grid times s^(n-1), formed directly."""
+    w = np.full(grid.m + 1, grid.h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w * grid.nodes ** (grid.n - 1)
+
+
 def _dense_heat_kernel_matrix(grid, t, centers=None, cut=True):
     """The kernel formula evaluated at every entry: the factor times the column weights, its
     rows divided by their masses above 1."""
-    base = Q.trapezoid_weights(grid) * grid.nodes ** (grid.n - 1)
+    base = _column_weights(grid)
     mat = _dense_factor(grid, t, centers, cut) * base[None, :]
     mass = mat.sum(axis=1)
     over = mass > 1.0
@@ -373,7 +382,7 @@ def _assert_kernel_equals_dense_formula(kernel, grid, t, v):
     assert not np.triu(factor, len(kernel.diagonals)).any()
     assert kernel.nbytes == _diagonal_bytes(grid, t) <= Q.kernel_bytes_bound(grid, t)
     eps = np.finfo(float).eps
-    base = Q.trapezoid_weights(grid) * grid.nodes ** (grid.n - 1)
+    base = _column_weights(grid)
     mass = (factor * base[None, :]).sum(axis=1)
     assert np.all(np.abs(kernel.mass - mass) <= size * eps * mass), t
     mat = _dense_heat_kernel_matrix(grid, t)
@@ -391,7 +400,7 @@ def test_heat_kernel_matrix_equals_dense_formula(n, nodes, r_max):
     for t in np.geomspace(2.0 * g.h**2, 100.0, 5):
         t = float(t)
         beyond = r_max + math.sqrt(4.0 * t * Q._EXP_CUTOFF) + 1.0
-        for centers in (None, lattice, lattice[::-1], [beyond], []):
+        for centers in (g.nodes, lattice, lattice[::-1], [beyond], []):
             got = Q.heat_kernel_matrix(g, t, centers)
             want = _dense_heat_kernel_matrix(g, t, centers)
             assert got.shape == want.shape
@@ -412,7 +421,7 @@ def test_kernel_tail_cut_is_below_rounding(n, nodes, r_max):
         uncut = _dense_heat_kernel_matrix(g, t, cut=False)
         past = (g.nodes[None, :] - g.nodes[:, None]) ** 2 / (4.0 * t) > Q._EXP_CUTOFF
         assert np.all(np.where(past, uncut, 0.0).sum(axis=1) <= 1e-18 * uncut.sum(axis=1)), t
-        mat = Q.heat_kernel_matrix(g, t)
+        mat = Q.heat_kernel_matrix(g, t, g.nodes)
         v = rng.standard_normal((g.m + 1, 4))
         bound = (g.m + 1) * np.finfo(float).eps * (np.abs(uncut) @ np.abs(v))
         assert np.all(np.abs(mat @ v - uncut @ v) <= bound), t
@@ -432,21 +441,24 @@ def _kernel_cases(draw):
 def test_heat_kernel_matrix_is_a_pure_function_of_grid_and_t(case):
     # the Picard propagator store shares one matrix among intervals of equal width
     g, t = case
-    assert Q.heat_kernel_matrix(g, t).tobytes() == Q.heat_kernel_matrix(g, t).tobytes()
+    assert (Q.heat_kernel_matrix(g, t, g.nodes).tobytes()
+            == Q.heat_kernel_matrix(g, t, g.nodes).tobytes())
 
 
 @settings(max_examples=10, deadline=None)
 @given(_kernel_cases())
-def test_heat_kernel_matrix_mirrored_fill_equals_dense_formula(case):
-    # node rows evaluate each block from its diagonal and mirror the rest below it
+def test_heat_kernel_matrix_at_the_nodes_equals_dense_formula(case):
+    # rows at the grid's own nodes, the dense operator of heat_apply, are bitwise the formula's
     g, t = case
-    assert Q.heat_kernel_matrix(g, t).tobytes() == _dense_heat_kernel_matrix(g, t).tobytes()
+    assert (Q.heat_kernel_matrix(g, t, g.nodes).tobytes()
+            == _dense_heat_kernel_matrix(g, t).tobytes())
 
 
 @settings(max_examples=10, deadline=None)
 @given(_kernel_cases())
 def test_heat_kernel_matrix_is_sub_stochastic(case):
-    mat = Q.heat_kernel_matrix(*case)
+    g, t = case
+    mat = Q.heat_kernel_matrix(g, t, g.nodes)
     assert np.all(mat >= 0.0)
     assert np.all(mat.sum(axis=1) <= 1.0 + 1e-12)
 
@@ -465,7 +477,7 @@ def test_banded_kernel_reassembles_the_matrix(case):
 @given(_kernel_cases(), st.integers(0, 2**32 - 1))
 def test_banded_kernel_product_matches_dense(case, seed):
     g, t = case
-    mat = Q.heat_kernel_matrix(g, t)
+    mat = Q.heat_kernel_matrix(g, t, g.nodes)
     v = np.random.default_rng(seed).standard_normal(g.m + 1)
     got = Q.SymmetricBandKernel(g, t) @ v
     assert got.shape == (g.m + 1,)
@@ -485,6 +497,19 @@ def test_banded_kernel_stores_only_the_bands(case):
     assert kernel.nbytes == _diagonal_bytes(g, t) <= Q.kernel_bytes_bound(g, t) <= dense
     if math.sqrt(4.0 * t * Q._EXP_CUTOFF) < g.r_max:
         assert kernel.nbytes < dense
+
+
+@settings(max_examples=10, deadline=None)
+@given(_kernel_cases())
+def test_kernel_weights_are_one_read_only_array_per_grid(case):
+    # every kernel on a grid shares one column-weight array, bitwise the direct formula's,
+    # that no caller can write
+    g, t = case
+    w = Q.kernel_weights(g)
+    assert w.tobytes() == _column_weights(g).tobytes()
+    assert not w.flags.writeable
+    assert Q.kernel_weights(F.make_grid(g.n, g.r_max, g.m)) is w
+    assert Q.SymmetricBandKernel(g, t).weights is w
 
 
 @settings(max_examples=10, deadline=None)
