@@ -35,12 +35,8 @@ class PipelineError(RuntimeError):
     """An experiment pipeline failed; wraps the module-level error."""
 
 
-EXPERIMENT_KINDS = ("solve", "morrey", "smoothing", "energy", "picard",
-                    "threshold", "dependence", "hypotheses")
-
-
 def default_config(kind: str) -> dict:
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _PIPELINES:
         raise ConfigError(f"experiment.kind: unknown kind {kind!r}")
     cfg = {
         "params": {"n": 5, "p": 3.0},
@@ -63,7 +59,6 @@ def default_config(kind: str) -> dict:
         "threshold": {"rel_tol": 1e-3, "lambda_init": 1.0, "deltas": [0.1, 0.01, 0.001]},
         "dependence": {"T0": 5.0, "sizes": [1e-2, 1e-3, 1e-4], "q": 2.0,
                        "stability_tol": 0.25},
-        "hypotheses": {},
     }
     cfg["experiment"].update(extras.get(kind, {}))
     if kind == "solve":
@@ -76,30 +71,62 @@ def default_config(kind: str) -> dict:
     return cfg
 
 
-def _get(cfg: dict, path: str, typ=None, ok=None, need=""):
-    """The value at path, of type typ ([float]: a list of floats), within ok's domain `need`."""
-    node = cfg
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(path)
-        node = node[key]
-    value = node if typ is None else _typed(path, node, typ)
-    if ok is not None and not ok(value):
-        raise ConfigError(f"{path}: need {need}, got {value!r}")
-    return value
-
-
-def _typed(path: str, value, typ):
-    if isinstance(typ, list):
-        return [_typed(f"{path}[{i}]", v, typ[0]) for i, v in enumerate(_typed(path, value, list))]
+def _has_type(value, default) -> bool:
+    """Whether value has the type of default; a float also takes an int, a list holds numbers."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_has_type(v, 0.0) for v in value)
     # bool is a subclass of int, so `true` would otherwise pass as the number 1
-    if isinstance(value, bool) and bool not in (typ if isinstance(typ, tuple) else (typ,)):
-        raise ConfigError(f"{path}: expected {typ}, got bool")
-    if not isinstance(value, typ):
-        if typ is float and isinstance(value, int):
-            return float(value)
-        raise ConfigError(f"{path}: expected {typ}, got {type(value).__name__}")
-    return value
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+# the two options whose default's type is not their only one: (test, what they take)
+_OWN_TYPES = {"solver.checkpoints": (lambda v: _has_type(v, 0) or _has_type(v, [0.0]),
+                                     "an integer or a list of numbers"),
+              "experiment.to_q": (lambda v: v == "inf" or _has_type(v, 0.0), 'a number or "inf"')}
+
+
+# Each option's domain: path -> (test, need), checked in this order for every kind whose
+# defaults state the path, so a test may read the options of the rows above it.  A value v
+# fails if test(v, merged config) is false: "<path>: need <need>, got <v>" ({key}: the
+# option's key) or "<path>: <need(v, cfg)>".  SolverConfig checks the rest of its block.
+_POSITIVE = (lambda v, c: 0 < v < math.inf, "0 < {key} < inf")
+_DOMAINS = {
+    "params.n": (lambda v, c: v >= 3, "n >= 3"),    # the rows below read n
+    "params.p": (lambda v, c: v > 1, "p > 1"),
+    "grid.r_max": _POSITIVE,
+    "grid.nodes": (lambda v, c: v >= 16, "nodes >= 16"),
+    "solver.t_end": _POSITIVE,
+    "solver.checkpoints": (lambda v, c: isinstance(v, list) or v >= 1, "at least 1"),
+    "solver.safety": (lambda v, c: v <= evolution.RK4_REAL_LIMIT  # max_safety(3), least for any n
+                      or v <= evolution.max_safety(c["params"]["n"]), lambda v, c: (
+        f"{v!r} exceeds RK4's stability bound {evolution.max_safety(c['params']['n']):.6g} "
+        f"for n = {c['params']['n']}")),
+    "experiment.q": (lambda v, c: 1 <= v < math.inf, "1 <= q < inf"),
+    "experiment.lam": (lambda v, c: 0 <= v <= c["params"]["n"], "0 <= lam <= n"),
+    "experiment.refinements": (lambda v, c: v >= 0, "refinements >= 0"),
+    "experiment.from_q": (lambda v, c: 1 <= v <= float(c["experiment"]["to_q"]),
+                          "1 <= from_q <= to_q"),
+    "experiment.t_lo": _POSITIVE,
+    "experiment.t_hi": (lambda v, c: c["experiment"]["t_lo"] <= v < math.inf, "t_lo <= t_hi < inf"),
+    "experiment.t_count": (lambda v, c: v >= 1, "t_count >= 1"),
+    "experiment.T_values": (lambda v, c: v and all(0 < T < math.inf for T in v),
+                            "a nonempty list in (0, inf)"),
+    "experiment.ds": _POSITIVE,
+    "experiment.t_lo_fraction": (lambda v, c: 0 < v < 1, "0 < t_lo_fraction < 1"),
+    "experiment.t_margin": _POSITIVE,
+    "experiment.t_end": _POSITIVE,
+    "experiment.iterations": (lambda v, c: v >= 2, "iterations >= 2"),
+    "experiment.sample_times": (lambda v, c: v and all(0 < t <= c["experiment"]["t_end"]
+                                                       for t in v),
+                                "a nonempty list in (0, t_end]"),
+    "experiment.rel_tol": _POSITIVE,
+    "experiment.lambda_init": _POSITIVE,
+    "experiment.T0": _POSITIVE,
+    "experiment.sizes": (lambda v, c: v and all(map(math.isfinite, v)),
+                         "a nonempty list of finite numbers"),
+}
 
 
 def _object(path: str, value) -> dict:
@@ -112,37 +139,46 @@ _BLOCKS = ("params", "grid", "solver", "experiment", "initial_data")
 
 
 def _merged(cfg) -> dict:
-    """`cfg` with each block merged over its kind's defaults; a key they lack is a ConfigError."""
+    """`cfg` with each block merged over its kind's defaults.  A key they lack, a value
+    without its default's type, or one outside its _DOMAINS row is a ConfigError."""
     _object("config", cfg)
     blocks = {block: _object(block, cfg.get(block, {})) for block in _BLOCKS}
-    base = default_config(_get(blocks, "experiment.kind", str))
-    unknown = [key for key in cfg if key not in base] + [
-        f"{block}.{key}" for block in _BLOCKS for key in blocks[block] if key not in base[block]]
-    if unknown:
-        raise ConfigError(f"{unknown[0]}: unknown key")
-    merged = dict(cfg, output_dir=cfg.get("output_dir", base["output_dir"]))
+    base = default_config(blocks["experiment"].get("kind"))
+    # (path, value, default) of every option the config gives
+    given = [(key, cfg[key], base.get(key)) for key in cfg if key not in _BLOCKS] + [
+        (f"{block}.{key}", value, base[block].get(key))
+        for block in _BLOCKS for key, value in blocks[block].items()]
+    for path, value, default in given:
+        if default is None:
+            raise ConfigError(f"{path}: unknown key")
+        test, name = _OWN_TYPES.get(path) or (lambda v: _has_type(v, default),
+                                              f"the type of its default {default!r}")
+        if not test(value):
+            raise ConfigError(f"{path}: expected {name}, got {value!r}")
+    merged = {**base, **cfg}
     for block in _BLOCKS:
         merged[block] = {**base[block], **blocks[block]}
+    for path, (test, need) in _DOMAINS.items():
+        block, key = path.split(".")
+        value = merged[block].get(key)
+        if key in base[block] and not test(value, merged):
+            raise ConfigError(f"{path}: {need(value, merged)}" if callable(need) else
+                              f"{path}: need {need.format(key=key)}, got {value!r}")
     return merged
 
 
-def _solver_config(cfg: dict, n: int, t_end=None, checkpoint_times=None) -> evolution.SolverConfig:
-    """The solver block as a SolverConfig for dimension n; a safety beyond RK4's
-    stability bound evolution.max_safety(n) is a ConfigError."""
+def _solver_config(cfg: dict, t_end=None, checkpoint_times=None) -> evolution.SolverConfig:
+    """The solver block as a SolverConfig, to t_end with checkpoint_times where given."""
+    solver = cfg["solver"]
     if t_end is None:
-        t_end = _get(cfg, "solver.t_end", float, lambda v: 0 < v < math.inf, "0 < t_end < inf")
+        t_end = solver["t_end"]
     if checkpoint_times is None:
-        cps = _get(cfg, "solver.checkpoints", (int, list),
-                   lambda v: not isinstance(v, int) or v >= 1, "at least 1")
-        checkpoint_times = (evolution.log_checkpoints(t_end, cps) if isinstance(cps, int)
-                            else _get(cfg, "solver.checkpoints", [float]))
-    settings = {key: _get(cfg, f"solver.{key}", float)
-                for key in ("dt_init", "dt_min", "safety", "blowup_threshold")}
-    if settings["safety"] > evolution.max_safety(n):
-        raise ConfigError(f"solver.safety: {settings['safety']} exceeds RK4's stability bound "
-                          f"{evolution.max_safety(n):.6g} for n = {n}")
+        cps = solver["checkpoints"]
+        checkpoint_times = evolution.log_checkpoints(t_end, cps) if isinstance(cps, int) else cps
+    settings = {key: solver[key] for key in ("dt_init", "dt_min", "safety", "blowup_threshold")}
     try:
-        return evolution.SolverConfig(t_end=float(t_end), checkpoint_times=tuple(checkpoint_times),
+        return evolution.SolverConfig(t_end=float(t_end),
+                                      checkpoint_times=tuple(map(float, checkpoint_times)),
                                       **settings)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
@@ -178,22 +214,11 @@ class ArtifactBundle:
 
 
 def _build_inputs(cfg: dict):
-    n = _get(cfg, "params.n", int)
-    p = _get(cfg, "params.p", (int, float))
+    params = make_params(cfg["params"]["n"], float(cfg["params"]["p"]))
+    grid = make_grid(params.n, cfg["grid"]["r_max"], cfg["grid"]["nodes"])
+    data = cfg["initial_data"]
     try:
-        params = make_params(n, float(p))
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
-    try:
-        grid = make_grid(params.n, _get(cfg, "grid.r_max", (int, float)),
-                         _get(cfg, "grid.nodes", int))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    prof = _get(cfg, "initial_data.profile", str)
-    args = _get(cfg, "initial_data.args", dict)
-    boundary = _get(cfg, "initial_data.boundary", str)
-    try:
-        u0 = build_profile(prof, grid, params, dict(args), boundary)
+        u0 = build_profile(data["profile"], grid, params, dict(data["args"]), data["boundary"])
     except TypeError as exc:
         raise ConfigError(f"initial_data.args: {exc}") from exc
     except ValueError as exc:
@@ -208,7 +233,7 @@ def _build_inputs(cfg: dict):
 
 def _run_solve(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    traj = evolution.solve(u0, params, _solver_config(cfg, params.n))
+    traj = evolution.solve(u0, params, _solver_config(cfg))
     bundle.tables["series"] = ("t,sup_norm,weighted_sup,dt",
                                [tuple(row) for row in traj.series])
     for i, (t, f) in enumerate(traj.checkpoints):
@@ -238,13 +263,9 @@ def _run_solve(cfg, bundle):
 
 def _run_morrey(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    spec = morrey.MorreySpec(
-        q=_get(cfg, "experiment.q", (int, float), lambda v: 1 <= v < math.inf, "1 <= q < inf"),
-        lam=_get(cfg, "experiment.lam", (int, float), lambda v: 0 <= v <= params.n,
-                 f"0 <= lam <= n = {params.n}"))
-    refinements = _get(cfg, "experiment.refinements", int, lambda v: v >= 0, "refinements >= 0")
+    spec = morrey.MorreySpec(q=cfg["experiment"]["q"], lam=cfg["experiment"]["lam"])
     lattices = [morrey.MorreyLattice.default(grid)]
-    for _ in range(refinements):
+    for _ in range(cfg["experiment"]["refinements"]):
         lattices.append(lattices[-1].refine())
     # only the finest lattice is evaluated; each coarser level is its sub-lattice
     ev = morrey.morrey_evaluate(u0, spec, lattices[-1])
@@ -264,15 +285,9 @@ def _run_morrey(cfg, bundle):
 
 def _run_smoothing(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    to_q = _get(cfg, "experiment.to_q", (int, float, str))
-    if isinstance(to_q, str) and to_q != "inf":
-        raise ConfigError(f'experiment.to_q: expected a number or "inf", got {to_q!r}')
-    t_lo = _get(cfg, "experiment.t_lo", float, lambda v: 0 < v < math.inf, "0 < t_lo < inf")
-    t_hi = _get(cfg, "experiment.t_hi", float, lambda v: t_lo <= v < math.inf, "t_lo <= t_hi < inf")
-    t_count = _get(cfg, "experiment.t_count", int, lambda v: v >= 1, "t_count >= 1")
-    t_grid = np.geomspace(t_lo, t_hi, t_count)
-    points = morrey.smoothing_profile(u0, _get(cfg, "experiment.from_q", float), float(to_q),
-                                      _get(cfg, "experiment.lam", float), t_grid)
+    ex = cfg["experiment"]
+    t_grid = np.geomspace(ex["t_lo"], ex["t_hi"], ex["t_count"])
+    points = morrey.smoothing_profile(u0, ex["from_q"], float(ex["to_q"]), ex["lam"], t_grid)
     rows = [(pt.t, pt.norm_to, pt.ratio, pt.norm_from_after, pt.contraction_ok)
             for pt in points]
     bundle.tables["smoothing"] = ("t,norm_to,ratio,norm_from_after,contraction_ok", rows)
@@ -285,29 +300,24 @@ def _run_smoothing(cfg, bundle):
 
 def _run_energy(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    t_values = _get(cfg, "experiment.T_values", [float])
-    ds = _get(cfg, "experiment.ds", float)
-    frac = _get(cfg, "experiment.t_lo_fraction", float)
-    t_margin = _get(cfg, "experiment.t_margin", float)
-    horizon = _get(cfg, "solver.t_end", float, lambda v: 0 < v < math.inf, "0 < t_end < inf")
+    ex = cfg["experiment"]
     grids = {}
-    for T in t_values:
+    for T in ex["T_values"]:
         # start each window at a fixed fraction of T so the s-compression of
         # the t-dynamics stays bounded and dm/ds is resolved at this ds
-        t_lo = frac * T
-        t_hi = min(horizon, T - t_margin)
+        t_lo = ex["t_lo_fraction"] * T
+        t_hi = min(cfg["solver"]["t_end"], T - ex["t_margin"])
         if t_hi <= t_lo:
             raise ConfigError(f"experiment.T_values: window empty for T={T}")
-        grids[T] = np.arange(-math.log(T - t_lo), -math.log(T - t_hi), ds)
+        grids[T] = np.arange(-math.log(T - t_lo), -math.log(T - t_hi), ex["ds"])
     # the windows' checkpoints at exactly these floats; the solve ends at the last, not at horizon
     times = sorted({t for T, s_grid in grids.items()
                     for t in similarity.checkpoint_times_for_s_grid(T, s_grid).tolist()})
-    traj = evolution.solve(u0, params, _solver_config(cfg, params.n, t_end=times[-1],
-                                                      checkpoint_times=times))
+    traj = evolution.solve(u0, params, _solver_config(cfg, times[-1], times))
     if traj.status.kind != "reached_horizon":
         raise PipelineError(f"energy run did not reach the horizon: {traj.status}")
     rows_plot = []
-    for T in t_values:
+    for T in ex["T_values"]:
         series = similarity.energy_series(traj, T, params, grids[T])
         # endpoint rows have no centered dm/ds; their residual stays nan
         rows = list(zip(series.s, series.E, series.m, series.identity_residual))
@@ -325,11 +335,8 @@ def _run_energy(cfg, bundle):
 
 def _run_picard(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    t_end = _get(cfg, "experiment.t_end", float, lambda v: 0 < v < math.inf, "0 < t_end < inf")
-    iterations = _get(cfg, "experiment.iterations", int, lambda v: v >= 2, "iterations >= 2")
-    sample_times = _get(cfg, "experiment.sample_times", [float], lambda v: v and all(
-        0 < t <= t_end for t in v), "a nonempty list in (0, t_end]")
-    run = duhamel.picard_solve(u0, params, t_end, iterations, sample_times)
+    ex = cfg["experiment"]
+    run = duhamel.picard_solve(u0, params, ex["t_end"], ex["iterations"], ex["sample_times"])
     rows = [(t, br, bi, d) for (t, br, bi), d in
             zip(run.budget, run.last_sample_diffs)]
     bundle.tables["budget"] = ("t,budget_r,budget_inf,cauchy_diff", rows)
@@ -341,11 +348,10 @@ def _run_picard(cfg, bundle):
         "cauchy_diffs": list(run.cauchy_diffs)}
     bundle.check("picard_converged", run.converged and not run.diverged,
                  run.cauchy_diffs[-1] if run.cauchy_diffs else None)
-    if _get(cfg, "experiment.compare_classical", bool):
-        u0d = build_profile(_get(cfg, "initial_data.profile", str), grid, params,
-                            dict(_get(cfg, "initial_data.args", dict)), DIRICHLET)
-        traj = evolution.solve(u0d, params, _solver_config(
-            cfg, params.n, t_end=t_end, checkpoint_times=tuple(run.sample_times)))
+    if ex["compare_classical"]:
+        data = cfg["initial_data"]
+        u0d = build_profile(data["profile"], grid, params, dict(data["args"]), DIRICHLET)
+        traj = evolution.solve(u0d, params, _solver_config(cfg, ex["t_end"], run.sample_times))
         worst = 0.0
         for (t, f), (_, fc) in zip(zip(run.sample_times, run.fields), traj.checkpoints):
             denom = float(np.max(np.abs(fc.values)))
@@ -358,12 +364,12 @@ def _run_picard(cfg, bundle):
 
 def _run_threshold(cfg, bundle):
     params, grid, phi = _build_inputs(cfg)
-    cfg_solver = _solver_config(cfg, params.n)
-    deltas = _get(cfg, "experiment.deltas", [float])
+    cfg_solver = _solver_config(cfg)
+    ex = cfg["experiment"]
+    deltas = ex["deltas"]
     started = time.perf_counter()
-    result = threshold.bisect_lambda(phi, params, cfg_solver,
-                                     rel_tol=_get(cfg, "experiment.rel_tol", float),
-                                     lambda_init=_get(cfg, "experiment.lambda_init", float))
+    result = threshold.bisect_lambda(phi, params, cfg_solver, rel_tol=ex["rel_tol"],
+                                     lambda_init=ex["lambda_init"])
     counters.add("threshold.bisect_s", time.perf_counter() - started)
     doc = {"lambda_lo": result.lambda_lo, "lambda_hi": result.lambda_hi,
            "rel_width": result.rel_width, "stalled": result.stalled,
@@ -380,8 +386,8 @@ def _run_threshold(cfg, bundle):
     if len(late) >= 2:
         bundle.check("morrey_decreases_below_threshold", late[-1][1] < late[0][1],
                      late[-1][1] / late[0][1])
-    if deltas and result.rel_width > 1e-2:
-        doc["probes_skipped"] = "bracket wider than 1e-2"
+    if deltas and result.rel_width > threshold.PROBE_MAX_WIDTH:
+        doc["probes_skipped"] = f"bracket wider than {threshold.PROBE_MAX_WIDTH:g}"
         deltas = None
     started = time.perf_counter()
     probes = threshold.borderline_probe(result, params, cfg_solver, deltas) if deltas else []
@@ -401,24 +407,21 @@ def _run_threshold(cfg, bundle):
 
 def _run_dependence(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
-    t0_horizon = _get(cfg, "experiment.T0", float, lambda v: 0 < v < math.inf, "0 < T0 < inf")
-    cfg_solver = _solver_config(cfg, params.n, t_end=t0_horizon,
-                                checkpoint_times=evolution.log_checkpoints(t0_horizon, 16))
-    sizes = _get(cfg, "experiment.sizes", [float])
-    spec = morrey.critical_spec(params, q=_get(cfg, "experiment.q", float))
+    ex = cfg["experiment"]
+    cfg_solver = _solver_config(cfg, ex["T0"], evolution.log_checkpoints(ex["T0"], 16))
+    sizes = ex["sizes"]
+    spec = morrey.critical_spec(params, q=ex["q"])
     v0s = [make_field(grid, u0.values * (1.0 + size), u0.boundary) for size in sizes]
     results = duhamel.continuous_dependence(u0, v0s, cfg_solver, params, spec)
     rows = []
-    max_ratios = []
+    max_ratios = [res.max_ratio for res in results]
     for size, res in zip(sizes, results):
         rows.extend((size, t, r) for t, r in zip(res.times, res.ratios))
-        max_ratios.append(res.max_ratio)
         bundle.check(f"run_completes_size{size:g}", not res.failed_before_T0,
                      res.max_ratio)
     bundle.tables["dependence"] = ("size,t,ratio", rows)
     spread = (max(max_ratios) - min(max_ratios)) / max(max_ratios)
-    tol = _get(cfg, "experiment.stability_tol", float)
-    bundle.check("lipschitz_stability", spread < tol, spread)
+    bundle.check("lipschitz_stability", spread < ex["stability_tol"], spread)
     bundle.documents["dependence"] = {"sizes": sizes, "max_ratios": max_ratios,
                                       "spread": spread}
     bundle.tables["plot_dependence"] = ("series,x,y",
@@ -438,16 +441,12 @@ _PIPELINES = {
     "energy": _run_energy, "picard": _run_picard, "threshold": _run_threshold,
     "dependence": _run_dependence, "hypotheses": _run_hypotheses,
 }
+EXPERIMENT_KINDS = tuple(_PIPELINES)
 
 
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _versions() -> dict:
-    return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
-            "morreyheat": __version__}
 
 
 def _error_chain(exc: BaseException) -> list:
@@ -471,7 +470,7 @@ def run_experiment(cfg: dict, out_dir=None) -> ArtifactBundle:
     """
     cfg = _merged(cfg)
     kind = cfg["experiment"]["kind"]
-    out = Path(out_dir if out_dir is not None else _get(cfg, "output_dir", str))
+    out = Path(out_dir if out_dir is not None else cfg["output_dir"])
     bundle = ArtifactBundle(kind=kind, out_dir=out)
     started = time.perf_counter()
     try:
@@ -482,20 +481,21 @@ def run_experiment(cfg: dict, out_dir=None) -> ArtifactBundle:
     except Exception as exc:
         error = PipelineError(f"{kind} pipeline failed: {exc}")
         error.__cause__ = exc
-        bundle.manifest = _manifest(kind, "failed", cfg, time.perf_counter() - started, profile,
-                                    error=_error_chain(error))
-        write_json(out / "manifest.json", bundle.manifest)
+        _write_manifest(bundle, "failed", cfg, time.perf_counter() - started, profile,
+                        error=_error_chain(error))
         raise error from exc
     wall = time.perf_counter() - started
-    bundle.manifest = _manifest(kind, "ok", cfg, wall, profile, checks=bundle.checks,
-                                artifacts=sorted(bundle.write_data()))
-    write_json(out / "manifest.json", bundle.manifest)
+    _write_manifest(bundle, "ok", cfg, wall, profile, checks=bundle.checks,
+                    artifacts=sorted(bundle.write_data()))
     return bundle
 
 
-def _manifest(kind: str, status: str, cfg: dict, wall: float, profile: dict, **extra) -> dict:
-    return {"kind": kind, "status": status, "config_hash": config_hash(cfg),
-            "wall_time_s": wall, "versions": _versions(), "profile": profile, **extra}
+def _write_manifest(bundle, status: str, cfg: dict, wall: float, profile: dict, **extra) -> None:
+    versions = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+                "morreyheat": __version__}
+    bundle.manifest = {"kind": bundle.kind, "status": status, "config_hash": config_hash(cfg),
+                       "wall_time_s": wall, "versions": versions, "profile": profile, **extra}
+    write_json(bundle.out_dir / "manifest.json", bundle.manifest)
 
 
 # ---------------------------------------------------------------------------

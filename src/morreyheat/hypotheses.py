@@ -31,19 +31,18 @@ class TailFit:
     resolved: bool
 
 
-def tail_exponent(f: RadialField, fraction: float = TAIL_FRACTION,
-                  floor: float = TAIL_FLOOR) -> TailFit:
-    """Least-squares fit of log|f| against log r over the outer quarter of the
-    nodes whose magnitude still exceeds the floor."""
+def tail_exponent(f: RadialField) -> TailFit:
+    """Least-squares fit of log|f| against log r over the outer TAIL_FRACTION of the
+    nodes whose magnitude still exceeds TAIL_FLOOR."""
     r = f.grid.nodes
     vals = np.abs(f.values)
-    alive = np.nonzero(vals > floor)[0]
+    alive = np.nonzero(vals > TAIL_FLOOR)[0]
     if alive.size == 0:
         return TailFit(None, 0, False)
     last = alive[-1]
-    start = max(1, int(math.ceil(last * (1.0 - fraction))))
+    start = max(1, int(math.ceil(last * (1.0 - TAIL_FRACTION))))
     window = np.arange(start, last + 1)
-    window = window[vals[window] > floor]
+    window = window[vals[window] > TAIL_FLOOR]
     if window.size < MIN_TAIL_POINTS:
         return TailFit(None, int(window.size), False)
     slope = np.polyfit(np.log(r[window]), np.log(vals[window]), 1)[0]

@@ -97,12 +97,14 @@ _TABLE_MAX_BYTES = 300 * 2**20
 def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
     """(cells, plans): {r: large_ball_cells} for the radii above SMALL_BALL_FACTOR h and
     {r: small_ball_plan} for the others, r indexing lattice.radii.  Each build (a cache
-    miss) adds 1 to the run's morrey.table_builds and the MB of both to .table_mb."""
+    miss) adds 1 to the run's morrey.table_builds and the MB of both to .table_mb; each
+    cache hit adds 1 to morrey.table_hits."""
     key = (grid.n, grid.m, grid.r_max,
            np.asarray(lattice.centers).tobytes(), np.asarray(lattice.radii).tobytes())
     entry = _TABLE_CACHE.get(key)
     if entry is not None:
         _TABLE_CACHE.move_to_end(key)
+        counters.add("morrey.table_hits")
         return entry
     centers, radii = np.asarray(lattice.centers), np.asarray(lattice.radii)
     small = radii <= SMALL_BALL_FACTOR * grid.h

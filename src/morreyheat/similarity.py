@@ -30,18 +30,16 @@ class RescaledField:
     truncated: bool  # True when the stated y-range maps past the field's r_max
 
 
-def similarity_grid(y_max: float = 10.0, h_y: float = 0.01) -> np.ndarray:
-    if y_max < 8.0:
-        raise ValueError("y_max must be >= 8 so the Gaussian weight is negligible at the edge")
-    return np.linspace(0.0, y_max, int(round(y_max / h_y)) + 1)
+def similarity_grid() -> np.ndarray:
+    """y in [0, 10] at spacing 0.01: the Gaussian weight exp(-y^2/4) is 1.4e-11 at the edge."""
+    return np.linspace(0.0, 10.0, 1001)
 
 
-def to_similarity(field: RadialField, t: float, T: float, params: ModelParams,
-                  y_max: float = 10.0, h_y: float = 0.01) -> RescaledField:
+def to_similarity(field: RadialField, t: float, T: float, params: ModelParams) -> RescaledField:
     """Rescale a field sampled at time t around the blowup ansatz (0, T)."""
     if not T > t:
         raise ValueError("rescaling time T must exceed the sample time t")
-    y = similarity_grid(y_max, h_y)
+    y = similarity_grid()
     tau = T - t
     r = y * math.sqrt(tau)
     truncated = r[-1] > field.grid.r_max * (1 + 1e-12)
@@ -100,8 +98,7 @@ class EnergySeries:
         return self.monotone_violation <= 0.0
 
 
-def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid,
-                  y_max: float = 10.0, h_y: float = 0.01) -> EnergySeries:
+def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid) -> EnergySeries:
     """Energy/mass along a trajectory in similarity variables at rescaling time T.
 
     The trajectory must carry checkpoints at exactly the times T - exp(-s) for
@@ -117,7 +114,7 @@ def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid,
             raise ValueError(f"trajectory lacks a checkpoint at t={t!r} (s={s:g})")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            w = to_similarity(have[t], t, T, params, y_max, h_y)
+            w = to_similarity(have[t], t, T, params)
         truncated |= w.truncated
         rows.append(_weighted_integrals(w, params))
     e_arr, m_arr, p_arr, g_arr = np.array(rows).T

@@ -18,6 +18,7 @@ from .params import ModelParams
 
 
 TERMINAL_RATIO_MAX = 1e-2   # decaying needs ||u(t_end)||_inf below this times ||u0||_inf
+PROBE_MAX_WIDTH = 1e-2      # borderline probes need a bracket of relative width within this
 MAX_BISECTIONS = 80
 
 
@@ -161,8 +162,8 @@ def borderline_probe(result: ThresholdResult, params: ModelParams, cfg: SolverCo
     evaluates the critical Morrey norm at two checkpoints only: the first with
     t >= 1 and the last; a blowup or undecided probe evaluates none.
     """
-    if result.rel_width > 1e-2:
-        raise ValueError("bracket must be tighter than 1e-2 before probing")
+    if result.rel_width > PROBE_MAX_WIDTH:
+        raise ValueError(f"bracket must be tighter than {PROBE_MAX_WIDTH:g} before probing")
     phi = result.ray_profile
     spec, lattice = critical_spec(params), MorreyLattice.default(phi.grid)
     out = []

@@ -86,6 +86,22 @@ _CHECKPOINT_DOMAIN = "solver: checkpoint times must increase strictly within (0,
      "solver.safety: %r exceeds RK4's stability bound" % (evolution.max_safety(5) * 1.01)),
     ("smoothing", "experiment.to_q", True, "experiment.to_q: expected"),
     ("smoothing", "experiment.to_q", "banana", 'experiment.to_q: expected a number or "inf"'),
+    # options that had no stated domain, each failing inside the run or under another name
+    ("energy", "experiment.ds", 0.0, "experiment.ds: need 0 < ds < inf"),
+    ("energy", "experiment.ds", -0.01, "experiment.ds: need 0 < ds < inf"),
+    ("energy", "experiment.T_values", [], "experiment.T_values: need a nonempty list in (0, inf)"),
+    ("energy", "experiment.t_margin", -1.0, "experiment.t_margin: need 0 < t_margin < inf"),
+    ("energy", "experiment.t_lo_fraction", 0.0,
+     "experiment.t_lo_fraction: need 0 < t_lo_fraction < 1"),
+    ("smoothing", "experiment.from_q", 0.5, "experiment.from_q: need 1 <= from_q <= to_q"),
+    ("smoothing", "experiment.to_q", 1.5, "experiment.from_q: need 1 <= from_q <= to_q"),
+    ("smoothing", "experiment.lam", 6.0, "experiment.lam: need 0 <= lam <= n, got 6.0"),
+    ("dependence", "experiment.q", 0.5, "experiment.q: need 1 <= q < inf"),
+    ("dependence", "experiment.sizes", [], "experiment.sizes: need a nonempty list"),
+    ("threshold", "experiment.lambda_init", -1.0,
+     "experiment.lambda_init: need 0 < lambda_init < inf"),
+    ("threshold", "experiment.rel_tol", 0.0, "experiment.rel_tol: need 0 < rel_tol < inf"),
+    ("solve", "grid.r_max", math.inf, "grid.r_max: need 0 < r_max < inf"),
 ])
 def test_bad_config_value_exits_2(kind, path, value, message, tmp_path, capsys):
     block, key = path.split(".")
@@ -143,6 +159,29 @@ def test_picard_options_outside_their_domain_exit_2(key, value, tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+def test_every_domain_row_is_a_stated_option():
+    # a row whose path no kind's defaults state would never be checked
+    stated = {f"{block}.{key}" for kind in cli.EXPERIMENT_KINDS
+              for block, keys in cli.default_config(kind).items() if isinstance(keys, dict)
+              for key in keys}
+    assert set(cli._DOMAINS) <= stated
+    assert set(cli._OWN_TYPES) <= stated
+
+
+def test_merged_config_keeps_the_given_values():
+    # an int where a float default stands passes as given: nothing converted is written back,
+    # so the merged config and its hash are those of the config as written
+    cfg = {"experiment": {"kind": "solve"}, "grid": {"r_max": 10, "nodes": 64},
+           "solver": {"t_end": 1, "checkpoints": [1]}}
+    merged = cli._merged(cfg)
+    assert merged["grid"]["r_max"] == 10 and type(merged["grid"]["r_max"]) is int
+    assert merged["solver"]["checkpoints"] == [1] and type(merged["solver"]["t_end"]) is int
+    expected = cli.default_config("solve")
+    for block, keys in cfg.items():
+        expected[block].update(keys)
+    assert merged == expected and cli.config_hash(merged) == cli.config_hash(expected)
+
+
 @pytest.mark.parametrize("blocks, path", [
     ({"solver": {"series_stride": 1}}, "solver.series_stride"),
     ({"experiment": {"q": 2.0}}, "experiment.q"),
@@ -167,7 +206,7 @@ def test_checkpoints_recorded_at_their_requested_times():
     # and the run ends at exactly t_end
     cfg = cli._merged(cli.default_config("solve"))
     params, _, u0 = cli._build_inputs(cfg)
-    solver = cli._solver_config(cfg, params.n)
+    solver = cli._solver_config(cfg)
     traj = evolution.solve(u0, params, solver)
     assert [t for t, _ in traj.checkpoints] == list(solver.checkpoint_times)
     assert traj.series[-1, 0] == traj.status.t_final == solver.t_end
@@ -344,11 +383,13 @@ def test_solve_and_dependence_record_rk4_work(tmp_path, fresh_tables):
     cli.run_experiment(cfg, out_dir=tmp_path / "d")
     profile = json.loads((tmp_path / "d" / "manifest.json").read_text())["profile"]
     assert set(profile) == set(_WORK_KEYS) | {"morrey.evaluations", "morrey.table_builds",
-                                              "morrey.table_mb"}
+                                              "morrey.table_mb", "morrey.table_hits"}
     table = _table_counters(cli._build_inputs(cli._merged(cfg))[1])
     assert {key: profile[key] for key in table} == table
-    # per size, its initial distance and the difference at each of the 16 checkpoints
+    # per size, its initial distance and the difference at each of the 16 checkpoints; every
+    # evaluation after the first finds the lattice geometry cached
     assert profile["morrey.evaluations"] == 2 * (1 + 16)
+    assert profile["morrey.table_hits"] == profile["morrey.evaluations"] - 1
     assert profile["evolution.cap.nonlinear"] == 0 and profile["evolution.steps"] % 3 == 0
     assert profile["evolution.steps"] >= 3 / evolution.diffusive_cap(2.4, 0.2, 5)
 
@@ -395,6 +436,7 @@ def test_picard_kind_end_to_end(tmp_path, fresh_tables):
                        "duhamel.picard.kernel_mb": band_bytes / 2**20,
                        "duhamel.picard.substeps": substeps,
                        "morrey.evaluations": 2,   # the budget's norm at each sample time
+                       "morrey.table_hits": 1,
                        **_table_counters(grid)}
     assert substeps > 0 and 0 < band_bytes < builds * (grid.m + 1) ** 2 * 8
     # the classical comparison's one solve, to t_end at the default safety
@@ -528,7 +570,7 @@ def test_threshold_kind_end_to_end(tmp_path):
     u0 = make_field(grid, doc["lambda_lo"] * phi.values, phi.boundary)
     eps = morrey_norm(u0, critical_spec(params), MorreyLattice.default(grid))
     assert doc["epsilon_star"] == eps > 0
-    run = evolution.solve(u0, params, cli._solver_config(cfg, params.n))
+    run = evolution.solve(u0, params, cli._solver_config(cfg))
     assert doc["C0_measured"] == evolution.decay_diagnostics(run, params).sup_t_beta_norm / eps
     assert doc["C0_measured"] > 0
     assert (tmp_path / "t" / "morrey_series_lo.csv").read_text().splitlines()[0] == "t,value"
@@ -559,20 +601,23 @@ def test_threshold_manifest_counts_solver_work(tmp_path, fresh_tables):
     with counters.collect() as work:
         for lam in lams:
             run = evolution.solve(make_field(grid, lam * phi.values, phi.boundary), params,
-                                  cli._solver_config(cfg, params.n))
+                                  cli._solver_config(cfg))
             dts.extend(run.series[1:, 3])
     caps = [work[f"evolution.cap.{cap}"] for cap in ("diffusive", "nonlinear", "landing")]
     # one series row per step
     assert min(caps) > 0 and work["evolution.steps"] == sum(caps) == len(dts)
     assert work["evolution.min_dt"] == min(dts)
+    evaluations = 1 + len(doc["morrey_series_lo"]) + len(doc["morrey_series_hi"]) + sum(
+        2 for p in doc["probes"] if p["morrey_start"] is not None)
     assert profile == {**work,
                        "threshold.solves": len(lams),
                        "threshold.trials": len(doc["trials"]),
                        # epsilon_star, both bracket series, and two per decaying probe
-                       "morrey.evaluations": 1 + len(doc["morrey_series_lo"])
-                       + len(doc["morrey_series_hi"])
-                       + sum(2 for p in doc["probes"] if p["morrey_start"] is not None),
+                       "morrey.evaluations": evaluations,
+                       "morrey.table_hits": evaluations - 1,
                        **_table_counters(grid)}
+    # each evaluation looks its lattice geometry up once: a build, or a cache hit
+    assert profile["morrey.table_hits"] + profile["morrey.table_builds"] == evaluations
     assert len(doc["probes"]) == 2
 
 

@@ -299,8 +299,10 @@ def test_dependence_solves_u0_once(monkeypatch):
     monkeypatch.setattr(D, "solve", counting_solve)
     with counters.collect() as work:
         results = D.continuous_dependence(u0, [u0, u0], cfg, P5, spec)
-    # no solve: the only work is the Morrey norm of each initial distance
-    assert all(r.degenerate for r in results) and work == {"morrey.evaluations": 2}
+    # no solve: the only work is the Morrey norm of each initial distance, each on the lattice
+    # geometry that the runs above cached
+    assert all(r.degenerate for r in results)
+    assert work == {"morrey.evaluations": 2, "morrey.table_hits": 2}
     assert solved == []
     with counters.collect() as work:
         results = D.continuous_dependence(u0, [u0] + v0s, cfg, P5, spec)
