@@ -98,6 +98,8 @@ _DOMAINS = {
     "grid.r_max": _POSITIVE,
     "grid.nodes": (lambda v, c: v >= 16, "nodes >= 16"),
     "solver.t_end": _POSITIVE,
+    "solver.dt_min": _POSITIVE,
+    "solver.blowup_threshold": _POSITIVE,
     "solver.checkpoints": (lambda v, c: isinstance(v, list) or v >= 1, "at least 1"),
     "solver.safety": (lambda v, c: v <= evolution.RK4_REAL_LIMIT  # max_safety(3), least for any n
                       or v <= evolution.max_safety(c["params"]["n"]), lambda v, c: (
@@ -118,14 +120,18 @@ _DOMAINS = {
     "experiment.t_margin": _POSITIVE,
     "experiment.t_end": _POSITIVE,
     "experiment.iterations": (lambda v, c: v >= 2, "iterations >= 2"),
-    "experiment.sample_times": (lambda v, c: v and all(0 < t <= c["experiment"]["t_end"]
-                                                       for t in v),
-                                "a nonempty list in (0, t_end]"),
+    "experiment.sample_times": (
+        lambda v, c: v and len(set(v)) == len(v) and all(0 < t <= c["experiment"]["t_end"]
+                                                         for t in v),
+        "a nonempty list of distinct times in (0, t_end]"),
     "experiment.rel_tol": _POSITIVE,
     "experiment.lambda_init": _POSITIVE,
+    "experiment.deltas": (lambda v, c: all(-math.inf < d < 1 for d in v),
+                          "a list of finite numbers below 1"),
     "experiment.T0": _POSITIVE,
     "experiment.sizes": (lambda v, c: v and all(map(math.isfinite, v)),
                          "a nonempty list of finite numbers"),
+    "experiment.stability_tol": _POSITIVE,
 }
 
 
@@ -310,6 +316,9 @@ def _run_energy(cfg, bundle):
         if t_hi <= t_lo:
             raise ConfigError(f"experiment.T_values: window empty for T={T}")
         grids[T] = np.arange(-math.log(T - t_lo), -math.log(T - t_hi), ex["ds"])
+        if grids[T].size < 3:
+            raise ConfigError(f"experiment.ds: {ex['ds']!r} leaves fewer than 3 s-points "
+                              f"in the window for T={T}")
     # the windows' checkpoints at exactly these floats; the solve ends at the last, not at horizon
     times = sorted({t for T, s_grid in grids.items()
                     for t in similarity.checkpoint_times_for_s_grid(T, s_grid).tolist()})

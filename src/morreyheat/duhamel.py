@@ -23,7 +23,7 @@ from .evolution import SolverConfig, _Stepper, diffusive_cap, solve
 from .fields import FREE, RadialField, make_field
 from .morrey import MorreyLattice, MorreySpec, critical_spec, morrey_norm
 from .params import ModelParams
-from .quadrature import SymmetricBandKernel, kernel_bytes_bound
+from .quadrature import SymmetricBandKernel
 
 
 def auxiliary_exponent(params: ModelParams, q: float = 2.0) -> float:
@@ -93,84 +93,66 @@ class _DiffusionSubsteps:
         return stepper.u.copy()
 
 
-_KERNEL_CACHE_BYTES = 400 * 2**20
-
-
-class _Propagators:
-    """Heat propagators of the master grid's intervals: one banded kernel per distinct width.
+def _update_store(store, grid, n, widths):
+    """Make store, a dict {interval width: heat propagator}, hold exactly the distinct widths.
 
     Mirrored intervals of the symmetric smoothstep grid have bitwise-equal
     widths, and a kernel is a pure function of (grid, t), so they share one
-    propagator and every sweep stays bitwise unchanged.  Each kernel is a
-    SymmetricBandKernel, the upper diagonals of its symmetric factor, and all are
-    kept if the distinct resolved widths fit the budget by the bound on their bytes
-    that each width's reach gives, else built per access.  A store built after a
-    `previous` one takes over its propagators of recurring widths and frees the rest
-    before building, so peak memory stays that of the larger store.  It counts builds,
-    diagonal MB and takeovers as duhamel.picard.kernel_builds, .kernel_mb, .kernel_reuses.
+    propagator and every sweep stays bitwise unchanged.  The widths that do not
+    recur are freed first, so peak memory stays that of the larger width set;
+    the kept resolved ones count as duhamel.picard.kernel_reuses.  The missing
+    widths are then built in first-seen order: a SymmetricBandKernel, the upper
+    diagonals of its symmetric factor, counted as .kernel_builds and .kernel_mb,
+    or below 2 h^2 a _DiffusionSubsteps.
     """
-
-    def __init__(self, grid, n, widths, previous=None):
-        self.grid, self.n = grid, n
-        self.widths = [float(dt) for dt in widths]
-        floor = 2.0 * grid.h**2
-        distinct = dict.fromkeys(self.widths)
-        self.cached = sum(kernel_bytes_bound(grid, dt) for dt in distinct
-                          if dt >= floor) <= _KERNEL_CACHE_BYTES
-        old = {}
-        if previous is not None:
-            old, previous._store = previous._store or {}, None
-        kept = {dt: old[dt] for dt in distinct if dt in old} if self.cached else {}
-        del old   # the widths that do not recur are freed before any build
-        counters.add("duhamel.picard.kernel_reuses", sum(1 for dt in kept if dt >= floor))
-        self._store = {dt: kept[dt] if dt in kept else self._build(dt)
-                       for dt in distinct} if self.cached else None
-
-    def _build(self, dt):
-        if dt >= 2.0 * self.grid.h**2:
-            kernel = SymmetricBandKernel(self.grid, dt)
-            counters.add("duhamel.picard.kernel_builds")
-            counters.add("duhamel.picard.kernel_mb", kernel.nbytes / 2**20)
-            return kernel
-        return _DiffusionSubsteps(self.grid, self.n, dt)
-
-    def __getitem__(self, i):
-        dt = self.widths[i]
-        return self._store[dt] if self.cached else self._build(dt)
+    floor = 2.0 * grid.h**2
+    distinct = dict.fromkeys(float(dt) for dt in widths)
+    for dt in [dt for dt in store if dt not in distinct]:
+        del store[dt]
+    counters.add("duhamel.picard.kernel_reuses", sum(1 for dt in store if dt >= floor))
+    for dt in distinct:
+        if dt in store:
+            continue
+        if dt < floor:
+            store[dt] = _DiffusionSubsteps(grid, n, dt)
+            continue
+        store[dt] = kernel = SymmetricBandKernel(grid, dt)
+        counters.add("duhamel.picard.kernel_builds")
+        counters.add("duhamel.picard.kernel_mb", kernel.nbytes / 2**20)
 
 
-def _sweep(u0_vals, kernels, widths, fields, p):
-    """One Picard sweep over the master grid; fields is the previous iterate, or None for the
-    linear sweep u(t) = G_t * u0."""
+def _sweep(u0_vals, store, widths, fields, p):
+    """One Picard sweep over the master grid with the propagators of store; fields is the
+    previous iterate, or None for the linear sweep u(t) = G_t * u0."""
     out = [u0_vals.copy()]
     f_prev = None if fields is None else np.abs(fields[0]) ** (p - 1.0) * fields[0]
     for i, dt in enumerate(widths):
         if fields is None:
-            out.append(kernels[i] @ out[-1])
+            out.append(store[dt] @ out[-1])
             continue
         f_here = np.abs(fields[i + 1]) ** (p - 1.0) * fields[i + 1]
-        out.append(kernels[i] @ (out[-1] + (0.5 * dt) * f_prev) + (0.5 * dt) * f_here)
+        out.append(store[dt] @ (out[-1] + (0.5 * dt) * f_prev) + (0.5 * dt) * f_here)
         f_prev = f_here
     return out
 
 
-def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol, previous=None):
+def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol, store):
     grid = u0.grid
     times = _graded_times(t_end, nodes, extra=sample_times, dt_floor=2.0 * grid.h**2)
     widths = np.diff(times)
     p = params.p
     sample_idx = np.searchsorted(times, sample_times)
 
-    kernels = _Propagators(grid, params.n, widths, previous)
+    _update_store(store, grid, params.n, widths)
     # u^(0)(t) = G_t * u0 via composed interval propagators
-    fields = _sweep(u0.values.astype(float), kernels, widths, None, p)
+    fields = _sweep(u0.values.astype(float), store, widths, None, p)
 
     diffs = []
     per_sample = None
     converged = diverged = False
     it = 0
     for it in range(1, max_iters + 1):
-        new_fields = _sweep(u0.values.astype(float), kernels, widths, fields, p)
+        new_fields = _sweep(u0.values.astype(float), store, widths, fields, p)
         per_sample = [float(np.max(np.abs(new_fields[i] - fields[i]))) for i in sample_idx]
         d = max(per_sample)
         sup_now = max(float(np.max(np.abs(new_fields[i]))) for i in sample_idx)
@@ -182,7 +164,7 @@ def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol, previous
         if d < tol * (1.0 + sup_now):
             converged = True
             break
-    return times, fields, sample_idx, diffs, per_sample, converged, diverged, it, kernels
+    return times, fields, sample_idx, diffs, per_sample, converged, diverged, it
 
 
 def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
@@ -205,10 +187,10 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
 
     prev_samples = None
     stability = None
-    kernels = None
+    store = {}
     while True:
-        times, fields, sample_idx, diffs, per_sample, converged, diverged, iters, kernels = \
-            _run_picard(u0, params, t_end, K, sample_times, nodes, tol, kernels)
+        times, fields, sample_idx, diffs, per_sample, converged, diverged, iters = \
+            _run_picard(u0, params, t_end, K, sample_times, nodes, tol, store)
         samples = [fields[i] for i in sample_idx]
         if prev_samples is not None:
             num = max(float(np.max(np.abs(a - b))) for a, b in zip(samples, prev_samples))
@@ -218,7 +200,7 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
             break
         prev_samples = samples
         nodes *= 2
-    kernels = None   # the last store is freed before the budget's Morrey norms; its pages are
+    store.clear()   # the last store is freed before the budget's Morrey norms; its pages are
     trim = getattr(ctypes.pythonapi, "malloc_trim", None)   # too scattered to hold their table,
     if trim is not None:   # so where the C library can (glibc), they are handed back to the OS
         trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int

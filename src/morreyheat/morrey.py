@@ -87,11 +87,9 @@ def lq_norm(f: RadialField, q: float) -> float:
 
 
 # Cached lattice geometry: key -> ({large radius index: its large_ball_cells},
-# {small radius index: SmallBallPlan}).  Bounded LRU; geometry over _TABLE_MAX_BYTES
-# is built whole and left uncached.
+# {small radius index: SmallBallPlan}).  Bounded LRU.
 _TABLE_CACHE: OrderedDict = OrderedDict()
 _TABLE_CACHE_MAX = 4
-_TABLE_MAX_BYTES = 300 * 2**20
 
 
 def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
@@ -115,10 +113,9 @@ def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
     nbytes = sum(x.nbytes for part in (cells, plans) for arrays in part.values() for x in arrays)
     counters.add("morrey.table_builds")
     counters.add("morrey.table_mb", nbytes / 2**20)
-    if nbytes <= _TABLE_MAX_BYTES:
-        _TABLE_CACHE[key] = cells, plans
-        while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
-            _TABLE_CACHE.popitem(last=False)
+    _TABLE_CACHE[key] = cells, plans
+    while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
+        _TABLE_CACHE.popitem(last=False)
     return cells, plans
 
 

@@ -39,16 +39,13 @@ def ball_volume(n: int) -> float:
 
 
 def _sin_power_integral(k: int, theta):
-    """integral_0^theta sin^k, by the exact reduction I_k = (-sin^{k-1} cos + (k-1) I_{k-2})/k."""
+    """integral_0^theta sin^k for k >= 1, by the exact reduction
+    I_k = (-sin^{k-1} cos + (k-1) I_{k-2})/k from I_0 = theta and I_1 = 1 - cos."""
     theta = np.asarray(theta, dtype=float)
-    i_even = theta.copy()           # I_0
-    i_odd = 1.0 - np.cos(theta)     # I_1
-    if k == 0:
-        return i_even
+    prev, cur = theta, 1.0 - np.cos(theta)
     if k == 1:
-        return i_odd
+        return cur
     s, c = np.sin(theta), np.cos(theta)
-    prev, cur = i_even, i_odd
     for m in range(2, k + 1):
         prev, cur = cur, (-(s ** (m - 1)) * c + (m - 1) * prev) / m
     return cur

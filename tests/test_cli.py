@@ -102,6 +102,18 @@ _CHECKPOINT_DOMAIN = "solver: checkpoint times must increase strictly within (0,
      "experiment.lambda_init: need 0 < lambda_init < inf"),
     ("threshold", "experiment.rel_tol", 0.0, "experiment.rel_tol: need 0 < rel_tol < inf"),
     ("solve", "grid.r_max", math.inf, "grid.r_max: need 0 < r_max < inf"),
+    # values that ran, to a late failure under another name or with a blowup test switched off
+    ("picard", "experiment.sample_times", [0.5, 0.5, 1.0],
+     "experiment.sample_times: need a nonempty list of distinct times in (0, t_end]"),
+    ("solve", "solver.dt_min", -1.0, "solver.dt_min: need 0 < dt_min < inf"),
+    ("solve", "solver.blowup_threshold", 1e400,
+     "solver.blowup_threshold: need 0 < blowup_threshold < inf"),
+    ("dependence", "experiment.stability_tol", -1.0,
+     "experiment.stability_tol: need 0 < stability_tol < inf"),
+    ("threshold", "experiment.deltas", [0.1, 1.0],
+     "experiment.deltas: need a list of finite numbers below 1"),
+    ("threshold", "experiment.deltas", [math.nan],
+     "experiment.deltas: need a list of finite numbers below 1"),
 ])
 def test_bad_config_value_exits_2(kind, path, value, message, tmp_path, capsys):
     block, key = path.split(".")
@@ -112,6 +124,17 @@ def test_bad_config_value_exits_2(kind, path, value, message, tmp_path, capsys):
     config.write_text(json.dumps(cfg))
     assert cli.main([kind, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_energy_window_short_of_3_points_exits_2(tmp_path, capsys, monkeypatch):
+    # ds 5.0 leaves one s-point in the T = 2 window (s from 0 to log 10): rejected before the solve
+    monkeypatch.setattr(evolution, "solve", None)
+    cfg = {"experiment": {"kind": "energy", "ds": 5.0}, "grid": {"r_max": 10.0, "nodes": 64}}
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["energy", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert ("config error: experiment.ds: 5.0 leaves fewer than 3 s-points in the window "
+            "for T=2.0") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -394,6 +417,25 @@ def test_solve_and_dependence_record_rk4_work(tmp_path, fresh_tables):
     assert profile["evolution.steps"] >= 3 / evolution.diffusive_cap(2.4, 0.2, 5)
 
 
+@pytest.mark.parametrize("amplitude, sweeps", [
+    (3.0, 3),    # three growing Cauchy differences
+    (10.0, 3),   # growing differences and sup > 1e6 at once
+    (30.0, 2),   # sup > 1e6 before a third difference exists
+])
+def test_picard_divergence_fails_the_kind(amplitude, sweeps, tmp_path, capsys):
+    cfg = {"experiment": {"kind": "picard"}, "grid": {"r_max": 10.0, "nodes": 100},
+           "initial_data": {"args": {"amplitude": amplitude, "width": 2.0}}}
+    params, grid, u0 = cli._build_inputs(cli._merged(cfg))
+    run = duhamel.picard_solve(u0, params, 1.0, 8, [0.1, 0.5, 1.0])
+    assert run.diverged and not run.converged
+    assert run.iterations == len(run.cauchy_diffs) == sweeps
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["picard", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "[FAIL] picard_converged" in capsys.readouterr().out
+    assert json.loads((tmp_path / "o" / "picard.json").read_text())["diverged"]
+
+
 def test_picard_kind_end_to_end(tmp_path, fresh_tables):
     cfg = cli.default_config("picard")
     cfg["grid"] = {"r_max": 16.0, "nodes": 160}
@@ -423,7 +465,7 @@ def test_picard_kind_end_to_end(tmp_path, fresh_tables):
         builds += len(distinct - previous)
         band_bytes += sum(_diagonal_bytes(grid, dt) for dt in distinct - previous)
         sweeps = 1 + duhamel._run_picard(u0, params, 0.5, 8, np.array([0.25, 0.5]), nodes,
-                                         1e-8)[7]
+                                         1e-8, {})[7]
         substeps += sweeps * sum(max(1, math.ceil(dt / cap)) for dt in widths if dt < floor)
         previous = distinct
         nodes *= 2

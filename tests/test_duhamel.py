@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -44,16 +45,24 @@ def test_picard_rejects_bad_arguments():
         D.picard_solve(z, P5, 1.0, 4, [2.0])
 
 
-class _PerIntervalPropagators:
-    """Reference store: one propagator built per interval, shared by none, none carried over."""
+class _FreshPropagators:
+    """Reference store: builds a fresh propagator on every lookup; none is shared or kept."""
 
-    def __init__(self, grid, n, widths, previous=None):
-        self._store = [Q.SymmetricBandKernel(grid, float(dt))
-                       if dt >= 2.0 * grid.h**2 else D._DiffusionSubsteps(grid, n, float(dt))
-                       for dt in widths]
+    def __init__(self, grid, n):
+        self.grid, self.n = grid, n
 
-    def __getitem__(self, i):
-        return self._store[i]
+    def __getitem__(self, dt):
+        dt = float(dt)
+        if dt >= 2.0 * self.grid.h**2:
+            return Q.SymmetricBandKernel(self.grid, dt)
+        return D._DiffusionSubsteps(self.grid, self.n, dt)
+
+
+def _propagator(grid, dt):
+    """The Picard store's propagator of one interval width."""
+    store = {}
+    D._update_store(store, grid, P5.n, [dt])
+    return store[float(dt)]
 
 
 def _kernel_counts(work):
@@ -85,56 +94,61 @@ def test_picard_propagators_one_per_width(monkeypatch):
         assert len(distinct[nodes]) < len(resolved[nodes]) < len(widths[nodes])
     assert recurring and len(distinct[32]) < len(distinct[64])
 
-    def run(nodes, previous=None):
-        return D._run_picard(u0, P5, 1.0, 3, np.array([0.5, 1.0]), nodes, 1e-300, previous)
+    def run(nodes, store):
+        return D._run_picard(u0, P5, 1.0, 3, np.array([0.5, 1.0]), nodes, 1e-300, store)
 
-    got = {}
-    fits = sum(Q.kernel_bytes_bound(g, dt) for dt in distinct[64])
-    for budget in (fits, fits - 1):
-        monkeypatch.setattr(D, "_KERNEL_CACHE_BYTES", budget)
+    store = {}
+    with counters.collect() as work:
+        D._update_store(store, g, P5.n, widths[32])
+    # one propagator per distinct width, in first-seen order
+    assert list(store) == list(dict.fromkeys(float(dt) for dt in widths[32]))
+    assert _kernel_counts(work) == (len(distinct[32]), 0)
+    assert work["duhamel.picard.kernel_mb"] == _band_mb(g, distinct[32])
+    assert "duhamel.picard.substeps" not in work   # counted when applied, not when built
+    old = {dt: weakref.ref(kernel) for dt, kernel in store.items()}
+    after = {float(dt) for dt in widths[64]}
+    gone = [ref for dt, ref in old.items() if dt not in after]
+    assert gone
+
+    def freed_first(build):
+        def checked(*args):
+            assert all(ref() is None for ref in gone)   # the widths that do not recur go first
+            return build(*args)
+        return checked
+
+    with monkeypatch.context() as patch:
+        patch.setattr(D, "SymmetricBandKernel", freed_first(Q.SymmetricBandKernel))
+        patch.setattr(D, "_DiffusionSubsteps", freed_first(D._DiffusionSubsteps))
         with counters.collect() as work:
-            first = D._Propagators(g, P5.n, widths[32])
-        assert first.cached and _kernel_counts(work) == (len(distinct[32]), 0)
-        assert work["duhamel.picard.kernel_mb"] == _band_mb(g, distinct[32])
-        assert "duhamel.picard.substeps" not in work   # counted when applied, not when built
-        for i, wi in enumerate(widths[32]):
-            for j, wj in enumerate(widths[32]):
-                assert (first[i] is first[j]) == (wi == wj), (i, j)
-        old = {float(dt): first[i] for i, dt in enumerate(widths[32])}
-        with counters.collect() as work:
-            kernels = D._Propagators(g, P5.n, widths[64], first)
-        assert first._store is None   # handed over: the widths that do not recur are freed
-        # the budget holds the 64-node set's bound exactly, or one byte less
-        assert kernels.cached == (budget == fits)
-        if kernels.cached:
-            assert _kernel_counts(work) == (len(distinct[64] - recurring), len(recurring))
-            assert work["duhamel.picard.kernel_mb"] == _band_mb(g, distinct[64] - recurring)
-            for i, dt in enumerate(widths[64]):
-                assert (kernels[i] is old.get(float(dt))) == (float(dt) in old), i
-        else:
-            assert _kernel_counts(work) == (0, 0)
-        with counters.collect() as work:
-            got[budget] = run(64, run(32)[-1])[1]
-        # the linear sweep and 3 Picard sweeps apply every substep interval once each
-        assert work["duhamel.picard.substeps"] == 4 * sum(
-            _substeps(g, P5.n, widths[nodes]) for nodes in (32, 64)) > 0
-        with counters.collect() as work:
-            solved = D.picard_solve(u0, P5, 1.0, 3, [0.5, 1.0], nodes=32, max_nodes=64,
-                                    tol=1e-300)
-        assert solved.nodes_used == 64
-        assert _kernel_counts(work)[1] == (len(recurring) if kernels.cached else 0)
-        got[budget, "solve"] = solved
-    monkeypatch.setattr(D, "_Propagators", _PerIntervalPropagators)
-    want = run(64)[1]
+            D._update_store(store, g, P5.n, widths[64])
+    assert set(store) == after
+    assert all(ref() is None for ref in gone)
+    # the recurring widths, substep ones included, keep their propagators
+    assert {dt for dt, kernel in store.items() if dt in old and old[dt]() is kernel} == \
+        set(old) & set(store)
+    assert _kernel_counts(work) == (len(distinct[64] - recurring), len(recurring))
+    assert work["duhamel.picard.kernel_mb"] == _band_mb(g, distinct[64] - recurring)
+    with counters.collect() as work:
+        store = {}
+        run(32, store)
+        got = run(64, store)[1]
+    # the linear sweep and 3 Picard sweeps apply every substep interval once each
+    assert work["duhamel.picard.substeps"] == 4 * sum(
+        _substeps(g, P5.n, widths[nodes]) for nodes in (32, 64)) > 0
+    with counters.collect() as work:
+        solved = D.picard_solve(u0, P5, 1.0, 3, [0.5, 1.0], nodes=32, max_nodes=64, tol=1e-300)
+    assert solved.nodes_used == 64
+    assert _kernel_counts(work)[1] == len(recurring)
+    sweep, fresh = D._sweep, _FreshPropagators(g, P5.n)
+    monkeypatch.setattr(D, "_sweep", lambda u0_vals, store, *rest: sweep(u0_vals, fresh, *rest))
+    want = run(64, {})[1]
     want_solve = D.picard_solve(u0, P5, 1.0, 3, [0.5, 1.0], nodes=32, max_nodes=64,
                                 tol=1e-300)
-    for budget in (fits, fits - 1):
-        assert len(got[budget]) == len(want)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got[budget], want))
-        solved = got[budget, "solve"]
-        assert all(a.values.tobytes() == b.values.tobytes()
-                   for a, b in zip(solved.fields, want_solve.fields))
-        assert solved.budget.tobytes() == want_solve.budget.tobytes()
+    assert len(got) == len(want)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert all(a.values.tobytes() == b.values.tobytes()
+               for a, b in zip(solved.fields, want_solve.fields))
+    assert solved.budget.tobytes() == want_solve.budget.tobytes()
 
 
 def _picard_widths(grid, counts=(64, 128)):
@@ -150,19 +164,20 @@ def test_picard_store_holds_bands_not_dense_matrices(nodes, share):
     # the given share of one dense matrix per width
     g = F.make_grid(5, 40.0, nodes)
     widths = np.diff(D._graded_times(1.0, 128, extra=[0.1, 0.5, 1.0], dt_floor=2.0 * g.h**2))
-    store = D._Propagators(g, P5.n, widths)
-    kernels = [k for k in store._store.values() if isinstance(k, Q.SymmetricBandKernel)]
-    assert store.cached and kernels
+    store = {}
+    D._update_store(store, g, P5.n, widths)
+    kernels = [k for k in store.values() if isinstance(k, Q.SymmetricBandKernel)]
+    assert kernels
     assert sum(k.nbytes for k in kernels) <= share * len(kernels) * (g.m + 1) ** 2 * 8
 
 
 @pytest.mark.parametrize("nodes", [400, 800])
 def test_kernel_bytes_bound_holds_for_every_picard_width(nodes):
-    # the store decides whether to cache on each width's bound before building; every kernel
+    # SymmetricBandKernel sizes its diagonals by each width's bound before building; every kernel
     # the picard kind builds at 64 and 128 Picard nodes on its 401- and 801-node grids fits it
     g = F.make_grid(5, 40.0, nodes)
     for dt in _picard_widths(g):
-        assert D._Propagators(g, P5.n, [dt])[0].nbytes <= Q.kernel_bytes_bound(g, dt), dt
+        assert _propagator(g, dt).nbytes <= Q.kernel_bytes_bound(g, dt), dt
 
 
 @pytest.mark.parametrize("nodes", [400, 800])
@@ -173,7 +188,7 @@ def test_picard_bands_equal_the_banded_dense_formula(nodes):
     g = F.make_grid(5, 40.0, nodes)
     rng = np.random.default_rng(nodes)
     for dt in _picard_widths(g)[::3]:
-        _assert_kernel_equals_dense_formula(D._Propagators(g, P5.n, [dt])[0], g, dt,
+        _assert_kernel_equals_dense_formula(_propagator(g, dt), g, dt,
                                             rng.standard_normal(g.m + 1))
 
 
