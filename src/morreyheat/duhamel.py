@@ -12,7 +12,6 @@ exploiting that the weak endpoint singularities of the Morrey-side estimates
 are integrable; kernels of widths that recur after a doubling are carried over.
 """
 
-import ctypes
 import math
 from dataclasses import dataclass
 
@@ -137,6 +136,8 @@ def _sweep(u0_vals, store, widths, fields, p):
 
 
 def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol, store):
+    """Picard sweeps at one node count: (the iterate at the sample times, Cauchy differences,
+    final per-sample differences, converged, diverged, sweeps); the rest of it dies here."""
     grid = u0.grid
     times = _graded_times(t_end, nodes, extra=sample_times, dt_floor=2.0 * grid.h**2)
     widths = np.diff(times)
@@ -164,7 +165,7 @@ def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol, store):
         if d < tol * (1.0 + sup_now):
             converged = True
             break
-    return times, fields, sample_idx, diffs, per_sample, converged, diverged, it
+    return [fields[i] for i in sample_idx], diffs, per_sample, converged, diverged, it
 
 
 def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
@@ -189,9 +190,8 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
     stability = None
     store = {}
     while True:
-        times, fields, sample_idx, diffs, per_sample, converged, diverged, iters = \
+        samples, diffs, per_sample, converged, diverged, iters = \
             _run_picard(u0, params, t_end, K, sample_times, nodes, tol, store)
-        samples = [fields[i] for i in sample_idx]
         if prev_samples is not None:
             num = max(float(np.max(np.abs(a - b))) for a, b in zip(samples, prev_samples))
             den = 1.0 + max(float(np.max(np.abs(a))) for a in samples)
@@ -200,11 +200,7 @@ def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
             break
         prev_samples = samples
         nodes *= 2
-    store.clear()   # the last store is freed before the budget's Morrey norms; its pages are
-    trim = getattr(ctypes.pythonapi, "malloc_trim", None)   # too scattered to hold their table,
-    if trim is not None:   # so where the C library can (glibc), they are handed back to the OS
-        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-        trim(0)
+    store.clear()   # the last store is freed before the budget's Morrey norms
 
     crit = critical_spec(params)
     r_aux = auxiliary_exponent(params, crit.q)

@@ -8,8 +8,8 @@ are extended by zero beyond r_max in every kernel.  Each formula has one home:
 column-weight array per grid, `origin_ball_weights` the single volume-weight
 formula, `large_ball_cells` the single large-ball rule, and `fine_ball_integral`
 the single small-ball rule, applied to a `small_ball_plan` that holds the rule's
-data-free geometry (kept by callers that evaluate many densities on one grid and
-lattice).
+data-free geometry and whole weight (kept by callers that evaluate many densities on
+one grid and lattice).
 """
 
 import functools
@@ -140,13 +140,14 @@ FINE_BALL_NODES = 257
 
 class SmallBallPlan(NamedTuple):
     """Data-free part of fine_ball_integral for one radius: per live center (hi > lo) its
-    subgrid span, inside [0, r_max], and per subgrid point its grid interval and cap fraction."""
+    subgrid span, inside [0, r_max], and per subgrid point its grid interval and weight, the
+    sphere area times its trapezoid weight times s^(n-1) times its cap fraction."""
 
     live: np.ndarray     # bool, shaped like the centers
     lo: np.ndarray
     hi: np.ndarray
     idx: np.ndarray      # (live, FINE_BALL_NODES), the index dtype: np.min_scalar_type(m + 1)
-    cap: np.ndarray      # float64 (live, FINE_BALL_NODES)
+    weight: np.ndarray   # float64 (live, FINE_BALL_NODES)
 
 
 def small_ball_plan(grid: RadialGrid, a, r_ball: float) -> SmallBallPlan:
@@ -158,8 +159,11 @@ def small_ball_plan(grid: RadialGrid, a, r_ball: float) -> SmallBallPlan:
     lo, hi = lo[live], hi[live]
     s = np.linspace(lo, hi, FINE_BALL_NODES, axis=-1)
     idx = np.clip(np.searchsorted(grid.nodes, s, side="right") - 1, 0, grid.m - 1)
+    half = np.diff(s, axis=-1) / 2.0
+    trapezoid = np.pad(half, [(0, 0), (0, 1)]) + np.pad(half, [(0, 0), (1, 0)])
     cap = cap_fraction_array(grid.n, a[live][..., None], s, r_ball)
-    return SmallBallPlan(live, lo, hi, idx.astype(np.min_scalar_type(grid.m + 1)), cap)
+    weight = sphere_area(grid.n) * trapezoid * s ** (grid.n - 1) * cap
+    return SmallBallPlan(live, lo, hi, idx.astype(np.min_scalar_type(grid.m + 1)), weight)
 
 
 def small_ball_work(rows: int) -> list:
@@ -178,7 +182,8 @@ def fine_ball_integral(grid: RadialGrid, g: np.ndarray, plan: SmallBallPlan,
     endpoint is r = 0).  Always pass the density |f|^q, never the field, so
     that the power identity between (|f|^m, r/m) and (f, r) stays exact at
     lattice level.  The per-point intermediates go into `work` (small_ball_work,
-    reusable across calls), allocated here when it is None.
+    reusable across calls), allocated here when it is None; each ball's integral is
+    then the interpolated density's sum against its row of plan.weight.
     """
     out = np.zeros(plan.live.shape)
     rows = plan.idx.shape[0]
@@ -202,15 +207,7 @@ def fine_ball_integral(grid: RadialGrid, g: np.ndarray, plan: SmallBallPlan,
     k = i0.take(pts)
     w = (s.take(pts) - nodes.take(k)) / np.diff(nodes).take(k)
     dens.put(pts, g.take(k) * (1.0 - w) + g[1:].take(k) * w)
-    np.positive(s, out=tmp)
-    tmp **= grid.n - 1   # as s ** (n - 1) computes it
-    dens *= tmp
-    dens *= plan.cap
-    # np.trapezoid(dens, s, axis=-1), (diff(s) * (y[1:] + y[:-1]) / 2).sum(-1), in the buffers
-    y = np.add(dens[:, 1:], dens[:, :-1], out=lw[:, 1:])
-    y *= np.subtract(s[:, 1:], s[:, :-1], out=tmp[:, 1:])
-    y /= 2.0
-    out[plan.live] = sphere_area(grid.n) * y.sum(axis=-1)
+    out[plan.live] = np.einsum("ij,ij->i", dens, plan.weight)
     return out
 
 

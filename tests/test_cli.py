@@ -114,12 +114,16 @@ _CHECKPOINT_DOMAIN = "solver: checkpoint times must increase strictly within (0,
      "experiment.deltas: need a list of finite numbers below 1"),
     ("threshold", "experiment.deltas", [math.nan],
      "experiment.deltas: need a list of finite numbers below 1"),
+    # values that reach a check inside the run: a profile ValueError, an empty energy window
+    ("solve", "initial_data.args", {"amplitude": 1.0, "width": 0.0},
+     "initial_data.profile: field samples must be finite"),
+    ("energy", "experiment.T_values", [0.05], "experiment.T_values: window empty for T=0.05"),
 ])
 def test_bad_config_value_exits_2(kind, path, value, message, tmp_path, capsys):
     block, key = path.split(".")
     cfg = {"experiment": {"kind": kind}, "grid": {"r_max": 10.0, "nodes": 64},
            "solver": {"t_end": 0.5}}
-    cfg[block][key] = value
+    cfg.setdefault(block, {})[key] = value
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(cfg))
     assert cli.main([kind, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
@@ -423,6 +427,8 @@ def test_solve_and_dependence_record_rk4_work(tmp_path, fresh_tables):
     (30.0, 2),   # sup > 1e6 before a third difference exists
 ])
 def test_picard_divergence_fails_the_kind(amplitude, sweeps, tmp_path, capsys):
+    # the classical solve blows up before the first sample time 0.1 (at t ~ 0.078 for
+    # amplitude 3), so the agreement check has no checkpoint to compare and fails too
     cfg = {"experiment": {"kind": "picard"}, "grid": {"r_max": 10.0, "nodes": 100},
            "initial_data": {"args": {"amplitude": amplitude, "width": 2.0}}}
     params, grid, u0 = cli._build_inputs(cli._merged(cfg))
@@ -432,7 +438,8 @@ def test_picard_divergence_fails_the_kind(amplitude, sweeps, tmp_path, capsys):
     config = tmp_path / "big.json"
     config.write_text(json.dumps(cfg))
     assert cli.main(["picard", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-    assert "[FAIL] picard_converged" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[FAIL] picard_converged" in out and "[FAIL] mild_classical_agreement (0)" in out
     assert json.loads((tmp_path / "o" / "picard.json").read_text())["diverged"]
 
 
@@ -465,7 +472,7 @@ def test_picard_kind_end_to_end(tmp_path, fresh_tables):
         builds += len(distinct - previous)
         band_bytes += sum(_diagonal_bytes(grid, dt) for dt in distinct - previous)
         sweeps = 1 + duhamel._run_picard(u0, params, 0.5, 8, np.array([0.25, 0.5]), nodes,
-                                         1e-8, {})[7]
+                                         1e-8, {})[-1]
         substeps += sweeps * sum(max(1, math.ceil(dt / cap)) for dt in widths if dt < floor)
         previous = distinct
         nodes *= 2
@@ -616,6 +623,18 @@ def test_threshold_kind_end_to_end(tmp_path):
     assert doc["C0_measured"] == evolution.decay_diagnostics(run, params).sup_t_beta_norm / eps
     assert doc["C0_measured"] > 0
     assert (tmp_path / "t" / "morrey_series_lo.csv").read_text().splitlines()[0] == "t,value"
+
+
+def test_threshold_undecided_first_trial_exits_3(tmp_path, capsys):
+    # on a free boundary the first trial's run is aborted for boundary contamination, so
+    # it is undecided and no bracket can be scanned for
+    config = tmp_path / "free.json"
+    config.write_text(json.dumps({"experiment": {"kind": "threshold"},
+                                  "initial_data": {"boundary": "even_at_origin_only"}}))
+    assert cli.main(["threshold", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--nodes", "64", "--rmax", "10", "--tend", "20"]) == 3
+    assert ("could not bracket a threshold from lambda_init=1.0; trials: 1:undecided"
+            in capsys.readouterr().err)
 
 
 def small_threshold_config(safety=None):

@@ -131,7 +131,7 @@ def test_picard_propagators_one_per_width(monkeypatch):
     with counters.collect() as work:
         store = {}
         run(32, store)
-        got = run(64, store)[1]
+        got = run(64, store)[0]   # the iterate at the sample times
     # the linear sweep and 3 Picard sweeps apply every substep interval once each
     assert work["duhamel.picard.substeps"] == 4 * sum(
         _substeps(g, P5.n, widths[nodes]) for nodes in (32, 64)) > 0
@@ -141,7 +141,7 @@ def test_picard_propagators_one_per_width(monkeypatch):
     assert _kernel_counts(work)[1] == len(recurring)
     sweep, fresh = D._sweep, _FreshPropagators(g, P5.n)
     monkeypatch.setattr(D, "_sweep", lambda u0_vals, store, *rest: sweep(u0_vals, fresh, *rest))
-    want = run(64, {})[1]
+    want = run(64, {})[0]
     want_solve = D.picard_solve(u0, P5, 1.0, 3, [0.5, 1.0], nodes=32, max_nodes=64,
                                 tol=1e-300)
     assert len(got) == len(want)

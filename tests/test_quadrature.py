@@ -634,8 +634,9 @@ def _reference_density_interpolant(nodes, g):
     return interp
 
 
-def _reference_fine_ball_integral(g_interp, n, r_max, a, r_ball):
-    """Per-radius small-ball rule with its geometry rebuilt on every call."""
+def _reference_fine_ball_integral(g_interp, n, r_max, a, r_ball, trapezoid=False):
+    """Per-radius small-ball rule with its geometry rebuilt on every call: the plan's weights
+    and row sum, or with trapezoid=True the form before them, area trapezoid(g s^(n-1) cap, s)."""
     a = np.asarray(a, dtype=float)
     lo = np.maximum(0.0, a - r_ball)
     hi = np.minimum(a + r_ball, r_max)
@@ -643,8 +644,15 @@ def _reference_fine_ball_integral(g_interp, n, r_max, a, r_ball):
     live = hi > lo
     if np.any(live):
         s = np.linspace(lo[live], hi[live], Q.FINE_BALL_NODES, axis=-1)
-        vals = g_interp(s) * s ** (n - 1) * Q.cap_fraction_array(n, a[live][..., None], s, r_ball)
-        out[live] = Q.sphere_area(n) * np.trapezoid(vals, s, axis=-1)
+        cap = Q.cap_fraction_array(n, a[live][..., None], s, r_ball)
+        if trapezoid:
+            vals = g_interp(s) * s ** (n - 1) * cap
+            out[live] = Q.sphere_area(n) * np.trapezoid(vals, s, axis=-1)
+        else:
+            half = np.diff(s, axis=-1) / 2.0
+            weight = np.pad(half, [(0, 0), (0, 1)]) + np.pad(half, [(0, 0), (1, 0)])
+            weight = Q.sphere_area(n) * weight * s ** (n - 1) * cap
+            out[live] = np.einsum("ij,ij->i", g_interp(s), weight)
     return out
 
 
@@ -680,6 +688,27 @@ def test_small_ball_cells_equal_per_point_rule(nodes):
                 want = integrals * radii[None, :] ** (lam - 5)
                 got = M.morrey_evaluate(f, M.MorreySpec(q, lam), lattice).cells
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nodes", [200, 400, 1600])
+def test_small_ball_cells_within_rounding_of_trapezoid_form(nodes):
+    # the plan's weights regroup area trapezoid(g s^(n-1) cap, s), the rule's form before
+    # them, into one sum of g against a weight per point: the cells move in the last digits
+    grid = F.make_grid(5, 40.0, nodes)
+    lam = 2.0
+    for lattice in (M.MorreyLattice.default(grid), M.MorreyLattice.default(grid).refine()):
+        radii = np.asarray(lattice.radii)
+        small = np.nonzero(radii <= Q.SMALL_BALL_FACTOR * grid.h)[0]
+        for shape in _SMALL_BALL_FIELDS.values():
+            f = F.make_field(grid, shape(grid.nodes))
+            for q in (1.0, 2.0, 4.0 / 3.0):
+                interp = _reference_density_interpolant(grid.nodes, np.abs(f.values) ** q)
+                want = np.column_stack([_reference_fine_ball_integral(
+                    interp, 5, grid.r_max, lattice.centers, float(radii[ri]), trapezoid=True)
+                    for ri in small]) * radii[small] ** (lam - 5)
+                got = M.morrey_evaluate(f, M.MorreySpec(q, lam), lattice).cells[:, small]
+                big = np.abs(want) >= 1e-300
+                assert np.all(np.abs(got - want)[big] <= 4e-15 * np.abs(want[big]))
 
 
 def _dense_cell_weights(grid, lattice, ri):
