@@ -35,13 +35,14 @@ class PipelineError(RuntimeError):
     """An experiment pipeline failed; wraps the module-level error."""
 
 
-def default_config(kind: str) -> dict:
+def default_config(kind: str, n: int = 5) -> dict:
+    """The defaults of one kind in dimension n; the threshold kind's safety depends on n."""
     if kind not in _PIPELINES:
         raise ConfigError(f"experiment.kind: unknown kind {kind!r}")
     cfg = {
-        "params": {"n": 5, "p": 3.0},
+        "params": {"n": n, "p": 3.0},
         "grid": {"r_max": 40.0, "nodes": 400},
-        # safety 2.4 is below evolution.max_safety(n) for every n >= 3 (dt*rho = 2.03 at n = 5)
+        # 2.4 is below evolution.max_safety(n) for every n >= 3; solve and threshold set their own
         "solver": {"t_end": 20.0, "dt_init": 0.1, "dt_min": 1e-14, "safety": 2.4,
                    "blowup_threshold": 1e8, "checkpoints": 20},
         "initial_data": {"profile": "gaussian", "args": {"amplitude": 0.05, "width": 2.0},
@@ -65,6 +66,9 @@ def default_config(kind: str) -> dict:
         # decay_slope and sup_t_beta_norm are read off the sampled series and move by 1e-5 at 2.4
         cfg["solver"]["safety"] = 0.8
     if kind == "threshold":
+        # its verdicts read no step-sampled value, so it steps at the stated fraction of RK4's
+        # bound for its own n: 2.507, 2.967 and 3.287 at n = 3, 5 and 8 (dt*rho = 2.51)
+        cfg["solver"]["safety"] = evolution.STABLE_FRACTION * evolution.max_safety(n)
         cfg["initial_data"]["args"] = {"amplitude": 1.0, "width": 2.0}
         cfg["solver"]["t_end"] = 200.0
         cfg["grid"] = {"r_max": 40.0, "nodes": 200}
@@ -145,11 +149,12 @@ _BLOCKS = ("params", "grid", "solver", "experiment", "initial_data")
 
 
 def _merged(cfg) -> dict:
-    """`cfg` with each block merged over its kind's defaults.  A key they lack, a value
-    without its default's type, or one outside its _DOMAINS row is a ConfigError."""
+    """`cfg` with each block merged over its kind's defaults for its own n.  A key they lack, a
+    value without its default's type, or one outside its _DOMAINS row is a ConfigError."""
     _object("config", cfg)
     blocks = {block: _object(block, cfg.get(block, {})) for block in _BLOCKS}
-    base = default_config(blocks["experiment"].get("kind"))
+    kind = blocks["experiment"].get("kind")
+    base = default_config(kind)
     # (path, value, default) of every option the config gives
     given = [(key, cfg[key], base.get(key)) for key in cfg if key not in _BLOCKS] + [
         (f"{block}.{key}", value, base[block].get(key))
@@ -161,6 +166,9 @@ def _merged(cfg) -> dict:
                                               f"the type of its default {default!r}")
         if not test(value):
             raise ConfigError(f"{path}: expected {name}, got {value!r}")
+    n = blocks["params"].get("n", base["params"]["n"])
+    if _DOMAINS["params.n"][0](n, None):   # an n outside its domain fails below
+        base = default_config(kind, n)
     merged = {**base, **cfg}
     for block in _BLOCKS:
         merged[block] = {**base[block], **blocks[block]}

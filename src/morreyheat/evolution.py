@@ -13,8 +13,10 @@ stability limit; it is 2.785, 3.09, 3.30 and 3.65 for n = 3, 4, 5, 8 and grows
 with n.  Every eigenvalue of L, complex pairs (n >= 8) included, then has
 |R(dt lambda)| <= 1 for RK4's stability polynomial R (the tests check n = 3, 4,
 5, 8, 11 at 101-801 nodes).  solve rejects a larger safety.  The default 0.8
-puts dt*rho at 0.68 for n = 5; every CLI kind but solve runs at 2.4
-(dt*rho = 2.03), below max_safety for every n >= 3.
+puts dt*rho at 0.68 for n = 5.  The CLI's threshold kind runs at STABLE_FRACTION
+(0.9) of max_safety(n) for its own n, which damps the stiffest real mode to
+|R| = 0.66 for every n; solve stays at 0.8 and the other kinds at 2.4, below
+max_safety for every n >= 3.
 """
 
 import functools
@@ -33,6 +35,9 @@ BOUNDARY_CONTAMINATION = 1e-6   # |u| next to r_max, over sup |u|, that aborts a
 # RK4's stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has |R| = 1 on the
 # negative real axis at z = -RK4_REAL_LIMIT, the real root of z^3 + 4 z^2 + 12 z + 24.
 RK4_REAL_LIMIT = 2.785293563405289
+# A stated fraction of the bound: safety STABLE_FRACTION * max_safety(n) puts dt*rho at 0.9 of
+# RK4_REAL_LIMIT, where the stiffest real mode has |R| = 0.66, for every n.
+STABLE_FRACTION = 0.9
 
 
 def log_checkpoints(t_end: float, count: int = 20) -> tuple:

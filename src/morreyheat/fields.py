@@ -161,6 +161,8 @@ def rescale_field(f: RadialField, lam: float, params: ModelParams) -> RadialFiel
 
 def gaussian(grid: RadialGrid, amplitude: float, width: float, boundary: str = FREE) -> RadialField:
     """amplitude * exp(-(r/width)^2)."""
+    if not width > 0:
+        raise ValueError(f"width must be > 0, got {width!r}")
     vals = amplitude * np.exp(-((grid.nodes / width) ** 2))
     return _tagged(grid, vals, boundary)
 
@@ -186,6 +188,8 @@ def plateau(grid: RadialGrid, amplitude: float, radius: float, ramp: float,
 def power_tail(grid: RadialGrid, amplitude: float, exponent: float, core_radius: float,
                boundary: str = FREE) -> RadialField:
     """amplitude * (1 + (r/core_radius)^2)^(-exponent/2); tail ~ r^(-exponent)."""
+    if not core_radius > 0:
+        raise ValueError(f"core_radius must be > 0, got {core_radius!r}")
     vals = amplitude * (1.0 + (grid.nodes / core_radius) ** 2) ** (-exponent / 2.0)
     return _tagged(grid, vals, boundary)
 

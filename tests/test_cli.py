@@ -1,8 +1,10 @@
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import OrderedDict
 from pathlib import Path
 
@@ -116,7 +118,7 @@ _CHECKPOINT_DOMAIN = "solver: checkpoint times must increase strictly within (0,
      "experiment.deltas: need a list of finite numbers below 1"),
     # values that reach a check inside the run: a profile ValueError, an empty energy window
     ("solve", "initial_data.args", {"amplitude": 1.0, "width": 0.0},
-     "initial_data.profile: field samples must be finite"),
+     "initial_data.profile: width must be > 0, got 0.0"),
     ("energy", "experiment.T_values", [0.05], "experiment.T_values: window empty for T=0.05"),
 ])
 def test_bad_config_value_exits_2(kind, path, value, message, tmp_path, capsys):
@@ -126,7 +128,10 @@ def test_bad_config_value_exits_2(kind, path, value, message, tmp_path, capsys):
     cfg.setdefault(block, {})[key] = value
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(cfg))
-    assert cli.main([kind, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    # a value is rejected before it is computed with: no numpy RuntimeWarning precedes the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([kind, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
 
 
@@ -701,11 +706,33 @@ def test_threshold_verdicts_same_at_default_and_diffusive_safety(tmp_path):
 
 
 def test_default_safety_per_kind():
-    # every kind but solve takes RK4's stability headroom; solve's decay readings come off
-    # the sampled series, whose rows the step count sets, so its default stays 0.8
-    safety = {kind: cli.default_config(kind)["solver"]["safety"] for kind in cli.EXPERIMENT_KINDS}
-    assert safety == {kind: 0.8 if kind == "solve" else 2.4 for kind in cli.EXPERIMENT_KINDS}
-    assert max(safety.values()) <= min(evolution.max_safety(n) for n in range(3, 12))
+    # the threshold kind steps at the stated fraction of RK4's bound for its own n; solve's
+    # decay readings come off the sampled series, whose rows the step count sets, so its
+    # default stays 0.8; the other kinds stay at 2.4, below the bound for every n
+    assert cli.default_config("threshold") == cli.default_config("threshold", 5)
+    for n in range(3, 12):
+        safety = {kind: cli.default_config(kind, n)["solver"]["safety"]
+                  for kind in cli.EXPERIMENT_KINDS}
+        assert safety.pop("threshold") == evolution.STABLE_FRACTION * evolution.max_safety(n)
+        assert safety.pop("solve") == 0.8
+        assert set(safety.values()) == {2.4} and 2.4 <= evolution.max_safety(n)
+
+
+def test_threshold_default_safety_follows_merged_n():
+    # `--n 3` states no safety, so the run takes n = 3's own default and validates
+    args = argparse.Namespace(config=None, kind="threshold", n=3, p=None, rmax=None,
+                              nodes=None, tend=None)
+    merged = cli._merged(cli._cli_config(args))
+    assert merged["params"]["n"] == 3
+    assert merged["solver"]["safety"] == evolution.STABLE_FRACTION * evolution.max_safety(3)
+    # an explicit safety keeps its absolute meaning: n = 5's default is above max_safety(3)
+    explicit = {"experiment": {"kind": "threshold"}, "params": {"n": 3},
+                "solver": {"safety": cli.default_config("threshold")["solver"]["safety"]}}
+    with pytest.raises(cli.ConfigError, match="solver.safety: .* exceeds RK4's stability"):
+        cli._merged(explicit)
+    # an n outside its domain is named as such, before any default reads it
+    with pytest.raises(cli.ConfigError, match=r"params.n: need n >= 3, got 2"):
+        cli._merged({"experiment": {"kind": "threshold"}, "params": {"n": 2}})
 
 
 def test_energy_solve_ends_at_last_window(tmp_path):

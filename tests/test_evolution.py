@@ -63,15 +63,20 @@ def test_rk4_real_limit_and_max_safety():
 @pytest.mark.parametrize("boundary", [F.FREE, F.DIRICHLET])
 def test_diffusive_cap_is_rk4_stable(n, boundary):
     # every eigenvalue of the stepper's operator, complex ones included, must lie
-    # in RK4's stability region at the largest allowed safety and at 2.4
+    # in RK4's stability region at the largest allowed safety, at the stated fraction
+    # of it and at 2.4; at the fraction the stiffest real mode is damped to |R| <= 0.66
+    stable = E.STABLE_FRACTION * E.max_safety(n)
     for m in (100, 400, 800):
         g = F.make_grid(n, 40.0, m)
         lam = np.linalg.eigvals(E._Stepper(g, n, dirichlet=boundary == F.DIRICHLET).matrix())
         if n >= 8:   # a complex pair, off the real axis that the limit is taken on
             assert np.abs(lam.imag).max() * g.h**2 > 0.8
-        for safety in (E.max_safety(n), 2.4):
+        for safety in (E.max_safety(n), stable, 2.4):
             dt = E.diffusive_cap(safety, g.h, n)
             assert np.abs(_rk4_amplification(dt * lam)).max() <= 1.0 + 1e-12, (m, safety)
+        stiffest_real = lam.real[np.abs(lam.imag) == 0.0].min()
+        dt = E.diffusive_cap(stable, g.h, n)
+        assert abs(_rk4_amplification(dt * stiffest_real)) <= 0.66, m
 
 
 def test_zero_data():
@@ -114,6 +119,26 @@ def test_estimate_blowup_exact_ode_series():
     t_est, fit_quality = fit
     assert t_est == pytest.approx(T, abs=1e-10)
     assert fit_quality == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t, sup", [
+    # 7 rows: every window, out to 16 decades below the last sup, holds fewer than 8
+    (np.linspace(0.0, 0.3, 7), np.geomspace(1.0, 1e3, 7)),
+    # 10 rows at one time, whose mean is exact: no variance in t
+    (np.full(10, 0.5), np.geomspace(1.0, 1e3, 10)),
+    # a falling sup: sup^(1-p) rises with t, a nonnegative slope
+    (np.linspace(0.0, 0.3, 10), np.geomspace(1e3, 1e2, 10)),
+], ids=["few_rows", "no_t_variance", "nonnegative_slope"])
+def test_blowup_fit_none_falls_back_to_ode_tail(t, sup):
+    # each series reaches one of _fit_blowup_time's three None returns; the blowup
+    # status then takes the ODE tail T - t ~ sup^(1-p)/(p-1) and records no fit quality
+    series = np.column_stack([t, sup, sup, np.gradient(t)])
+    assert E._fit_blowup_time(series, P5) is None
+    t_final = float(series[-1, 0])
+    status = E._blowup_status([tuple(row) for row in series], P5, t_final)
+    tail = series[-1, 1] ** (1.0 - P5.p) / (P5.p - 1.0)
+    assert status.kind == "blowup" and status.t_final == t_final
+    assert status.T_est == t_final + tail and status.fit_quality is None
 
 
 def test_sign_symmetry_exact():

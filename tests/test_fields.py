@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,23 @@ def test_field_validation():
         F.make_field(g, np.full(g.m + 1, np.nan))
     with pytest.raises(ValueError):
         F.make_field(g, np.ones(g.m + 1), F.DIRICHLET)  # nonzero at r_max
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("gaussian", {"amplitude": 1.0, "width": 0.0}, "width must be > 0"),
+    ("gaussian", {"amplitude": 1.0, "width": -2.0}, "width must be > 0"),
+    ("gaussian", {"amplitude": 1.0, "width": math.nan}, "width must be > 0"),
+    ("power_tail", {"amplitude": 1.0, "exponent": 1.5, "core_radius": 0.0},
+     "core_radius must be > 0"),
+    ("power_tail", {"amplitude": 1.0, "exponent": 1.5, "core_radius": -1.0},
+     "core_radius must be > 0"),
+])
+def test_profile_scale_must_be_positive(name, args, message):
+    # rejected before the division by it, so numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=message):
+            F.build_profile(name, grid5(), P5, args)
 
 
 def test_sup_norm_cases():
