@@ -21,6 +21,7 @@ max_safety for every n >= 3.
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,10 @@ RK4_REAL_LIMIT = 2.785293563405289
 # A stated fraction of the bound: safety STABLE_FRACTION * max_safety(n) puts dt*rho at 0.9 of
 # RK4_REAL_LIMIT, where the stiffest real mode has |R| = 0.66, for every n.
 STABLE_FRACTION = 0.9
+
+# bound once for the RK4 loop: a lookup of np's attribute on every call slows each step
+_abs, _add, _multiply, _power, _square, _subtract = (
+    np.abs, np.add, np.multiply, np.power, np.square, np.subtract)
 
 
 def log_checkpoints(t_end: float, count: int = 20) -> tuple:
@@ -100,7 +105,9 @@ class _Stepper:
     L u = u'' + (n-1)/r u', with the even-symmetry limit 2n (u_1 - u_0)/h^2 at
     r = 0 and a zero ghost value beyond r_max.  p = None integrates the pure heat
     flow u' = L u; `dirichlet` pins u(r_max) = 0.  The state, the four stages, the
-    work array and every stencil view of them are made once, at construction.
+    work array and every stencil view of them are made once, at construction.  Every
+    ufunc call passes its output positionally: on a few hundred doubles a call costs its
+    overhead, and a keyword out= adds to it.
     """
 
     def __init__(self, grid, n, p=None, dirichlet=False):
@@ -125,6 +132,7 @@ class _Stepper:
         # a ufunc takes a 0-d array operand at array speed, a Python float through a conversion
         self.c_center = np.array(self.two_inv_h2)
         self.half_dt, self.full_dt, self.sixth_dt = (np.zeros(()) for _ in range(3))
+        self.dt = 0.0   # the dt the three factors hold: 0.0, like the factors themselves
 
     def rhs(self, v, out):
         """The right-hand side at any array v shaped like the state, into out."""
@@ -147,43 +155,45 @@ class _Stepper:
         out, mid = dst
         out[0] = self.origin * (v.item(1) - v.item(0))
         scratch = self.scratch
-        np.multiply(self.c_plus, v_next, out=mid)
-        mid += np.multiply(self.c_minus, v_prev, out=scratch)
-        mid -= np.multiply(self.c_center, v_mid, out=scratch)
+        _multiply(self.c_plus, v_next, mid)
+        _add(mid, _multiply(self.c_minus, v_prev, scratch), mid)
+        _subtract(mid, _multiply(self.c_center, v_mid, scratch), mid)
         if not self.dirichlet:
             out[-1] = self.c_last_minus * v.item(-2) - self.two_inv_h2 * v.item(-1)
         if self.exponent is not None:
             a = self.power
             if self.exponent == 2.0:   # p = 3: |v|^2 is v^2 exactly, so no abs
-                np.square(v, out=a)
+                _square(v, a)
             else:
-                np.power(np.abs(v, out=a), self.exponent, out=a)
-            out += np.multiply(a, v, out=a)
+                _power(_abs(v, a), self.exponent, a)
+            _add(out, _multiply(a, v, a), out)
         if self.dirichlet:
             out[-1] = 0.0
 
     def step(self, dt):
         """One RK4 step of size dt.  It keeps the association
         u + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) of the allocating form, so the step is
-        bitwise the same (2 x is x + x exactly)."""
+        bitwise the same (2 x is x + x exactly); dt's factors are rewritten when it changes."""
         u, w, rhs = self.u, self.w, self._rhs
         k1, k2, k3, k4 = self.k
         out1, out2, out3, out4 = self.k_out
         half_dt, full_dt, sixth_dt = self.half_dt, self.full_dt, self.sixth_dt
-        half_dt[()], full_dt[()], sixth_dt[()] = 0.5 * dt, dt, dt / 6.0
+        if dt != self.dt:
+            self.dt = dt
+            half_dt[()], full_dt[()], sixth_dt[()] = 0.5 * dt, dt, dt / 6.0
         rhs(self.u_stencil, out1)
-        np.add(u, np.multiply(half_dt, k1, out=w), out=w)
+        _add(u, _multiply(half_dt, k1, w), w)
         rhs(self.w_stencil, out2)
-        np.add(u, np.multiply(half_dt, k2, out=w), out=w)
+        _add(u, _multiply(half_dt, k2, w), w)
         rhs(self.w_stencil, out3)
-        np.add(u, np.multiply(full_dt, k3, out=w), out=w)
+        _add(u, _multiply(full_dt, k3, w), w)
         rhs(self.w_stencil, out4)
-        np.add(k2, k2, out=w)
-        w += k1
-        w += np.add(k3, k3, out=k3)
-        w += k4
-        w *= sixth_dt
-        u += w
+        _add(k2, k2, w)
+        _add(w, k1, w)
+        _add(w, _add(k3, k3, k3), w)
+        _add(w, k4, w)
+        _multiply(w, sixth_dt, w)
+        _add(u, w, u)
         if self.dirichlet:
             u[-1] = 0.0
 
@@ -226,10 +236,10 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     Every step appends one series row.  A step that would reach or pass the next
     checkpoint or t_end lands on it: t is set to that time itself, not t + dt.
 
-    Reports its steps, by the cap that bound each, and the smallest dt to the
-    run's counters: diffusive counts the steps at min(dt_init, safety h^2/(2n)),
-    nonlinear those at 0.5 ||u||_inf^(1-p), and landing those cut short to land
-    on a checkpoint or on t_end.
+    Reports its steps, by the cap that bound each, the smallest dt and its wall time
+    (evolution.solve_s) to the run's counters: diffusive counts the steps at
+    min(dt_init, safety h^2/(2n)), nonlinear those at 0.5 ||u||_inf^(1-p), and landing
+    those cut short to land on a checkpoint or on t_end.
     """
     grid = u0.grid
     n = params.n
@@ -237,6 +247,7 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     if cfg.safety > max_safety(n):
         raise ValueError(f"safety {cfg.safety} exceeds RK4's stability bound "
                          f"max_safety({n}) = {max_safety(n):.6g}")
+    started = time.perf_counter()
     nonlinear = cfg.nonlinear
     dirichlet = u0.boundary == DIRICHLET
     stepper = _Stepper(grid, n, p if nonlinear else None, dirichlet)
@@ -253,6 +264,7 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     u[:] = u0.values
     step_rk4 = stepper.step
     abs_u = np.empty_like(u)
+    abs_item, abs_argmax = abs_u.item, abs_u.argmax
 
     t = 0.0
     series = []
@@ -264,8 +276,8 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     status = None
 
     # x.item(x.argmax()) is x.max() without the reduction's overhead; both pick a NaN
-    sup = np.abs(u, out=abs_u).item(abs_u.argmax())
-    wsup = np.multiply(r_pow, abs_u, out=abs_u).item(abs_u.argmax())
+    sup = _abs(u, abs_u).item(abs_argmax())
+    wsup = _multiply(r_pow, abs_u, abs_u).item(abs_argmax())
     series.append((t, sup, wsup, 0.0))
 
     while t < t_end:
@@ -288,13 +300,15 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
             min_dt = dt
 
         # the max propagates NaN and inf, so a finite sup means a finite state
-        sup_new = np.abs(u, out=abs_u).item(abs_u.argmax())
+        _abs(u, abs_u)
+        sup_new = abs_item(abs_argmax())
         if not math.isfinite(sup_new):
             status = TrajectoryStatus("aborted", t + dt, reason="nonfinite")
             break
         t = target if landing else t + dt
         sup = sup_new
-        wsup = np.multiply(r_pow, abs_u, out=abs_u).item(abs_u.argmax())
+        _multiply(r_pow, abs_u, abs_u)
+        wsup = abs_item(abs_argmax())
         series.append((t, sup, wsup, dt))
         if not dirichlet and sup > 0 and abs(u.item(-2)) > BOUNDARY_CONTAMINATION * sup:
             status = TrajectoryStatus("aborted", t, reason="boundary_contamination")
@@ -313,6 +327,7 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     for cap, count in zip(("diffusive", "nonlinear", "landing"), bound_by):
         counters.add(f"evolution.cap.{cap}", count)
     counters.least("evolution.min_dt", min_dt)
+    counters.add("evolution.solve_s", time.perf_counter() - started)
     return Trajectory(params=params, checkpoints=checkpoints,
                       series=np.array(series), status=status)
 

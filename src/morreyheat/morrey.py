@@ -7,6 +7,7 @@ The sup is approximated on a finite log-spaced lattice; refining the lattice
 """
 
 import math
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -15,9 +16,9 @@ import numpy as np
 from . import counters
 from .fields import RadialField, RadialGrid, sup_norm
 from .params import ModelParams
-from .quadrature import (SMALL_BALL_FACTOR, fine_ball_integral, heat_apply, large_ball_cells,
-                         large_ball_integrals, small_ball_plan, small_ball_work, sphere_area,
-                         volume_weights)
+from .quadrature import (SMALL_BALL_FACTOR, ball_density, fine_ball_integral, heat_apply,
+                         large_ball_cells, large_ball_integrals, small_ball_plan, small_ball_work,
+                         sphere_area, volume_weights)
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,9 @@ def _ball_integrals(grid: RadialGrid, lattice: MorreyLattice, g: np.ndarray) -> 
     for ri, column in zip(cells, large_ball_integrals(grid, g, cells.values())):
         integrals[:, ri] = column
     work = small_ball_work(max((plan.idx.shape[0] for plan in plans.values()), default=0))
+    density = ball_density(grid, g)
     for ri, plan in plans.items():
-        integrals[:, ri] = fine_ball_integral(grid, g, plan, work)
+        integrals[:, ri] = fine_ball_integral(grid, density, plan, work)
     return integrals
 
 
@@ -144,27 +146,29 @@ def morrey_evaluate(f: RadialField, spec: MorreySpec,
     """Norm plus the maximizing cell and the full per-cell maximand table.
 
     Each cell is a function of (grid, a, R, f) alone, whatever else the lattice holds,
-    so the cells of a sub-lattice can be read off a finer evaluation (`sub_cells`)."""
+    so the cells of a sub-lattice can be read off a finer evaluation (`sub_cells`).
+    Adds its wall time to the run's morrey.evaluate_s."""
     grid = f.grid
     n = grid.n
     if spec.lam > n:
         raise ValueError(f"lambda = {spec.lam} exceeds the dimension n = {n}")
+    started = time.perf_counter()
     counters.add("morrey.evaluations")
     if lattice is None:
         lattice = MorreyLattice.default(grid)
     if spec.lam == n:
         # M^{q,n} = L^q: the sup in R is the full integral, centers immaterial
-        val = _lq_integral(f, spec.q)
-        cells = np.full((len(lattice.centers), len(lattice.radii)), val)
-        return MorreyEvaluation(norm=val ** (1.0 / spec.q), center=0.0,
-                                radius=float(lattice.radii[-1]), cells=cells)
-    integrals = _ball_integrals(grid, lattice, np.abs(f.values) ** spec.q)
-    cells = integrals * np.asarray(lattice.radii)[None, :] ** (spec.lam - n)
-    ci, ri = np.unravel_index(np.argmax(cells), cells.shape)
-    best = float(cells[ci, ri])
-    return MorreyEvaluation(norm=best ** (1.0 / spec.q),
-                            center=float(lattice.centers[ci]),
-                            radius=float(lattice.radii[ri]), cells=cells)
+        best = _lq_integral(f, spec.q)
+        cells = np.full((len(lattice.centers), len(lattice.radii)), best)
+        center, radius = 0.0, lattice.radii[-1]
+    else:
+        integrals = _ball_integrals(grid, lattice, np.abs(f.values) ** spec.q)
+        cells = integrals * np.asarray(lattice.radii)[None, :] ** (spec.lam - n)
+        ci, ri = np.unravel_index(np.argmax(cells), cells.shape)
+        best, center, radius = float(cells[ci, ri]), lattice.centers[ci], lattice.radii[ri]
+    counters.add("morrey.evaluate_s", time.perf_counter() - started)
+    return MorreyEvaluation(norm=best ** (1.0 / spec.q), center=float(center),
+                            radius=float(radius), cells=cells)
 
 
 def sub_cells(ev: MorreyEvaluation, lattice: MorreyLattice, sub: MorreyLattice) -> np.ndarray:

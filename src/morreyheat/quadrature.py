@@ -81,19 +81,26 @@ def cap_fraction(n: int, a: float, s: float, r_ball: float) -> float:
     return float(cap_fraction_array(n, a, np.array([s]), r_ball)[0])
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_arrays(n: int, m: int, r_max: float) -> dict:
+    """The read-only arrays of a grid, made once: the heat kernels' column weights, the volume
+    weights, and the small-ball rule's log r (-inf at r = 0), its differences and the spacings."""
+    grid = make_grid(n, r_max, m)
+    kernel = grid.h * grid.nodes ** (n - 1)
+    kernel[[0, -1]] *= 0.5
+    with np.errstate(divide="ignore"):
+        log_r = np.log(grid.nodes)
+    arrays = {"kernel": kernel, "volume": origin_ball_weights(grid, r_max), "log_r": log_r,
+              "dlog_r": np.diff(log_r), "dr": np.diff(grid.nodes)}
+    for x in arrays.values():
+        x.setflags(write=False)
+    return arrays
+
+
 def kernel_weights(grid: RadialGrid) -> np.ndarray:
     """The heat kernels' column weights, the trapezoid rule's (h, halved at both ends) times
     s^(n-1): one read-only array per grid."""
-    return _kernel_weights(grid.n, grid.m, grid.r_max)
-
-
-@functools.lru_cache(maxsize=16)
-def _kernel_weights(n: int, m: int, r_max: float) -> np.ndarray:
-    grid = make_grid(n, r_max, m)
-    w = grid.h * grid.nodes ** (n - 1)
-    w[[0, -1]] *= 0.5
-    w.setflags(write=False)
-    return w
+    return _grid_arrays(grid.n, grid.m, grid.r_max)["kernel"]
 
 
 def origin_ball_weights(grid: RadialGrid, r_ball: float) -> np.ndarray:
@@ -121,14 +128,7 @@ def origin_ball_weights(grid: RadialGrid, r_ball: float) -> np.ndarray:
 
 def volume_weights(grid: RadialGrid) -> np.ndarray:
     """Nodal weights for integral_0^r_max s^(n-1) g(s) ds: origin_ball_weights at R = r_max."""
-    return _volume_weights(grid.n, grid.m, grid.r_max)
-
-
-@functools.lru_cache(maxsize=16)
-def _volume_weights(n: int, m: int, r_max: float) -> np.ndarray:
-    w = origin_ball_weights(make_grid(n, r_max, m), r_max)
-    w.setflags(write=False)
-    return w
+    return _grid_arrays(grid.n, grid.m, grid.r_max)["volume"]
 
 
 # Balls this many grid spacings wide or narrower are integrated on a locally
@@ -136,6 +136,7 @@ def _volume_weights(n: int, m: int, r_max: float) -> np.ndarray:
 # coarse inside them.
 SMALL_BALL_FACTOR = 32
 FINE_BALL_NODES = 257
+_SUBGRID_STEPS = np.arange(FINE_BALL_NODES, dtype=float)   # j in each row's s_j
 
 
 class SmallBallPlan(NamedTuple):
@@ -168,13 +169,20 @@ def small_ball_plan(grid: RadialGrid, a, r_ball: float) -> SmallBallPlan:
 
 def small_ball_work(rows: int) -> list:
     """Work buffers for fine_ball_integral on plans of up to `rows` live centers: interval
-    indices and three float arrays, each (rows, FINE_BALL_NODES)."""
-    return [np.empty((rows, FINE_BALL_NODES), np.intp), *np.empty((3, rows, FINE_BALL_NODES))]
+    indices, the subgrid and three float arrays, each (rows, FINE_BALL_NODES)."""
+    return [np.empty((rows, FINE_BALL_NODES), dtype) for dtype in (np.intp, *[float] * 4)]
 
 
-def fine_ball_integral(grid: RadialGrid, g: np.ndarray, plan: SmallBallPlan,
+def ball_density(grid: RadialGrid, g: np.ndarray) -> tuple:
+    """fine_ball_integral's data of a density g, formed once per density: g, log g, and per
+    interval whether the rule is linear there (no positive pair (g_i, g_{i+1}), or r_i = 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return g, np.log(g), ~((g[:-1] > 0) & (g[1:] > 0) & (grid.nodes[:-1] > 0))
+
+
+def fine_ball_integral(grid: RadialGrid, density: tuple, plan: SmallBallPlan,
                        work=None) -> np.ndarray:
-    """Ball integrals of the density g (node samples) over a plan's balls, shaped like its centers.
+    """Ball integrals of a ball_density over a plan's balls, shaped like its centers.
 
     The density is interpolated geometrically (log-log) on intervals whose
     endpoints are both positive, so power-law segments are reproduced
@@ -187,25 +195,28 @@ def fine_ball_integral(grid: RadialGrid, g: np.ndarray, plan: SmallBallPlan,
     """
     out = np.zeros(plan.live.shape)
     rows = plan.idx.shape[0]
-    i0, lw, tmp, dens = (buf[:rows] for buf in (work or small_ball_work(rows)))
+    i0, s, lw, tmp, dens = (buf[:rows] for buf in (work or small_ball_work(rows)))
     np.copyto(i0, plan.idx)
+    # each row's np.linspace(lo, hi, FINE_BALL_NODES) by its own arithmetic, j ((hi - lo)/256) + lo
+    step = np.divide(np.subtract(plan.hi, plan.lo), FINE_BALL_NODES - 1)
+    np.add(np.multiply(_SUBGRID_STEPS, step[:, None], s), plan.lo[:, None], s)
+    s[:, -1] = plan.hi
     # per-node logs and per-interval spacings, gathered by each point's interval
-    nodes = grid.nodes
+    arrays = _grid_arrays(grid.n, grid.m, grid.r_max)
+    log_nodes, dlog_nodes, dnodes = arrays["log_r"], arrays["dlog_r"], arrays["dr"]
+    g, log_g, linear = density
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_g, log_nodes = np.log(g), np.log(nodes)
-        s = np.linspace(plan.lo, plan.hi, FINE_BALL_NODES, axis=-1)
-        np.log(s, out=lw)
-        lw -= log_nodes.take(i0, out=tmp, mode="clip")
-        lw /= np.diff(log_nodes).take(i0, out=tmp, mode="clip")
-        np.subtract(1.0, lw, out=tmp)
-        np.multiply(log_g.take(i0, out=dens, mode="clip"), tmp, out=dens)
-        dens += np.multiply(log_g[1:].take(i0, out=tmp, mode="clip"), lw, out=tmp)
-        np.exp(dens, out=dens)
+        np.log(s, lw)
+        np.subtract(lw, log_nodes.take(i0, out=tmp, mode="clip"), lw)
+        np.divide(lw, dlog_nodes.take(i0, out=tmp, mode="clip"), lw)
+        np.subtract(1.0, lw, tmp)
+        np.multiply(log_g.take(i0, out=dens, mode="clip"), tmp, dens)
+        np.add(dens, np.multiply(log_g[1:].take(i0, out=tmp, mode="clip"), lw, tmp), dens)
+        np.exp(dens, dens)
     # the linear rule, only at the points whose interval lacks a positive pair
-    positive = (g[:-1] > 0) & (g[1:] > 0) & (nodes[:-1] > 0)
-    pts = np.flatnonzero(~positive.take(i0))
+    pts = np.flatnonzero(linear.take(i0))
     k = i0.take(pts)
-    w = (s.take(pts) - nodes.take(k)) / np.diff(nodes).take(k)
+    w = (s.take(pts) - grid.nodes.take(k)) / dnodes.take(k)
     dens.put(pts, g.take(k) * (1.0 - w) + g[1:].take(k) * w)
     out[plan.live] = np.einsum("ij,ij->i", dens, plan.weight)
     return out
@@ -254,7 +265,8 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
             TruncationWarning, stacklevel=2)
     g = np.abs(f.values) ** q
     if r_ball <= SMALL_BALL_FACTOR * grid.h:
-        return float(fine_ball_integral(grid, g, small_ball_plan(grid, a, r_ball)))
+        plan = small_ball_plan(grid, a, r_ball)
+        return float(fine_ball_integral(grid, ball_density(grid, g), plan))
     cells = large_ball_cells(grid, np.array([a]), r_ball)
     return float(next(large_ball_integrals(grid, g, [cells]))[0])
 

@@ -11,6 +11,14 @@ from morreyheat import similarity as S
 from morreyheat.params import make_params
 
 
+def pop_wall_times(profile: dict, limit: float = math.inf) -> set:
+    """Pop a counters profile's wall times (the names ending in _s), check that each lies
+    in [0, limit], and return their names: what is left is work counts, which repeat."""
+    times = {key: profile.pop(key) for key in [key for key in profile if key.endswith("_s")]}
+    assert all(0.0 <= value <= limit for value in times.values())
+    return set(times)
+
+
 @pytest.fixture(scope="session")
 def params5():
     return make_params(5, 3.0)

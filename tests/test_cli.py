@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morreyheat import cli, counters, duhamel, evolution, morrey
+from morreyheat import cli, counters, duhamel, evolution, morrey, threshold
 from morreyheat.fields import make_field, make_grid
 from morreyheat.morrey import MorreyLattice, critical_spec, morrey_norm
 from morreyheat.quadrature import SMALL_BALL_FACTOR, small_ball_plan, sphere_area, volume_weights
+from conftest import pop_wall_times
 from test_quadrature import _dense_cell_weights, _diagonal_bytes
+from test_threshold import stalling_classify
 
 
 def read(path):
@@ -42,6 +44,7 @@ def test_partial_config_same_through_library_and_cli(tmp_path, fresh_tables):
     manifests = []
     for out in ("lib", "cli"):
         manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert _pop_wall_times(manifest) == {"evolution.solve_s", "morrey.evaluate_s"}
         manifest.pop("wall_time_s")
         manifests.append(manifest)
     assert manifests[0] == manifests[1]
@@ -333,6 +336,7 @@ def test_reproducibility_bit_identical(tmp_path):
         assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name
     m1 = json.loads((tmp_path / "a" / "manifest.json").read_text())
     m2 = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert _pop_wall_times(m1) == _pop_wall_times(m2) == {"evolution.solve_s"}
     m1.pop("wall_time_s"), m2.pop("wall_time_s")
     assert m1 == m2
 
@@ -370,6 +374,10 @@ _WORK_KEYS = ("evolution.steps", "evolution.cap.diffusive", "evolution.cap.nonli
               "evolution.cap.landing", "evolution.min_dt")
 
 
+def _pop_wall_times(manifest):
+    return pop_wall_times(manifest["profile"], manifest["wall_time_s"])
+
+
 @pytest.fixture
 def fresh_tables(monkeypatch):
     """An empty Morrey table cache, so a run's table builds do not depend on earlier tests."""
@@ -402,7 +410,9 @@ def test_solve_and_dependence_record_rk4_work(tmp_path, fresh_tables):
     # solve: one series row per step after the initial one
     cli.run_experiment(small_solve_config(tmp_path, "gaussian", {"amplitude": 0.1, "width": 2.0}),
                        out_dir=tmp_path / "s")
-    profile = json.loads((tmp_path / "s" / "manifest.json").read_text())["profile"]
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    assert _pop_wall_times(manifest) == {"evolution.solve_s"}
+    profile = manifest["profile"]
     rows = (tmp_path / "s" / "series.csv").read_text().splitlines()
     assert set(profile) == set(_WORK_KEYS)
     assert profile["evolution.steps"] == len(rows) - 2
@@ -413,7 +423,9 @@ def test_solve_and_dependence_record_rk4_work(tmp_path, fresh_tables):
     cfg["grid"] = {"r_max": 20.0, "nodes": 100}
     cfg["experiment"].update(T0=1.0, sizes=[1e-2, 1e-3])
     cli.run_experiment(cfg, out_dir=tmp_path / "d")
-    profile = json.loads((tmp_path / "d" / "manifest.json").read_text())["profile"]
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert _pop_wall_times(manifest) == {"evolution.solve_s", "morrey.evaluate_s"}
+    profile = manifest["profile"]
     assert set(profile) == set(_WORK_KEYS) | {"morrey.evaluations", "morrey.table_builds",
                                               "morrey.table_mb", "morrey.table_hits"}
     table = _table_counters(cli._build_inputs(cli._merged(cfg))[1])
@@ -482,6 +494,7 @@ def test_picard_kind_end_to_end(tmp_path, fresh_tables):
         previous = distinct
         nodes *= 2
     manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+    assert _pop_wall_times(manifest) == {"evolution.solve_s", "morrey.evaluate_s"}
     profile = manifest["profile"]
     work = {key: profile.pop(key) for key in _WORK_KEYS}
     assert profile == {"duhamel.picard.kernel_builds": builds,
@@ -642,6 +655,22 @@ def test_threshold_undecided_first_trial_exits_3(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_threshold_stalled_bisection_fails_bracket_tight(tmp_path, monkeypatch):
+    # a bisection stalled by an undecided midpoint keeps the scan's bracket, twice as wide
+    # as its lower end: bracket_tight fails with that width, and the probes are skipped
+    cfg = small_threshold_config()
+    phi = cli._build_inputs(cli._merged(cfg))[2]
+    monkeypatch.setattr(threshold, "classify_with_trajectory", stalling_classify(phi))
+    bundle = cli.run_experiment(cfg, out_dir=tmp_path / "t")
+    doc = json.loads((tmp_path / "t" / "threshold.json").read_text())
+    verdicts = [t["verdict"] for t in doc["trials"]]
+    assert doc["stalled"] and verdicts.index("undecided") == len(verdicts) - 1
+    checks = {c["name"]: c for c in bundle.checks}
+    assert checks["bracket_tight"] == {"name": "bracket_tight", "passed": False, "value": 1.0}
+    assert checks["bracket_consistent"]["passed"] and not bundle.all_passed
+    assert doc["probes_skipped"] == "bracket wider than 0.01" and "probes" not in doc
+
+
 def small_threshold_config(safety=None):
     cfg = cli.default_config("threshold")
     cfg["grid"] = {"r_max": 40.0, "nodes": 100}
@@ -658,9 +687,14 @@ def test_threshold_manifest_counts_solver_work(tmp_path, fresh_tables):
     doc = json.loads((tmp_path / "t" / "threshold.json").read_text())
     manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
     profile = manifest["profile"]
-    # the stage wall times: present, nonnegative and inside the run's wall time
-    stage_s = [profile.pop("threshold.bisect_s"), profile.pop("threshold.probes_s")]
-    assert min(stage_s) >= 0.0 and sum(stage_s) <= manifest["wall_time_s"]
+    # the wall times: the two stages, inside the run's wall time, and the solves and the
+    # Morrey evaluations, inside the stages that make them
+    stage_s = [profile["threshold.bisect_s"], profile["threshold.probes_s"]]
+    assert sum(stage_s) <= manifest["wall_time_s"]
+    assert max(profile["evolution.solve_s"], profile["morrey.evaluate_s"]) <= sum(stage_s)
+    assert min(profile["evolution.solve_s"], profile["morrey.evaluate_s"]) > 0.0
+    assert _pop_wall_times(manifest) == {"threshold.bisect_s", "threshold.probes_s",
+                                         "evolution.solve_s", "morrey.evaluate_s"}
     params, grid, phi = cli._build_inputs(cfg)
     lams = [t["lambda"] for t in doc["trials"]] + [p["lambda"] for p in doc["probes"]]
     dts = []
@@ -669,6 +703,7 @@ def test_threshold_manifest_counts_solver_work(tmp_path, fresh_tables):
             run = evolution.solve(make_field(grid, lam * phi.values, phi.boundary), params,
                                   cli._solver_config(cfg))
             dts.extend(run.series[1:, 3])
+    assert pop_wall_times(work) == {"evolution.solve_s"}
     caps = [work[f"evolution.cap.{cap}"] for cap in ("diffusive", "nonlinear", "landing")]
     # one series row per step
     assert min(caps) > 0 and work["evolution.steps"] == sum(caps) == len(dts)

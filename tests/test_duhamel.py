@@ -11,6 +11,7 @@ from morreyheat import fields as F
 from morreyheat import morrey as M
 from morreyheat import quadrature as Q
 from morreyheat.params import make_params
+from conftest import pop_wall_times
 from test_quadrature import _assert_kernel_equals_dense_formula, _diagonal_bytes
 
 P5 = make_params(5, 3.0)
@@ -317,6 +318,7 @@ def test_dependence_solves_u0_once(monkeypatch):
     # no solve: the only work is the Morrey norm of each initial distance, each on the lattice
     # geometry that the runs above cached
     assert all(r.degenerate for r in results)
+    assert pop_wall_times(work) == {"morrey.evaluate_s"}
     assert work == {"morrey.evaluations": 2, "morrey.table_hits": 2}
     assert solved == []
     with counters.collect() as work:

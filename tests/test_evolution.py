@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import pop_wall_times
 from morreyheat import counters
 from morreyheat import evolution as E
 from morreyheat import fields as F
@@ -272,6 +273,19 @@ def test_gradient_majorant_linear_hook():
     assert worst <= 0.55   # equality up to discretization is a factor 1 <= 2
 
 
+def test_gradient_majorant_fails_where_the_majorant_vanishes():
+    # |grad u0| cut to 0 past r = 4: at t = 0.01 the majorant is below 1e-14 past r ~ 6, where
+    # the solution's gradient is still ~1e-4, so the check fails outright
+    g = F.make_grid(5, 20.0, 400)
+    u0 = F.gaussian(g, 0.5, 2.0, F.DIRICHLET)
+    grad0 = F.gaussian_gradient(g, 0.5, 2.0)
+    cut = F.make_field(g, np.where(g.nodes <= 4.0, grad0.values, 0.0))
+    cfg = E.SolverConfig(t_end=2.0, nonlinear=False, checkpoint_times=(0.01, 0.03, 0.1))
+    traj = E.solve(u0, P5, cfg)
+    assert E.gradient_majorant_check(traj, u0, grad0, t_small=0.1)[0]
+    assert E.gradient_majorant_check(traj, u0, cut, t_small=0.1) == (False, np.inf)
+
+
 # --- the in-place step against the allocating form it replaced -----------------
 
 
@@ -359,6 +373,7 @@ def _reference_solve(u0, params, cfg):
 def _collected_solve(u0, params, cfg):
     with counters.collect() as work:
         traj = E.solve(u0, params, cfg)
+    assert pop_wall_times(work) == {"evolution.solve_s"}
     return traj, work
 
 
@@ -393,6 +408,23 @@ def test_rk4_step_equals_allocating_step():
     # and its dense matrix applies that Laplacian too
     mat = E._Stepper(g, 5).matrix()
     np.testing.assert_allclose(mat @ v, lap, rtol=0, atol=1e-13 * np.abs(mat).max())
+
+
+@pytest.mark.parametrize("p", [3.0, 7.0 / 3.0])
+def test_rk4_step_factors_follow_dt(p):
+    # the stepper rewrites its step factors only when dt changes: steps of dt, dt, dt', dt
+    # (and dt' twice) each stay bitwise the allocating step of that size
+    g = F.make_grid(5, 20.0, 200)
+    u0 = F.gaussian(g, 1.0, 2.0)
+    stepper = E._Stepper(g, 5, p)
+    stepper.u[:] = u0.values
+    ref, ref_rhs = u0.values.copy(), _reference_rhs(g, 5, p, False)
+    k = [np.empty_like(ref) for _ in range(4)]
+    dt = 0.8 * g.h**2 / 10.0
+    for size in (dt, dt, 0.5 * dt, dt, 0.25 * dt, 0.25 * dt, dt):
+        stepper.step(size)
+        ref = _reference_rk4_step(ref_rhs, ref, size, k)
+        assert stepper.u.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("boundary", [F.DIRICHLET, F.FREE])

@@ -112,6 +112,29 @@ def test_power_identity_exact():
         assert abs(left - right) <= 1e-12 * max(left, 1.0)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["gaussian", "compact"]), st.floats(0.05, 2.0), st.floats(0.5, 6.0),
+       st.floats(1.0, 3.0), st.floats(1.0, 2.0), st.floats(0.0, 5.0))
+def test_power_identity_on_every_cell(shape, amplitude, width, m, q, lam):
+    # the cells of (|f|^m, M^{q/m, lambda}) are those of (f, M^{q, lambda}), on the small-ball
+    # radii and the large ones alike, within test_power_identity_exact's tolerance; compact
+    # fields vanish past their width, where the small-ball rule turns linear
+    g = F.make_grid(5, 16.0, 200)
+    r = g.nodes
+    if shape == "gaussian":
+        values = amplitude * np.exp(-(r / width) ** 2)
+    else:
+        values = amplitude * np.clip(1.0 - (r / width) ** 2, 0.0, None) ** 3
+    f = F.make_field(g, values)
+    lattice = M.MorreyLattice.default(g)
+    left = M.morrey_evaluate(F.make_field(g, np.abs(values) ** m), M.MorreySpec(q, lam),
+                             lattice).cells
+    right = M.morrey_evaluate(f, M.MorreySpec(q * m, lam), lattice).cells
+    small = lattice.radii <= Q.SMALL_BALL_FACTOR * g.h
+    assert small.any() and not small.all()
+    assert np.all(np.abs(left - right) <= 1e-12 * np.maximum(left, 1.0))
+
+
 def test_holder_product_inequality():
     g = F.make_grid(5, 16.0, 800)
     f = F.gaussian(g, 1.0, 2.0)

@@ -605,11 +605,27 @@ def test_fine_ball_integral_center_array_matches_one_center():
     g = F.make_grid(5, 8.0, 400)
     dens = F.gaussian(g, 1.0, 2.0).values**2
     centers = np.array([0.0, 0.05, 1.0, 7.9, 30.0])   # the last ball misses the grid
+    dens = Q.ball_density(g, dens)
     got = Q.fine_ball_integral(g, dens, Q.small_ball_plan(g, centers, 0.3))
     one = [float(Q.fine_ball_integral(g, dens, Q.small_ball_plan(g, float(a), 0.3)))
            for a in centers]
     assert np.array_equal(got, one)
     assert got[-1] == 0.0
+
+
+@pytest.mark.parametrize("nodes", [200, 400, 1600])
+def test_subgrid_equals_linspace_bitwise(nodes):
+    # fine_ball_integral builds each row's subgrid in place, in its second work buffer, with
+    # linspace's own arithmetic; this guards against numpy changing that formula
+    grid = F.make_grid(5, 40.0, nodes)
+    for lattice in (M.MorreyLattice.default(grid), M.MorreyLattice.default(grid).refine()):
+        for r in lattice.radii[lattice.radii <= Q.SMALL_BALL_FACTOR * grid.h]:
+            plan = Q.small_ball_plan(grid, lattice.centers, float(r))
+            work = Q.small_ball_work(len(plan.lo))
+            work[1][:] = np.nan
+            Q.fine_ball_integral(grid, Q.ball_density(grid, np.ones(grid.m + 1)), plan, work)
+            want = np.linspace(plan.lo, plan.hi, Q.FINE_BALL_NODES, axis=-1)
+            assert work[1].tobytes() == want.tobytes()
 
 
 # --- small-ball plan against the per-point rule it replaced ---------------------

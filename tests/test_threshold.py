@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,56 @@ def test_classify_small_gaussian_decaying():
     g = F.make_grid(5, 40.0, 200)
     v = T.classify_with_trajectory(F.gaussian(g, 0.01, 2.0, F.DIRICHLET), P5, short_cfg())[0]
     assert v.kind == "decaying"
+
+
+def test_classify_reached_horizon_undecided(monkeypatch):
+    # a run that reaches its horizon is decaying only with a monotone weighted tail and a
+    # terminal ratio below TERMINAL_RATIO_MAX; failing either leaves it undecided
+    g = F.make_grid(5, 20.0, 100)
+    u0 = F.gaussian(g, 0.01, 2.0, F.DIRICHLET)
+    # t_end 3: the tail is monotone, but the heat flow has only brought the sup to 3 %
+    v, traj = T.classify_with_trajectory(u0, P5, E.SolverConfig(t_end=3.0))
+    assert E.decay_diagnostics(traj, P5).tail_monotone
+    assert (v.kind, v.horizon) == ("undecided", 3.0)
+    assert T.TERMINAL_RATIO_MAX <= v.terminal_ratio == traj.sup_norms[-1] / 0.01 < 0.05
+    # t_end 20: decaying; the same run read with a rising tail is undecided
+    cfg = E.SolverConfig(t_end=20.0)
+    v, traj = T.classify_with_trajectory(u0, P5, cfg)
+    assert v.kind == "decaying" and v.terminal_ratio < T.TERMINAL_RATIO_MAX
+    real = T.decay_diagnostics
+    monkeypatch.setattr(T, "decay_diagnostics", lambda traj, params: dataclasses.replace(
+        real(traj, params), tail_monotone=False))
+    w, _ = T.classify_with_trajectory(u0, P5, cfg)
+    assert (w.kind, w.horizon, w.terminal_ratio) == ("undecided", 20.0, v.terminal_ratio)
+
+
+def stalling_classify(phi):
+    """classify_with_trajectory along the ray of phi with every trial off the scan's powers
+    of 2 (lambda_init 1) undecided, so the first bisection midpoint stalls the bracket."""
+    real = T.classify_with_trajectory
+
+    def classify(u0, params, cfg):
+        v, traj = real(u0, params, cfg)
+        lam = float(np.max(u0.values) / np.max(phi.values))
+        return (v if math.frexp(lam)[0] == 0.5 else T.Verdict("undecided")), traj
+
+    return classify
+
+
+def test_bisect_stalls_on_an_undecided_midpoint(monkeypatch):
+    g = F.make_grid(5, 40.0, 100)
+    cfg = short_cfg(t_end=40.0)
+    phi = F.gaussian(g, 1.0, 2.0, F.DIRICHLET)
+    scan = T.bisect_lambda(phi, P5, cfg, rel_tol=0.5)
+    monkeypatch.setattr(T, "classify_with_trajectory", stalling_classify(phi))
+    res = T.bisect_lambda(phi, P5, cfg, rel_tol=0.05)
+    # the scan brackets as before; its first midpoint is undecided and ends the bisection
+    assert res.stalled and not scan.stalled
+    assert res.trials[:-1] == scan.trials[:len(res.trials) - 1]
+    assert res.trials[-1]["verdict"] == "undecided"
+    assert res.trials[-1]["lambda"] == 0.5 * (res.lambda_lo + res.lambda_hi)
+    assert res.lambda_hi == 2.0 * res.lambda_lo and res.rel_width == 1.0
+    assert res.monotone_consistent
 
 
 def test_bisect_rejects_trivial_ray():
