@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import RadialField, make_field
-from .morrey import lq_norm
+from .morrey import MorreyLattice, lq_norm
 from .params import ModelParams
 from .similarity import _functional_A_at
 
@@ -137,7 +137,7 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams) -
 
     # kernel-weighted limit on a logarithmic horizon: sup over centers of functional_A
     t_grid = np.geomspace(1.0, 1e4, 5)
-    centers = np.concatenate(([0.0], np.geomspace(grid.h, grid.r_max, 8)))
+    centers = MorreyLattice.default(grid, n_centers=8).centers
     qs_t = np.array([np.max(_functional_A_at(f, grad_f, float(t), centers, params))
                      for t in t_grid])
     if np.all(qs_t < 1e-290):

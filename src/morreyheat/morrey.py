@@ -16,9 +16,7 @@ import numpy as np
 from . import counters
 from .fields import RadialField, RadialGrid, sup_norm
 from .params import ModelParams
-from .quadrature import (SMALL_BALL_FACTOR, ball_density, fine_ball_integral, heat_apply,
-                         large_ball_cells, large_ball_integrals, small_ball_plan, small_ball_work,
-                         sphere_area, volume_weights)
+from .quadrature import ball_integrals, ball_rules, heat_apply, sphere_area, volume_weights
 
 
 @dataclass(frozen=True)
@@ -87,50 +85,29 @@ def lq_norm(f: RadialField, q: float) -> float:
     return _lq_integral(f, q) ** (1.0 / q)
 
 
-# Cached lattice geometry: key -> ({large radius index: its large_ball_cells},
-# {small radius index: SmallBallPlan}).  Bounded LRU.
+# Cached lattice geometry: key -> the lattice's ball_rules, one per radius.  Bounded LRU.
 _TABLE_CACHE: OrderedDict = OrderedDict()
 _TABLE_CACHE_MAX = 4
 
 
-def _cell_weights(grid: RadialGrid, lattice: MorreyLattice):
-    """(cells, plans): {r: large_ball_cells} for the radii above SMALL_BALL_FACTOR h and
-    {r: small_ball_plan} for the others, r indexing lattice.radii.  Each build (a cache
-    miss) adds 1 to the run's morrey.table_builds and the MB of both to .table_mb; each
+def _cell_weights(grid: RadialGrid, lattice: MorreyLattice) -> list:
+    """The ball_rules of the lattice's centers and radii, one per radius.  Each build (a cache
+    miss) adds 1 to the run's morrey.table_builds and the MB of its arrays to .table_mb; each
     cache hit adds 1 to morrey.table_hits."""
     key = (grid.n, grid.m, grid.r_max,
            np.asarray(lattice.centers).tobytes(), np.asarray(lattice.radii).tobytes())
-    entry = _TABLE_CACHE.get(key)
-    if entry is not None:
+    rules = _TABLE_CACHE.get(key)
+    if rules is not None:
         _TABLE_CACHE.move_to_end(key)
         counters.add("morrey.table_hits")
-        return entry
-    centers, radii = np.asarray(lattice.centers), np.asarray(lattice.radii)
-    small = radii <= SMALL_BALL_FACTOR * grid.h
-    plans = {int(ri): small_ball_plan(grid, centers, float(radii[ri]))
-             for ri in np.flatnonzero(small)}
-    cells = {int(ri): large_ball_cells(grid, centers, float(radii[ri]))
-             for ri in np.flatnonzero(~small)}
-    nbytes = sum(x.nbytes for part in (cells, plans) for arrays in part.values() for x in arrays)
+        return rules
+    rules = ball_rules(grid, lattice.centers, lattice.radii)
     counters.add("morrey.table_builds")
-    counters.add("morrey.table_mb", nbytes / 2**20)
-    _TABLE_CACHE[key] = cells, plans
+    counters.add("morrey.table_mb", sum(x.nbytes for rule in rules for x in rule) / 2**20)
+    _TABLE_CACHE[key] = rules
     while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
         _TABLE_CACHE.popitem(last=False)
-    return cells, plans
-
-
-def _ball_integrals(grid: RadialGrid, lattice: MorreyLattice, g: np.ndarray) -> np.ndarray:
-    """The integral of the density g over each lattice ball, per (center, radius)."""
-    cells, plans = _cell_weights(grid, lattice)
-    integrals = np.empty((len(lattice.centers), len(lattice.radii)))
-    for ri, column in zip(cells, large_ball_integrals(grid, g, cells.values())):
-        integrals[:, ri] = column
-    work = small_ball_work(max((plan.idx.shape[0] for plan in plans.values()), default=0))
-    density = ball_density(grid, g)
-    for ri, plan in plans.items():
-        integrals[:, ri] = fine_ball_integral(grid, density, plan, work)
-    return integrals
+    return rules
 
 
 @dataclass(frozen=True)
@@ -162,7 +139,7 @@ def morrey_evaluate(f: RadialField, spec: MorreySpec,
         cells = np.full((len(lattice.centers), len(lattice.radii)), best)
         center, radius = 0.0, lattice.radii[-1]
     else:
-        integrals = _ball_integrals(grid, lattice, np.abs(f.values) ** spec.q)
+        integrals = ball_integrals(grid, np.abs(f.values) ** spec.q, _cell_weights(grid, lattice))
         cells = integrals * np.asarray(lattice.radii)[None, :] ** (spec.lam - n)
         ci, ri = np.unravel_index(np.argmax(cells), cells.shape)
         best, center, radius = float(cells[ci, ri]), lattice.centers[ci], lattice.radii[ri]

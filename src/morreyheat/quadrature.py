@@ -8,8 +8,9 @@ are extended by zero beyond r_max in every kernel.  Each formula has one home:
 column-weight array per grid, `origin_ball_weights` the single volume-weight
 formula, `large_ball_cells` the single large-ball rule, and `fine_ball_integral`
 the single small-ball rule, applied to a `small_ball_plan` that holds the rule's
-data-free geometry and whole weight (kept by callers that evaluate many densities on
-one grid and lattice).
+data-free geometry and whole weight.  `ball_rules` alone chooses between the two per
+radius, and `ball_integrals` applies its rules to a density, for one ball
+(`ball_integral`) as for the Morrey lattice, which keeps the rules of its grid.
 """
 
 import functools
@@ -242,18 +243,36 @@ def large_ball_cells(grid: RadialGrid, centers: np.ndarray, r_ball: float):
             cols.astype(dtype), col[owner, cols])
 
 
-def large_ball_integrals(grid: RadialGrid, g: np.ndarray, radius_cells):
-    """Per large_ball_cells in radius_cells, the integrals of g over its balls: the prefix sum
-    over the nodes wholly inside plus the band, summed alone in order (bincount), so each is a
-    function of its own ball alone."""
+def ball_rules(grid: RadialGrid, centers, radii) -> list:
+    """Per radius R, the rule of the balls B(a e_1, R) at the centers: a small_ball_plan up to
+    SMALL_BALL_FACTOR h, large_ball_cells above it."""
+    centers = np.asarray(centers, dtype=float)
+    return [small_ball_plan(grid, centers, float(r)) if r <= SMALL_BALL_FACTOR * grid.h
+            else large_ball_cells(grid, centers, float(r)) for r in radii]
+
+
+def ball_integrals(grid: RadialGrid, g: np.ndarray, rules: list) -> np.ndarray:
+    """The integrals of the density g over the balls of ball_rules, per (center, radius).  The
+    density's data, the prefix sums and the work buffers are formed once; a large ball is its
+    prefix sum over the nodes wholly inside plus its band, summed alone in order (bincount), so
+    each integral is a function of its own ball alone."""
     sums = np.concatenate(([0.0], np.cumsum(sphere_area(grid.n) * volume_weights(grid) * g)))
-    for inside, owner, cols, vals in radius_cells:
-        yield sums.take(inside) + np.bincount(owner, vals * g.take(cols), len(inside))
+    density = ball_density(grid, g)
+    plans = [rule for rule in rules if isinstance(rule, SmallBallPlan)]
+    work = small_ball_work(max((plan.idx.shape[0] for plan in plans), default=0))
+    columns = []
+    for rule in rules:
+        if isinstance(rule, SmallBallPlan):
+            columns.append(fine_ball_integral(grid, density, rule, work))
+        else:
+            inside, owner, cols, vals = rule
+            columns.append(sums.take(inside) + np.bincount(owner, vals * g.take(cols), len(inside)))
+    return np.column_stack(columns)
 
 
 def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
-    """integral over B(a e_1, R) of |f(|x|)|^q dx by the small- or large-ball rule; above
-    SMALL_BALL_FACTOR h bitwise the Morrey lattice's ball integral at (a, R)."""
+    """integral over B(a e_1, R) of |f(|x|)|^q dx by its ball_rules: bitwise the Morrey
+    lattice's ball integral at (a, R)."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if a < 0 or r_ball <= 0:
@@ -264,11 +283,7 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
             f"ball B({a:g}, {r_ball:g}) exceeds r_max={grid.r_max:g} with nonzero tail",
             TruncationWarning, stacklevel=2)
     g = np.abs(f.values) ** q
-    if r_ball <= SMALL_BALL_FACTOR * grid.h:
-        plan = small_ball_plan(grid, a, r_ball)
-        return float(fine_ball_integral(grid, ball_density(grid, g), plan))
-    cells = large_ball_cells(grid, np.array([a]), r_ball)
-    return float(next(large_ball_integrals(grid, g, [cells]))[0])
+    return float(ball_integrals(grid, g, ball_rules(grid, [a], [r_ball]))[0, 0])
 
 
 # ---------------------------------------------------------------------------

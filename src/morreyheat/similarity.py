@@ -14,6 +14,7 @@ import numpy as np
 
 from .evolution import Trajectory
 from .fields import RadialField, pchip
+from .morrey import MorreyLattice
 from .params import ModelParams
 from .quadrature import TruncationWarning, heat_kernel_matrix, sphere_area
 
@@ -167,7 +168,6 @@ def functional_N(u0: RadialField, grad_u0: RadialField, t0: float, t_grid,
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < t0):
         raise ValueError("t_grid must lie in [t0, infinity)")
-    from .morrey import MorreyLattice
     centers = MorreyLattice.default(u0.grid).centers
     best = 0.0
     for t in t_grid:

@@ -79,3 +79,34 @@ def test_tail_exponent_unresolved_below_floor():
     vals[:3] = 1.0     # nothing alive beyond a couple of nodes
     fit = H.tail_exponent(F.make_field(g, vals))
     assert not fit.resolved
+
+
+def test_step_datum_leaves_gradient_conditions_undecided():
+    # the gradient of a step lives on the two nodes around the jump: too few tail points
+    # to fit, so gradient integrability and gradient decay are both undecidable
+    g = F.make_grid(5, 40.0, 400)
+    f = F.make_field(g, np.where(g.nodes <= 5.0, 1.0, 0.0))
+    rep = H.check_hypotheses(f, F.radial_derivative(f), P5)
+    assert rep.gradient_integrability.satisfied is None
+    assert rep.gradient_integrability.evidence["tail_points"] < H.MIN_TAIL_POINTS
+    assert set(rep.gradient_integrability.evidence["norms"]) == {"L2.000", "L2.236", "L2.498"}
+    assert rep.gradient_decay.satisfied is None
+    assert rep.gradient_decay.evidence == {"tail_points": 2}
+
+
+def test_zero_gradient_satisfies_the_gradient_conditions():
+    # a constant datum with a zero gradient: both gradient conditions hold trivially
+    # while the datum itself is not zero
+    g = F.make_grid(5, 40.0, 400)
+    rep = H.check_hypotheses(F.make_field(g, np.ones(g.m + 1)), F.zero_field(g), P5)
+    assert rep.gradient_integrability == rep.gradient_decay == H._zero_check()
+    assert "zero_data" not in rep.pointwise_decay.evidence
+
+
+def test_vanishing_kernel_values_satisfy_the_kernel_limit():
+    # an amplitude of 1e-160 squares below every double: no trend is fitted, the limit holds
+    g = F.make_grid(5, 40.0, 400)
+    rep = H.check_hypotheses(F.gaussian(g, 1e-160, 2.0), F.gaussian_gradient(g, 1e-160, 2.0), P5)
+    assert rep.kernel_limit.satisfied is True
+    assert set(rep.kernel_limit.evidence) == {"kernel_values"}
+    assert max(rep.kernel_limit.evidence["kernel_values"]) < 1e-290

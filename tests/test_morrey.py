@@ -223,35 +223,30 @@ def test_small_scale_diagnostic_reports():
     assert d["small_r_fraction"] < 0.5
 
 
-def test_small_ball_cells_match_ball_integral():
-    # the per-radius small-ball path of morrey_evaluate against the one-ball path
-    g = F.make_grid(5, 40.0, 200)
-    f = F.gaussian(g, 1.0, 2.0, F.DIRICHLET)
-    spec = M.critical_spec(P5)
-    lat = M.MorreyLattice.default(g)
-    ev = M.morrey_evaluate(f, spec, lat)
-    small = np.nonzero(lat.radii <= Q.SMALL_BALL_FACTOR * g.h)[0]
-    assert small.size == 28
-    for ri in small:
-        r_ball = float(lat.radii[ri])
-        for ci, a in enumerate(lat.centers):
-            expect = Q.ball_integral(f, spec.q, float(a), r_ball) * r_ball ** (spec.lam - 5)
-            assert ev.cells[ci, ri] == pytest.approx(expect, rel=1e-13, abs=0.0)
-
-
 @pytest.mark.filterwarnings("ignore::morreyheat.quadrature.TruncationWarning")
-def test_large_cells_equal_ball_integral_bitwise():
-    # one large-ball rule: every lattice cell above SMALL_BALL_FACTOR h, the concentric ones
-    # included, is bitwise the one-ball integral times the lattice's own R^(lambda - n)
-    g = F.make_grid(5, 40.0, 400)
-    f = F.gaussian(g, 0.05, 2.0)
+@pytest.mark.parametrize("nodes, n_small", [(200, 28), (400, 25)])
+def test_cells_equal_ball_integral_bitwise(nodes, n_small):
+    # one rule choice: every lattice cell, small- and large-ball radii and the concentric
+    # balls alike, is bitwise the one-ball integral times the lattice's own R^(lambda - n)
+    g = F.make_grid(5, 40.0, nodes)
+    f = F.gaussian(g, 1.0, 2.0)
     spec = M.critical_spec(P5)
     lat = M.MorreyLattice.default(g)
     ev = M.morrey_evaluate(f, spec, lat)
     scale = np.asarray(lat.radii) ** (spec.lam - 5)
-    large = np.flatnonzero(lat.radii > Q.SMALL_BALL_FACTOR * g.h)
-    assert large.size and lat.centers[0] == 0.0
-    for ri in large:
+    small = lat.radii <= Q.SMALL_BALL_FACTOR * g.h
+    assert np.count_nonzero(small) == n_small and not small.all() and lat.centers[0] == 0.0
+    for ri, r_ball in enumerate(lat.radii):
         for ci, a in enumerate(lat.centers):
-            got = Q.ball_integral(f, spec.q, float(a), float(lat.radii[ri])) * scale[ri]
-            assert got == ev.cells[ci, ri], (a, lat.radii[ri])
+            got = Q.ball_integral(f, spec.q, float(a), float(r_ball)) * scale[ri]
+            assert got == ev.cells[ci, ri], (a, r_ball)
+    # a radius exactly at SMALL_BALL_FACTOR h takes the small-ball rule, the next float up
+    # the large-ball rule, each bitwise its lattice cell; a ball that misses the grid is 0.0
+    edge = Q.SMALL_BALL_FACTOR * g.h
+    for r_ball, rule in ((edge, Q.SmallBallPlan), (np.nextafter(edge, np.inf), tuple)):
+        assert type(Q.ball_rules(g, [1.0], [r_ball])[0]) is rule
+        edge_lat = M.MorreyLattice(centers=lat.centers, radii=np.array([r_ball]))
+        one = [Q.ball_integral(f, spec.q, float(a), float(r_ball)) for a in lat.centers]
+        want = np.array(one)[:, None] * edge_lat.radii ** (spec.lam - 5)
+        assert want.tobytes() == M.morrey_evaluate(f, spec, edge_lat).cells.tobytes()
+        assert Q.ball_integral(f, spec.q, g.r_max + 2.0 * r_ball, r_ball) == 0.0

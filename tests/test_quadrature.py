@@ -697,7 +697,8 @@ def test_small_ball_cells_equal_per_point_rule(nodes):
             for q in (1.0, 2.0, 4.0 / 3.0):
                 g = np.abs(f.values) ** q
                 interp = _reference_density_interpolant(grid.nodes, g)
-                integrals = M._ball_integrals(grid, lattice, g)   # the large radii's cells
+                # the large radii's cells
+                integrals = Q.ball_integrals(grid, g, M._cell_weights(grid, lattice))
                 for ri in small:
                     integrals[:, ri] = _reference_fine_ball_integral(
                         interp, 5, grid.r_max, lattice.centers, float(radii[ri]))
@@ -745,9 +746,12 @@ def test_cell_table_fills_only_large_radii(nodes):
     grid = F.make_grid(5, 40.0, nodes)
     base = Q.sphere_area(5) * Q.volume_weights(grid)
     for lattice in (M.MorreyLattice.default(grid), M.MorreyLattice.default(grid).refine()):
-        cells, plans = M._cell_weights(grid, lattice)
+        rules = M._cell_weights(grid, lattice)
+        plans = [ri for ri, rule in enumerate(rules) if isinstance(rule, Q.SmallBallPlan)]
+        cells = {ri: rule for ri, rule in enumerate(rules) if ri not in plans}
         radii = np.asarray(lattice.radii)
         small = np.flatnonzero(radii <= Q.SMALL_BALL_FACTOR * grid.h)
+        assert len(rules) == radii.size
         assert small.size and sorted(plans) == list(small)
         assert sorted(cells) == list(np.setdiff1d(np.arange(radii.size), small))
         for ri, (inside, owner, cols, vals) in cells.items():
@@ -768,11 +772,12 @@ def test_large_cells_within_rounding_of_dense_product(nodes):
     grid = F.make_grid(5, 40.0, nodes)
     eps = np.finfo(float).eps
     for lattice in (M.MorreyLattice.default(grid), M.MorreyLattice.default(grid).refine()):
-        cells, _ = M._cell_weights(grid, lattice)
+        rules = M._cell_weights(grid, lattice)
+        large = [ri for ri, rule in enumerate(rules) if not isinstance(rule, Q.SmallBallPlan)]
         for shape in _SMALL_BALL_FIELDS.values():
             g = np.abs(shape(grid.nodes)) ** 1.5
-            got = M._ball_integrals(grid, lattice, g)
-            for ri in cells:
+            got = Q.ball_integrals(grid, g, rules)
+            for ri in large:
                 w = _dense_cell_weights(grid, lattice, ri)
                 bound = (grid.m + 1) * eps * (np.abs(w) @ g)
                 assert np.all(np.abs(got[:, ri] - w @ g) <= bound)
