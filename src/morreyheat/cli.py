@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import sys
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -385,11 +384,8 @@ def _run_threshold(cfg, bundle):
     params, grid, phi = _build_inputs(cfg)
     cfg_solver = _solver_config(cfg)
     ex = cfg["experiment"]
-    deltas = ex["deltas"]
-    started = time.perf_counter()
     result = threshold.bisect_lambda(phi, params, cfg_solver, rel_tol=ex["rel_tol"],
                                      lambda_init=ex["lambda_init"])
-    counters.add("threshold.bisect_s", time.perf_counter() - started)
     doc = {"lambda_lo": result.lambda_lo, "lambda_hi": result.lambda_hi,
            "rel_width": result.rel_width, "stalled": result.stalled,
            "epsilon_star": result.epsilon_star, "C0_measured": result.C0_measured,
@@ -405,13 +401,10 @@ def _run_threshold(cfg, bundle):
     if len(late) >= 2:
         bundle.check("morrey_decreases_below_threshold", late[-1][1] < late[0][1],
                      late[-1][1] / late[0][1])
-    if deltas and result.rel_width > threshold.PROBE_MAX_WIDTH:
+    if ex["deltas"] and result.rel_width > threshold.PROBE_MAX_WIDTH:
         doc["probes_skipped"] = f"bracket wider than {threshold.PROBE_MAX_WIDTH:g}"
-        deltas = None
-    started = time.perf_counter()
-    probes = threshold.borderline_probe(result, params, cfg_solver, deltas) if deltas else []
-    counters.add("threshold.probes_s", time.perf_counter() - started)
-    if deltas:
+    elif ex["deltas"]:
+        probes = threshold.borderline_probe(result, params, cfg_solver, ex["deltas"])
         doc["probes"] = [{"delta": p_.delta, "lambda": p_.lam, "verdict": p_.verdict,
                           "T_est": p_.T_est, "t0": p_.t0,
                           "morrey_start": p_.morrey_start, "morrey_end": p_.morrey_end}
@@ -482,38 +475,36 @@ def run_experiment(cfg: dict, out_dir=None) -> ArtifactBundle:
 
     The manifest is written last; it records the hash of the merged config,
     in `checks` every invariant the pipeline asserted, with the measured
-    value, and in `profile` the work counters the layers reported while the
-    pipeline ran (see `counters`).  If the pipeline fails, a manifest with
-    `status: "failed"`, the error chain and the counters so far is written
-    before the PipelineError propagates.
+    value, and in `profile` the work counters and stage times the layers reported
+    while the pipeline ran (see `counters`).  If the pipeline fails, a manifest with
+    `status: "failed"`, the error chain and the profile so far is written before
+    the PipelineError propagates.
     """
     cfg = _merged(cfg)
     kind = cfg["experiment"]["kind"]
     out = Path(out_dir if out_dir is not None else cfg["output_dir"])
     bundle = ArtifactBundle(kind=kind, out_dir=out)
-    started = time.perf_counter()
     try:
-        with counters.collect() as profile:
+        with counters.collect() as profile, counters.timed("wall_time_s"):
             _PIPELINES[kind](cfg, bundle)
     except ConfigError:
         raise
     except Exception as exc:
         error = PipelineError(f"{kind} pipeline failed: {exc}")
         error.__cause__ = exc
-        _write_manifest(bundle, "failed", cfg, time.perf_counter() - started, profile,
-                        error=_error_chain(error))
+        _write_manifest(bundle, "failed", cfg, profile, error=_error_chain(error))
         raise error from exc
-    wall = time.perf_counter() - started
-    _write_manifest(bundle, "ok", cfg, wall, profile, checks=bundle.checks,
+    _write_manifest(bundle, "ok", cfg, profile, checks=bundle.checks,
                     artifacts=sorted(bundle.write_data()))
     return bundle
 
 
-def _write_manifest(bundle, status: str, cfg: dict, wall: float, profile: dict, **extra) -> None:
+def _write_manifest(bundle, status: str, cfg: dict, profile: dict, **extra) -> None:
     versions = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
                 "morreyheat": __version__}
     bundle.manifest = {"kind": bundle.kind, "status": status, "config_hash": config_hash(cfg),
-                       "wall_time_s": wall, "versions": versions, "profile": profile, **extra}
+                       "wall_time_s": profile.pop("wall_time_s"), "versions": versions,
+                       "profile": profile, **extra}
     write_json(bundle.out_dir / "manifest.json", bundle.manifest)
 
 

@@ -1,12 +1,13 @@
 """Work counters of one run, reported by each layer where its work happens.
 
 `run_experiment` alone enters `collect`, and the dict it yields becomes the
-manifest's `profile`.  Outside `collect`, `add` and `least` do nothing, so
-library calls record nothing.  The collector is process-global, like the
-Morrey table cache; nothing in the package starts threads.
+manifest's `profile`.  Outside `collect`, `add`, `least` and `timed` record
+nothing.  `timed` is the package's one clock.  The collector is process-global,
+like the Morrey table cache; nothing in the package starts threads.
 """
 
 import contextlib
+import time
 
 _active = None   # the dict `collect` yields, or None outside it
 
@@ -20,6 +21,16 @@ def collect():
         yield _active
     finally:
         _active = None
+
+
+@contextlib.contextmanager
+def timed(name: str):
+    """Add the wall seconds of the block, or of each call it decorates, to name, raise or not."""
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        add(name, time.perf_counter() - started)
 
 
 def add(name: str, value=1) -> None:

@@ -7,7 +7,6 @@ The sup is approximated on a finite log-spaced lattice; refining the lattice
 """
 
 import math
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -118,18 +117,17 @@ class MorreyEvaluation:
     cells: np.ndarray  # maximand R^(lambda-n) * ball integral, per (center, radius)
 
 
+@counters.timed("morrey.evaluate_s")
 def morrey_evaluate(f: RadialField, spec: MorreySpec,
                     lattice: MorreyLattice | None = None) -> MorreyEvaluation:
     """Norm plus the maximizing cell and the full per-cell maximand table.
 
     Each cell is a function of (grid, a, R, f) alone, whatever else the lattice holds,
-    so the cells of a sub-lattice can be read off a finer evaluation (`sub_cells`).
-    Adds its wall time to the run's morrey.evaluate_s."""
+    so the cells of a sub-lattice can be read off a finer evaluation (`sub_cells`)."""
     grid = f.grid
     n = grid.n
     if spec.lam > n:
         raise ValueError(f"lambda = {spec.lam} exceeds the dimension n = {n}")
-    started = time.perf_counter()
     counters.add("morrey.evaluations")
     if lattice is None:
         lattice = MorreyLattice.default(grid)
@@ -143,7 +141,6 @@ def morrey_evaluate(f: RadialField, spec: MorreySpec,
         cells = integrals * np.asarray(lattice.radii)[None, :] ** (spec.lam - n)
         ci, ri = np.unravel_index(np.argmax(cells), cells.shape)
         best, center, radius = float(cells[ci, ri]), lattice.centers[ci], lattice.radii[ri]
-    counters.add("morrey.evaluate_s", time.perf_counter() - started)
     return MorreyEvaluation(norm=best ** (1.0 / spec.q), center=float(center),
                             radius=float(radius), cells=cells)
 

@@ -78,6 +78,7 @@ def _morrey_series(traj: Trajectory, spec: MorreySpec, lattice: MorreyLattice) -
     return [(t, morrey_norm(f, spec, lattice)) for t, f in traj.checkpoints]
 
 
+@counters.timed("threshold.bisect_s")
 def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
                   rel_tol: float, lambda_init: float = 1.0) -> ThresholdResult:
     """Bisect the amplitude threshold along the ray lambda * phi.
@@ -153,6 +154,7 @@ class BorderlineTrial:
     morrey_end: float | None          # ... at the horizon
 
 
+@counters.timed("threshold.probes_s")
 def borderline_probe(result: ThresholdResult, params: ModelParams, cfg: SolverConfig,
                      deltas) -> list[BorderlineTrial]:
     """Probe the ray just below (delta > 0) or above (delta < 0) the bracket.

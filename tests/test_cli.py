@@ -341,6 +341,39 @@ def test_reproducibility_bit_identical(tmp_path):
     assert m1 == m2
 
 
+def _solve_checks(tmp_path, t_end):
+    cfg = cli.default_config("solve")
+    cfg["grid"] = {"r_max": 10.0, "nodes": 64}
+    cfg["solver"]["t_end"] = t_end
+    bundle = cli.run_experiment(cfg, out_dir=tmp_path / f"t{t_end:g}")
+    return {c["name"]: c for c in bundle.checks}, bundle.documents["diagnostics"]
+
+
+def test_solve_checks_tail_monotone_once_the_weighted_norm_peaks_early(tmp_path):
+    # w(t) = t^(1/(p-1)) ||u(t)||_inf peaks near t = 0.25 on this grid: inside the final
+    # decade of a run to 2, before it in a run to 5, where the decay signature is asserted
+    checks, doc = _solve_checks(tmp_path, 2.0)
+    assert "tail_monotone" not in checks and "tail_monotone" in doc
+    checks, doc = _solve_checks(tmp_path, 5.0)
+    assert checks["tail_monotone"] == {"name": "tail_monotone", "passed": True,
+                                       "value": doc["sup_t_beta_norm"]}
+
+
+@pytest.mark.parametrize("blocks", [
+    {"params": {"p": 300.0}},
+    {"params": {"p": 40.0},
+     "initial_data": {"profile": "gaussian", "args": {"amplitude": 1e-10, "width": 2.0}}},
+])
+def test_small_data_at_large_p_runs(blocks, tmp_path):
+    # 0.5 ||u||_inf^(1-p) overflows a float here; a step cap that large can never bind
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps({"experiment": {"kind": "solve"}, **blocks}))
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--nodes", "64", "--rmax", "10", "--tend", "0.1"]) in (0, 1)
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["status"] == "ok" and manifest["profile"]["evolution.cap.nonlinear"] == 0
+
+
 def test_plot_data_emitted(tmp_path):
     cfg = small_solve_config(tmp_path, "gaussian", {"amplitude": 0.05, "width": 2.0})
     bundle = cli.run_experiment(cfg)
@@ -563,6 +596,12 @@ def test_failed_pipeline_writes_manifest(tmp_path):
     assert "did not reach the horizon" in manifest["error"][-1]
     assert set(manifest["versions"]) == {"python", "numpy", "morreyheat"}
     assert "checks" not in manifest
+    # the run's wall time stays top-level, and the solve that ran before the failure keeps
+    # its time in the profile
+    profile = manifest["profile"]
+    assert "wall_time_s" not in profile
+    assert 0.0 < profile["evolution.solve_s"] <= manifest["wall_time_s"]
+    assert profile["evolution.steps"] > 0
 
 
 def test_failed_manifest_keeps_the_counters(tmp_path, monkeypatch):
@@ -653,6 +692,14 @@ def test_threshold_undecided_first_trial_exits_3(tmp_path, capsys):
                      "--nodes", "64", "--rmax", "10", "--tend", "20"]) == 3
     assert ("could not bracket a threshold from lambda_init=1.0; trials: 1:undecided"
             in capsys.readouterr().err)
+    # the bisection raised, and its stage time, which holds its one solve, is recorded all
+    # the same
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    profile = manifest["profile"]
+    assert manifest["status"] == "failed" and profile["threshold.solves"] == 1
+    assert 0.0 < profile["evolution.solve_s"] <= profile["threshold.bisect_s"]
+    assert profile["threshold.bisect_s"] <= manifest["wall_time_s"]
+    assert pop_wall_times(profile) == {"evolution.solve_s", "threshold.bisect_s"}
 
 
 def test_threshold_stalled_bisection_fails_bracket_tight(tmp_path, monkeypatch):

@@ -271,6 +271,11 @@ def test_gradient_majorant_linear_hook():
     ok, worst = E.gradient_majorant_check(traj, u0, grad0, t_small=0.1)
     assert ok
     assert worst <= 0.55   # equality up to discretization is a factor 1 <= 2
+    # a checkpoint after t_small, however steep, is not checked
+    steep = F.make_field(g, 1e6 * np.sin(g.nodes))
+    late = E.Trajectory(params=P5, checkpoints=traj.checkpoints + [(1.0, steep)],
+                        series=traj.series, status=traj.status)
+    assert E.gradient_majorant_check(late, u0, grad0, t_small=0.1) == (ok, worst)
 
 
 def test_gradient_majorant_fails_where_the_majorant_vanishes():

@@ -110,3 +110,15 @@ def test_vanishing_kernel_values_satisfy_the_kernel_limit():
     assert rep.kernel_limit.satisfied is True
     assert set(rep.kernel_limit.evidence) == {"kernel_values"}
     assert max(rep.kernel_limit.evidence["kernel_values"]) < 1e-290
+
+
+def test_empty_integrability_intervals_fail():
+    # at n = 3, p = 3 both exponent intervals are empty: [2, n(p-1)/(p+1)) = [2, 1.5) and
+    # [1, n(p-1)/(2(p+1))) = [1, 0.75), so neither condition can hold, whatever the data
+    g = F.make_grid(3, 20.0, 400)
+    rep = H.check_hypotheses(F.gaussian(g, 1.0, 2.0), F.gaussian_gradient(g, 1.0, 2.0),
+                             make_params(3, 3.0))
+    assert rep.gradient_integrability == H.ConditionCheck(
+        False, {"admissible_q_interval": (2.0, 1.5)})
+    assert rep.energy_integrability == H.ConditionCheck(
+        False, {"admissible_m_interval": (1.0, 0.75)})
