@@ -113,7 +113,9 @@ _DOMAINS = {
     "experiment.refinements": (lambda v, c: v >= 0, "refinements >= 0"),
     "experiment.from_q": (lambda v, c: 1 <= v <= float(c["experiment"]["to_q"]),
                           "1 <= from_q <= to_q"),
-    "experiment.t_lo": _POSITIVE,
+    # the heat kernel resolves times down to h^2/4, h = r_max/nodes; below, its rows lose mass
+    "experiment.t_lo": (lambda v, c: (c["grid"]["r_max"] / c["grid"]["nodes"]) ** 2 / 4 <= v
+                        < math.inf, "h^2/4 <= t_lo < inf, h = r_max/nodes"),
     "experiment.t_hi": (lambda v, c: c["experiment"]["t_lo"] <= v < math.inf, "t_lo <= t_hi < inf"),
     "experiment.t_count": (lambda v, c: v >= 1, "t_count >= 1"),
     "experiment.T_values": (lambda v, c: v and all(0 < T < math.inf for T in v),
@@ -270,8 +272,6 @@ def _run_solve(cfg, bundle):
         worst = min((float(f.values.min()) for _, f in traj.checkpoints), default=0.0)
         bundle.check("positivity", worst >= floor, worst)
     bundle.documents["diagnostics"] = doc
-    bundle.tables["plot_decay"] = ("series,x,y", [("sup_norm", t, s) for t, s in
-                                                  zip(traj.times, traj.sup_norms)])
 
 
 def _run_morrey(cfg, bundle):
@@ -308,7 +308,6 @@ def _run_smoothing(cfg, bundle):
                  max(pt.norm_from_after for pt in points))
     bundle.check("ratio_bounded", all(math.isfinite(pt.ratio) for pt in points),
                  max(pt.ratio for pt in points))
-    bundle.tables["plot_smoothing"] = ("series,x,y", [("ratio", pt.t, pt.ratio) for pt in points])
 
 
 def _run_energy(cfg, bundle):
@@ -332,7 +331,6 @@ def _run_energy(cfg, bundle):
     traj = evolution.solve(u0, params, _solver_config(cfg, times[-1], times))
     if traj.status.kind != "reached_horizon":
         raise PipelineError(f"energy run did not reach the horizon: {traj.status}")
-    rows_plot = []
     for T in ex["T_values"]:
         series = similarity.energy_series(traj, T, params, grids[T])
         # endpoint rows have no centered dm/ds; their residual stays nan
@@ -345,8 +343,6 @@ def _run_energy(cfg, bundle):
                      series.min_energy)
         bundle.check(f"energy_identity_T{T:g}", float(np.max(rel)) < 1e-3,
                      float(np.max(rel)))
-        rows_plot.extend(("E_T%g" % T, s, e) for s, e in zip(series.s, series.E))
-    bundle.tables["plot_energy"] = ("series,x,y", rows_plot)
 
 
 def _run_picard(cfg, bundle):
@@ -376,8 +372,6 @@ def _run_picard(cfg, bundle):
         # a classical run that stops before the last sample time compares nothing there
         complete = len(traj.checkpoints) == len(run.sample_times)
         bundle.check("mild_classical_agreement", complete and worst < 0.01, worst)
-    bundle.tables["plot_budget"] = ("series,x,y",
-                                    [("budget_inf", t, bi) for t, _, bi in run.budget])
 
 
 def _run_threshold(cfg, bundle):
@@ -389,9 +383,7 @@ def _run_threshold(cfg, bundle):
     doc = {"lambda_lo": result.lambda_lo, "lambda_hi": result.lambda_hi,
            "rel_width": result.rel_width, "stalled": result.stalled,
            "epsilon_star": result.epsilon_star, "C0_measured": result.C0_measured,
-           "trials": result.trials,
-           "morrey_series_lo": [[t, v] for t, v in result.morrey_series_lo],
-           "morrey_series_hi": [[t, v] for t, v in result.morrey_series_hi]}
+           "trials": result.trials}
     bundle.documents["threshold"] = doc
     bundle.tables["morrey_series_lo"] = ("t,value", result.morrey_series_lo)
     bundle.tables["morrey_series_hi"] = ("t,value", result.morrey_series_hi)
@@ -412,9 +404,6 @@ def _run_threshold(cfg, bundle):
         bundle.check("subthreshold_probes_decay",
                      all(p_.verdict == "decaying" for p_ in probes if p_.delta > 0),
                      None)
-    bundle.tables["plot_morrey_threshold"] = ("series,x,y", (
-        [("morrey_lo", t, v) for t, v in result.morrey_series_lo]
-        + [("morrey_hi", t, v) for t, v in result.morrey_series_hi]))
 
 
 def _run_dependence(cfg, bundle):
@@ -436,8 +425,6 @@ def _run_dependence(cfg, bundle):
     bundle.check("lipschitz_stability", spread < ex["stability_tol"], spread)
     bundle.documents["dependence"] = {"sizes": sizes, "max_ratios": max_ratios,
                                       "spread": spread}
-    bundle.tables["plot_dependence"] = ("series,x,y",
-                                        [(f"size_{size:g}", t, r) for size, t, r in rows])
 
 
 def _run_hypotheses(cfg, bundle):

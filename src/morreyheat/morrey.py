@@ -73,15 +73,11 @@ class MorreyLattice:
         return MorreyLattice(centers=c, radii=r)
 
 
-def _lq_integral(f: RadialField, q: float) -> float:
-    """integral over R^n of |f|^q (zero extension)."""
-    grid = f.grid
-    return float(sphere_area(grid.n) * np.sum(volume_weights(grid) * np.abs(f.values) ** q))
-
-
 def lq_norm(f: RadialField, q: float) -> float:
     """Lebesgue L^q norm of the radial field over R^n (zero extension)."""
-    return _lq_integral(f, q) ** (1.0 / q)
+    grid = f.grid
+    integral = float(sphere_area(grid.n) * np.sum(volume_weights(grid) * np.abs(f.values) ** q))
+    return integral ** (1.0 / q)
 
 
 # Cached lattice geometry: key -> the lattice's ball_rules, one per radius.  Bounded LRU.
@@ -131,18 +127,12 @@ def morrey_evaluate(f: RadialField, spec: MorreySpec,
     counters.add("morrey.evaluations")
     if lattice is None:
         lattice = MorreyLattice.default(grid)
-    if spec.lam == n:
-        # M^{q,n} = L^q: the sup in R is the full integral, centers immaterial
-        best = _lq_integral(f, spec.q)
-        cells = np.full((len(lattice.centers), len(lattice.radii)), best)
-        center, radius = 0.0, lattice.radii[-1]
-    else:
-        integrals = ball_integrals(grid, np.abs(f.values) ** spec.q, _cell_weights(grid, lattice))
-        cells = integrals * np.asarray(lattice.radii)[None, :] ** (spec.lam - n)
-        ci, ri = np.unravel_index(np.argmax(cells), cells.shape)
-        best, center, radius = float(cells[ci, ri]), lattice.centers[ci], lattice.radii[ri]
-    return MorreyEvaluation(norm=best ** (1.0 / spec.q), center=float(center),
-                            radius=float(radius), cells=cells)
+    integrals = ball_integrals(grid, np.abs(f.values) ** spec.q, _cell_weights(grid, lattice))
+    cells = integrals * np.asarray(lattice.radii)[None, :] ** (spec.lam - n)
+    ci, ri = np.unravel_index(np.argmax(cells), cells.shape)
+    return MorreyEvaluation(norm=float(cells[ci, ri]) ** (1.0 / spec.q),
+                            center=float(lattice.centers[ci]), radius=float(lattice.radii[ri]),
+                            cells=cells)
 
 
 def sub_cells(ev: MorreyEvaluation, lattice: MorreyLattice, sub: MorreyLattice) -> np.ndarray:

@@ -149,13 +149,24 @@ def test_energy_window_short_of_3_points_exits_2(tmp_path, capsys, monkeypatch):
             "for T=2.0") in capsys.readouterr().err
 
 
+def test_config_kind_other_than_the_subcommand_exits_2(tmp_path, capsys):
+    config = tmp_path / "morrey.json"
+    config.write_text(json.dumps({"experiment": {"kind": "morrey"}}))
+    assert cli.main(["smoothing", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert ("config error: experiment.kind: config kind 'morrey' != subcommand 'smoothing'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("t_lo", 0.0), ("t_lo", -1.0), ("t_lo", math.nan), ("t_lo", math.inf),
+    ("t_lo", 1e-300), ("t_lo", 1e-124), ("t_lo", 1e-3),
     ("t_hi", math.inf), ("t_hi", math.nan), ("t_hi", 0.005),
     ("t_count", 0), ("t_count", -3),
 ])
 def test_smoothing_times_outside_their_domain_exit_2(key, value, tmp_path, capsys):
-    # the smoothing times are finite and positive with t_lo <= t_hi, and t_count >= 1
+    # the smoothing times are finite with h^2/4 <= t_lo <= t_hi (h = 10/64 here, so
+    # h^2/4 = 0.0061: below it the heat kernel's rows lose their mass), and t_count >= 1
     cfg = {"experiment": {"kind": "smoothing", key: value}, "grid": {"r_max": 10.0, "nodes": 64}}
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(cfg))
@@ -374,22 +385,12 @@ def test_small_data_at_large_p_runs(blocks, tmp_path):
     assert manifest["status"] == "ok" and manifest["profile"]["evolution.cap.nonlinear"] == 0
 
 
-def test_plot_data_emitted(tmp_path):
-    cfg = small_solve_config(tmp_path, "gaussian", {"amplitude": 0.05, "width": 2.0})
-    bundle = cli.run_experiment(cfg)
-    plot = bundle.out_dir / "plot_decay.csv"
-    assert plot.exists()
-    lines = plot.read_text().splitlines()
-    assert lines[0] == "series,x,y"
-    ys = [float(line.split(",")[2]) for line in lines[1:]]
-    assert all(b <= a * (1 + 1e-12) for a, b in zip(ys, ys[1:]))  # decay curve
-
-
 def test_empty_plot_series_header_only(tmp_path):
-    bundle = cli.ArtifactBundle(kind="solve", out_dir=tmp_path)
-    bundle.tables["plot_empty"] = ("series,x,y", [])
-    assert bundle.write_data() == ["plot_empty.csv"]
-    assert (tmp_path / "plot_empty.csv").read_text() == "series,x,y\n"
+    # a table without rows is written as its header line alone
+    bundle = cli.ArtifactBundle(kind="threshold", out_dir=tmp_path)
+    bundle.tables["morrey_series_lo"] = ("t,value", [])
+    assert bundle.write_data() == ["morrey_series_lo.csv"]
+    assert (tmp_path / "morrey_series_lo.csv").read_text() == "t,value\n"
 
 
 def test_morrey_kind_end_to_end(tmp_path):
@@ -620,18 +621,12 @@ def test_failed_manifest_keeps_the_counters(tmp_path, monkeypatch):
     assert counters._active is None
 
 
-def test_threshold_json_schema(tmp_path, threshold_run):
-    # serialize an already-computed result through the pipeline writer path
-    from morreyheat.io import write_json
-    res = threshold_run["result"]
-    doc = {"lambda_lo": res.lambda_lo, "lambda_hi": res.lambda_hi,
-           "rel_width": res.rel_width, "trials": res.trials,
-           "morrey_series_lo": [[t, v] for t, v in res.morrey_series_lo],
-           "morrey_series_hi": [[t, v] for t, v in res.morrey_series_hi]}
-    write_json(tmp_path / "threshold.json", doc)
-    loaded = json.loads((tmp_path / "threshold.json").read_text())
-    assert set(loaded) >= {"lambda_lo", "lambda_hi", "rel_width", "trials",
-                           "morrey_series_lo", "morrey_series_hi"}
+def test_threshold_json_schema(tmp_path):
+    # the pipeline's own threshold.json; the Morrey series are in their two tables alone
+    cli.run_experiment(small_threshold_config(), out_dir=tmp_path / "t")
+    loaded = json.loads((tmp_path / "t" / "threshold.json").read_text())
+    assert set(loaded) == {"lambda_lo", "lambda_hi", "rel_width", "stalled", "epsilon_star",
+                           "C0_measured", "trials", "probes"}
     assert loaded["lambda_lo"] < loaded["lambda_hi"]
     for trial in loaded["trials"]:
         assert {"lambda", "verdict", "T_est", "horizon"} <= set(trial)
@@ -755,7 +750,10 @@ def test_threshold_manifest_counts_solver_work(tmp_path, fresh_tables):
     # one series row per step
     assert min(caps) > 0 and work["evolution.steps"] == sum(caps) == len(dts)
     assert work["evolution.min_dt"] == min(dts)
-    evaluations = 1 + len(doc["morrey_series_lo"]) + len(doc["morrey_series_hi"]) + sum(
+    series_rows = [len((tmp_path / "t" / f"morrey_series_{end}.csv").read_text().splitlines()) - 1
+                   for end in ("lo", "hi")]
+    assert min(series_rows) > 0
+    evaluations = 1 + sum(series_rows) + sum(
         2 for p in doc["probes"] if p["morrey_start"] is not None)
     assert profile == {**work,
                        "threshold.solves": len(lams),
@@ -893,6 +891,10 @@ for kind, cfg in json.loads({json.dumps(runs)!r}).items():
         manifest = json.loads((tmp_path / kind / "manifest.json").read_text())
         assert manifest["status"] == "ok", kind
         assert set(manifest["versions"]) == {"python", "numpy", "morreyheat"}
+        # each number is written once: no kind restates its tables as plot_ tables
+        written = sorted(path.name for path in (tmp_path / kind).iterdir())
+        assert written == sorted(manifest["artifacts"] + ["manifest.json"]), kind
+        assert not [name for name in written if name.startswith("plot_")], kind
 
 
 TRACE_CHILD = Path(__file__).resolve().parent.parent / "bench" / "trace_child.py"

@@ -330,3 +330,10 @@ def test_dependence_solves_u0_once(monkeypatch):
     for got, want in zip(results[1:], alone):
         assert got.ratios.tobytes() == want.ratios.tobytes()
         assert got.times.tobytes() == want.times.tobytes()
+
+
+def test_continuous_dependence_rejects_data_on_another_grid():
+    u0 = F.gaussian(F.make_grid(5, 10.0, 32), 0.05, 2.0)
+    v0 = F.gaussian(F.make_grid(5, 10.0, 40), 0.05, 2.0)
+    with pytest.raises(ValueError, match="both data must live on the same grid"):
+        D.continuous_dependence(u0, [v0], E.SolverConfig(t_end=1.0), P5, M.critical_spec(P5))

@@ -504,3 +504,16 @@ def test_nonfinite_state_aborts(monkeypatch, poison):
     assert np.all(np.isfinite(traj.series))
     # the series ends at the last finite state, before the abort time
     assert traj.series[-1, 0] < traj.status.t_final
+
+
+@pytest.mark.parametrize("t_small, message", [
+    (0.5, "t_small must lie in the first 5% of the run"),
+    (0.04, r"no checkpoints inside \(0, t_small\]"),   # the first checkpoint is at 0.1
+])
+def test_gradient_majorant_guards_raise(t_small, message):
+    g = F.make_grid(5, 10.0, 32)
+    u0 = F.gaussian(g, 0.05, 2.0, F.DIRICHLET)
+    traj = E.solve(u0, P5, E.SolverConfig(t_end=1.0, checkpoint_times=(0.1, 0.5, 1.0)))
+    assert traj.status.kind == "reached_horizon"
+    with pytest.raises(ValueError, match=message):
+        E.gradient_majorant_check(traj, u0, F.radial_derivative(u0), t_small)

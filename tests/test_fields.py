@@ -176,3 +176,19 @@ def test_gradient_profiles_match_finite_differences():
     an = F.gaussian_gradient(g, 0.7, 2.0)
     fd = np.abs(np.gradient(f.values, g.h))
     assert np.max(np.abs(fd[1:-1] - an.values[1:-1])) < 2e-4
+
+
+_G = F.make_grid(5, 10.0, 32)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: F.make_grid(2, 10.0, 32), "dimension n must be >= 3"),
+    (lambda: F.make_grid(5, 0.0, 32), "r_max must be positive"),
+    (lambda: F.make_field(_G, np.zeros(33), "neumann"), "unknown boundary tag 'neumann'"),
+    (lambda: F.weighted_sup_norm(F.gaussian(_G, 1.0, 2.0), -1.0), "k must be >= 0"),
+    # at n = 3, p = 3 the profile height L^(p-1) = 1 (3 - 2 - 1) is 0
+    (lambda: F.singular_steady_state(_G, make_params(3, 3.0)), "no positive singular"),
+])
+def test_argument_guards_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

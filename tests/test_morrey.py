@@ -227,19 +227,23 @@ def test_small_scale_diagnostic_reports():
 @pytest.mark.parametrize("nodes, n_small", [(200, 28), (400, 25)])
 def test_cells_equal_ball_integral_bitwise(nodes, n_small):
     # one rule choice: every lattice cell, small- and large-ball radii and the concentric
-    # balls alike, is bitwise the one-ball integral times the lattice's own R^(lambda - n)
+    # balls alike, is bitwise the one-ball integral times the lattice's own R^(lambda - n),
+    # at lambda = n (the L^q case) as at the critical lambda
     g = F.make_grid(5, 40.0, nodes)
     f = F.gaussian(g, 1.0, 2.0)
     spec = M.critical_spec(P5)
     lat = M.MorreyLattice.default(g)
-    ev = M.morrey_evaluate(f, spec, lat)
-    scale = np.asarray(lat.radii) ** (spec.lam - 5)
+    evs = {lam: M.morrey_evaluate(f, M.MorreySpec(spec.q, lam), lat) for lam in (spec.lam, 5.0)}
+    scales = {lam: np.asarray(lat.radii) ** (lam - 5) for lam in evs}
     small = lat.radii <= Q.SMALL_BALL_FACTOR * g.h
     assert np.count_nonzero(small) == n_small and not small.all() and lat.centers[0] == 0.0
     for ri, r_ball in enumerate(lat.radii):
         for ci, a in enumerate(lat.centers):
-            got = Q.ball_integral(f, spec.q, float(a), float(r_ball)) * scale[ri]
-            assert got == ev.cells[ci, ri], (a, r_ball)
+            integral = Q.ball_integral(f, spec.q, float(a), float(r_ball))
+            for lam, ev in evs.items():
+                assert integral * scales[lam][ri] == ev.cells[ci, ri], (lam, a, r_ball)
+    # at lambda = n the Gaussian's small balls hold a vanishing share of its L^q mass
+    assert M.small_scale_diagnostic(evs[5.0].cells)["small_r_fraction"] < 1.0
     # a radius exactly at SMALL_BALL_FACTOR h takes the small-ball rule, the next float up
     # the large-ball rule, each bitwise its lattice cell; a ball that misses the grid is 0.0
     edge = Q.SMALL_BALL_FACTOR * g.h
@@ -250,3 +254,20 @@ def test_cells_equal_ball_integral_bitwise(nodes, n_small):
         want = np.array(one)[:, None] * edge_lat.radii ** (spec.lam - 5)
         assert want.tobytes() == M.morrey_evaluate(f, spec, edge_lat).cells.tobytes()
         assert Q.ball_integral(f, spec.q, g.r_max + 2.0 * r_ball, r_ball) == 0.0
+
+
+_G = F.make_grid(5, 10.0, 32)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: M.MorreyLattice(centers=np.array([]), radii=np.array([1.0])), "nonempty"),
+    (lambda: M.MorreyLattice(centers=np.array([-1.0]), radii=np.array([1.0])),
+     "need centers >= 0 and radii > 0"),
+    (lambda: M.MorreyLattice(centers=np.array([0.0]), radii=np.array([0.0])),
+     "need centers >= 0 and radii > 0"),
+    (lambda: M.smoothing_profile(F.gaussian(_G, 1.0, 2.0), 3.0, 2.0, 2.0, [1.0]),
+     "need 1 <= from_q <= to_q"),
+])
+def test_argument_guards_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -781,3 +781,19 @@ def test_large_cells_within_rounding_of_dense_product(nodes):
                 w = _dense_cell_weights(grid, lattice, ri)
                 bound = (grid.m + 1) * eps * (np.abs(w) @ g)
                 assert np.all(np.abs(got[:, ri] - w @ g) <= bound)
+
+
+_G = F.make_grid(5, 10.0, 32)
+_F = F.gaussian(_G, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Q.cap_fraction(5, -1.0, 1.0, 1.0), "need a >= 0, s > 0, R > 0"),
+    (lambda: Q.ball_integral(_F, 0.5, 0.0, 1.0), "q must be >= 1"),
+    (lambda: Q.ball_integral(_F, 2.0, -1.0, 1.0), "need a >= 0, R > 0"),
+    (lambda: Q.ball_integral(_F, 2.0, 1.0, 0.0), "need a >= 0, R > 0"),
+    (lambda: Q.heat_kernel_matrix(_G, 0.0, [0.0]), "t must be positive"),
+])
+def test_argument_guards_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -203,3 +203,11 @@ def test_functional_n_matches_per_center_convolutions():
                  + t ** (2.0 / (p - 1.0)) * gauss_convolve(u2, t, float(a))
                  for t in t_grid for a in MorreyLattice.default(g).centers)
     assert S.functional_N(u0, g0, 0.5, t_grid, P5) == pytest.approx(expect, rel=1e-13)
+
+
+def test_short_or_unsorted_s_grid_raises():
+    g = F.make_grid(5, 10.0, 32)
+    traj = E.solve(F.gaussian(g, 0.05, 2.0), P5, E.SolverConfig(t_end=1.0))
+    for s_grid in ([0.0, 0.1], [0.0, 0.2, 0.1]):
+        with pytest.raises(ValueError, match="s_grid must be increasing with at least 3"):
+            S.energy_series(traj, 2.0, P5, s_grid)
