@@ -24,6 +24,7 @@ from . import __version__, counters, duhamel, evolution, hypotheses, morrey, sim
 from .fields import DIRICHLET, build_profile, make_field, make_grid, radial_derivative
 from .io import write_csv, write_json
 from .params import make_params
+from .quadrature import heat_time_floor
 
 
 class ConfigError(ValueError):
@@ -113,9 +114,8 @@ _DOMAINS = {
     "experiment.refinements": (lambda v, c: v >= 0, "refinements >= 0"),
     "experiment.from_q": (lambda v, c: 1 <= v <= float(c["experiment"]["to_q"]),
                           "1 <= from_q <= to_q"),
-    # the heat kernel resolves times down to h^2/4, h = r_max/nodes; below, its rows lose mass
-    "experiment.t_lo": (lambda v, c: (c["grid"]["r_max"] / c["grid"]["nodes"]) ** 2 / 4 <= v
-                        < math.inf, "h^2/4 <= t_lo < inf, h = r_max/nodes"),
+    "experiment.t_lo": (lambda v, c: heat_time_floor(c["grid"]["r_max"], c["grid"]["nodes"])
+                        <= v < math.inf, "h^2/4 <= t_lo < inf, h = r_max/nodes"),
     "experiment.t_hi": (lambda v, c: c["experiment"]["t_lo"] <= v < math.inf, "t_lo <= t_hi < inf"),
     "experiment.t_count": (lambda v, c: v >= 1, "t_count >= 1"),
     "experiment.T_values": (lambda v, c: v and all(0 < T < math.inf for T in v),
@@ -460,29 +460,31 @@ def _error_chain(exc: BaseException) -> list:
 def run_experiment(cfg: dict, out_dir=None) -> ArtifactBundle:
     """Merge the config over its kind's defaults, dispatch the pipeline, write all artifacts.
 
-    The manifest is written last; it records the hash of the merged config,
-    in `checks` every invariant the pipeline asserted, with the measured
-    value, and in `profile` the work counters and stage times the layers reported
-    while the pipeline ran (see `counters`).  If the pipeline fails, a manifest with
-    `status: "failed"`, the error chain and the profile so far is written before
-    the PipelineError propagates.
+    The manifest is written last; it records the hash of the merged config, in `checks`
+    every invariant the pipeline asserted, with the measured value, and in `profile` the
+    work counters and stage times the layers reported while the pipeline ran (`wall_time_s`)
+    and the data were written (`io.write_s`); see `counters`.  If the pipeline fails, a
+    manifest with `status: "failed"`, the error chain and the profile so far is written
+    before the PipelineError propagates.
     """
     cfg = _merged(cfg)
     kind = cfg["experiment"]["kind"]
     out = Path(out_dir if out_dir is not None else cfg["output_dir"])
     bundle = ArtifactBundle(kind=kind, out_dir=out)
-    try:
-        with counters.collect() as profile, counters.timed("wall_time_s"):
-            _PIPELINES[kind](cfg, bundle)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        error = PipelineError(f"{kind} pipeline failed: {exc}")
-        error.__cause__ = exc
-        _write_manifest(bundle, "failed", cfg, profile, error=_error_chain(error))
-        raise error from exc
-    _write_manifest(bundle, "ok", cfg, profile, checks=bundle.checks,
-                    artifacts=sorted(bundle.write_data()))
+    with counters.collect() as profile:
+        try:
+            with counters.timed("wall_time_s"):
+                _PIPELINES[kind](cfg, bundle)
+        except ConfigError:
+            raise
+        except Exception as exc:
+            error = PipelineError(f"{kind} pipeline failed: {exc}")
+            error.__cause__ = exc
+            _write_manifest(bundle, "failed", cfg, profile, error=_error_chain(error))
+            raise error from exc
+        with counters.timed("io.write_s"):
+            artifacts = sorted(bundle.write_data())
+    _write_manifest(bundle, "ok", cfg, profile, checks=bundle.checks, artifacts=artifacts)
     return bundle
 
 

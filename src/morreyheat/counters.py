@@ -2,8 +2,8 @@
 
 `run_experiment` alone enters `collect`, and the dict it yields becomes the
 manifest's `profile`.  Outside `collect`, `add`, `least` and `timed` record
-nothing.  `timed` is the package's one clock.  The collector is process-global,
-like the Morrey table cache; nothing in the package starts threads.
+nothing.  `timed` is the package's one clock.  The collector is process-global;
+nothing in the package starts threads.
 """
 
 import contextlib

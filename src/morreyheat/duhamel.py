@@ -168,6 +168,7 @@ def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol, store):
     return [fields[i] for i in sample_idx], diffs, per_sample, converged, diverged, it
 
 
+@counters.timed("duhamel.picard_s")
 def picard_solve(u0: RadialField, params: ModelParams, t_end: float, K: int,
                  sample_times, nodes: int = 64,
                  tol: float = 1e-8, max_nodes: int = 512) -> PicardRun:

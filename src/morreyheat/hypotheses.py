@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import counters
 from .fields import RadialField, make_field
 from .morrey import MorreyLattice, lq_norm
 from .params import ModelParams
@@ -88,6 +89,7 @@ def _integrability(f: RadialField, fit: TailFit, lo: float, hi: float, n: int,
                            "required_exponent": need})
 
 
+@counters.timed("hypotheses.check_s")
 def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams) -> HypothesisReport:
     """Evaluate the admissibility conditions on sampled data.
 

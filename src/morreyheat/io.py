@@ -6,8 +6,6 @@ from pathlib import Path
 
 
 def format_value(x) -> str:
-    if isinstance(x, str):
-        return x
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):

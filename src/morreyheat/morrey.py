@@ -2,13 +2,13 @@
 
 The norm of M^{q,lambda} is sup over balls of (R^(lambda-n) integral_{B_R(a)} |f|^q)^(1/q).
 For radial f the sup over centers reduces exactly to offsets a >= 0 on one axis.
-The sup is approximated on a finite log-spaced lattice; refining the lattice
-(supersets only) can never decrease the computed norm.
+The sup is approximated on a finite log-spaced lattice, which keeps the ball rules of its
+grid; refining the lattice (supersets only) can never decrease the computed norm.
 """
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +39,9 @@ def critical_spec(params: ModelParams, q: float = 2.0) -> MorreySpec:
 
 @dataclass(frozen=True)
 class MorreyLattice:
-    """Finite surrogate for the sup over centers a >= 0 and radii R > 0."""
+    """Finite surrogate for the sup over centers a >= 0 and radii R > 0 on one grid."""
 
+    grid: RadialGrid
     centers: np.ndarray
     radii: np.ndarray
 
@@ -56,7 +57,7 @@ class MorreyLattice:
         radii = np.geomspace(grid.h, 2.0 * grid.r_max, n_radii)
         centers.setflags(write=False)
         radii.setflags(write=False)
-        return MorreyLattice(centers=centers, radii=radii)
+        return MorreyLattice(grid=grid, centers=centers, radii=radii)
 
     def refine(self) -> "MorreyLattice":
         """Superset lattice with geometric midpoints inserted (halving toward 0 for centers)."""
@@ -70,7 +71,15 @@ class MorreyLattice:
         r = midpoints(np.asarray(self.radii))
         c.setflags(write=False)
         r.setflags(write=False)
-        return MorreyLattice(centers=c, radii=r)
+        return MorreyLattice(grid=self.grid, centers=c, radii=r)
+
+    @cached_property
+    def rules(self) -> list:
+        """Its ball_rules, built once: 1 to morrey.table_builds and their MB to .table_mb."""
+        rules = ball_rules(self.grid, self.centers, self.radii)
+        counters.add("morrey.table_builds")
+        counters.add("morrey.table_mb", sum(x.nbytes for rule in rules for x in rule) / 2**20)
+        return rules
 
 
 def lq_norm(f: RadialField, q: float) -> float:
@@ -78,31 +87,6 @@ def lq_norm(f: RadialField, q: float) -> float:
     grid = f.grid
     integral = float(sphere_area(grid.n) * np.sum(volume_weights(grid) * np.abs(f.values) ** q))
     return integral ** (1.0 / q)
-
-
-# Cached lattice geometry: key -> the lattice's ball_rules, one per radius.  Bounded LRU.
-_TABLE_CACHE: OrderedDict = OrderedDict()
-_TABLE_CACHE_MAX = 4
-
-
-def _cell_weights(grid: RadialGrid, lattice: MorreyLattice) -> list:
-    """The ball_rules of the lattice's centers and radii, one per radius.  Each build (a cache
-    miss) adds 1 to the run's morrey.table_builds and the MB of its arrays to .table_mb; each
-    cache hit adds 1 to morrey.table_hits."""
-    key = (grid.n, grid.m, grid.r_max,
-           np.asarray(lattice.centers).tobytes(), np.asarray(lattice.radii).tobytes())
-    rules = _TABLE_CACHE.get(key)
-    if rules is not None:
-        _TABLE_CACHE.move_to_end(key)
-        counters.add("morrey.table_hits")
-        return rules
-    rules = ball_rules(grid, lattice.centers, lattice.radii)
-    counters.add("morrey.table_builds")
-    counters.add("morrey.table_mb", sum(x.nbytes for rule in rules for x in rule) / 2**20)
-    _TABLE_CACHE[key] = rules
-    while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
-        _TABLE_CACHE.popitem(last=False)
-    return rules
 
 
 @dataclass(frozen=True)
@@ -124,10 +108,12 @@ def morrey_evaluate(f: RadialField, spec: MorreySpec,
     n = grid.n
     if spec.lam > n:
         raise ValueError(f"lambda = {spec.lam} exceeds the dimension n = {n}")
-    counters.add("morrey.evaluations")
     if lattice is None:
         lattice = MorreyLattice.default(grid)
-    integrals = ball_integrals(grid, np.abs(f.values) ** spec.q, _cell_weights(grid, lattice))
+    elif lattice.grid.n != n or not np.array_equal(lattice.grid.nodes, grid.nodes):
+        raise ValueError("the lattice was built on another grid")
+    counters.add("morrey.evaluations")
+    integrals = ball_integrals(grid, np.abs(f.values) ** spec.q, lattice.rules)
     cells = integrals * np.asarray(lattice.radii)[None, :] ** (spec.lam - n)
     ci, ri = np.unravel_index(np.argmax(cells), cells.shape)
     return MorreyEvaluation(norm=float(cells[ci, ri]) ** (1.0 / spec.q),

@@ -494,9 +494,17 @@ def gauss_convolve(f: RadialField, t: float, a: float) -> float:
     return float((heat_kernel_matrix(f.grid, t, [a]) @ f.values)[0])
 
 
+def heat_time_floor(r_max: float, nodes: int) -> float:
+    """h^2/4, h = r_max/nodes, below which the heat kernel's rows on the grid lose mass."""
+    return (r_max / nodes) ** 2 / 4
+
+
+@counters.timed("quadrature.heat_apply_s")
 def heat_apply(f: RadialField, t: float) -> RadialField:
-    """The heat flow of the zero extension of f, sampled back onto f's grid, streamed block
-    by block.  The result lives on the whole space, so it carries the free boundary tag."""
+    """The heat flow of the zero extension of f, sampled back onto f's grid, streamed block by
+    block, t >= heat_time_floor.  The result lives on the whole space: the free boundary tag."""
+    if not t >= heat_time_floor(f.grid.r_max, f.grid.m):
+        raise ValueError(f"t = {t!r} is below the grid's heat_time_floor h^2/4")
     base = kernel_weights(f.grid)   # superconvergent here
     cols = np.column_stack([base * f.values, base])
     acc = np.zeros_like(cols)   # per row: the weighted sum and the mass

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import counters
 from .evolution import Trajectory
 from .fields import RadialField, pchip
 from .morrey import MorreyLattice
@@ -99,6 +100,7 @@ class EnergySeries:
         return self.monotone_violation <= 0.0
 
 
+@counters.timed("similarity.energy_s")
 def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid) -> EnergySeries:
     """Energy/mass along a trajectory in similarity variables at rescaling time T.
 

@@ -3,7 +3,7 @@
 Runs are classified as decaying, blowup, or undecided on a finite horizon; the
 bisection brackets the largest decaying and smallest blowing-up amplitudes.
 Undecided is a first-class outcome; it stalls the bracket rather than forcing
-a verdict.
+a verdict.  The probes evaluate on the bisection's Morrey lattice and its ball rules.
 """
 
 from dataclasses import dataclass, field
@@ -68,6 +68,7 @@ class ThresholdResult:
     epsilon_star: float                # ||lambda_lo phi||_{M^{2,mu}}, the smallness threshold
     C0_measured: float                 # sup_t t^(1/(p-1)) ||u(t)||_inf / epsilon_star at lambda_lo
     ray_profile: RadialField = field(repr=False, default=None)
+    lattice: MorreyLattice = field(repr=False, default=None)   # of the Morrey norms above
 
 
 def _scaled(phi: RadialField, lam: float) -> RadialField:
@@ -140,7 +141,7 @@ def bisect_lambda(phi: RadialField, params: ModelParams, cfg: SolverConfig,
         morrey_series_hi=_morrey_series(traj_hi, spec, lattice),
         stalled=stalled, monotone_consistent=consistent, epsilon_star=epsilon_star,
         C0_measured=decay_diagnostics(traj_lo, params).sup_t_beta_norm / epsilon_star,
-        ray_profile=phi)
+        ray_profile=phi, lattice=lattice)
 
 
 @dataclass(frozen=True)
@@ -161,13 +162,12 @@ def borderline_probe(result: ThresholdResult, params: ModelParams, cfg: SolverCo
 
     Runs at lambda_lo (1 - delta); negative deltas probe lambda_hi (1 - delta)
     instead, exercising the blowup side of the bracket.  A decaying probe
-    evaluates the critical Morrey norm at two checkpoints only: the first with
-    t >= 1 and the last; a blowup or undecided probe evaluates none.
+    evaluates the critical Morrey norm on the result's lattice at two checkpoints
+    only: the first with t >= 1 and the last; a blowup or undecided probe evaluates none.
     """
     if result.rel_width > PROBE_MAX_WIDTH:
         raise ValueError(f"bracket must be tighter than {PROBE_MAX_WIDTH:g} before probing")
-    phi = result.ray_profile
-    spec, lattice = critical_spec(params), MorreyLattice.default(phi.grid)
+    phi, spec, lattice = result.ray_profile, critical_spec(params), result.lattice
     out = []
     for delta in deltas:
         lam = result.lambda_lo * (1.0 - delta) if delta >= 0 else result.lambda_hi * (1.0 - delta)

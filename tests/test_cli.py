@@ -5,18 +5,17 @@ import os
 import subprocess
 import sys
 import warnings
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from morreyheat import cli, counters, duhamel, evolution, morrey, threshold
+from morreyheat import cli, counters, duhamel, evolution, threshold
 from morreyheat.fields import make_field, make_grid
 from morreyheat.morrey import MorreyLattice, critical_spec, morrey_norm
 from morreyheat.quadrature import SMALL_BALL_FACTOR, small_ball_plan, sphere_area, volume_weights
 from conftest import pop_wall_times
-from test_quadrature import _dense_cell_weights, _diagonal_bytes
+from test_quadrature import _dense_ball_weights, _diagonal_bytes
 from test_threshold import stalling_classify
 
 
@@ -30,7 +29,7 @@ def test_default_configs_validate():
         assert cfg["experiment"]["kind"] == kind
 
 
-def test_partial_config_same_through_library_and_cli(tmp_path, fresh_tables):
+def test_partial_config_same_through_library_and_cli(tmp_path):
     # compare_classical is left to the picard defaults, whichever way the config runs
     cfg = cli.default_config("picard")
     del cfg["experiment"]["compare_classical"]
@@ -39,12 +38,12 @@ def test_partial_config_same_through_library_and_cli(tmp_path, fresh_tables):
     path = tmp_path / "picard.json"
     path.write_text(json.dumps(cfg))
     lib = cli.run_experiment(cfg, out_dir=tmp_path / "lib")
-    morrey._TABLE_CACHE.clear()   # each run builds its table, as a fresh CLI process does
     assert cli.main(["picard", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
     manifests = []
     for out in ("lib", "cli"):
         manifest = json.loads((tmp_path / out / "manifest.json").read_text())
-        assert _pop_wall_times(manifest) == {"evolution.solve_s", "morrey.evaluate_s"}
+        assert _pop_wall_times(manifest) == {"evolution.solve_s", "morrey.evaluate_s",
+                                             "duhamel.picard_s", "io.write_s"}
         manifest.pop("wall_time_s")
         manifests.append(manifest)
     assert manifests[0] == manifests[1]
@@ -347,7 +346,7 @@ def test_reproducibility_bit_identical(tmp_path):
         assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name
     m1 = json.loads((tmp_path / "a" / "manifest.json").read_text())
     m2 = json.loads((tmp_path / "b" / "manifest.json").read_text())
-    assert _pop_wall_times(m1) == _pop_wall_times(m2) == {"evolution.solve_s"}
+    assert _pop_wall_times(m1) == _pop_wall_times(m2) == {"evolution.solve_s", "io.write_s"}
     m1.pop("wall_time_s"), m2.pop("wall_time_s")
     assert m1 == m2
 
@@ -409,13 +408,11 @@ _WORK_KEYS = ("evolution.steps", "evolution.cap.diffusive", "evolution.cap.nonli
 
 
 def _pop_wall_times(manifest):
-    return pop_wall_times(manifest["profile"], manifest["wall_time_s"])
-
-
-@pytest.fixture
-def fresh_tables(monkeypatch):
-    """An empty Morrey table cache, so a run's table builds do not depend on earlier tests."""
-    monkeypatch.setattr(morrey, "_TABLE_CACHE", OrderedDict())
+    """Pop a manifest's wall times and return their names: the stages', each within
+    wall_time_s, and io.write_s, the data writes after it."""
+    profile = manifest["profile"]
+    writes = pop_wall_times({key: profile.pop(key) for key in ["io.write_s"] if key in profile})
+    return pop_wall_times(profile, manifest["wall_time_s"]) | writes
 
 
 def _table_counters(grid) -> dict:
@@ -431,7 +428,7 @@ def _table_counters(grid) -> dict:
     table = 0
     for ri in np.flatnonzero(~small):
         table += lattice.centers.size * index_bytes
-        for row in _dense_cell_weights(grid, lattice, ri):
+        for row in _dense_ball_weights(grid, lattice, ri):
             partial, nonzero = np.flatnonzero(row != base), np.flatnonzero(row)
             band = nonzero[-1] + 1 - partial[0] if partial.size and nonzero.size else 0
             table += max(band, 0) * (8 + index_bytes + owner_bytes)
@@ -440,12 +437,12 @@ def _table_counters(grid) -> dict:
     return {"morrey.table_builds": 1, "morrey.table_mb": (table + plans) / 2**20}
 
 
-def test_solve_and_dependence_record_rk4_work(tmp_path, fresh_tables):
+def test_solve_and_dependence_record_rk4_work(tmp_path):
     # solve: one series row per step after the initial one
     cli.run_experiment(small_solve_config(tmp_path, "gaussian", {"amplitude": 0.1, "width": 2.0}),
                        out_dir=tmp_path / "s")
     manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
-    assert _pop_wall_times(manifest) == {"evolution.solve_s"}
+    assert _pop_wall_times(manifest) == {"evolution.solve_s", "io.write_s"}
     profile = manifest["profile"]
     rows = (tmp_path / "s" / "series.csv").read_text().splitlines()
     assert set(profile) == set(_WORK_KEYS)
@@ -458,16 +455,15 @@ def test_solve_and_dependence_record_rk4_work(tmp_path, fresh_tables):
     cfg["experiment"].update(T0=1.0, sizes=[1e-2, 1e-3])
     cli.run_experiment(cfg, out_dir=tmp_path / "d")
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
-    assert _pop_wall_times(manifest) == {"evolution.solve_s", "morrey.evaluate_s"}
+    assert _pop_wall_times(manifest) == {"evolution.solve_s", "morrey.evaluate_s", "io.write_s"}
     profile = manifest["profile"]
     assert set(profile) == set(_WORK_KEYS) | {"morrey.evaluations", "morrey.table_builds",
-                                              "morrey.table_mb", "morrey.table_hits"}
+                                              "morrey.table_mb"}
+    # one lattice, whose rules are built once for every evaluation
     table = _table_counters(cli._build_inputs(cli._merged(cfg))[1])
     assert {key: profile[key] for key in table} == table
-    # per size, its initial distance and the difference at each of the 16 checkpoints; every
-    # evaluation after the first finds the lattice geometry cached
+    # per size, its initial distance and the difference at each of the 16 checkpoints
     assert profile["morrey.evaluations"] == 2 * (1 + 16)
-    assert profile["morrey.table_hits"] == profile["morrey.evaluations"] - 1
     assert profile["evolution.cap.nonlinear"] == 0 and profile["evolution.steps"] % 3 == 0
     assert profile["evolution.steps"] >= 3 / evolution.diffusive_cap(2.4, 0.2, 5)
 
@@ -494,7 +490,7 @@ def test_picard_divergence_fails_the_kind(amplitude, sweeps, tmp_path, capsys):
     assert json.loads((tmp_path / "o" / "picard.json").read_text())["diverged"]
 
 
-def test_picard_kind_end_to_end(tmp_path, fresh_tables):
+def test_picard_kind_end_to_end(tmp_path):
     cfg = cli.default_config("picard")
     cfg["grid"] = {"r_max": 16.0, "nodes": 160}
     cfg["initial_data"] = {"profile": "gaussian", "args": {"amplitude": 0.1, "width": 2.0},
@@ -528,7 +524,8 @@ def test_picard_kind_end_to_end(tmp_path, fresh_tables):
         previous = distinct
         nodes *= 2
     manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
-    assert _pop_wall_times(manifest) == {"evolution.solve_s", "morrey.evaluate_s"}
+    assert _pop_wall_times(manifest) == {"evolution.solve_s", "morrey.evaluate_s",
+                                         "duhamel.picard_s", "io.write_s"}
     profile = manifest["profile"]
     work = {key: profile.pop(key) for key in _WORK_KEYS}
     assert profile == {"duhamel.picard.kernel_builds": builds,
@@ -537,7 +534,6 @@ def test_picard_kind_end_to_end(tmp_path, fresh_tables):
                        "duhamel.picard.kernel_mb": band_bytes / 2**20,
                        "duhamel.picard.substeps": substeps,
                        "morrey.evaluations": 2,   # the budget's norm at each sample time
-                       "morrey.table_hits": 1,
                        **_table_counters(grid)}
     assert substeps > 0 and 0 < band_bytes < builds * (grid.m + 1) ** 2 * 8
     # the classical comparison's one solve, to t_end at the default safety
@@ -723,7 +719,7 @@ def small_threshold_config(safety=None):
     return cfg
 
 
-def test_threshold_manifest_counts_solver_work(tmp_path, fresh_tables):
+def test_threshold_manifest_counts_solver_work(tmp_path):
     cfg = small_threshold_config()
     cli.run_experiment(cfg, out_dir=tmp_path / "t")
     doc = json.loads((tmp_path / "t" / "threshold.json").read_text())
@@ -736,7 +732,7 @@ def test_threshold_manifest_counts_solver_work(tmp_path, fresh_tables):
     assert max(profile["evolution.solve_s"], profile["morrey.evaluate_s"]) <= sum(stage_s)
     assert min(profile["evolution.solve_s"], profile["morrey.evaluate_s"]) > 0.0
     assert _pop_wall_times(manifest) == {"threshold.bisect_s", "threshold.probes_s",
-                                         "evolution.solve_s", "morrey.evaluate_s"}
+                                         "evolution.solve_s", "morrey.evaluate_s", "io.write_s"}
     params, grid, phi = cli._build_inputs(cfg)
     lams = [t["lambda"] for t in doc["trials"]] + [p["lambda"] for p in doc["probes"]]
     dts = []
@@ -760,10 +756,8 @@ def test_threshold_manifest_counts_solver_work(tmp_path, fresh_tables):
                        "threshold.trials": len(doc["trials"]),
                        # epsilon_star, both bracket series, and two per decaying probe
                        "morrey.evaluations": evaluations,
-                       "morrey.table_hits": evaluations - 1,
+                       # the bisection's lattice, whose rules the probes use too
                        **_table_counters(grid)}
-    # each evaluation looks its lattice geometry up once: a build, or a cache hit
-    assert profile["morrey.table_hits"] + profile["morrey.table_builds"] == evaluations
     assert len(doc["probes"]) == 2
 
 
@@ -942,17 +936,17 @@ print(json.dumps(traced))
     assert builds["smoothing"][1] > 0 and builds["picard"][2] > 0 and builds["hypotheses"][0] > 0
 
 
-def test_counters_do_not_leak_between_runs(tmp_path, fresh_tables):
-    # a second identical run starts from empty counters (and, like the first, from an
-    # empty Morrey table cache, whose hits would skip its table build)
+def test_counters_do_not_leak_between_runs(tmp_path):
+    # a second identical run in the same process starts from empty counters and builds its
+    # own Morrey lattice rules, as the first did: nothing from the first run is reused
     cfg = _small_configs()["threshold"]
     profiles = []
     for name in ("a", "b"):
-        morrey._TABLE_CACHE.clear()
         bundle = cli.run_experiment(cfg, out_dir=tmp_path / name)
         profiles.append({key: value for key, value in bundle.manifest["profile"].items()
                          if not key.endswith("_s")})
     assert profiles[0] == profiles[1] and profiles[0]["threshold.trials"] > 0
+    assert profiles[0]["morrey.table_builds"] == 1 and profiles[0]["morrey.table_mb"] > 0
     # a failed pipeline leaves no collector behind
     cfg = json.loads(json.dumps(cfg))
     cfg["initial_data"].update(profile="zero", args={})

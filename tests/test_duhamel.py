@@ -315,11 +315,12 @@ def test_dependence_solves_u0_once(monkeypatch):
     monkeypatch.setattr(D, "solve", counting_solve)
     with counters.collect() as work:
         results = D.continuous_dependence(u0, [u0, u0], cfg, P5, spec)
-    # no solve: the only work is the Morrey norm of each initial distance, each on the lattice
-    # geometry that the runs above cached
+    # no solve: the only work is the Morrey norm of each initial distance, both on the
+    # call's one lattice, whose rules are built once
     assert all(r.degenerate for r in results)
     assert pop_wall_times(work) == {"morrey.evaluate_s"}
-    assert work == {"morrey.evaluations": 2, "morrey.table_hits": 2}
+    assert work.pop("morrey.table_mb") > 0
+    assert work == {"morrey.evaluations": 2, "morrey.table_builds": 1}
     assert solved == []
     with counters.collect() as work:
         results = D.continuous_dependence(u0, [u0] + v0s, cfg, P5, spec)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morreyheat import counters
 from morreyheat import fields as F
 from morreyheat import morrey as M
 from morreyheat import quadrature as Q
@@ -249,21 +250,59 @@ def test_cells_equal_ball_integral_bitwise(nodes, n_small):
     edge = Q.SMALL_BALL_FACTOR * g.h
     for r_ball, rule in ((edge, Q.SmallBallPlan), (np.nextafter(edge, np.inf), tuple)):
         assert type(Q.ball_rules(g, [1.0], [r_ball])[0]) is rule
-        edge_lat = M.MorreyLattice(centers=lat.centers, radii=np.array([r_ball]))
+        edge_lat = M.MorreyLattice(g, centers=lat.centers, radii=np.array([r_ball]))
         one = [Q.ball_integral(f, spec.q, float(a), float(r_ball)) for a in lat.centers]
         want = np.array(one)[:, None] * edge_lat.radii ** (spec.lam - 5)
         assert want.tobytes() == M.morrey_evaluate(f, spec, edge_lat).cells.tobytes()
         assert Q.ball_integral(f, spec.q, g.r_max + 2.0 * r_ball, r_ball) == 0.0
 
 
+def test_lattice_builds_its_rules_once():
+    # a lattice evaluated k times builds its ball rules at the first evaluation alone, and
+    # every evaluation reads the same rules
+    g = F.make_grid(5, 20.0, 100)
+    f = F.gaussian(g, 1.0, 2.0)
+    lat = M.MorreyLattice.default(g)
+    lams = (0.0, 1.0, 2.0, 2.0, 5.0)
+    with counters.collect() as work:
+        evs = [M.morrey_evaluate(f, M.MorreySpec(2.0, lam), lat) for lam in lams]
+        rules = lat.rules
+    work.pop("morrey.evaluate_s")
+    assert work == {"morrey.evaluations": len(lams), "morrey.table_builds": 1,
+                    "morrey.table_mb": sum(x.nbytes for rule in rules for x in rule) / 2**20}
+    assert lat.rules is rules and evs[2].cells.tobytes() == evs[3].cells.tobytes()
+    # another lattice of the same points builds its own rules, to the same cells
+    twin = M.MorreyLattice(g, lat.centers, lat.radii)
+    with counters.collect() as work:
+        cells = M.morrey_evaluate(f, M.MorreySpec(2.0, 2.0), twin).cells
+    assert work["morrey.table_builds"] == 1 and twin.rules is not rules
+    assert cells.tobytes() == evs[2].cells.tobytes()
+
+
+def test_evaluate_rejects_a_lattice_of_another_grid():
+    g = F.make_grid(5, 20.0, 100)
+    f = F.gaussian(g, 1.0, 2.0)
+    spec = M.MorreySpec(2.0, 2.0)
+    lat = M.MorreyLattice.default(g)
+    # a second make_grid call of the same grid: another object with equal nodes
+    again = F.make_grid(5, 20.0, 100)
+    assert again is not g
+    got = M.morrey_evaluate(f, spec, M.MorreyLattice(again, lat.centers, lat.radii)).cells
+    assert got.tobytes() == M.morrey_evaluate(f, spec, lat).cells.tobytes()
+    for other in (F.make_grid(5, 20.0, 101), F.make_grid(5, 21.0, 100),
+                  F.make_grid(3, 20.0, 100)):
+        with pytest.raises(ValueError, match="lattice was built on another grid"):
+            M.morrey_evaluate(f, spec, M.MorreyLattice(other, lat.centers, lat.radii))
+
+
 _G = F.make_grid(5, 10.0, 32)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: M.MorreyLattice(centers=np.array([]), radii=np.array([1.0])), "nonempty"),
-    (lambda: M.MorreyLattice(centers=np.array([-1.0]), radii=np.array([1.0])),
+    (lambda: M.MorreyLattice(_G, centers=np.array([]), radii=np.array([1.0])), "nonempty"),
+    (lambda: M.MorreyLattice(_G, centers=np.array([-1.0]), radii=np.array([1.0])),
      "need centers >= 0 and radii > 0"),
-    (lambda: M.MorreyLattice(centers=np.array([0.0]), radii=np.array([0.0])),
+    (lambda: M.MorreyLattice(_G, centers=np.array([0.0]), radii=np.array([0.0])),
      "need centers >= 0 and radii > 0"),
     (lambda: M.smoothing_profile(F.gaussian(_G, 1.0, 2.0), 3.0, 2.0, 2.0, [1.0]),
      "need 1 <= from_q <= to_q"),

@@ -698,7 +698,7 @@ def test_small_ball_cells_equal_per_point_rule(nodes):
                 g = np.abs(f.values) ** q
                 interp = _reference_density_interpolant(grid.nodes, g)
                 # the large radii's cells
-                integrals = Q.ball_integrals(grid, g, M._cell_weights(grid, lattice))
+                integrals = Q.ball_integrals(grid, g, lattice.rules)
                 for ri in small:
                     integrals[:, ri] = _reference_fine_ball_integral(
                         interp, 5, grid.r_max, lattice.centers, float(radii[ri]))
@@ -728,7 +728,7 @@ def test_small_ball_cells_within_rounding_of_trapezoid_form(nodes):
                 assert np.all(np.abs(got - want)[big] <= 4e-15 * np.abs(want[big]))
 
 
-def _dense_cell_weights(grid, lattice, ri):
+def _dense_ball_weights(grid, lattice, ri):
     """The (centers x nodes) weights of lattice radius ri, by the per-column cap-fraction build."""
     centers, r_ball = np.asarray(lattice.centers), float(lattice.radii[ri])
     area = Q.sphere_area(grid.n)
@@ -746,7 +746,7 @@ def test_cell_table_fills_only_large_radii(nodes):
     grid = F.make_grid(5, 40.0, nodes)
     base = Q.sphere_area(5) * Q.volume_weights(grid)
     for lattice in (M.MorreyLattice.default(grid), M.MorreyLattice.default(grid).refine()):
-        rules = M._cell_weights(grid, lattice)
+        rules = lattice.rules
         plans = [ri for ri, rule in enumerate(rules) if isinstance(rule, Q.SmallBallPlan)]
         cells = {ri: rule for ri, rule in enumerate(rules) if ri not in plans}
         radii = np.asarray(lattice.radii)
@@ -762,7 +762,7 @@ def test_cell_table_fills_only_large_radii(nodes):
                 band = cols[owner == c]
                 assert np.array_equal(band, np.arange(start, start + band.size))
                 rebuilt[c, band] = vals[owner == c]
-            assert rebuilt.tobytes() == _dense_cell_weights(grid, lattice, ri).tobytes()
+            assert rebuilt.tobytes() == _dense_ball_weights(grid, lattice, ri).tobytes()
 
 
 @pytest.mark.parametrize("nodes", [200, 401, 1600])
@@ -772,15 +772,30 @@ def test_large_cells_within_rounding_of_dense_product(nodes):
     grid = F.make_grid(5, 40.0, nodes)
     eps = np.finfo(float).eps
     for lattice in (M.MorreyLattice.default(grid), M.MorreyLattice.default(grid).refine()):
-        rules = M._cell_weights(grid, lattice)
+        rules = lattice.rules
         large = [ri for ri, rule in enumerate(rules) if not isinstance(rule, Q.SmallBallPlan)]
         for shape in _SMALL_BALL_FIELDS.values():
             g = np.abs(shape(grid.nodes)) ** 1.5
             got = Q.ball_integrals(grid, g, rules)
             for ri in large:
-                w = _dense_cell_weights(grid, lattice, ri)
+                w = _dense_ball_weights(grid, lattice, ri)
                 bound = (grid.m + 1) * eps * (np.abs(w) @ g)
                 assert np.all(np.abs(got[:, ri] - w @ g) <= bound)
+
+
+def test_heat_flow_rejects_times_below_the_grid_floor():
+    # below h^2/4 the kernel's rows lose mass: at t = h^2/100 the unit Gaussian's flow read
+    # 6.5e-8 at the origin, where it is about 1, and smoothing_profile reported it
+    g = F.make_grid(5, 10.0, 64)
+    f = F.gaussian(g, 1.0, 2.0)
+    floor = Q.heat_time_floor(10.0, 64)
+    assert floor == g.h ** 2 / 4
+    for flow in (lambda t: Q.heat_apply(f, t),
+                 lambda t: M.smoothing_profile(f, 2.0, math.inf, 2.0, [t])):
+        with pytest.raises(ValueError, match="below the grid's heat_time_floor h\\^2/4"):
+            flow(g.h ** 2 / 100)
+        flow(floor)
+    assert Q.heat_apply(f, floor).values[0] > 0.98
 
 
 _G = F.make_grid(5, 10.0, 32)
