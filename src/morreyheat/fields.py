@@ -14,7 +14,7 @@ FREE = "even_at_origin_only"
 _BOUNDARY_TAGS = (DIRICHLET, FREE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Uniform radial grid r_0 = 0 < r_1 < ... < r_M = r_max."""
 
@@ -44,7 +44,7 @@ def make_grid(n: int, r_max: float, m: int) -> RadialGrid:
     return RadialGrid(n=int(n), nodes=nodes, h=float(nodes[1] - nodes[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialField:
     """Samples u_i = u(r_i) of a radially symmetric function, plus boundary tag."""
 

@@ -37,7 +37,7 @@ def critical_spec(params: ModelParams, q: float = 2.0) -> MorreySpec:
     return MorreySpec(q=q, lam=2.0 * q / (params.p - 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MorreyLattice:
     """Finite surrogate for the sup over centers a >= 0 and radii R > 0 on one grid."""
 

@@ -3,7 +3,7 @@
 Reduces integrals over off-center balls and against off-center Gaussian heat
 kernels to one-dimensional radial quadrature on the field's own grid.  Fields
 are extended by zero beyond r_max in every kernel.  Each formula has one home:
-`_kernel_factors` is the single Gaussian-kernel evaluator (behind `heat_apply`,
+`_kernel_entries` is the single Gaussian-kernel formula (behind `heat_apply`,
 `SymmetricBandKernel` and `heat_kernel_matrix`), `kernel_weights` their one
 column-weight array per grid, `origin_ball_weights` the single volume-weight
 formula, `large_ball_cells` the single large-ball rule, and `fine_ball_integral`
@@ -19,7 +19,7 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import counters
 from .fields import FREE, RadialField, RadialGrid, make_field, make_grid
@@ -307,16 +307,16 @@ def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
 # Every Gaussian factor exp(-x), x = (s-a)^2/4t, with x > _EXP_CUTOFF = 60 is
 # exactly 0.0.  Since |y - a e_1| >= |s - a| for |y| = s, the cut drops at
 # most Gamma(n/2, 60)/Gamma(n/2) of a row's mass (8e-26 at n = 3, 2e-20 at
-# n = 11), far below the rounding of any sum over the row.  The one block
-# evaluator, _kernel_factors, evaluates Lam and exp only inside each row's reach,
-# so every entry is a pure function of (grid, t, a_i, s_j) whatever the block.
-# For node rows the factor S_ij = (c_t Lam(a_i s_j/2t)) exp(-x) is bitwise
-# symmetric (a_i s_j = s_j a_i and (x-y)^2 = (y-x)^2 exactly in IEEE arithmetic):
-# each block is evaluated from its diagonal on, and its part right of the
-# diagonal square stands, transposed, for the rows below it.  heat_apply streams
-# the blocks, and SymmetricBandKernel keeps only the upper diagonals of S, up to
-# the last nonzero one, and applies them and their transposes by strided sums.
-# heat_kernel_matrix fills dense rows at explicit centers from whole blocks.
+# n = 11), far below the rounding of any sum over the row.  The one kernel
+# formula, _kernel_entries, evaluates Lam and exp only where the cut keeps them, so
+# every entry is a pure function of (grid, t, a_i, s_j) whatever its consumer's layout,
+# and each pass first checks t against heat_time_floor (_kernel_pass).  For node rows
+# the factor S_ij = (c_t Lam(a_i s_j/2t)) exp(-x) is bitwise symmetric (a_i s_j = s_j a_i
+# and (x-y)^2 = (y-x)^2 exactly in IEEE arithmetic): heat_apply streams blocks of rows
+# from their diagonal on, whose part right of the diagonal square stands, transposed,
+# for the rows below it, and SymmetricBandKernel evaluates only the upper diagonals of
+# S, up to the last nonzero one, and applies them and their transposes by strided sums.
+# heat_kernel_matrix fills dense rows at explicit centers in one evaluation.
 # ---------------------------------------------------------------------------
 
 _EXP_CUTOFF = 60.0   # exp(-60) ~ 9e-27: every exp(-x) with x past it is taken as 0.0
@@ -401,51 +401,42 @@ def angular_kernel_scaled(n: int, z) -> np.ndarray:
 _KERNEL_BLOCK_ROWS = 64
 
 
-def _kernel_factors(grid: RadialGrid, t: float, centers=None):
-    """Per _KERNEL_BLOCK_ROWS rows i:j, (i, j, lo, hi, S): S over the columns lo:hi within reach
-    of a row (+1 each side), from column i on for node rows; counts quadrature.kernel_builds."""
+def _kernel_pass(grid: RadialGrid, t: float) -> float:
+    """The entry step of every heat-kernel pass: checks t >= heat_time_floor, counts one
+    quadrature.kernel_builds and returns the reach sqrt(4 t 60), past which all entries are cut."""
     if not t > 0:
         raise ValueError("t must be positive")
-    a = grid.nodes if centers is None else np.asarray(centers, dtype=float)
-    if not np.all(np.isfinite(a) & (a >= 0)):
-        raise ValueError("center offsets a must be finite and >= 0")
-    s = grid.nodes
-    c_t = (4.0 * math.pi * t) ** (-grid.n / 2.0) * sphere_area(grid.n - 1)
-    reach = math.sqrt(4.0 * t * _EXP_CUTOFF)
+    if not t >= heat_time_floor(grid.r_max, grid.m):
+        raise ValueError(f"t = {t!r} is below the grid's heat_time_floor h^2/4")
     counters.add("quadrature.kernel_builds")
-    for i in range(0, len(a), _KERNEL_BLOCK_ROWS):
-        a_blk = a[i:i + _KERNEL_BLOCK_ROWS]
-        lo = int(max(np.searchsorted(s, a_blk.min() - reach) - 1, 0))
-        hi = int(min(np.searchsorted(s, a_blk.max() + reach, side="right") + 1, len(s)))
-        first = i if centers is None else lo
-        x = (s[first:hi] - a_blk[:, None]) ** 2 / (4.0 * t)
-        inside = x <= _EXP_CUTOFF
-        x = np.negative(x[inside])
-        lam = c_t * angular_kernel_scaled(grid.n, (a_blk[:, None] * s[first:hi])[inside] / (2 * t))
-        lam *= np.exp(x, out=x)
-        factor = np.zeros((len(a_blk), hi - lo))
-        factor[:, first - lo:][inside] = lam
-        del x, lam, inside   # no block's temporaries outlive it
-        yield i, i + len(a_blk), lo, hi, factor
+    return math.sqrt(4.0 * t * _EXP_CUTOFF)
+
+
+def _kernel_entries(grid: RadialGrid, t: float, a, s) -> tuple:
+    """(inside, values): the factor c_t Lam(a s/2t) exp(-(s-a)^2/4t) at the broadcast offsets a
+    and nodes s, evaluated only where it is not cut (inside), in that mask's order."""
+    x = (s - a) ** 2 / (4.0 * t)
+    inside = x <= _EXP_CUTOFF
+    x = np.negative(x[inside])
+    c_t = (4.0 * math.pi * t) ** (-grid.n / 2.0) * sphere_area(grid.n - 1)
+    values = c_t * angular_kernel_scaled(grid.n, (a * s)[inside] / (2 * t))
+    values *= np.exp(x, out=x)
+    return inside, values
 
 
 def heat_kernel_matrix(grid: RadialGrid, t: float, centers) -> np.ndarray:
     """Dense H with (H f)(i) ~= (G_t * f)(centers[i] e_1) and row masses clipped at 1 (so H is
     sub-stochastic), for applying one kernel to many fields at a few centers."""
-    mat = np.zeros((len(centers), grid.m + 1))
-    for i, j, lo, hi, factor in _kernel_factors(grid, t, centers):
-        mat[i:j, lo:hi] = factor
+    a = np.asarray(centers, dtype=float)
+    if not np.all(np.isfinite(a) & (a >= 0)):
+        raise ValueError("center offsets a must be finite and >= 0")
+    _kernel_pass(grid, t)
+    mat = np.zeros((len(a), grid.m + 1))
+    inside, values = _kernel_entries(grid, t, a[:, None], grid.nodes)
+    mat[inside] = values
     mat *= kernel_weights(grid)   # as ((c_t Lam) E) w
     mass = mat.sum(axis=1)   # every row is complete: bitwise the all-entries formula's sums
     return np.divide(mat, mass[:, None], out=mat, where=(mass > 1.0)[:, None])
-
-
-def kernel_bytes_bound(grid: RadialGrid, t: float) -> int:
-    """An upper bound on SymmetricBandKernel(grid, t).nbytes from the reach alone, known before
-    the build: every diagonal past it lies a whole node beyond its rows' reach."""
-    s = grid.nodes
-    past = np.searchsorted(s, s + math.sqrt(4.0 * t * _EXP_CUTOFF), side="right")
-    return (int(min((past - np.arange(len(s))).max(), grid.m)) + 1) * len(s) * 8
 
 
 class SymmetricBandKernel:
@@ -455,16 +446,18 @@ class SymmetricBandKernel:
 
     def __init__(self, grid: RadialGrid, t: float):
         size = grid.m + 1
-        diagonals = np.zeros((kernel_bytes_bound(grid, t) // (8 * size), size))
-        for i, j, lo, hi, factor in _kernel_factors(grid, t):
-            # rows i:j from their diagonals on, zero-padded so that every row holds
-            # len(diagonals) entries, read off along the diagonals by a stride one past a row
-            upper = np.zeros((j - i, max(hi - i, j - i + len(diagonals) - 1)))
-            upper[:, :hi - i] = factor[:, i - lo:]
-            diagonals[:, i:j] = as_strided(upper, (len(diagonals), j - i),
-                                           (8, (upper.shape[1] + 1) * 8))
+        count = min(int(_kernel_pass(grid, t) / grid.h) + 2, size)   # past these, all entries cut
+        # entry [d, r] of the block at row i is S[i + r, i + r + d]; a column past the last
+        # node reads as +inf, which the cut drops
+        cols = np.concatenate((grid.nodes, np.full(count, np.inf)))
+        diagonals = np.zeros((count, size))
+        for i in range(0, size, _KERNEL_BLOCK_ROWS):
+            rows = grid.nodes[i:i + _KERNEL_BLOCK_ROWS]
+            inside, values = _kernel_entries(grid, t, rows,
+                                             sliding_window_view(cols[i:], len(rows))[:count])
+            diagonals[:, i:i + len(rows)][inside] = values
         last = int(np.flatnonzero(diagonals.any(axis=1))[-1]) + 1
-        self.diagonals = diagonals[:last].copy() if last < len(diagonals) else diagonals
+        self.diagonals = diagonals[:last].copy() if last < count else diagonals
         self.weights = kernel_weights(grid)
         self.mass = self._product(self.weights)
         self.nbytes = self.diagonals.nbytes
@@ -503,13 +496,20 @@ def heat_time_floor(r_max: float, nodes: int) -> float:
 def heat_apply(f: RadialField, t: float) -> RadialField:
     """The heat flow of the zero extension of f, sampled back onto f's grid, streamed block by
     block, t >= heat_time_floor.  The result lives on the whole space: the free boundary tag."""
-    if not t >= heat_time_floor(f.grid.r_max, f.grid.m):
-        raise ValueError(f"t = {t!r} is below the grid's heat_time_floor h^2/4")
-    base = kernel_weights(f.grid)   # superconvergent here
+    grid, s = f.grid, f.grid.nodes
+    reach = _kernel_pass(grid, t)
+    base = kernel_weights(grid)   # superconvergent here
     cols = np.column_stack([base * f.values, base])
     acc = np.zeros_like(cols)   # per row: the weighted sum and the mass
-    for i, j, lo, hi, factor in _kernel_factors(f.grid, t):
-        acc[i:j] += factor[:, i - lo:] @ cols[i:hi]
-        acc[j:hi] += factor[:, j - lo:].T @ cols[i:j]
+    for i in range(0, len(s), _KERNEL_BLOCK_ROWS):
+        # rows i:j from their diagonal to the last column within reach (+1); the part right
+        # of the diagonal square stands, transposed, for the rows j:hi below them
+        j = min(i + _KERNEL_BLOCK_ROWS, len(s))
+        hi = int(min(np.searchsorted(s, s[j - 1] + reach, side="right") + 1, len(s)))
+        factor = np.zeros((j - i, hi - i))
+        inside, values = _kernel_entries(grid, t, s[i:j, None], s[i:hi])
+        factor[inside] = values
+        acc[i:j] += factor @ cols[i:hi]
+        acc[j:hi] += factor[:, j - i:].T @ cols[i:j]
     num, mass = acc.T
-    return make_field(f.grid, np.divide(num, mass, out=num.copy(), where=mass > 1.0), FREE)
+    return make_field(grid, np.divide(num, mass, out=num.copy(), where=mass > 1.0), FREE)

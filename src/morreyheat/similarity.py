@@ -93,7 +93,6 @@ class EnergySeries:
     identity_relative: np.ndarray
     monotone_violation: float       # worst E(s_{j+1}) - E(s_j) - tol_E, <= 0 when monotone
     min_energy: float
-    truncated: bool
 
     @property
     def monotone_ok(self) -> bool:
@@ -111,14 +110,13 @@ def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid) -> En
     if s_grid.size < 3 or not np.all(np.diff(s_grid) > 0):
         raise ValueError("s_grid must be increasing with at least 3 points")
     have = dict(traj.checkpoints)
-    rows, truncated = [], False
+    rows = []
     for s, t in zip(s_grid, checkpoint_times_for_s_grid(T, s_grid).tolist()):
         if t not in have:
             raise ValueError(f"trajectory lacks a checkpoint at t={t!r} (s={s:g})")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             w = to_similarity(have[t], t, T, params)
-        truncated |= w.truncated
         rows.append(_weighted_integrals(w, params))
     e_arr, m_arr, p_arr, g_arr = np.array(rows).T
 
@@ -138,7 +136,7 @@ def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid) -> En
     return EnergySeries(T=T, s=s_grid, E=e_arr, m=m_arr, identity_residual=residual,
                         identity_relative=relative,
                         monotone_violation=monotone_violation,
-                        min_energy=float(e_arr.min()), truncated=truncated)
+                        min_energy=float(e_arr.min()))
 
 
 def checkpoint_times_for_s_grid(T: float, s_grid) -> np.ndarray:

@@ -173,15 +173,6 @@ def test_picard_store_holds_bands_not_dense_matrices(nodes, share):
 
 
 @pytest.mark.parametrize("nodes", [400, 800])
-def test_kernel_bytes_bound_holds_for_every_picard_width(nodes):
-    # SymmetricBandKernel sizes its diagonals by each width's bound before building; every kernel
-    # the picard kind builds at 64 and 128 Picard nodes on its 401- and 801-node grids fits it
-    g = F.make_grid(5, 40.0, nodes)
-    for dt in _picard_widths(g):
-        assert _propagator(g, dt).nbytes <= Q.kernel_bytes_bound(g, dt), dt
-
-
-@pytest.mark.parametrize("nodes", [400, 800])
 def test_picard_bands_equal_the_banded_dense_formula(nodes):
     # the Picard propagators the picard kind builds at 64 and 128 Picard nodes on its 401- and
     # 801-node grids (every third width) keep the dense factor's upper diagonals bitwise, and

@@ -24,6 +24,19 @@ def test_grid_invariants():
         F.make_grid(5, 10.0, 8)
 
 
+def test_grids_fields_and_lattices_compare_by_identity():
+    # their numpy fields admit no value equality: each is equal to itself alone, and hashable
+    made = []
+    for _ in range(2):
+        g = F.make_grid(5, 10.0, 64)
+        made.append((g, F.gaussian(g, 1.0, 2.0), M.MorreyLattice.default(g)))
+    for x, twin in zip(*made):
+        assert x == x and not x != x
+        assert x != twin and not x == twin
+        assert hash(x) == hash(x)
+        assert len({x, twin}) == 2
+
+
 def test_field_validation():
     g = grid5()
     with pytest.raises(ValueError):

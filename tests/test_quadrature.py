@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc, gamma, ive
 
+from morreyheat import counters
 from morreyheat import fields as F
 from morreyheat import morrey as M
 from morreyheat import quadrature as Q
@@ -380,7 +381,7 @@ def _assert_kernel_equals_dense_formula(kernel, grid, t, v):
         assert diagonal.tobytes() == want.tobytes(), (t, d)
     assert kernel.diagonals[-1].any()
     assert not np.triu(factor, len(kernel.diagonals)).any()
-    assert kernel.nbytes == _diagonal_bytes(grid, t) <= Q.kernel_bytes_bound(grid, t)
+    assert kernel.nbytes == _diagonal_bytes(grid, t)
     eps = np.finfo(float).eps
     base = _column_weights(grid)
     mass = (factor * base[None, :]).sum(axis=1)
@@ -485,16 +486,40 @@ def test_banded_kernel_product_matches_dense(case, seed):
     assert np.all(np.abs(got - mat @ v) <= bound)
 
 
+@pytest.mark.parametrize("nodes,t", [(100, 1000.0), (150, 0.3), (150, 1000.0), (200, 0.05)])
+def test_banded_kernel_at_full_reach_and_partial_blocks(nodes, t):
+    # node counts past a multiple of the 64-row block leave a last partial block, whose
+    # columns past the last node are cut; at t = 1000 the reach spans the grid, and the
+    # kernel keeps every diagonal
+    g = F.make_grid(5, 10.0, nodes)
+    kernel = Q.SymmetricBandKernel(g, t)
+    _assert_kernel_equals_dense_formula(kernel, g, t,
+                                        np.random.default_rng(nodes).standard_normal(g.m + 1))
+    if t == 1000.0:
+        assert kernel.diagonals.shape == (g.m + 1, g.m + 1)
+    else:
+        assert len(kernel.diagonals) < g.m + 1
+
+
+def test_rejected_centers_count_no_kernel_build():
+    g = F.make_grid(5, 10.0, 64)
+    with counters.collect() as work:
+        Q.heat_kernel_matrix(g, 1.0, [0.0, 1.0])
+        assert work == {"quadrature.kernel_builds": 1}
+        with pytest.raises(ValueError, match="center offsets a must be finite and >= 0"):
+            Q.heat_kernel_matrix(g, 1.0, [1.0, -0.5])
+        assert work == {"quadrature.kernel_builds": 1}
+
+
 @settings(max_examples=10, deadline=None)
 @given(_kernel_cases())
 def test_banded_kernel_stores_only_the_bands(case):
-    # the kernel keeps the diagonals up to the dense factor's last nonzero one, within the
-    # bound its reach gives before the build, and under one dense matrix while the reach
-    # is shorter than the grid
+    # the kernel keeps the diagonals up to the dense factor's last nonzero one, under one
+    # dense matrix while the reach is shorter than the grid
     g, t = case
     kernel = Q.SymmetricBandKernel(g, t)
     dense = (g.m + 1) ** 2 * 8
-    assert kernel.nbytes == _diagonal_bytes(g, t) <= Q.kernel_bytes_bound(g, t) <= dense
+    assert kernel.nbytes == _diagonal_bytes(g, t) <= dense
     if math.sqrt(4.0 * t * Q._EXP_CUTOFF) < g.r_max:
         assert kernel.nbytes < dense
 
@@ -785,13 +810,17 @@ def test_large_cells_within_rounding_of_dense_product(nodes):
 
 def test_heat_flow_rejects_times_below_the_grid_floor():
     # below h^2/4 the kernel's rows lose mass: at t = h^2/100 the unit Gaussian's flow read
-    # 6.5e-8 at the origin, where it is about 1, and smoothing_profile reported it
+    # 6.5e-8 at the origin, where it is about 1, and smoothing_profile reported it; every
+    # kernel on the grid shares the guard
     g = F.make_grid(5, 10.0, 64)
     f = F.gaussian(g, 1.0, 2.0)
     floor = Q.heat_time_floor(10.0, 64)
     assert floor == g.h ** 2 / 4
     for flow in (lambda t: Q.heat_apply(f, t),
-                 lambda t: M.smoothing_profile(f, 2.0, math.inf, 2.0, [t])):
+                 lambda t: M.smoothing_profile(f, 2.0, math.inf, 2.0, [t]),
+                 lambda t: Q.heat_kernel_matrix(g, t, [0.0, 1.0]),
+                 lambda t: Q.gauss_convolve(f, t, 1.0),
+                 lambda t: Q.SymmetricBandKernel(g, t)):
         with pytest.raises(ValueError, match="below the grid's heat_time_floor h\\^2/4"):
             flow(g.h ** 2 / 100)
         flow(floor)
