@@ -13,15 +13,14 @@ from .fields import (DIRICHLET, FREE, RadialField, RadialGrid, build_profile,
                      weighted_sup_norm, zero_field)
 from .morrey import MorreyLattice, MorreySpec, critical_spec, lq_norm, morrey_norm
 from .params import ModelParams, make_params
-from .quadrature import ball_integral, cap_fraction, gauss_convolve, heat_apply
+from .quadrature import gauss_convolve, heat_apply
 
 __all__ = [
     "DIRICHLET", "FREE", "ModelParams", "MorreyLattice", "MorreySpec",
-    "RadialField", "RadialGrid", "ball_integral", "build_profile", "cap_fraction",
-    "critical_spec", "gauss_convolve", "gaussian", "heat_apply", "indicator",
-    "lq_norm", "make_field", "make_grid", "make_params", "morrey_norm", "plateau",
-    "power_tail", "rescale_field", "singular_steady_state", "sup_norm",
-    "weighted_sup_norm", "zero_field",
+    "RadialField", "RadialGrid", "build_profile", "critical_spec", "gauss_convolve",
+    "gaussian", "heat_apply", "indicator", "lq_norm", "make_field", "make_grid",
+    "make_params", "morrey_norm", "plateau", "power_tail", "rescale_field",
+    "singular_steady_state", "sup_norm", "weighted_sup_norm", "zero_field",
 ]
 
 __version__ = "0.1.0"

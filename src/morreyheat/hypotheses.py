@@ -15,7 +15,7 @@ from . import counters
 from .fields import RadialField, make_field
 from .morrey import MorreyLattice, lq_norm
 from .params import ModelParams
-from .similarity import _functional_A_at
+from .similarity import functional_A
 
 O_MARGIN = 0.1            # fitted exponent must beat the target by this much
 TREND_SLOPE = -0.05       # log-log slope that certifies a vanishing limit
@@ -140,7 +140,7 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams) -
     # kernel-weighted limit on a logarithmic horizon: sup over centers of functional_A
     t_grid = np.geomspace(1.0, 1e4, 5)
     centers = MorreyLattice.default(grid, n_centers=8).centers
-    qs_t = np.array([np.max(_functional_A_at(f, grad_f, float(t), centers, params))
+    qs_t = np.array([np.max(functional_A(f, grad_f, float(t), centers, params))
                      for t in t_grid])
     if np.all(qs_t < 1e-290):
         c24 = ConditionCheck(True, {"kernel_values": qs_t.tolist()})

@@ -10,12 +10,11 @@ formula, `large_ball_cells` the single large-ball rule, and `fine_ball_integral`
 the single small-ball rule, applied to a `small_ball_plan` that holds the rule's
 data-free geometry and whole weight.  `ball_rules` alone chooses between the two per
 radius, and `ball_integrals` applies its rules to a density, for one ball
-(`ball_integral`) as for the Morrey lattice, which keeps the rules of its grid.
+(`ball_rules(grid, [a], [R])`) as for the Morrey lattice, which keeps its grid's rules.
 """
 
 import functools
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -23,10 +22,6 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import counters
 from .fields import FREE, RadialField, RadialGrid, make_field, make_grid
-
-
-class TruncationWarning(UserWarning):
-    """A kernel reached past r_max while the field tail is still nonzero there."""
 
 
 def sphere_area(n: int) -> float:
@@ -73,13 +68,6 @@ def cap_fraction_array(n: int, a, s, r_ball: float) -> np.ndarray:
     at0 = s == 0.0
     out[at0] = a[at0] < r_ball
     return out
-
-
-def cap_fraction(n: int, a: float, s: float, r_ball: float) -> float:
-    """Scalar form of cap_fraction_array."""
-    if a < 0 or s <= 0 or r_ball <= 0:
-        raise ValueError("need a >= 0, s > 0, R > 0")
-    return float(cap_fraction_array(n, a, np.array([s]), r_ball)[0])
 
 
 @functools.lru_cache(maxsize=16)
@@ -268,22 +256,6 @@ def ball_integrals(grid: RadialGrid, g: np.ndarray, rules: list) -> np.ndarray:
             inside, owner, cols, vals = rule
             columns.append(sums.take(inside) + np.bincount(owner, vals * g.take(cols), len(inside)))
     return np.column_stack(columns)
-
-
-def ball_integral(f: RadialField, q: float, a: float, r_ball: float) -> float:
-    """integral over B(a e_1, R) of |f(|x|)|^q dx by its ball_rules: bitwise the Morrey
-    lattice's ball integral at (a, R)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if a < 0 or r_ball <= 0:
-        raise ValueError("need a >= 0, R > 0")
-    grid = f.grid
-    if a + r_ball > grid.r_max and f.values[-1] != 0.0:
-        warnings.warn(
-            f"ball B({a:g}, {r_ball:g}) exceeds r_max={grid.r_max:g} with nonzero tail",
-            TruncationWarning, stacklevel=2)
-    g = np.abs(f.values) ** q
-    return float(ball_integrals(grid, g, ball_rules(grid, [a], [r_ball]))[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ and is nonincreasing in s along solutions of the flow.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from .evolution import Trajectory
 from .fields import RadialField, pchip
 from .morrey import MorreyLattice
 from .params import ModelParams
-from .quadrature import TruncationWarning, heat_kernel_matrix, sphere_area
+from .quadrature import heat_kernel_matrix, sphere_area
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,6 @@ def to_similarity(field: RadialField, t: float, T: float, params: ModelParams) -
     tau = T - t
     r = y * math.sqrt(tau)
     truncated = r[-1] > field.grid.r_max * (1 + 1e-12)
-    if truncated:
-        warnings.warn(
-            f"similarity window reaches r={r[-1]:.3g} beyond r_max={field.grid.r_max:g}",
-            TruncationWarning, stacklevel=2)
     w = tau**params.beta * pchip(field.grid.nodes, field.values, np.minimum(r, field.grid.r_max))
     w.setflags(write=False)
     y.setflags(write=False)
@@ -68,12 +63,6 @@ def _weighted_integrals(w: RescaledField, params: ModelParams):
     grad = area * np.trapezoid(dw**2 * rho_vol, y)
     energy_val = 0.5 * grad + 0.5 * beta * mass - pot / (p + 1.0)
     return energy_val, mass, pot, grad
-
-
-def energy(w: RescaledField, params: ModelParams) -> tuple[float, float]:
-    """Weighted energy E and weighted mass m = integral w^2 rho of a rescaled profile."""
-    e, m, _, _ = _weighted_integrals(w, params)
-    return float(e), float(m)
 
 
 def stationary_energy(params: ModelParams) -> float:
@@ -114,10 +103,7 @@ def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid) -> En
     for s, t in zip(s_grid, checkpoint_times_for_s_grid(T, s_grid).tolist()):
         if t not in have:
             raise ValueError(f"trajectory lacks a checkpoint at t={t!r} (s={s:g})")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            w = to_similarity(have[t], t, T, params)
-        rows.append(_weighted_integrals(w, params))
+        rows.append(_weighted_integrals(to_similarity(have[t], t, T, params), params))
     e_arr, m_arr, p_arr, g_arr = np.array(rows).T
 
     dm = np.full_like(s_grid, np.nan)
@@ -145,21 +131,16 @@ def checkpoint_times_for_s_grid(T: float, s_grid) -> np.ndarray:
     return T - np.exp(-s_grid)
 
 
-def _functional_A_at(u0: RadialField, grad_u0: RadialField, T: float, centers,
-                     params: ModelParams) -> np.ndarray:
-    """functional_A at every center, from one kernel matrix applied to both densities."""
+def functional_A(u0: RadialField, grad_u0: RadialField, T: float, centers,
+                 params: ModelParams) -> np.ndarray:
+    """T^((p+1)/(p-1)) (G_T*|grad u0|^2)(a) + T^(2/(p-1)) (G_T*|u0|^2)(a) at every center a
+    of the list centers, from one kernel matrix applied to both densities."""
     if not T > 0:
         raise ValueError("T must be positive")
     p = params.p
     kernel = heat_kernel_matrix(u0.grid, T, centers)
     return (T ** ((p + 1.0) / (p - 1.0)) * (kernel @ grad_u0.values**2)
             + T ** (2.0 / (p - 1.0)) * (kernel @ u0.values**2))
-
-
-def functional_A(u0: RadialField, grad_u0: RadialField, T: float, a: float,
-                 params: ModelParams) -> float:
-    """T^((p+1)/(p-1)) (G_T*|grad u0|^2)(a) + T^(2/(p-1)) (G_T*|u0|^2)(a)."""
-    return float(_functional_A_at(u0, grad_u0, T, [a], params)[0])
 
 
 def functional_N(u0: RadialField, grad_u0: RadialField, t0: float, t_grid,
@@ -171,6 +152,5 @@ def functional_N(u0: RadialField, grad_u0: RadialField, t0: float, t_grid,
     centers = MorreyLattice.default(u0.grid).centers
     best = 0.0
     for t in t_grid:
-        best = max(best, float(np.max(_functional_A_at(u0, grad_u0, float(t), centers,
-                                                       params))))
+        best = max(best, float(np.max(functional_A(u0, grad_u0, float(t), centers, params))))
     return best

@@ -152,6 +152,28 @@ def test_picard_propagators_one_per_width(monkeypatch):
     assert solved.budget.tobytes() == want_solve.budget.tobytes()
 
 
+def test_linear_sweep_applies_the_propagators_in_turn(monkeypatch):
+    # u^(0)(t) = G_t * u0 is the Picard sweep of the zero iterate: every source term adds
+    # +0.0, so it is bitwise the interval propagators applied in turn, substeps included
+    g = F.make_grid(5, 10.0, 100)
+    u0 = F.gaussian(g, 0.3, 2.0)
+    sweep, sweeps = D._sweep, []
+
+    def recorded(u0_vals, store, widths, fields, p):
+        sweeps.append((store, widths, sweep(u0_vals, store, widths, fields, p)))
+        return sweeps[-1][2]
+
+    monkeypatch.setattr(D, "_sweep", recorded)
+    D._run_picard(u0, P5, 1.0, 1, np.array([0.5, 1.0]), 32, 1e-300, {})
+    store, widths, first = sweeps[0]
+    assert any(isinstance(store[dt], D._DiffusionSubsteps) for dt in widths)
+    out = [u0.values.copy()]
+    for dt in widths:
+        out.append(store[dt] @ out[-1])
+    assert len(first) == len(out)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, out))
+
+
 def _picard_widths(grid, counts=(64, 128)):
     """The distinct resolved widths of the picard kind's default times at these Picard nodes."""
     floor = 2.0 * grid.h**2

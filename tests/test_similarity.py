@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,12 +55,12 @@ def test_singular_steady_state_is_fixed_point():
 
 
 def test_energy_zero():
-    e, m = S.energy(flat_profile(0.0), P5)
+    e, m = S._weighted_integrals(flat_profile(0.0), P5)[:2]
     assert e == 0.0 and m == 0.0
 
 
 def test_energy_stationary_closed_form():
-    e, m = S.energy(flat_profile(KAPPA), P5)
+    e, m = S._weighted_integrals(flat_profile(KAPPA), P5)[:2]
     expect_e = KAPPA**2 * P5.beta * (P5.p - 1) / (2 * (P5.p + 1)) * (4 * math.pi) ** 2.5
     expect_m = KAPPA**2 * (4 * math.pi) ** 2.5
     assert e == pytest.approx(expect_e, rel=1e-6)
@@ -71,7 +72,7 @@ def test_energy_positive_for_small_amplitude_bump():
     y = S.similarity_grid()
     w = S.RescaledField(y=y, values=0.01 * np.exp(-((y - 3.0) ** 2)), T=1.0, t=0.0,
                         s=0.0, truncated=False)
-    e, m = S.energy(w, P5)
+    e, m = S._weighted_integrals(w, P5)[:2]
     assert e > 0.0 and m > 0.0
 
 
@@ -110,6 +111,28 @@ def test_energy_series_zero_solution():
     assert es.monotone_ok
 
 
+def test_truncated_windows_are_reported_not_warned():
+    # a window past r_max reads the field's value at r_max and says so in `truncated`; no
+    # warning is raised, by to_similarity or by energy_series along such a trajectory
+    g = F.make_grid(5, 10.0, 100)
+    u0 = F.gaussian(g, 1.0, 2.0)
+    T = 4.0
+    s_grid = np.arange(-1.2, 0.5, 0.1)   # windows y <= 10 reach r = 18.2 down to 6.7
+    traj = synthetic_ode_trajectory(T, s_grid, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge = S.to_similarity(u0, 0.0, 1.0, P5)    # reaches r_max exactly
+        past = S.to_similarity(u0, 0.0, T, P5)
+        es = S.energy_series(traj, T, P5, s_grid)
+    assert not edge.truncated and past.truncated
+    beyond = past.y * math.sqrt(T) > g.r_max
+    assert np.all(past.values[beyond] == T**P5.beta * u0.values[-1])
+    truncated = [S.to_similarity(f, t, T, P5).truncated for t, f in traj.checkpoints]
+    assert any(truncated) and not all(truncated)
+    # the flat ODE profile is flat past r_max too: every window keeps the stationary energy
+    assert np.max(np.abs(es.E / S.stationary_energy(P5) - 1.0)) < 1e-4
+
+
 def test_energy_series_missing_checkpoint_raises():
     g = F.make_grid(5, 20.0, 200)
     traj = E.Trajectory(params=P5, checkpoints=[(0.5, F.zero_field(g))],
@@ -143,12 +166,12 @@ def test_linear_flow_energy_decreases(energy_run):
 def test_functional_a_zero_and_positive():
     g = F.make_grid(5, 20.0, 400)
     z = F.zero_field(g)
-    assert S.functional_A(z, z, 1.0, 0.0, P5) == 0.0
+    assert S.functional_A(z, z, 1.0, [0.0], P5)[0] == 0.0
     u0 = F.gaussian(g, 1.0, 2.0)
     g0 = F.gaussian_gradient(g, 1.0, 2.0)
-    assert S.functional_A(u0, g0, 1.0, 0.0, P5) > 0.0
+    assert S.functional_A(u0, g0, 1.0, [0.0], P5)[0] > 0.0
     with pytest.raises(ValueError):
-        S.functional_A(u0, g0, 0.0, 0.0, P5)
+        S.functional_A(u0, g0, 0.0, [0.0], P5)
 
 
 def test_functional_a_vanishes_at_large_t_supercritical():
@@ -156,7 +179,7 @@ def test_functional_a_vanishes_at_large_t_supercritical():
     u0 = F.gaussian(g, 1.0, 2.0)
     g0 = F.gaussian_gradient(g, 1.0, 2.0)
     t_vals = (1.0, 10.0, 100.0, 1000.0)
-    vals = [S.functional_A(u0, g0, T, 0.0, P5) for T in t_vals]
+    vals = [float(S.functional_A(u0, g0, T, [0.0], P5)[0]) for T in t_vals]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     # supercritical exponents: the slow (gradient) term scales like T^{-1/2}
     slope = np.polyfit(np.log(t_vals), np.log(vals), 1)[0]
@@ -184,7 +207,7 @@ def test_functional_n_zero_and_monotone_grid():
     t_grid = np.geomspace(1.0, 100.0, 10)
     val = S.functional_N(u0, g0, 1.0, t_grid, P5)
     # integrand decreasing for p > p_S: the sup sits at the smallest admissible t
-    first = max(S.functional_A(u0, g0, 1.0, float(a), P5)
+    first = max(float(S.functional_A(u0, g0, 1.0, [a], P5)[0])
                 for a in MorreyLattice.default(g).centers)
     assert val == pytest.approx(first, rel=1e-12)
     with pytest.raises(ValueError):
