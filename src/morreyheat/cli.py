@@ -36,15 +36,12 @@ class PipelineError(RuntimeError):
 
 
 def default_config(kind: str, n: int = 5) -> dict:
-    """The defaults of one kind in dimension n; the threshold kind's safety depends on n."""
+    """The options one kind reads, with defaults for dimension n (threshold's safety reads n)."""
     if kind not in _PIPELINES:
         raise ConfigError(f"experiment.kind: unknown kind {kind!r}")
     cfg = {
         "params": {"n": n, "p": 3.0},
         "grid": {"r_max": 40.0, "nodes": 400},
-        # 2.4 is below evolution.max_safety(n) for every n >= 3; solve and threshold set their own
-        "solver": {"t_end": 20.0, "dt_init": 0.1, "dt_min": 1e-14, "safety": 2.4,
-                   "blowup_threshold": 1e8, "checkpoints": 20},
         "initial_data": {"profile": "gaussian", "args": {"amplitude": 0.05, "width": 2.0},
                          "boundary": DIRICHLET},
         "experiment": {"kind": kind},
@@ -55,22 +52,26 @@ def default_config(kind: str, n: int = 5) -> dict:
         "smoothing": {"from_q": 2.0, "to_q": "inf", "lam": 2.0,
                       "t_lo": 0.01, "t_hi": 100.0, "t_count": 20},
         "energy": {"T_values": [2.0, 5.0, 10.0], "ds": 0.01, "t_lo_fraction": 0.5, "t_margin": 0.1},
-        "picard": {"t_end": 1.0, "iterations": 8, "sample_times": [0.1, 0.5, 1.0],
-                   "compare_classical": True},
+        "picard": {"iterations": 8, "sample_times": [0.1, 0.5, 1.0], "compare_classical": True},
         "threshold": {"rel_tol": 1e-3, "lambda_init": 1.0, "deltas": [0.1, 0.01, 0.001]},
-        "dependence": {"T0": 5.0, "sizes": [1e-2, 1e-3, 1e-4], "q": 2.0,
-                       "stability_tol": 0.25},
+        "dependence": {"sizes": [1e-2, 1e-3, 1e-4], "q": 2.0, "stability_tol": 0.25},
     }
     cfg["experiment"].update(extras.get(kind, {}))
-    if kind == "solve":
-        # decay_slope and sup_t_beta_norm are read off the sampled series and move by 1e-5 at 2.4
-        cfg["solver"]["safety"] = 0.8
+    # the kinds that solve, each with its horizon (dependence's T0) and the checkpoints it reads;
+    # solve's decay_slope and sup_t_beta_norm are read off the sampled series and move by 1e-5
+    # at 2.4, so it steps at 0.8
+    own = {"solve": {"t_end": 20.0, "checkpoints": 20, "safety": 0.8}, "energy": {"t_end": 20.0},
+           "picard": {"t_end": 1.0}, "threshold": {"t_end": 200.0, "checkpoints": 20},
+           "dependence": {"t_end": 5.0}}
+    if kind in own:
+        # 2.4 is below evolution.max_safety(n) for every n >= 3; solve and threshold set their own
+        cfg["solver"] = {"dt_init": 0.1, "dt_min": 1e-14, "safety": 2.4,
+                         "blowup_threshold": 1e8, **own[kind]}
     if kind == "threshold":
         # its verdicts read no step-sampled value, so it steps at the stated fraction of RK4's
         # bound for its own n: 2.507, 2.967 and 3.287 at n = 3, 5 and 8 (dt*rho = 2.51)
         cfg["solver"]["safety"] = evolution.STABLE_FRACTION * evolution.max_safety(n)
         cfg["initial_data"]["args"] = {"amplitude": 1.0, "width": 2.0}
-        cfg["solver"]["t_end"] = 200.0
         cfg["grid"] = {"r_max": 40.0, "nodes": 200}
     return cfg
 
@@ -123,17 +124,14 @@ _DOMAINS = {
     "experiment.ds": _POSITIVE,
     "experiment.t_lo_fraction": (lambda v, c: 0 < v < 1, "0 < t_lo_fraction < 1"),
     "experiment.t_margin": _POSITIVE,
-    "experiment.t_end": _POSITIVE,
     "experiment.iterations": (lambda v, c: v >= 2, "iterations >= 2"),
     "experiment.sample_times": (
-        lambda v, c: v and len(set(v)) == len(v) and all(0 < t <= c["experiment"]["t_end"]
-                                                         for t in v),
+        lambda v, c: v and len(set(v)) == len(v) and all(0 < t <= c["solver"]["t_end"] for t in v),
         "a nonempty list of distinct times in (0, t_end]"),
     "experiment.rel_tol": _POSITIVE,
     "experiment.lambda_init": _POSITIVE,
     "experiment.deltas": (lambda v, c: all(-math.inf < d < 1 for d in v),
                           "a list of finite numbers below 1"),
-    "experiment.T0": _POSITIVE,
     "experiment.sizes": (lambda v, c: v and all(map(math.isfinite, v)),
                          "a nonempty list of finite numbers"),
     "experiment.stability_tol": _POSITIVE,
@@ -150,15 +148,15 @@ _BLOCKS = ("params", "grid", "solver", "experiment", "initial_data")
 
 
 def _merged(cfg) -> dict:
-    """`cfg` with each block merged over its kind's defaults for its own n.  A key they lack, a
-    value without its default's type, or one outside its _DOMAINS row is a ConfigError."""
+    """What `cfg`'s kind states, each block merged over its defaults for its own n.  A key they
+    lack, a value without its default's type, or one outside its _DOMAINS row is a ConfigError."""
     _object("config", cfg)
     blocks = {block: _object(block, cfg.get(block, {})) for block in _BLOCKS}
     kind = blocks["experiment"].get("kind")
     base = default_config(kind)
     # (path, value, default) of every option the config gives
     given = [(key, cfg[key], base.get(key)) for key in cfg if key not in _BLOCKS] + [
-        (f"{block}.{key}", value, base[block].get(key))
+        (f"{block}.{key}", value, base.get(block, {}).get(key))
         for block in _BLOCKS for key, value in blocks[block].items()]
     for path, value, default in given:
         if default is None:
@@ -170,13 +168,12 @@ def _merged(cfg) -> dict:
     n = blocks["params"].get("n", base["params"]["n"])
     if _DOMAINS["params.n"][0](n, None):   # an n outside its domain fails below
         base = default_config(kind, n)
-    merged = {**base, **cfg}
-    for block in _BLOCKS:
-        merged[block] = {**base[block], **blocks[block]}
+    merged = {key: {**value, **blocks[key]} if key in _BLOCKS else cfg.get(key, value)
+              for key, value in base.items()}
     for path, (test, need) in _DOMAINS.items():
         block, key = path.split(".")
-        value = merged[block].get(key)
-        if key in base[block] and not test(value, merged):
+        value = merged.get(block, {}).get(key)
+        if key in base.get(block, ()) and not test(value, merged):
             raise ConfigError(f"{path}: {need(value, merged)}" if callable(need) else
                               f"{path}: need {need.format(key=key)}, got {value!r}")
     return merged
@@ -348,7 +345,8 @@ def _run_energy(cfg, bundle):
 def _run_picard(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     ex = cfg["experiment"]
-    run = duhamel.picard_solve(u0, params, ex["t_end"], ex["iterations"], ex["sample_times"])
+    t_end = cfg["solver"]["t_end"]
+    run = duhamel.picard_solve(u0, params, t_end, ex["iterations"], ex["sample_times"])
     rows = [(t, br, bi, d) for (t, br, bi), d in
             zip(run.budget, run.last_sample_diffs)]
     bundle.tables["budget"] = ("t,budget_r,budget_inf,cauchy_diff", rows)
@@ -363,7 +361,7 @@ def _run_picard(cfg, bundle):
     if ex["compare_classical"]:
         data = cfg["initial_data"]
         u0d = build_profile(data["profile"], grid, params, dict(data["args"]), DIRICHLET)
-        traj = evolution.solve(u0d, params, _solver_config(cfg, ex["t_end"], run.sample_times))
+        traj = evolution.solve(u0d, params, _solver_config(cfg, t_end, run.sample_times))
         worst = 0.0
         for (t, f), (_, fc) in zip(zip(run.sample_times, run.fields), traj.checkpoints):
             denom = float(np.max(np.abs(fc.values)))
@@ -409,7 +407,7 @@ def _run_threshold(cfg, bundle):
 def _run_dependence(cfg, bundle):
     params, grid, u0 = _build_inputs(cfg)
     ex = cfg["experiment"]
-    cfg_solver = _solver_config(cfg, ex["T0"], evolution.log_checkpoints(ex["T0"], 16))
+    cfg_solver = _solver_config(cfg, None, evolution.log_checkpoints(cfg["solver"]["t_end"], 16))
     sizes = ex["sizes"]
     spec = morrey.critical_spec(params, q=ex["q"])
     v0s = [make_field(grid, u0.values * (1.0 + size), u0.boundary) for size in sizes]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counters
-from .fields import RadialField, make_field
+from .fields import RadialField, make_field, radial_derivative
 from .morrey import MorreyLattice, lq_norm
 from .params import ModelParams
 from .similarity import functional_A
@@ -101,8 +101,7 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams) -
     k_crit = 2.0 / (p - 1.0)
 
     g_vals = np.abs(grad_f.values)
-    fd = np.abs(np.gradient(f.values, grid.h))
-    fd[0] = 0.0
+    fd = np.abs(radial_derivative(f).values)
     scale = max(float(g_vals.max()), 1e-300)
     # 95th percentile so isolated kinks in the data do not trip the guard
     mismatch = float(np.percentile(np.abs(fd[1:-1] - g_vals[1:-1]), 95)) / scale

@@ -43,7 +43,7 @@ def to_similarity(field: RadialField, t: float, T: float, params: ModelParams) -
     y = similarity_grid()
     tau = T - t
     r = y * math.sqrt(tau)
-    truncated = r[-1] > field.grid.r_max * (1 + 1e-12)
+    truncated = bool(r[-1] > field.grid.r_max * (1 + 1e-12))
     w = tau**params.beta * pchip(field.grid.nodes, field.values, np.minimum(r, field.grid.r_max))
     w.setflags(write=False)
     y.setflags(write=False)
@@ -99,11 +99,14 @@ def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid) -> En
     if s_grid.size < 3 or not np.all(np.diff(s_grid) > 0):
         raise ValueError("s_grid must be increasing with at least 3 points")
     have = dict(traj.checkpoints)
-    rows = []
+    rows, truncated = [], 0
     for s, t in zip(s_grid, checkpoint_times_for_s_grid(T, s_grid).tolist()):
         if t not in have:
             raise ValueError(f"trajectory lacks a checkpoint at t={t!r} (s={s:g})")
-        rows.append(_weighted_integrals(to_similarity(have[t], t, T, params), params))
+        w = to_similarity(have[t], t, T, params)
+        truncated += w.truncated
+        rows.append(_weighted_integrals(w, params))
+    counters.add("similarity.truncated_windows", truncated)
     e_arr, m_arr, p_arr, g_arr = np.array(rows).T
 
     dm = np.full_like(s_grid, np.nan)

@@ -34,7 +34,8 @@ def test_partial_config_same_through_library_and_cli(tmp_path):
     cfg = cli.default_config("picard")
     del cfg["experiment"]["compare_classical"]
     cfg["grid"] = {"r_max": 16.0, "nodes": 160}
-    cfg["experiment"].update({"t_end": 0.5, "sample_times": [0.25, 0.5]})
+    cfg["solver"]["t_end"] = 0.5
+    cfg["experiment"]["sample_times"] = [0.25, 0.5]
     path = tmp_path / "picard.json"
     path.write_text(json.dumps(cfg))
     lib = cli.run_experiment(cfg, out_dir=tmp_path / "lib")
@@ -77,9 +78,9 @@ _CHECKPOINT_DOMAIN = "solver: checkpoint times must increase strictly within (0,
     ("solve", "solver.checkpoints", [0.25, 5.0], _CHECKPOINT_DOMAIN),
     ("solve", "solver.checkpoints", [math.nan], _CHECKPOINT_DOMAIN),
     ("solve", "solver.checkpoints", [0.3, 0.2], _CHECKPOINT_DOMAIN),
-    ("dependence", "experiment.T0", 0.0, "experiment.T0: need 0 < T0 < inf"),
-    ("dependence", "experiment.T0", -1.0, "experiment.T0: need 0 < T0 < inf"),
-    ("dependence", "experiment.T0", math.inf, "experiment.T0: need 0 < T0 < inf"),
+    ("dependence", "solver.t_end", 0.0, "solver.t_end: need 0 < t_end < inf"),
+    ("dependence", "solver.t_end", -1.0, "solver.t_end: need 0 < t_end < inf"),
+    ("dependence", "solver.t_end", math.inf, "solver.t_end: need 0 < t_end < inf"),
     ("solve", "solver.checkpoints", 0, "solver.checkpoints: need at least 1"),
     ("solve", "solver.checkpoints", -2, "solver.checkpoints: need at least 1"),
     ("solve", "solver.safety", 0.0, "solver: safety must be > 0"),
@@ -125,8 +126,9 @@ _CHECKPOINT_DOMAIN = "solver: checkpoint times must increase strictly within (0,
 ])
 def test_bad_config_value_exits_2(kind, path, value, message, tmp_path, capsys):
     block, key = path.split(".")
-    cfg = {"experiment": {"kind": kind}, "grid": {"r_max": 10.0, "nodes": 64},
-           "solver": {"t_end": 0.5}}
+    cfg = {"experiment": {"kind": kind}, "grid": {"r_max": 10.0, "nodes": 64}}
+    if "solver" in cli.default_config(kind):
+        cfg["solver"] = {"t_end": 0.5}
     cfg.setdefault(block, {})[key] = value
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(cfg))
@@ -193,14 +195,16 @@ def test_morrey_options_outside_their_domain_exit_2(key, value, tmp_path, capsys
     ("sample_times", []), ("sample_times", [0.1, 2.0]),
 ])
 def test_picard_options_outside_their_domain_exit_2(key, value, tmp_path, capsys):
-    # iterations >= 2, 0 < t_end < inf and a nonempty sample_times inside (0, t_end],
-    # checked before the run
-    cfg = {"experiment": {"kind": "picard", "t_end": 1.0, key: value},
+    # iterations >= 2, 0 < solver.t_end < inf (the horizon) and a nonempty sample_times inside
+    # (0, t_end], checked before the run
+    cfg = {"experiment": {"kind": "picard"}, "solver": {"t_end": 1.0},
            "grid": {"r_max": 10.0, "nodes": 64}}
+    block = "solver" if key == "t_end" else "experiment"
+    cfg[block][key] = value
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(cfg))
     assert cli.main(["picard", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-    assert f"config error: experiment.{key}: need " in capsys.readouterr().err
+    assert f"config error: {block}.{key}: need " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -211,6 +215,113 @@ def test_every_domain_row_is_a_stated_option():
               for key in keys}
     assert set(cli._DOMAINS) <= stated
     assert set(cli._OWN_TYPES) <= stated
+
+
+class _ReadLog(dict):
+    """A merged config, or one of its blocks, that adds the path of every key read to `read`.
+    Only reads by key count: json.dumps, which hashes the config, iterates the items."""
+
+    def __init__(self, values, read, block=None):
+        super().__init__(values)
+        self.read, self.block = read, block
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if self.block is not None:
+            self.read.add(f"{self.block}.{key}")
+        elif isinstance(value, dict):
+            return _ReadLog(value, self.read, key)
+        else:
+            self.read.add(key)
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+def test_every_stated_option_is_read(tmp_path, monkeypatch):
+    # the converse of the test above: each kind's run reads every option its defaults state, so
+    # no stated value changes nothing (picard's solver block is read by its classical comparison)
+    merge = cli._merged
+    for kind, cfg in _small_configs().items():
+        cfg["output_dir"] = str(tmp_path / kind)
+        if kind == "picard":
+            cfg["experiment"]["compare_classical"] = True
+        read = set()
+        monkeypatch.setattr(cli, "_merged", lambda c: _ReadLog(merge(c), read))
+        cli.run_experiment(cfg)
+        merged = merge(cfg)
+        stated = {f"{block}.{key}" for block, keys in merged.items() if isinstance(keys, dict)
+                  for key in keys} | {key for key, value in merged.items()
+                                      if not isinstance(value, dict)}
+        assert read == stated, kind
+
+
+def test_an_empty_block_the_kind_lacks_is_left_out():
+    # a kind that does not solve states no solver block, and its merged config holds none
+    cfg = {"experiment": {"kind": "morrey"}}
+    merged = cli._merged(cfg)
+    assert "solver" not in merged and cli._merged({**cfg, "solver": {}}) == merged
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("morrey", "solver.t_end"), ("smoothing", "solver.t_end"), ("hypotheses", "solver.t_end"),
+    ("energy", "solver.checkpoints"), ("picard", "solver.checkpoints"),
+    ("dependence", "solver.checkpoints"),
+])
+def test_an_option_the_kind_does_not_read_exits_2(kind, path, tmp_path, capsys):
+    # --tend is solver.t_end, stated only by the kinds that solve; energy and picard record at
+    # their own windows and sample times, and dependence compares at 16 fixed times, so they
+    # state no checkpoints
+    args = [kind, "--out", str(tmp_path / "o"), "--nodes", "64", "--rmax", "10"]
+    if path == "solver.t_end":
+        args += ["--tend", "1"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"experiment": {"kind": kind}, "solver": {"checkpoints": 3}}))
+        args += ["--config", str(config)]
+    assert cli.main(args) == 2
+    assert f"config error: {path}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_tend_is_the_picard_and_dependence_horizon(tmp_path, monkeypatch, capsys):
+    # --tend sets picard's horizon, up to its last budget time, and dependence's T0, its last
+    # compared time
+    horizons = []
+    picard_solve = duhamel.picard_solve
+
+    def recorded(u0, params, t_end, *rest):
+        horizons.append(t_end)
+        return picard_solve(u0, params, t_end, *rest)
+
+    monkeypatch.setattr(duhamel, "picard_solve", recorded)
+    grid = ["--nodes", "100", "--rmax", "10"]
+    config = tmp_path / "picard.json"
+    config.write_text(json.dumps({"experiment": {"kind": "picard", "sample_times": [0.25, 0.5]}}))
+    assert cli.main(["picard", "--config", str(config), "--out", str(tmp_path / "p"), *grid,
+                     "--tend", "0.5"]) == 0
+    budget = (tmp_path / "p" / "budget.csv").read_text().splitlines()[1:]
+    assert horizons == [0.5] and [float(row.split(",")[0]) for row in budget] == [0.25, 0.5]
+    # the default sample times reach past that horizon
+    assert cli.main(["picard", "--out", str(tmp_path / "q"), *grid, "--tend", "0.5"]) == 2
+    assert "config error: experiment.sample_times: need " in capsys.readouterr().err
+    assert cli.main(["dependence", "--out", str(tmp_path / "d"), *grid, "--tend", "2"]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "d" / "dependence.csv").read_text().splitlines()[1:]]
+    for size in cli.default_config("dependence")["experiment"]["sizes"]:
+        times = [float(t) for s, t, _ in rows if float(s) == size]
+        assert times == list(evolution.log_checkpoints(2.0, 16)) and times[-1] == 2.0
+
+
+def test_energy_counts_the_windows_read_past_r_max(tmp_path):
+    # at r_max 10 every similarity window with T - t > 1, i.e. s < 0, maps y <= 10 past r = 10,
+    # where to_similarity extends the field flat: the manifest counts those rows
+    assert cli.main(["energy", "--nodes", "100", "--rmax", "10", "--out", str(tmp_path)]) == 0
+    below = sum(float(line.split(",")[0]) < 0 for path in tmp_path.glob("energy_T*.csv")
+                for line in path.read_text().splitlines()[1:])
+    profile = json.loads((tmp_path / "manifest.json").read_text())["profile"]
+    assert profile["similarity.truncated_windows"] == below == 253
 
 
 def test_merged_config_keeps_the_given_values():
@@ -452,7 +563,8 @@ def test_solve_and_dependence_record_rk4_work(tmp_path):
     # and landing caps alone, so three solves of equal length
     cfg = cli.default_config("dependence")
     cfg["grid"] = {"r_max": 20.0, "nodes": 100}
-    cfg["experiment"].update(T0=1.0, sizes=[1e-2, 1e-3])
+    cfg["solver"]["t_end"] = 1.0
+    cfg["experiment"]["sizes"] = [1e-2, 1e-3]
     cli.run_experiment(cfg, out_dir=tmp_path / "d")
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
     assert _pop_wall_times(manifest) == {"evolution.solve_s", "morrey.evaluate_s", "io.write_s"}
@@ -496,7 +608,7 @@ def test_picard_kind_end_to_end(tmp_path):
     cfg["initial_data"] = {"profile": "gaussian", "args": {"amplitude": 0.1, "width": 2.0},
                            "boundary": "even_at_origin_only"}
     cfg["experiment"]["sample_times"] = [0.25, 0.5]
-    cfg["experiment"]["t_end"] = 0.5
+    cfg["solver"]["t_end"] = 0.5
     bundle = cli.run_experiment(cfg, out_dir=tmp_path / "p")
     assert bundle.all_passed
     budget = (tmp_path / "p" / "budget.csv").read_text().splitlines()
@@ -643,7 +755,8 @@ def test_smoothing_kind_end_to_end(tmp_path):
 def test_dependence_kind_end_to_end(tmp_path):
     cfg = cli.default_config("dependence")
     cfg["grid"] = {"r_max": 20.0, "nodes": 160}
-    cfg["experiment"].update({"T0": 2.0, "sizes": [1e-2, 1e-3]})
+    cfg["solver"]["t_end"] = 2.0
+    cfg["experiment"]["sizes"] = [1e-2, 1e-3]
     cfg["initial_data"]["args"] = {"amplitude": 0.2, "width": 2.0}
     bundle = cli.run_experiment(cfg, out_dir=tmp_path / "d")
     assert bundle.all_passed
@@ -782,11 +895,13 @@ def test_threshold_verdicts_same_at_default_and_diffusive_safety(tmp_path):
 def test_default_safety_per_kind():
     # the threshold kind steps at the stated fraction of RK4's bound for its own n; solve's
     # decay readings come off the sampled series, whose rows the step count sets, so its
-    # default stays 0.8; the other kinds stay at 2.4, below the bound for every n
+    # default stays 0.8; the other kinds that solve stay at 2.4, below the bound for every n
     assert cli.default_config("threshold") == cli.default_config("threshold", 5)
     for n in range(3, 12):
-        safety = {kind: cli.default_config(kind, n)["solver"]["safety"]
-                  for kind in cli.EXPERIMENT_KINDS}
+        configs = [cli.default_config(kind, n) for kind in cli.EXPERIMENT_KINDS]
+        safety = {cfg["experiment"]["kind"]: cfg["solver"]["safety"]
+                  for cfg in configs if "solver" in cfg}
+        assert sorted(safety) == sorted(_SOLVING_KINDS)
         assert safety.pop("threshold") == evolution.STABLE_FRACTION * evolution.max_safety(n)
         assert safety.pop("solve") == 0.8
         assert set(safety.values()) == {2.4} and 2.4 <= evolution.max_safety(n)
@@ -826,22 +941,24 @@ def test_energy_solve_ends_at_last_window(tmp_path):
         assert read(tmp_path / "t12" / name) == read(tmp_path / "t20" / name), name
 
 
-# one small config per kind: grid, solver and initial-data blocks, and experiment options
+# one small config per kind: grid, solver (None: the kind has no solver block) and
+# initial-data blocks, and experiment options
 _SMALL_RUNS = {
     "solve": ({"r_max": 10.0, "nodes": 64}, {"t_end": 0.5, "checkpoints": 4}, None, {}),
     "energy": ({"r_max": 20.0, "nodes": 200}, {"t_end": 2.0},
                {"amplitude": 0.1, "width": 2.0}, {"T_values": [2.0]}),
-    "morrey": ({"r_max": 8.0, "nodes": 100}, {}, None, {}),
-    "smoothing": ({"r_max": 12.0, "nodes": 120}, {}, None,
+    "morrey": ({"r_max": 8.0, "nodes": 100}, None, None, {}),
+    "smoothing": ({"r_max": 12.0, "nodes": 120}, None, None,
                   {"t_lo": 0.1, "t_hi": 10.0, "t_count": 3}),
-    "picard": ({"r_max": 16.0, "nodes": 80}, {}, None,
-               {"t_end": 0.5, "sample_times": [0.25, 0.5], "compare_classical": False}),
+    "picard": ({"r_max": 16.0, "nodes": 80}, {"t_end": 0.5}, None,
+               {"sample_times": [0.25, 0.5], "compare_classical": False}),
     "threshold": ({"r_max": 40.0, "nodes": 100}, {"t_end": 10.0}, None,
                   {"rel_tol": 0.005, "deltas": [0.1]}),
-    "dependence": ({"r_max": 20.0, "nodes": 100}, {}, {"amplitude": 0.2, "width": 2.0},
-                   {"T0": 2.0, "sizes": [1e-2]}),
-    "hypotheses": ({"r_max": 20.0, "nodes": 100}, {}, None, {}),
+    "dependence": ({"r_max": 20.0, "nodes": 100}, {"t_end": 2.0},
+                   {"amplitude": 0.2, "width": 2.0}, {"sizes": [1e-2]}),
+    "hypotheses": ({"r_max": 20.0, "nodes": 100}, None, None, {}),
 }
+_SOLVING_KINDS = [kind for kind, run in _SMALL_RUNS.items() if run[1] is not None]
 
 
 def _small_configs() -> dict:
@@ -850,7 +967,8 @@ def _small_configs() -> dict:
     for kind, (grid, solver, args, experiment) in _SMALL_RUNS.items():
         cfg = cli.default_config(kind)
         cfg["grid"] = grid
-        cfg["solver"].update(solver)
+        if solver is not None:
+            cfg["solver"].update(solver)
         if args is not None:
             cfg["initial_data"]["args"] = args
         cfg["experiment"].update(experiment)
