@@ -52,9 +52,9 @@ def default_config(kind: str, n: int = 5) -> dict:
         "smoothing": {"from_q": 2.0, "to_q": "inf", "lam": 2.0,
                       "t_lo": 0.01, "t_hi": 100.0, "t_count": 20},
         "energy": {"T_values": [2.0, 5.0, 10.0], "ds": 0.01, "t_lo_fraction": 0.5, "t_margin": 0.1},
-        "picard": {"iterations": 8, "sample_times": [0.1, 0.5, 1.0], "compare_classical": True},
+        "picard": {"iterations": 8, "sample_times": [0.1, 0.5, 1.0]},
         "threshold": {"rel_tol": 1e-3, "lambda_init": 1.0, "deltas": [0.1, 0.01, 0.001]},
-        "dependence": {"sizes": [1e-2, 1e-3, 1e-4], "q": 2.0, "stability_tol": 0.25},
+        "dependence": {"sizes": [1e-2, 1e-3, 1e-4], "q": 2.0},
     }
     cfg["experiment"].update(extras.get(kind, {}))
     # the kinds that solve, each with its horizon (dependence's T0) and the checkpoints it reads;
@@ -65,8 +65,7 @@ def default_config(kind: str, n: int = 5) -> dict:
            "dependence": {"t_end": 5.0}}
     if kind in own:
         # 2.4 is below evolution.max_safety(n) for every n >= 3; solve and threshold set their own
-        cfg["solver"] = {"dt_init": 0.1, "dt_min": 1e-14, "safety": 2.4,
-                         "blowup_threshold": 1e8, **own[kind]}
+        cfg["solver"] = {"safety": 2.4, **own[kind]}
     if kind == "threshold":
         # its verdicts read no step-sampled value, so it steps at the stated fraction of RK4's
         # bound for its own n: 2.507, 2.967 and 3.287 at n = 3, 5 and 8 (dt*rho = 2.51)
@@ -103,13 +102,15 @@ _DOMAINS = {
     "grid.r_max": _POSITIVE,
     "grid.nodes": (lambda v, c: v >= 16, "nodes >= 16"),
     "solver.t_end": _POSITIVE,
-    "solver.dt_min": _POSITIVE,
-    "solver.blowup_threshold": _POSITIVE,
     "solver.checkpoints": (lambda v, c: isinstance(v, list) or v >= 1, "at least 1"),
-    "solver.safety": (lambda v, c: v <= evolution.RK4_REAL_LIMIT  # max_safety(3), least for any n
-                      or v <= evolution.max_safety(c["params"]["n"]), lambda v, c: (
+    # within RK4's bound, with a diffusive cap (h = r_max/nodes) not below the blowup signal DT_MIN
+    "solver.safety": (lambda v, c: (v <= evolution.RK4_REAL_LIMIT  # max_safety(3), least for any n
+                                    or v <= evolution.max_safety(c["params"]["n"])) and
+                      evolution.diffusive_cap(v, c["grid"]["r_max"] / c["grid"]["nodes"],
+                                              c["params"]["n"]) >= evolution.DT_MIN, lambda v, c: (
         f"{v!r} exceeds RK4's stability bound {evolution.max_safety(c['params']['n']):.6g} "
-        f"for n = {c['params']['n']}")),
+        f"for n = {c['params']['n']}" if v > evolution.max_safety(c["params"]["n"]) else
+        f"{v!r} puts the step cap safety*h^2/(2n) below evolution.DT_MIN = {evolution.DT_MIN:g}")),
     "experiment.q": (lambda v, c: 1 <= v < math.inf, "1 <= q < inf"),
     "experiment.lam": (lambda v, c: 0 <= v <= c["params"]["n"], "0 <= lam <= n"),
     "experiment.refinements": (lambda v, c: v >= 0, "refinements >= 0"),
@@ -134,7 +135,6 @@ _DOMAINS = {
                           "a list of finite numbers below 1"),
     "experiment.sizes": (lambda v, c: v and all(map(math.isfinite, v)),
                          "a nonempty list of finite numbers"),
-    "experiment.stability_tol": _POSITIVE,
 }
 
 
@@ -187,11 +187,9 @@ def _solver_config(cfg: dict, t_end=None, checkpoint_times=None) -> evolution.So
     if checkpoint_times is None:
         cps = solver["checkpoints"]
         checkpoint_times = evolution.log_checkpoints(t_end, cps) if isinstance(cps, int) else cps
-    settings = {key: solver[key] for key in ("dt_init", "dt_min", "safety", "blowup_threshold")}
     try:
-        return evolution.SolverConfig(t_end=float(t_end),
-                                      checkpoint_times=tuple(map(float, checkpoint_times)),
-                                      **settings)
+        return evolution.SolverConfig(safety=solver["safety"], t_end=float(t_end),
+                                      checkpoint_times=tuple(map(float, checkpoint_times)))
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
@@ -358,18 +356,17 @@ def _run_picard(cfg, bundle):
         "cauchy_diffs": list(run.cauchy_diffs)}
     bundle.check("picard_converged", run.converged and not run.diverged,
                  run.cauchy_diffs[-1] if run.cauchy_diffs else None)
-    if ex["compare_classical"]:
-        data = cfg["initial_data"]
-        u0d = build_profile(data["profile"], grid, params, dict(data["args"]), DIRICHLET)
-        traj = evolution.solve(u0d, params, _solver_config(cfg, t_end, run.sample_times))
-        worst = 0.0
-        for (t, f), (_, fc) in zip(zip(run.sample_times, run.fields), traj.checkpoints):
-            denom = float(np.max(np.abs(fc.values)))
-            if denom > 0:
-                worst = max(worst, float(np.max(np.abs(f.values - fc.values))) / denom)
-        # a classical run that stops before the last sample time compares nothing there
-        complete = len(traj.checkpoints) == len(run.sample_times)
-        bundle.check("mild_classical_agreement", complete and worst < 0.01, worst)
+    data = cfg["initial_data"]
+    u0d = build_profile(data["profile"], grid, params, dict(data["args"]), DIRICHLET)
+    traj = evolution.solve(u0d, params, _solver_config(cfg, t_end, run.sample_times))
+    worst = 0.0
+    for (t, f), (_, fc) in zip(zip(run.sample_times, run.fields), traj.checkpoints):
+        denom = float(np.max(np.abs(fc.values)))
+        if denom > 0:
+            worst = max(worst, float(np.max(np.abs(f.values - fc.values))) / denom)
+    # a classical run that stops before the last sample time compares nothing there
+    complete = len(traj.checkpoints) == len(run.sample_times)
+    bundle.check("mild_classical_agreement", complete and worst < 0.01, worst)
 
 
 def _run_threshold(cfg, bundle):
@@ -420,7 +417,7 @@ def _run_dependence(cfg, bundle):
                      res.max_ratio)
     bundle.tables["dependence"] = ("size,t,ratio", rows)
     spread = (max(max_ratios) - min(max_ratios)) / max(max_ratios)
-    bundle.check("lipschitz_stability", spread < ex["stability_tol"], spread)
+    bundle.check("lipschitz_stability", spread < 0.25, spread)
     bundle.documents["dependence"] = {"sizes": sizes, "max_ratios": max_ratios,
                                       "spread": spread}
 

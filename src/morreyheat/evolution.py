@@ -1,9 +1,9 @@
 """Direct integration of u_t = Laplace(u) + |u|^(p-1) u for radial data.
 
 Method of lines on the uniform radial grid with explicit RK4 and two step
-caps: the diffusive cap safety*h^2/(2n) and the nonlinear cap
-0.5*||u||_inf^(1-p).  Near blowup the nonlinear cap collapses dt, which is the
-robust blowup signal alongside the sup-norm threshold.
+caps: the diffusive cap min(DT_MAX, safety*h^2/(2n)) and the nonlinear cap
+0.5*||u||_inf^(1-p).  Near blowup the nonlinear cap collapses dt below DT_MIN, the
+robust blowup signal alongside the sup-norm BLOWUP_THRESHOLD.
 
 The diffusive cap is stable up to safety = max_safety(n).  h^2 L does not
 depend on h (r_i = i h), so its spectral radius rho h^2 is a function of n
@@ -32,6 +32,9 @@ from .quadrature import heat_apply
 
 
 BOUNDARY_CONTAMINATION = 1e-6   # |u| next to r_max, over sup |u|, that aborts a free run
+DT_MAX = 0.1                    # the cap on any step
+DT_MIN = 1e-14                  # a step cap below this declares blowup
+BLOWUP_THRESHOLD = 1e8          # a sup-norm at or above this declares blowup
 # RK4's stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has |R| = 1 on the
 # negative real axis at z = -RK4_REAL_LIMIT, the real root of z^3 + 4 z^2 + 12 z + 24.
 RK4_REAL_LIMIT = 2.785293563405289
@@ -51,21 +54,13 @@ def log_checkpoints(t_end: float, count: int = 20) -> tuple:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    dt_init: float = 0.1               # upper bound on any step
-    dt_min: float = 1e-14              # collapse below this declares blowup
+    """What a caller varies of a solve; DT_MAX, DT_MIN and BLOWUP_THRESHOLD are the method's."""
     safety: float = 0.8                # multiple of h^2/(2n), in (0, max_safety(n)]
-    blowup_threshold: float = 1e8      # sup-norm blowup threshold
     t_end: float = 10.0
     checkpoint_times: tuple = ()       # exact snapshot times, in (0, t_end] (empty: 20 log-spaced)
     nonlinear: bool = True             # test hook: False integrates the pure heat flow
 
     def __post_init__(self):
-        if not self.dt_min < self.dt_init:
-            raise ValueError("need dt_min < dt_init")
-        if not self.safety > 0:
-            raise ValueError("safety must be > 0")
-        if self.blowup_threshold < 1e6:
-            raise ValueError("blowup threshold must be >= 1e6")
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"need 0 < t_end < inf, got {self.t_end!r}")
         ts = np.asarray(self.checkpoint_times, dtype=float)
@@ -232,12 +227,13 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     (ball problem); even_at_origin_only treats the grid as a truncated copy of
     R^n and aborts if the solution contaminates the boundary region.  A
     nonfinite state aborts the run; its series ends at the last finite state.
-    A safety above max_safety(n), where RK4 is unstable, is a ValueError.
+    A safety above max_safety(n), where RK4 is unstable, is a ValueError, and so is one whose
+    diffusive cap on u0's grid is below DT_MIN, where the first step would declare blowup.
     Every step appends one series row.  A step that would reach or pass the next
     checkpoint or t_end lands on it: t is set to that time itself, not t + dt.
 
     Reports its steps, by the cap that bound each, and the smallest dt to the run's
-    counters: diffusive counts the steps at min(dt_init, safety h^2/(2n)), nonlinear
+    counters: diffusive counts the steps at min(DT_MAX, safety h^2/(2n)), nonlinear
     those at 0.5 ||u||_inf^(1-p), and landing those cut short to land on a checkpoint
     or on t_end.
     """
@@ -247,16 +243,20 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     if cfg.safety > max_safety(n):
         raise ValueError(f"safety {cfg.safety} exceeds RK4's stability bound "
                          f"max_safety({n}) = {max_safety(n):.6g}")
+    cap = diffusive_cap(cfg.safety, grid.h, n)
+    if not cap >= DT_MIN:
+        raise ValueError(f"safety {cfg.safety} puts the step cap {cap:.3g} "
+                         f"below DT_MIN = {DT_MIN:g}")
     nonlinear = cfg.nonlinear
     dirichlet = u0.boundary == DIRICHLET
     stepper = _Stepper(grid, n, p if nonlinear else None, dirichlet)
     wk = 2.0 / (p - 1.0)
     r_pow = grid.nodes**wk
 
-    dt_cap = min(cfg.dt_init, diffusive_cap(cfg.safety, grid.h, n))
+    dt_cap = min(DT_MAX, cap)
     # the nonlinear cap is over 2^(p-1) dt_cap at sup <= sup_floor, where sup^(1-p) may overflow
     sup_floor = math.exp(min(math.log(2.0 * dt_cap) / (1.0 - p), 700.0)) / 2.0
-    t_end, dt_min, sup_max = cfg.t_end, cfg.dt_min, cfg.blowup_threshold
+    t_end, dt_min, sup_max = cfg.t_end, DT_MIN, BLOWUP_THRESHOLD
     targets = [float(t) for t in (cfg.checkpoint_times if len(cfg.checkpoint_times)
                                   else log_checkpoints(t_end))] + [t_end]
     n_cp = len(targets) - 1   # the checkpoint times, then t_end: the times steps land on

@@ -30,9 +30,7 @@ def test_default_configs_validate():
 
 
 def test_partial_config_same_through_library_and_cli(tmp_path):
-    # compare_classical is left to the picard defaults, whichever way the config runs
     cfg = cli.default_config("picard")
-    del cfg["experiment"]["compare_classical"]
     cfg["grid"] = {"r_max": 16.0, "nodes": 160}
     cfg["solver"]["t_end"] = 0.5
     cfg["experiment"]["sample_times"] = [0.25, 0.5]
@@ -65,7 +63,8 @@ _CHECKPOINT_DOMAIN = "solver: checkpoint times must increase strictly within (0,
 
 
 @pytest.mark.parametrize("kind, path, value, message", [
-    ("solve", "solver.dt_min", 1.0, "solver: need dt_min < dt_init"),
+    # a removed option at a value that would read this decaying run as "blowup at t = 0"
+    ("solve", "solver.dt_min", 0.05, "solver.dt_min: unknown key"),
     # 0 < t_end < inf, and checkpoint times strictly increasing within (0, t_end]
     ("solve", "solver.t_end", 0.0, "solver.t_end: need 0 < t_end < inf"),
     ("solve", "solver.t_end", -1.0, "solver.t_end: need 0 < t_end < inf"),
@@ -83,8 +82,8 @@ _CHECKPOINT_DOMAIN = "solver: checkpoint times must increase strictly within (0,
     ("dependence", "solver.t_end", math.inf, "solver.t_end: need 0 < t_end < inf"),
     ("solve", "solver.checkpoints", 0, "solver.checkpoints: need at least 1"),
     ("solve", "solver.checkpoints", -2, "solver.checkpoints: need at least 1"),
-    ("solve", "solver.safety", 0.0, "solver: safety must be > 0"),
-    ("solve", "solver.safety", -1.0, "solver: safety must be > 0"),
+    ("solve", "solver.safety", 0.0, "solver.safety: 0.0 puts the step cap"),
+    ("solve", "solver.safety", -1.0, "solver.safety: -1.0 puts the step cap"),
     ("solve", "solver.safety", evolution.max_safety(5) * 1.01,
      "solver.safety: %r exceeds RK4's stability bound" % (evolution.max_safety(5) * 1.01)),
     ("dependence", "solver.safety", evolution.max_safety(5) * 1.01,
@@ -107,14 +106,13 @@ _CHECKPOINT_DOMAIN = "solver: checkpoint times must increase strictly within (0,
      "experiment.lambda_init: need 0 < lambda_init < inf"),
     ("threshold", "experiment.rel_tol", 0.0, "experiment.rel_tol: need 0 < rel_tol < inf"),
     ("solve", "grid.r_max", math.inf, "grid.r_max: need 0 < r_max < inf"),
-    # values that ran, to a late failure under another name or with a blowup test switched off
+    # values that ran, to a late failure under another name
     ("picard", "experiment.sample_times", [0.5, 0.5, 1.0],
      "experiment.sample_times: need a nonempty list of distinct times in (0, t_end]"),
-    ("solve", "solver.dt_min", -1.0, "solver.dt_min: need 0 < dt_min < inf"),
-    ("solve", "solver.blowup_threshold", 1e400,
-     "solver.blowup_threshold: need 0 < blowup_threshold < inf"),
-    ("dependence", "experiment.stability_tol", -1.0,
-     "experiment.stability_tol: need 0 < stability_tol < inf"),
+    # options that are now constants of the method: unknown keys, whatever the value
+    ("solve", "solver.dt_min", -1.0, "solver.dt_min: unknown key"),
+    ("solve", "solver.blowup_threshold", 1e400, "solver.blowup_threshold: unknown key"),
+    ("dependence", "experiment.stability_tol", -1.0, "experiment.stability_tol: unknown key"),
     ("threshold", "experiment.deltas", [0.1, 1.0],
      "experiment.deltas: need a list of finite numbers below 1"),
     ("threshold", "experiment.deltas", [math.nan],
@@ -123,6 +121,10 @@ _CHECKPOINT_DOMAIN = "solver: checkpoint times must increase strictly within (0,
     ("solve", "initial_data.args", {"amplitude": 1.0, "width": 0.0},
      "initial_data.profile: width must be > 0, got 0.0"),
     ("energy", "experiment.T_values", [0.05], "experiment.T_values: window empty for T=0.05"),
+    # a removed option at a value that would ask for 5e12 steps, and a safety whose diffusive
+    # cap, 2.4e-15 at h = 10/64, is below DT_MIN, where the first step would declare blowup
+    ("solve", "solver.dt_init", 1e-13, "solver.dt_init: unknown key"),
+    ("solve", "solver.safety", 1e-12, "solver.safety: 1e-12 puts the step cap"),
 ])
 def test_bad_config_value_exits_2(kind, path, value, message, tmp_path, capsys):
     block, key = path.split(".")
@@ -241,12 +243,10 @@ class _ReadLog(dict):
 
 def test_every_stated_option_is_read(tmp_path, monkeypatch):
     # the converse of the test above: each kind's run reads every option its defaults state, so
-    # no stated value changes nothing (picard's solver block is read by its classical comparison)
+    # no stated value changes nothing
     merge = cli._merged
     for kind, cfg in _small_configs().items():
         cfg["output_dir"] = str(tmp_path / kind)
-        if kind == "picard":
-            cfg["experiment"]["compare_classical"] = True
         read = set()
         monkeypatch.setattr(cli, "_merged", lambda c: _ReadLog(merge(c), read))
         cli.run_experiment(cfg)
@@ -255,6 +255,55 @@ def test_every_stated_option_is_read(tmp_path, monkeypatch):
                   for key in keys} | {key for key, value in merged.items()
                                       if not isinstance(value, dict)}
         assert read == stated, kind
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    *((kind, f"solver.{key}", value)
+      for kind in ("solve", "energy", "picard", "threshold", "dependence")
+      for key, value in (("dt_init", 0.1), ("dt_min", 1e-14), ("blowup_threshold", 1e8))),
+    ("picard", "experiment.compare_classical", True),
+    ("dependence", "experiment.stability_tol", 0.25),
+])
+def test_removed_option_is_an_unknown_key(kind, path, value, tmp_path, capsys):
+    # each value that no caller varied is a constant now, so a config that still gives it, even
+    # at its old default, fails and names it rather than have it silently ignored
+    cfg = _small_configs()[kind]
+    block, key = path.split(".")
+    cfg[block][key] = value
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main([kind, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {path}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_method_constants_keep_the_old_defaults(tmp_path, monkeypatch):
+    # the removed options' defaults, now the method's constants: the step bounds and the blowup
+    # threshold of every solve, and dependence's bound on the spread of its max ratios
+    assert (evolution.DT_MAX, evolution.DT_MIN, evolution.BLOWUP_THRESHOLD) == (0.1, 1e-14, 1e8)
+    for low, passed in ((0.7500001, True), (0.75, False)):
+        # max ratios 1 and `low` spread by 1 - low
+        monkeypatch.setattr(duhamel, "continuous_dependence", lambda *args: [
+            duhamel.DependenceResult(np.array([1.0]), np.array([r]), r, False, False)
+            for r in (1.0, low)])
+        cfg = _small_configs()["dependence"]
+        cfg["experiment"]["sizes"] = [1e-2, 1e-3]
+        checks = {c["name"]: c for c in cli.run_experiment(cfg, out_dir=tmp_path).checks}
+        assert checks["lipschitz_stability"]["passed"] is passed
+        assert checks["lipschitz_stability"]["value"] == pytest.approx(1.0 - low)
+
+
+def test_safety_floor_is_the_one_solve_applies():
+    # the config reads h as r_max/nodes, the grid's h exactly, so the least safety it accepts is
+    # the least that solve runs at, and no accepted safety fails inside the run (exit 3)
+    grid = make_grid(5, 10.0, 64)
+    floor = evolution.DT_MIN / evolution.diffusive_cap(1.0, grid.h, 5)
+    while evolution.diffusive_cap(floor, grid.h, 5) < evolution.DT_MIN:
+        floor = np.nextafter(floor, np.inf)
+    cfg = {"experiment": {"kind": "solve"}, "grid": {"r_max": 10.0, "nodes": 64}}
+    assert cli._merged({**cfg, "solver": {"safety": floor}})["solver"]["safety"] == floor
+    with pytest.raises(cli.ConfigError, match=r"solver.safety: .* below evolution.DT_MIN = 1e-14"):
+        cli._merged({**cfg, "solver": {"safety": np.nextafter(floor, 0.0)}})
 
 
 def test_an_empty_block_the_kind_lacks_is_left_out():
@@ -383,9 +432,8 @@ def test_bad_profile_args_name_the_block():
     assert "initial_data" in str(err.value)
 
 
-@pytest.mark.parametrize("path", ["grid.nodes", "solver.t_end", "params.p",
-                                  "solver.dt_init", "solver.dt_min", "solver.safety",
-                                  "solver.blowup_threshold", "solver.checkpoints"])
+@pytest.mark.parametrize("path", ["grid.nodes", "solver.t_end", "params.p", "solver.safety",
+                                  "solver.checkpoints"])
 def test_bool_rejected_where_number_required(path, tmp_path):
     cfg = cli.default_config("solve")
     block, key = path.split(".")
@@ -950,8 +998,7 @@ _SMALL_RUNS = {
     "morrey": ({"r_max": 8.0, "nodes": 100}, None, None, {}),
     "smoothing": ({"r_max": 12.0, "nodes": 120}, None, None,
                   {"t_lo": 0.1, "t_hi": 10.0, "t_count": 3}),
-    "picard": ({"r_max": 16.0, "nodes": 80}, {"t_end": 0.5}, None,
-               {"sample_times": [0.25, 0.5], "compare_classical": False}),
+    "picard": ({"r_max": 16.0, "nodes": 80}, {"t_end": 0.5}, None, {"sample_times": [0.25, 0.5]}),
     "threshold": ({"r_max": 40.0, "nodes": 100}, {"t_end": 10.0}, None,
                   {"rel_tol": 0.005, "deltas": [0.1]}),
     "dependence": ({"r_max": 20.0, "nodes": 100}, {"t_end": 2.0},

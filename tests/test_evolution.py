@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,15 +14,15 @@ P5 = make_params(5, 3.0)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        E.SolverConfig(dt_init=1e-15, dt_min=1e-14)
-    with pytest.raises(ValueError):
-        E.SolverConfig(blowup_threshold=1e5)
+    # the step bounds and the blowup threshold are the method's constants, not options; solve
+    # checks safety against the grid
+    assert [f.name for f in dataclasses.fields(E.SolverConfig)] == [
+        "safety", "t_end", "checkpoint_times", "nonlinear"]
+    for removed in ("dt_init", "dt_min", "blowup_threshold"):
+        with pytest.raises(TypeError, match=removed):
+            E.SolverConfig(**{removed: 1.0})
     with pytest.raises(ValueError):
         E.SolverConfig(checkpoint_times=(1.0, 0.5))
-    for safety in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="safety must be > 0"):
-            E.SolverConfig(safety=safety)
     for t_end in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="t_end"):
             E.SolverConfig(t_end=t_end)
@@ -30,9 +32,9 @@ def test_config_validation():
             E.SolverConfig(t_end=10.0, checkpoint_times=times)
 
 
-@pytest.mark.parametrize("safety", [0.0, -1.0, E.max_safety(5) * 1.01])
+@pytest.mark.parametrize("safety", [0.0, -1.0, E.max_safety(5) * 1.01, 1e-12, float("nan")])
 def test_solve_rejects_safety_outside_stability_bound(safety):
-    # a decaying datum that safety 0 or -1 (no step fits dt_min) and an unstable
+    # a decaying datum that safety 0, -1 or 1e-12 (no step fits DT_MIN) and an unstable
     # safety (RK4 amplifies the origin mode) would both have called a blowup
     g = F.make_grid(5, 10.0, 100)
     u0 = F.gaussian(g, 0.05, 2.0, F.DIRICHLET)
@@ -41,6 +43,21 @@ def test_solve_rejects_safety_outside_stability_bound(safety):
     traj = E.solve(u0, P5, E.SolverConfig(t_end=1.0, safety=E.max_safety(5)))
     assert traj.status.kind == "reached_horizon"
     assert traj.sup_norms[-1] < traj.sup_norms[0]
+
+
+def test_solve_runs_from_the_safety_whose_cap_is_dt_min():
+    # below that safety the first step would read as a collapse, so a decaying datum would
+    # read as a blowup at t = 0
+    g = F.make_grid(5, 10.0, 64)
+    u0 = F.gaussian(g, 0.05, 2.0, F.DIRICHLET)
+    floor = E.DT_MIN / E.diffusive_cap(1.0, g.h, 5)
+    while E.diffusive_cap(floor, g.h, 5) < E.DT_MIN:
+        floor = np.nextafter(floor, np.inf)
+    with pytest.raises(ValueError, match="below DT_MIN"):
+        E.solve(u0, P5, E.SolverConfig(t_end=0.5, safety=np.nextafter(floor, 0.0)))
+    traj = E.solve(u0, P5, E.SolverConfig(t_end=1e-12, safety=floor, checkpoint_times=(1e-12,)))
+    assert traj.status == E.TrajectoryStatus("reached_horizon", 1e-12)
+    assert traj.series[1:-1, 3].min() >= E.DT_MIN   # every step but the one cut to land on t_end
 
 
 def _rk4_amplification(z):
@@ -340,10 +357,10 @@ def _reference_solve(u0, params, cfg):
     series = [(t, float(np.max(np.abs(u))), float(np.max(r_pow * np.abs(u))), 0.0)]
     checkpoints = []
     while t < cfg.t_end:
-        caps = {"diffusive": min(cfg.dt_init, dt_diff),
+        caps = {"diffusive": min(E.DT_MAX, dt_diff),
                 "nonlinear": 0.5 * series[-1][1] ** (1.0 - p)}
         dt = min(caps.values())
-        if dt < cfg.dt_min:
+        if dt < E.DT_MIN:
             status = E._blowup_status(series, params, t)
             break
         # a step that would reach or pass the next target is cut to land on it, and
@@ -366,7 +383,7 @@ def _reference_solve(u0, params, cfg):
         if next_cp < len(cps) and t == cps[next_cp]:
             checkpoints.append((t, u.copy()))
             next_cp += 1
-        if sup >= cfg.blowup_threshold:
+        if sup >= E.BLOWUP_THRESHOLD:
             status = E._blowup_status(series, params, t)
             break
     status = status or E.TrajectoryStatus("reached_horizon", t)
@@ -445,16 +462,20 @@ def test_solve_equals_allocating_loop(boundary, p):
     _assert_equals_reference(traj, work, u0, params, cfg)
 
 
-@pytest.mark.parametrize("dt_min", [1e-14, 1e-20])
-def test_blowup_stop_equals_allocating_loop(dt_min):
-    # the default dt_min stops on the collapsing step, a tiny one on the sup threshold
+@pytest.mark.parametrize("p", [3.0, 2.0])
+def test_blowup_stop_equals_allocating_loop(p):
+    # at p = 3 the nonlinear cap 0.5 sup^-2 falls below DT_MIN before sup reaches
+    # BLOWUP_THRESHOLD, so the run stops on the collapsing step; at p = 2 the cap is still
+    # 0.5 / 1e8 = 5e-9 there, so it stops on the sup threshold
+    params = make_params(5, p)
     g = F.make_grid(5, 40.0, 200)
     u0 = F.plateau(g, 2.0, 15.0, 2.0, F.DIRICHLET)
-    cfg = E.SolverConfig(t_end=1.0, dt_min=dt_min, checkpoint_times=(0.05, 0.1))
-    traj, work = _collected_solve(u0, P5, cfg)
+    cfg = E.SolverConfig(t_end=1.0, checkpoint_times=(0.05, 0.1))
+    traj, work = _collected_solve(u0, params, cfg)
     assert traj.status.kind == "blowup"
-    assert (traj.sup_norms[-1] >= cfg.blowup_threshold) == (dt_min < 1e-16)
-    _assert_equals_reference(traj, work, u0, P5, cfg)
+    assert (traj.sup_norms[-1] >= E.BLOWUP_THRESHOLD) == (p == 2.0)
+    assert traj.series[-1, 3] > E.DT_MIN
+    _assert_equals_reference(traj, work, u0, params, cfg)
 
 
 def test_boundary_abort_equals_allocating_loop():
