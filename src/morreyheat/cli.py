@@ -224,8 +224,8 @@ class ArtifactBundle:
 
 
 def _build_inputs(cfg: dict):
-    params = make_params(cfg["params"]["n"], float(cfg["params"]["p"]))
-    grid = make_grid(params.n, cfg["grid"]["r_max"], cfg["grid"]["nodes"])
+    params = make_params(float(cfg["params"]["p"]))
+    grid = make_grid(cfg["params"]["n"], cfg["grid"]["r_max"], cfg["grid"]["nodes"])
     data = cfg["initial_data"]
     try:
         u0 = build_profile(data["profile"], grid, params, dict(data["args"]), data["boundary"])

@@ -77,9 +77,9 @@ class _DiffusionSubsteps:
     of the discrete radial Laplacian instead.
     """
 
-    def __init__(self, grid, n, dt):
-        self.stepper = _Stepper(grid, n)
-        cap = diffusive_cap(0.8, grid.h, n)
+    def __init__(self, grid, dt):
+        self.stepper = _Stepper(grid)
+        cap = diffusive_cap(0.8, grid.h, grid.n)
         self.k = max(1, int(math.ceil(dt / cap)))
         self.dt_sub = dt / self.k
 
@@ -92,7 +92,7 @@ class _DiffusionSubsteps:
         return stepper.u.copy()
 
 
-def _update_store(store, grid, n, widths):
+def _update_store(store, grid, widths):
     """Make store, a dict {interval width: heat propagator}, hold exactly the distinct widths.
 
     Mirrored intervals of the symmetric smoothstep grid have bitwise-equal
@@ -113,7 +113,7 @@ def _update_store(store, grid, n, widths):
         if dt in store:
             continue
         if dt < floor:
-            store[dt] = _DiffusionSubsteps(grid, n, dt)
+            store[dt] = _DiffusionSubsteps(grid, dt)
             continue
         store[dt] = kernel = SymmetricBandKernel(grid, dt)
         counters.add("duhamel.picard.kernel_builds")
@@ -141,7 +141,7 @@ def _run_picard(u0, params, t_end, max_iters, sample_times, nodes, tol, store):
     p = params.p
     sample_idx = np.searchsorted(times, sample_times)
 
-    _update_store(store, grid, params.n, widths)
+    _update_store(store, grid, widths)
     # u^(0)(t) = G_t * u0: the sweep of the zero iterate, whose source terms add +0.0
     fields = _sweep(u0.values.astype(float), store, widths, [np.zeros(grid.m + 1)] * len(times), p)
 

@@ -79,7 +79,6 @@ class TrajectoryStatus:
 
 @dataclass
 class Trajectory:
-    params: ModelParams
     checkpoints: list          # [(t, RadialField), ...]
     series: np.ndarray         # columns t, sup_norm, weighted_sup, dt
     status: TrajectoryStatus
@@ -104,8 +103,8 @@ class _Stepper:
     overhead, and a keyword out= adds to it.
     """
 
-    def __init__(self, grid, n, p=None, dirichlet=False):
-        h = grid.h
+    def __init__(self, grid, p=None, dirichlet=False):
+        n, h = grid.n, grid.h
         r = grid.nodes
         inv_h2 = 1.0 / h**2
         self.two_inv_h2 = 2.0 * inv_h2
@@ -211,7 +210,7 @@ def spectral_radius_h2(n: int) -> float:
     nodes, free or Dirichlet, agree to 1e-14 relative.
     """
     h_one = make_grid(n, 64.0, 64)
-    return float(np.abs(np.linalg.eigvals(_Stepper(h_one, n).matrix())).max())
+    return float(np.abs(np.linalg.eigvals(_Stepper(h_one).matrix())).max())
 
 
 def max_safety(n: int) -> float:
@@ -238,7 +237,7 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     or on t_end.
     """
     grid = u0.grid
-    n = params.n
+    n = grid.n
     p = params.p
     if cfg.safety > max_safety(n):
         raise ValueError(f"safety {cfg.safety} exceeds RK4's stability bound "
@@ -249,7 +248,7 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
                          f"below DT_MIN = {DT_MIN:g}")
     nonlinear = cfg.nonlinear
     dirichlet = u0.boundary == DIRICHLET
-    stepper = _Stepper(grid, n, p if nonlinear else None, dirichlet)
+    stepper = _Stepper(grid, p if nonlinear else None, dirichlet)
     wk = 2.0 / (p - 1.0)
     r_pow = grid.nodes**wk
 
@@ -328,8 +327,7 @@ def solve(u0: RadialField, params: ModelParams, cfg: SolverConfig) -> Trajectory
     for cap, count in zip(("diffusive", "nonlinear", "landing"), bound_by):
         counters.add(f"evolution.cap.{cap}", count)
     counters.least("evolution.min_dt", min_dt)
-    return Trajectory(params=params, checkpoints=checkpoints,
-                      series=np.array(series), status=status)
+    return Trajectory(checkpoints=checkpoints, series=np.array(series), status=status)
 
 
 def _blowup_status(series, params, t):

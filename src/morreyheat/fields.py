@@ -32,9 +32,9 @@ class RadialGrid:
 
 
 def make_grid(n: int, r_max: float, m: int) -> RadialGrid:
-    """Uniform grid with m intervals on [0, r_max]; m >= 16."""
-    if n < 3:
-        raise ValueError("dimension n must be >= 3")
+    """Uniform grid with m intervals on [0, r_max] in R^n, the one place n is stated; m >= 16."""
+    if not (n >= 3 and n % 1 == 0):
+        raise ValueError(f"dimension n must be >= 3 and an integer, got {n!r}")
     if m < 16:
         raise ValueError(f"grid needs at least 16 intervals, got {m}")
     if not r_max > 0:
@@ -203,7 +203,7 @@ def singular_steady_state(grid: RadialGrid, params: ModelParams, boundary: str =
     """L r^(-2/(p-1)), capped at the first node value to regularize the origin, with L the
     exact scale-invariant profile height: L^(p-1) = (2/(p-1)) (n - 2 - 2/(p-1))."""
     k = 2.0 / (params.p - 1.0)
-    val = k * (params.n - 2.0 - k)
+    val = k * (grid.n - 2.0 - k)
     if val <= 0:
         raise ValueError("no positive singular steady state for these (n, p)")
     big_l = val ** (1.0 / (params.p - 1.0))

@@ -74,7 +74,7 @@ def _beats(fit: TailFit, target: float) -> bool | None:
     return fit.exponent >= target + O_MARGIN if fit.resolved else None
 
 
-def _integrability(f: RadialField, fit: TailFit, lo: float, hi: float, n: int,
+def _integrability(f: RadialField, fit: TailFit, lo: float, hi: float,
                    interval_key: str) -> ConditionCheck:
     """f in L^s for some s in [lo, hi): norms at three exponents of the interval as
     evidence, and a fitted tail exponent beating n / (0.999 hi) by O_MARGIN."""
@@ -83,7 +83,7 @@ def _integrability(f: RadialField, fit: TailFit, lo: float, hi: float, n: int,
     norms = {f"L{s:.3f}": lq_norm(f, s) for s in (lo, math.sqrt(lo * hi), 0.999 * hi)}
     if not fit.resolved:
         return ConditionCheck(None, {"norms": norms, "tail_points": fit.n_points})
-    need = n / (0.999 * hi)
+    need = f.grid.n / (0.999 * hi)
     return ConditionCheck(fit.exponent > need + O_MARGIN,
                           {"norms": norms, "tail_exponent": fit.exponent,
                            "required_exponent": need})
@@ -97,7 +97,7 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams) -
     differences to within GRADIENT_MISMATCH_TOL relative to the gradient scale.
     """
     grid = f.grid
-    n, p = params.n, params.p
+    n, p = grid.n, params.p
     k_crit = 2.0 / (p - 1.0)
 
     g_vals = np.abs(grad_f.values)
@@ -123,7 +123,7 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams) -
     if zero_g:
         c21 = _zero_check()
     else:
-        c21 = _integrability(grad_f, fit_g, 2.0, n * (p - 1.0) / (p + 1.0), n,
+        c21 = _integrability(grad_f, fit_g, 2.0, n * (p - 1.0) / (p + 1.0),
                              "admissible_q_interval")
 
     # gradient decay: |grad u0| = o(r^(-2/(p-1)-1))
@@ -151,7 +151,7 @@ def check_hypotheses(f: RadialField, grad_f: RadialField, params: ModelParams) -
     # energy integrability: |u0|^(p+1) + |grad u0|^2 in L^m, m in [1, n(p-1)/(2(p+1)))
     combo = make_field(grid, np.abs(f.values) ** (p + 1.0) + g_vals**2)
     c25 = _integrability(combo, tail_exponent(combo), 1.0,
-                         n * (p - 1.0) / (2.0 * (p + 1.0)), n, "admissible_m_interval")
+                         n * (p - 1.0) / (2.0 * (p + 1.0)), "admissible_m_interval")
 
     # pointwise decay: |u0| + r |grad u0| = o(r^(-2/(p-1)))
     checks, evid = [], {"target": k_crit}

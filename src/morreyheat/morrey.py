@@ -26,9 +26,9 @@ class MorreySpec:
     lam: float
 
     def __post_init__(self):
-        if self.q < 1:
+        if not self.q >= 1:   # NaN fails too
             raise ValueError("Morrey exponent q must be >= 1")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("Morrey weight lambda must be >= 0")
 
 

@@ -1,55 +1,19 @@
-"""Problem parameters for u_t - Laplace(u) = |u|^(p-1) u and derived critical exponents."""
+"""The nonlinearity of u_t - Laplace(u) = |u|^(p-1) u; the dimension n is the grid's."""
 
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimension, nonlinearity exponent and the derived critical quantities.
+    """The nonlinearity; the dimension n is read off the grid of each field."""
 
-    Attributes
-    ----------
-    n : int
-        Spatial dimension, n >= 3.
-    p : float
-        Nonlinearity exponent, p > 1.
-    p_s : float
-        Sobolev critical exponent (n+2)/(n-2).
-    beta : float
-        1/(p-1), the self-similar amplitude exponent.
-    mu : float
-        4/(p-1), the critical Morrey weight for q = 2.
-    q_c : float
-        n(p-1)/2, the critical Lebesgue exponent.
-    supercritical : bool
-        True iff p > p_s strictly.
-    """
-
-    n: int
-    p: float
-    p_s: float
-    beta: float
-    mu: float
-    q_c: float
-    supercritical: bool
+    p: float        # nonlinearity exponent, p > 1
+    beta: float     # 1/(p-1), the self-similar amplitude exponent
 
 
-def make_params(n: int, p: float) -> ModelParams:
-    """Build ModelParams, rejecting n < 3 or p <= 1."""
-    if int(n) != n or n < 3:
-        raise ValueError(f"dimension n must be an integer >= 3, got {n}")
+def make_params(p: float) -> ModelParams:
+    """Build ModelParams, rejecting p <= 1."""
     if not p > 1:
         raise ValueError(f"exponent p must be > 1, got {p}")
-    n = int(n)
     p = float(p)
-    p_s = (n + 2) / (n - 2)
-    beta = 1.0 / (p - 1.0)
-    return ModelParams(
-        n=n,
-        p=p,
-        p_s=p_s,
-        beta=beta,
-        mu=4.0 * beta,
-        q_c=n * (p - 1.0) / 2.0,
-        supercritical=p > p_s,
-    )
+    return ModelParams(p=p, beta=1.0 / (p - 1.0))

@@ -50,9 +50,9 @@ def to_similarity(field: RadialField, t: float, T: float, params: ModelParams) -
     return RescaledField(y=y, values=w, T=T, t=t, s=-math.log(tau), truncated=truncated)
 
 
-def _weighted_integrals(w: RescaledField, params: ModelParams):
-    """(E, m, P, G): energy, weighted mass, weighted |w|^{p+1} and |w'|^2 integrals."""
-    n, p, beta = params.n, params.p, params.beta
+def _weighted_integrals(w: RescaledField, n: int, params: ModelParams):
+    """(E, m, P, G): energy, weighted mass, weighted |w|^{p+1} and |w'|^2 integrals in R^n."""
+    p, beta = params.p, params.beta
     y = w.y
     rho_vol = np.exp(-(y**2) / 4.0) * y ** (n - 1)
     dw = np.gradient(w.values, y[1] - y[0])
@@ -65,16 +65,15 @@ def _weighted_integrals(w: RescaledField, params: ModelParams):
     return energy_val, mass, pot, grad
 
 
-def stationary_energy(params: ModelParams) -> float:
-    """Closed-form energy of the flat rescaled profile w = beta^beta."""
+def stationary_energy(n: int, params: ModelParams) -> float:
+    """Closed-form energy in R^n of the flat rescaled profile w = beta^beta."""
     kappa2 = params.beta ** (2.0 * params.beta)
     return (kappa2 * params.beta * (params.p - 1.0) / (2.0 * (params.p + 1.0))
-            * (4.0 * math.pi) ** (params.n / 2.0))
+            * (4.0 * math.pi) ** (n / 2.0))
 
 
 @dataclass
 class EnergySeries:
-    T: float
     s: np.ndarray
     E: np.ndarray
     m: np.ndarray
@@ -105,7 +104,7 @@ def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid) -> En
             raise ValueError(f"trajectory lacks a checkpoint at t={t!r} (s={s:g})")
         w = to_similarity(have[t], t, T, params)
         truncated += w.truncated
-        rows.append(_weighted_integrals(w, params))
+        rows.append(_weighted_integrals(w, have[t].grid.n, params))
     counters.add("similarity.truncated_windows", truncated)
     e_arr, m_arr, p_arr, g_arr = np.array(rows).T
 
@@ -122,7 +121,7 @@ def energy_series(traj: Trajectory, T: float, params: ModelParams, s_grid) -> En
 
     tol = 1e-6 * (1.0 + np.abs(e_arr[:-1]))
     monotone_violation = float(np.max(np.diff(e_arr) - tol)) if e_arr.size > 1 else -math.inf
-    return EnergySeries(T=T, s=s_grid, E=e_arr, m=m_arr, identity_residual=residual,
+    return EnergySeries(s=s_grid, E=e_arr, m=m_arr, identity_residual=residual,
                         identity_relative=relative,
                         monotone_violation=monotone_violation,
                         min_energy=float(e_arr.min()))

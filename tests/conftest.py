@@ -21,12 +21,12 @@ def pop_wall_times(profile: dict, limit: float = math.inf) -> set:
 
 @pytest.fixture(scope="session")
 def params5():
-    return make_params(5, 3.0)
+    return make_params(3.0)
 
 
 @pytest.fixture(scope="session")
 def params3():
-    return make_params(3, 7.0)
+    return make_params(7.0)
 
 
 @pytest.fixture(scope="session")

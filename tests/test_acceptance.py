@@ -16,7 +16,7 @@ from morreyheat import similarity as S
 from morreyheat import threshold as T
 from morreyheat.params import make_params
 
-P5 = make_params(5, 3.0)
+P5 = make_params(3.0)
 
 
 def report(name, ok, detail):
@@ -132,7 +132,7 @@ def test_c07_singular_steady_state_residual():
     for m in (4000, 8000):
         grid = F.make_grid(5, 40.0, m)
         ss = F.singular_steady_state(grid, P5)
-        heat = E._Stepper(grid, 5)   # pure heat flow: its right-hand side is the Laplacian
+        heat = E._Stepper(grid)   # pure heat flow: its right-hand side is the Laplacian
         res = heat.rhs(ss.values, np.empty(m + 1)) + np.abs(ss.values) ** (P5.p - 1) * ss.values
         window = (grid.nodes >= 0.5) & (grid.nodes <= grid.r_max / 2.0)
         rels[m] = float(np.max(np.abs(res[window]) / np.abs(ss.values[window]) ** P5.p))
@@ -158,11 +158,11 @@ def test_c08_energy_laws(energy_run):
     cps = [(float(t), F.make_field(grid, np.full(grid.m + 1,
                                                  ((P5.p - 1) * (T - t)) ** (-P5.beta))))
            for t in S.checkpoint_times_for_s_grid(T, s_grid)]
-    ode = E.Trajectory(params=P5, checkpoints=cps,
+    ode = E.Trajectory(checkpoints=cps,
                        series=np.array([[0.0, 1.0, 1.0, 0.1]]),
                        status=E.TrajectoryStatus("blowup", cps[-1][0], T_est=T))
     es = S.energy_series(ode, T, P5, s_grid)
-    e_star = S.stationary_energy(P5)
+    e_star = S.stationary_energy(5, P5)
     dev = float(np.max(np.abs(es.E - e_star)) / e_star)
     slope = float(np.max(np.abs(np.diff(es.E) / np.diff(es.s))))
     ok &= dev < 1e-4 and slope < 1e-6

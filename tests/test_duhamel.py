@@ -14,7 +14,7 @@ from morreyheat.params import make_params
 from conftest import pop_wall_times
 from test_quadrature import _assert_kernel_equals_dense_formula, _diagonal_bytes
 
-P5 = make_params(5, 3.0)
+P5 = make_params(3.0)
 
 
 def test_auxiliary_exponent_in_admissible_interval():
@@ -49,20 +49,20 @@ def test_picard_rejects_bad_arguments():
 class _FreshPropagators:
     """Reference store: builds a fresh propagator on every lookup; none is shared or kept."""
 
-    def __init__(self, grid, n):
-        self.grid, self.n = grid, n
+    def __init__(self, grid):
+        self.grid = grid
 
     def __getitem__(self, dt):
         dt = float(dt)
         if dt >= 2.0 * self.grid.h**2:
             return Q.SymmetricBandKernel(self.grid, dt)
-        return D._DiffusionSubsteps(self.grid, self.n, dt)
+        return D._DiffusionSubsteps(self.grid, dt)
 
 
 def _propagator(grid, dt):
     """The Picard store's propagator of one interval width."""
     store = {}
-    D._update_store(store, grid, P5.n, [dt])
+    D._update_store(store, grid, [dt])
     return store[float(dt)]
 
 
@@ -76,9 +76,9 @@ def _band_mb(grid, widths):
     return sum(_diagonal_bytes(grid, dt) for dt in widths) / 2**20
 
 
-def _substeps(grid, n, widths):
+def _substeps(grid, widths):
     """RK4 substeps of one application of every interval too narrow for a kernel."""
-    cap = E.diffusive_cap(0.8, grid.h, n)
+    cap = E.diffusive_cap(0.8, grid.h, grid.n)
     return sum(max(1, math.ceil(dt / cap)) for dt in widths if dt < 2.0 * grid.h**2)
 
 
@@ -100,7 +100,7 @@ def test_picard_propagators_one_per_width(monkeypatch):
 
     store = {}
     with counters.collect() as work:
-        D._update_store(store, g, P5.n, widths[32])
+        D._update_store(store, g, widths[32])
     # one propagator per distinct width, in first-seen order
     assert list(store) == list(dict.fromkeys(float(dt) for dt in widths[32]))
     assert _kernel_counts(work) == (len(distinct[32]), 0)
@@ -121,7 +121,7 @@ def test_picard_propagators_one_per_width(monkeypatch):
         patch.setattr(D, "SymmetricBandKernel", freed_first(Q.SymmetricBandKernel))
         patch.setattr(D, "_DiffusionSubsteps", freed_first(D._DiffusionSubsteps))
         with counters.collect() as work:
-            D._update_store(store, g, P5.n, widths[64])
+            D._update_store(store, g, widths[64])
     assert set(store) == after
     assert all(ref() is None for ref in gone)
     # the recurring widths, substep ones included, keep their propagators
@@ -135,12 +135,12 @@ def test_picard_propagators_one_per_width(monkeypatch):
         got = run(64, store)[0]   # the iterate at the sample times
     # the linear sweep and 3 Picard sweeps apply every substep interval once each
     assert work["duhamel.picard.substeps"] == 4 * sum(
-        _substeps(g, P5.n, widths[nodes]) for nodes in (32, 64)) > 0
+        _substeps(g, widths[nodes]) for nodes in (32, 64)) > 0
     with counters.collect() as work:
         solved = D.picard_solve(u0, P5, 1.0, 3, [0.5, 1.0], nodes=32, max_nodes=64, tol=1e-300)
     assert solved.nodes_used == 64
     assert _kernel_counts(work)[1] == len(recurring)
-    sweep, fresh = D._sweep, _FreshPropagators(g, P5.n)
+    sweep, fresh = D._sweep, _FreshPropagators(g)
     monkeypatch.setattr(D, "_sweep", lambda u0_vals, store, *rest: sweep(u0_vals, fresh, *rest))
     want = run(64, {})[0]
     want_solve = D.picard_solve(u0, P5, 1.0, 3, [0.5, 1.0], nodes=32, max_nodes=64,
@@ -188,7 +188,7 @@ def test_picard_store_holds_bands_not_dense_matrices(nodes, share):
     g = F.make_grid(5, 40.0, nodes)
     widths = np.diff(D._graded_times(1.0, 128, extra=[0.1, 0.5, 1.0], dt_floor=2.0 * g.h**2))
     store = {}
-    D._update_store(store, g, P5.n, widths)
+    D._update_store(store, g, widths)
     kernels = [k for k in store.values() if isinstance(k, Q.SymmetricBandKernel)]
     assert kernels
     assert sum(k.nbytes for k in kernels) <= share * len(kernels) * (g.m + 1) ** 2 * 8

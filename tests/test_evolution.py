@@ -10,7 +10,7 @@ from morreyheat import fields as F
 from morreyheat import quadrature as Q
 from morreyheat.params import make_params
 
-P5 = make_params(5, 3.0)
+P5 = make_params(3.0)
 
 
 def test_config_validation():
@@ -86,7 +86,7 @@ def test_diffusive_cap_is_rk4_stable(n, boundary):
     stable = E.STABLE_FRACTION * E.max_safety(n)
     for m in (100, 400, 800):
         g = F.make_grid(n, 40.0, m)
-        lam = np.linalg.eigvals(E._Stepper(g, n, dirichlet=boundary == F.DIRICHLET).matrix())
+        lam = np.linalg.eigvals(E._Stepper(g, dirichlet=boundary == F.DIRICHLET).matrix())
         if n >= 8:   # a complex pair, off the real axis that the limit is taken on
             assert np.abs(lam.imag).max() * g.h**2 > 0.8
         for safety in (E.max_safety(n), stable, 2.4):
@@ -222,7 +222,7 @@ def _weighted_run(times, w):
     t = np.asarray(times, dtype=float)
     sup = np.concatenate(([1.0], np.asarray(w) / t[1:] ** P5.beta))
     series = np.column_stack([t, sup, sup, np.zeros_like(t)])
-    return E.Trajectory(params=P5, checkpoints=[], series=series,
+    return E.Trajectory(checkpoints=[], series=series,
                         status=E.TrajectoryStatus("reached_horizon", float(t[-1])))
 
 
@@ -290,7 +290,7 @@ def test_gradient_majorant_linear_hook():
     assert worst <= 0.55   # equality up to discretization is a factor 1 <= 2
     # a checkpoint after t_small, however steep, is not checked
     steep = F.make_field(g, 1e6 * np.sin(g.nodes))
-    late = E.Trajectory(params=P5, checkpoints=traj.checkpoints + [(1.0, steep)],
+    late = E.Trajectory(checkpoints=traj.checkpoints + [(1.0, steep)],
                         series=traj.series, status=traj.status)
     assert E.gradient_majorant_check(late, u0, grad0, t_small=0.1) == (ok, worst)
 
@@ -321,8 +321,8 @@ def _reference_rk4_step(rhs, u, dt, k):
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _reference_rhs(grid, n, p, dirichlet, nonlinear=True):
-    h, r = grid.h, grid.nodes
+def _reference_rhs(grid, p, dirichlet, nonlinear=True):
+    n, h, r = grid.n, grid.h, grid.nodes
     inv_h2 = 1.0 / h**2
     drift = (n - 1) / (2.0 * h * r[1:-1])
     c_plus, c_minus = inv_h2 + drift, inv_h2 - drift
@@ -346,9 +346,9 @@ def _reference_solve(u0, params, cfg):
     counters a solve reports: its steps, by the cap that bound each, and the smallest dt."""
     grid, p = u0.grid, params.p
     dirichlet = u0.boundary == F.DIRICHLET
-    rhs = _reference_rhs(grid, params.n, p, dirichlet)
+    rhs = _reference_rhs(grid, p, dirichlet)
     r_pow = grid.nodes ** (2.0 / (p - 1.0))
-    dt_diff = cfg.safety * grid.h**2 / (2.0 * params.n)
+    dt_diff = cfg.safety * grid.h**2 / (2.0 * grid.n)
     cps = np.asarray(cfg.checkpoint_times, dtype=float)
     u = u0.values.astype(float).copy()
     k = [np.empty_like(u) for _ in range(4)]
@@ -413,9 +413,9 @@ def _assert_equals_reference(traj, work, u0, params, cfg):
 def test_rk4_step_equals_allocating_step():
     g = F.make_grid(5, 20.0, 200)
     u0 = F.gaussian(g, 1.0, 2.0, F.DIRICHLET)
-    stepper = E._Stepper(g, 5, 3.0, dirichlet=True)
+    stepper = E._Stepper(g, 3.0, dirichlet=True)
     stepper.u[:] = u0.values
-    ref, ref_rhs = u0.values.copy(), _reference_rhs(g, 5, 3.0, True)
+    ref, ref_rhs = u0.values.copy(), _reference_rhs(g, 3.0, True)
     k = [np.empty_like(ref) for _ in range(4)]
     dt = 0.8 * g.h**2 / 10.0
     for _ in range(300):
@@ -425,10 +425,10 @@ def test_rk4_step_equals_allocating_step():
     assert stepper.u.tobytes() == ref.tobytes()
     # the public right-hand side of a pure heat stepper is the Laplacian of any array
     v = np.random.default_rng(0).standard_normal(g.m + 1)
-    lap = _reference_rhs(g, 5, 3.0, False, nonlinear=False)(v, np.empty_like(v))
-    assert E._Stepper(g, 5).rhs(v, np.empty_like(v)).tobytes() == lap.tobytes()
+    lap = _reference_rhs(g, 3.0, False, nonlinear=False)(v, np.empty_like(v))
+    assert E._Stepper(g).rhs(v, np.empty_like(v)).tobytes() == lap.tobytes()
     # and its dense matrix applies that Laplacian too
-    mat = E._Stepper(g, 5).matrix()
+    mat = E._Stepper(g).matrix()
     np.testing.assert_allclose(mat @ v, lap, rtol=0, atol=1e-13 * np.abs(mat).max())
 
 
@@ -438,9 +438,9 @@ def test_rk4_step_factors_follow_dt(p):
     # (and dt' twice) each stay bitwise the allocating step of that size
     g = F.make_grid(5, 20.0, 200)
     u0 = F.gaussian(g, 1.0, 2.0)
-    stepper = E._Stepper(g, 5, p)
+    stepper = E._Stepper(g, p)
     stepper.u[:] = u0.values
-    ref, ref_rhs = u0.values.copy(), _reference_rhs(g, 5, p, False)
+    ref, ref_rhs = u0.values.copy(), _reference_rhs(g, p, False)
     k = [np.empty_like(ref) for _ in range(4)]
     dt = 0.8 * g.h**2 / 10.0
     for size in (dt, dt, 0.5 * dt, dt, 0.25 * dt, 0.25 * dt, dt):
@@ -452,7 +452,7 @@ def test_rk4_step_factors_follow_dt(p):
 @pytest.mark.parametrize("boundary", [F.DIRICHLET, F.FREE])
 @pytest.mark.parametrize("p", [3.0, 7.0 / 3.0])
 def test_solve_equals_allocating_loop(boundary, p):
-    params = make_params(5, p)
+    params = make_params(p)
     g = F.make_grid(5, 20.0, 200)
     u0 = F.gaussian(g, 1.0, 2.0, boundary)
     cfg = E.SolverConfig(t_end=0.25, checkpoint_times=(0.05, 0.1, 0.2))
@@ -467,7 +467,7 @@ def test_blowup_stop_equals_allocating_loop(p):
     # at p = 3 the nonlinear cap 0.5 sup^-2 falls below DT_MIN before sup reaches
     # BLOWUP_THRESHOLD, so the run stops on the collapsing step; at p = 2 the cap is still
     # 0.5 / 1e8 = 5e-9 there, so it stops on the sup threshold
-    params = make_params(5, p)
+    params = make_params(p)
     g = F.make_grid(5, 40.0, 200)
     u0 = F.plateau(g, 2.0, 15.0, 2.0, F.DIRICHLET)
     cfg = E.SolverConfig(t_end=1.0, checkpoint_times=(0.05, 0.1))
@@ -492,9 +492,9 @@ def test_diffusion_substeps_equal_allocating_substeps():
     from morreyheat import duhamel as D
 
     g = F.make_grid(5, 20.0, 200)
-    sub = D._DiffusionSubsteps(g, 5, 2.0 * g.h**2 * 0.9)
+    sub = D._DiffusionSubsteps(g, 2.0 * g.h**2 * 0.9)
     assert sub.k > 1
-    ref_rhs = _reference_rhs(g, 5, 3.0, False, nonlinear=False)
+    ref_rhs = _reference_rhs(g, 3.0, False, nonlinear=False)
     k = [np.empty(g.m + 1) for _ in range(4)]
     for u0 in (F.gaussian(g, 1.0, 2.0), F.power_tail(g, 0.5, 1.2, 2.0)):
         ref = u0.values.copy()

@@ -9,7 +9,7 @@ from morreyheat import fields as F
 from morreyheat import morrey as M
 from morreyheat.params import make_params
 
-P5 = make_params(5, 3.0)
+P5 = make_params(3.0)
 
 
 def grid5(r_max=16.0, m=800):
@@ -200,8 +200,17 @@ _G = F.make_grid(5, 10.0, 32)
     (lambda: F.make_field(_G, np.zeros(33), "neumann"), "unknown boundary tag 'neumann'"),
     (lambda: F.weighted_sup_norm(F.gaussian(_G, 1.0, 2.0), -1.0), "k must be >= 0"),
     # at n = 3, p = 3 the profile height L^(p-1) = 1 (3 - 2 - 1) is 0
-    (lambda: F.singular_steady_state(_G, make_params(3, 3.0)), "no positive singular"),
+    (lambda: F.singular_steady_state(F.make_grid(3, 10.0, 32), make_params(3.0)),
+     "no positive singular"),
 ])
 def test_argument_guards_raise(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("n", [2, 0, 4.5, 3.5, math.nan])
+def test_make_grid_rejects_bad_dimension(n):
+    # the grid is the one place n is stated, so its guard is the only one: a non-integer n
+    # is rejected, not rounded down
+    with pytest.raises(ValueError, match="dimension n must be >= 3 and an integer"):
+        F.make_grid(n, 10.0, 64)

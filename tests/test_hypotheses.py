@@ -5,7 +5,7 @@ from morreyheat import fields as F
 from morreyheat import hypotheses as H
 from morreyheat.params import make_params
 
-P5 = make_params(5, 3.0)
+P5 = make_params(3.0)
 
 
 def all_flags(rep):
@@ -117,7 +117,7 @@ def test_empty_integrability_intervals_fail():
     # [1, n(p-1)/(2(p+1))) = [1, 0.75), so neither condition can hold, whatever the data
     g = F.make_grid(3, 20.0, 400)
     rep = H.check_hypotheses(F.gaussian(g, 1.0, 2.0), F.gaussian_gradient(g, 1.0, 2.0),
-                             make_params(3, 3.0))
+                             make_params(3.0))
     assert rep.gradient_integrability == H.ConditionCheck(
         False, {"admissible_q_interval": (2.0, 1.5)})
     assert rep.energy_integrability == H.ConditionCheck(

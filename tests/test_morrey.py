@@ -11,8 +11,8 @@ from morreyheat import morrey as M
 from morreyheat import quadrature as Q
 from morreyheat.params import make_params
 
-P5 = make_params(5, 3.0)
-P3 = make_params(3, 7.0)
+P5 = make_params(3.0)
+P3 = make_params(7.0)
 
 
 def test_spec_validation():
@@ -20,6 +20,11 @@ def test_spec_validation():
         M.MorreySpec(0.5, 1.0)
     with pytest.raises(ValueError):
         M.MorreySpec(2.0, -1.0)
+    # a NaN compares false both ways: the guards state what must hold, so it fails them
+    with pytest.raises(ValueError):
+        M.MorreySpec(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        M.MorreySpec(2.0, math.nan)
     with pytest.raises(ValueError):
         g = F.make_grid(3, 4.0, 100)
         M.morrey_norm(F.indicator(g, 1.0), M.MorreySpec(2.0, 4.0))  # lam > n
@@ -27,7 +32,7 @@ def test_spec_validation():
 
 def test_critical_pairing():
     spec = M.critical_spec(P5)
-    assert spec.q == 2.0 and spec.lam == pytest.approx(P5.mu)
+    assert spec.q == 2.0 and spec.lam == pytest.approx(4.0 / (P5.p - 1.0))
 
 
 def test_zero_field_norm():
@@ -151,13 +156,14 @@ def test_holder_product_inequality():
 
 
 def test_lebesgue_embedding():
-    # compact support: Morrey norm at the critical pairing bounded by the L^{q_c} norm
+    # compact support: Morrey norm at the critical pairing bounded by the L^{q_c} norm,
+    # q_c = n(p-1)/2
     ratios = []
     for width in (1.0, 2.0, 4.0):
         g = F.make_grid(5, 16.0 + 4 * width, int((16 + 4 * width) / 0.02))
         f = F.gaussian(g, 1.0, width)
         spec = M.critical_spec(P5)
-        ratios.append(M.morrey_norm(f, spec) / M.lq_norm(f, P5.q_c))
+        ratios.append(M.morrey_norm(f, spec) / M.lq_norm(f, g.n * (P5.p - 1.0) / 2.0))
     assert max(ratios) < 10.0
     assert max(ratios) / min(ratios) < 2.0   # a stable fitted constant
 

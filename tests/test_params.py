@@ -1,43 +1,31 @@
+import dataclasses
+import math
+
 import pytest
 
+from morreyheat.morrey import critical_spec
 from morreyheat.params import make_params
 
 
-def test_n3_p7():
-    p = make_params(3, 7)
-    assert p.p_s == 5.0
-    assert p.supercritical
+def test_fields_are_p_and_beta():
+    # the dimension is the grid's alone: params hold no n and no value derived from one
+    assert [f.name for f in dataclasses.fields(make_params(3.0))] == ["p", "beta"]
 
 
-def test_n5_p3_derived_quantities():
-    p = make_params(5, 3)
-    assert p.beta == 0.5
-    assert p.mu == 2.0
-    assert p.q_c == 5.0
-    assert p.supercritical          # p_S = 7/3 < 3
-
-
-def test_critical_boundary_not_supercritical():
-    p = make_params(3, 5)           # p == p_S exactly
-    assert not p.supercritical
+def test_p3_derived_quantities():
+    p = make_params(3)
+    assert p.p == 3.0 and p.beta == 0.5
+    assert critical_spec(p).lam == 2.0    # mu = 4/(p-1), the critical Morrey weight for q = 2
 
 
 def test_identities_hold_on_a_sweep():
-    for n in range(3, 13):
-        for pexp in (1.5, 2.0, 3.0, 7.0):
-            mp = make_params(n, pexp)
-            assert mp.p_s == (n + 2) / (n - 2)
-            assert mp.beta * (mp.p - 1) == pytest.approx(1.0, rel=1e-15)
-            assert mp.mu == pytest.approx(4 * mp.beta, rel=1e-15)
-            assert mp.q_c == pytest.approx(n / (2 * mp.beta), rel=1e-15)
+    for pexp in (1.5, 2.0, 3.0, 7.0):
+        mp = make_params(pexp)
+        assert mp.beta * (mp.p - 1) == pytest.approx(1.0, rel=1e-15)
+        assert critical_spec(mp).lam == pytest.approx(4 * mp.beta, rel=1e-15)
 
 
-def test_p_s_strictly_decreasing_in_n():
-    vals = [make_params(n, 2.0).p_s for n in range(3, 13)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-@pytest.mark.parametrize("n,p", [(2, 3.0), (0, 2.0), (3, 1.0), (3, 0.5), (4.5, 2.0)])
-def test_rejects_bad_arguments(n, p):
+@pytest.mark.parametrize("p", [1.0, 0.5, math.nan])
+def test_rejects_bad_arguments(p):
     with pytest.raises(ValueError):
-        make_params(n, p)
+        make_params(p)

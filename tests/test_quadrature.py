@@ -593,7 +593,7 @@ def test_kernel_consumers_hold_no_dense_matrix():
         assert _traced_peak(lambda: Q.heat_apply(f, t)) < (g.m + 1) ** 2 * 8 / 4, t
     g = F.make_grid(5, 40.0, 800)
     for dt in (0.0053, 0.0098, 0.0234):   # the fine_grid Picard widths: least, median, largest
-        assert _traced_peak(lambda: D._update_store({}, g, 5, [dt])) < (g.m + 1) ** 2 * 8 / 4, dt
+        assert _traced_peak(lambda: D._update_store({}, g, [dt])) < (g.m + 1) ** 2 * 8 / 4, dt
 
 
 def test_volume_weights_total():

@@ -11,7 +11,7 @@ from morreyheat.morrey import MorreyLattice
 from morreyheat.quadrature import gauss_convolve
 from morreyheat.params import make_params
 
-P5 = make_params(5, 3.0)
+P5 = make_params(3.0)
 KAPPA = P5.beta**P5.beta
 
 
@@ -55,24 +55,24 @@ def test_singular_steady_state_is_fixed_point():
 
 
 def test_energy_zero():
-    e, m = S._weighted_integrals(flat_profile(0.0), P5)[:2]
+    e, m = S._weighted_integrals(flat_profile(0.0), 5, P5)[:2]
     assert e == 0.0 and m == 0.0
 
 
 def test_energy_stationary_closed_form():
-    e, m = S._weighted_integrals(flat_profile(KAPPA), P5)[:2]
+    e, m = S._weighted_integrals(flat_profile(KAPPA), 5, P5)[:2]
     expect_e = KAPPA**2 * P5.beta * (P5.p - 1) / (2 * (P5.p + 1)) * (4 * math.pi) ** 2.5
     expect_m = KAPPA**2 * (4 * math.pi) ** 2.5
     assert e == pytest.approx(expect_e, rel=1e-6)
     assert m == pytest.approx(expect_m, rel=1e-6)
-    assert S.stationary_energy(P5) == pytest.approx(expect_e, rel=1e-12)
+    assert S.stationary_energy(5, P5) == pytest.approx(expect_e, rel=1e-12)
 
 
 def test_energy_positive_for_small_amplitude_bump():
     y = S.similarity_grid()
     w = S.RescaledField(y=y, values=0.01 * np.exp(-((y - 3.0) ** 2)), T=1.0, t=0.0,
                         s=0.0, truncated=False)
-    e, m = S._weighted_integrals(w, P5)[:2]
+    e, m = S._weighted_integrals(w, 5, P5)[:2]
     assert e > 0.0 and m > 0.0
 
 
@@ -81,7 +81,7 @@ def synthetic_ode_trajectory(T, s_grid, grid):
     for t in S.checkpoint_times_for_s_grid(T, s_grid):
         val = ((P5.p - 1) * (T - t)) ** (-P5.beta)
         cps.append((float(t), F.make_field(grid, np.full(grid.m + 1, val))))
-    return E.Trajectory(params=P5, checkpoints=cps,
+    return E.Trajectory(checkpoints=cps,
                         series=np.array([[0.0, 1.0, 1.0, 0.1]]),
                         status=E.TrajectoryStatus("blowup", cps[-1][0], T_est=T))
 
@@ -92,7 +92,7 @@ def test_energy_series_stationary_at_exact_blowup_time():
     s_grid = np.arange(1.0, 3.0, 0.01)
     traj = synthetic_ode_trajectory(T, s_grid, g)
     es = S.energy_series(traj, T, P5, s_grid)
-    e_star = S.stationary_energy(P5)
+    e_star = S.stationary_energy(5, P5)
     assert np.max(np.abs(es.E - e_star)) / e_star < 1e-4
     assert np.max(np.abs(np.diff(es.E) / np.diff(es.s))) < 1e-6
     assert es.monotone_ok
@@ -103,7 +103,7 @@ def test_energy_series_zero_solution():
     g = F.make_grid(5, 20.0, 200)
     s_grid = np.arange(0.0, 0.2, 0.01)
     cps = [(float(t), F.zero_field(g)) for t in S.checkpoint_times_for_s_grid(1.0, s_grid)]
-    traj = E.Trajectory(params=P5, checkpoints=cps,
+    traj = E.Trajectory(checkpoints=cps,
                         series=np.array([[0.0, 0.0, 0.0, 0.1]]),
                         status=E.TrajectoryStatus("reached_horizon", 1.0))
     es = S.energy_series(traj, 1.0, P5, s_grid)
@@ -130,12 +130,12 @@ def test_truncated_windows_are_reported_not_warned():
     truncated = [S.to_similarity(f, t, T, P5).truncated for t, f in traj.checkpoints]
     assert any(truncated) and not all(truncated)
     # the flat ODE profile is flat past r_max too: every window keeps the stationary energy
-    assert np.max(np.abs(es.E / S.stationary_energy(P5) - 1.0)) < 1e-4
+    assert np.max(np.abs(es.E / S.stationary_energy(5, P5) - 1.0)) < 1e-4
 
 
 def test_energy_series_missing_checkpoint_raises():
     g = F.make_grid(5, 20.0, 200)
-    traj = E.Trajectory(params=P5, checkpoints=[(0.5, F.zero_field(g))],
+    traj = E.Trajectory(checkpoints=[(0.5, F.zero_field(g))],
                         series=np.array([[0.0, 0.0, 0.0, 0.1]]),
                         status=E.TrajectoryStatus("reached_horizon", 1.0))
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from morreyheat import morrey as M
 from morreyheat import threshold as T
 from morreyheat.params import make_params
 
-P5 = make_params(5, 3.0)
+P5 = make_params(3.0)
 
 
 def short_cfg(t_end=60.0):
